@@ -104,8 +104,8 @@ class CommensuratedPair(ABC):
 
         The uniformity over the coset is what makes truncated products and
         inverses well defined; monotonicity in ``depth`` is what lets the
-        engine search for attainable output depths by linear scan.  The
-        value need not be least, only sound.
+        engine find the maximal attainable output depth with a logarithmic
+        number of calls.  The value need not be least, only sound.
         """
 
     def level_index(self, depth: Depth) -> Optional[int]:
@@ -177,7 +177,7 @@ class Valuation:
 
     ``depth`` is the largest level at which the cosets agree (-1 when they
     already differ at level 0).  ``indistinguishable`` is True when the
-    scan ran out of precision while the cosets still agreed.
+    cosets still agree at the deepest level both inputs carry.
     """
 
     depth: Depth
@@ -191,16 +191,39 @@ class Valuation:
         return str(self.depth)
 
 
+def _gallop(hit: Callable[[Depth], bool], start: Depth, stop: Depth) -> Optional[Depth]:
+    """First d on the walk start, start ± 1, ..., stop at which hit(d) holds, or None.
+
+    Agrees with a linear walk whenever hit never turns false again after
+    turning true.  It probes start and then 1, 3, 7, ... levels further
+    (clamped to stop), then bisects the last bracket, so a first hit g
+    levels in costs about 2·log2(g) + 2 calls.  The returned depth was
+    probed and hit; the one before it on the walk, if any, was probed and
+    missed; None means stop itself was probed and missed.
+    """
+    step = 1 if stop >= start else -1
+    span = abs(stop - start)
+    miss, reach = -1, 0  # offsets from start: last known miss, next probe
+    while not hit(start + step * reach):
+        if reach == span:
+            return None
+        miss, reach = reach, min(span, 2 * reach + 1)
+    while reach - miss > 1:
+        mid = (miss + reach) // 2
+        if hit(start + step * mid):
+            reach = mid
+        else:
+            miss = mid
+    return start + step * reach
+
+
 def _attainable_depth(pair: CommensuratedPair, g: Any, cap: Depth, budget: Depth):
     """Largest d <= cap with conj_depth(g, d) <= budget, or None.
 
-    conj_depth is monotone in d, so the first success scanning downward is
-    the maximum.
+    conj_depth is monotone in d, so the first success walking down from
+    cap is the maximum; :func:`_gallop` finds it in O(log cap) calls.
     """
-    for d in range(cap, -1, -1):
-        if pair.conj_depth(g, d) <= budget:
-            return d
-    return None
+    return _gallop(lambda d: pair.conj_depth(g, d) <= budget, cap, 0)
 
 
 @dataclass(frozen=True, eq=False)
@@ -293,13 +316,18 @@ class CompletionElement:
         return pair.in_level(pair.mul(pair.inv(self.rep), other.rep), depth)
 
     def valuation(self, other: "CompletionElement") -> Valuation:
-        """Largest level at which the two elements agree, scanning from 0."""
+        """Largest level at which the two elements agree.
+
+        Agreement at a level implies agreement at every coarser one, so a
+        galloping search up from level 0 finds the first disagreement in
+        O(log depth) comparisons.
+        """
         self._same_pair(other)
         cap = min(self.depth, other.depth)
-        for d in range(cap + 1):
-            if not self.eq_at_depth(other, d):
-                return Valuation(depth=d - 1, indistinguishable=False)
-        return Valuation(depth=cap, indistinguishable=True)
+        split = _gallop(lambda d: not self.eq_at_depth(other, d), 0, cap)
+        if split is None:
+            return Valuation(depth=cap, indistinguishable=True)
+        return Valuation(depth=split - 1, indistinguishable=False)
 
     def right_rep(self, depth: Depth) -> Any:
         """A representative h with N_depth.h in the denoted filter.

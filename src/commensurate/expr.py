@@ -290,10 +290,17 @@ class Evaluator:
         tag, value = self._eval(node.base)
         k = node.exp
         if tag == _EXACT:
+            # square-and-multiply: exact arithmetic is associative, so this
+            # equals the k-fold product
             out = pair.identity
             base = value if k >= 0 else pair.inv(value)
-            for _ in range(abs(k)):
-                out = pair.mul(out, base)
+            k = abs(k)
+            while k:
+                if k & 1:
+                    out = pair.mul(out, base)
+                k >>= 1
+                if k:
+                    base = pair.mul(base, base)
             return _EXACT, out
         if tag != _TRUNC:
             raise ExprError("psi(...) cannot be raised to a power", node.pos)

@@ -14,6 +14,8 @@ operation keeps full depth.  Two chains are offered:
 
 from __future__ import annotations
 
+import math
+
 from .core import CommensuratedPair, ContractViolation, Depth
 
 FACTORIAL = "factorial"
@@ -37,10 +39,7 @@ class IntegerChainPair(CommensuratedPair):
 
     def modulus(self, depth: Depth) -> int:
         if self.base == FACTORIAL:
-            out = 1
-            for k in range(2, depth + 1):
-                out *= k
-            return out
+            return math.factorial(depth)
         return self.base ** depth
 
     # group arithmetic (additive, so "product" is +)

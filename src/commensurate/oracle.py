@@ -272,7 +272,7 @@ def compare_engine(pair: FiniteModelPair, trials: int, rng) -> OracleReport:
         if f1.eq_at_depth(f2, d) != want:
             note("eq_at_depth", f"{label} at {d}", want, not want)
 
-        # valuation by literal downward scan
+        # valuation by literal upward scan, deliberately not the engine's search
         want_v = None
         for dd in range(min(d1, d2) + 1):
             same = model.left_coset(f1.rep, model.levels[dd]) == model.left_coset(

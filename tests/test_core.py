@@ -1,11 +1,14 @@
 """Engine laws: products, inverses, depths, valuations, targets."""
 
+import math
+from collections import Counter
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
 from commensurate import (
+    CommensuratedPair,
     CompletionElement,
     DiscreteTarget,
     DyadicAffine,
@@ -13,7 +16,9 @@ from commensurate import (
     Valuation,
     bs12_pair,
     integers_pair,
+    sl2_pair,
 )
+from commensurate.core import _gallop
 
 Z2 = integers_pair(2)
 BS = bs12_pair()
@@ -253,3 +258,136 @@ def test_target_multiplicative(g, h):
 def test_repr_mentions_rep_and_depth():
     text = repr(Z2.embed(5, 3))
     assert "5" in text and "3" in text
+
+
+# --- depth search ------------------------------------------------------------------
+
+def _linear_walk(hit, start, stop):
+    step = 1 if stop >= start else -1
+    for d in range(start, stop + step, step):
+        if hit(d):
+            return d
+    return None
+
+
+@given(
+    st.integers(min_value=0, max_value=70),
+    st.integers(min_value=-1, max_value=71),
+    st.booleans(),
+)
+@example(cap=0, threshold=0, upward=False)  # cap == 0, passes
+@example(cap=0, threshold=-1, upward=False)  # cap == 0, fails
+@example(cap=70, threshold=71, upward=False)  # every depth feasible
+@example(cap=70, threshold=-1, upward=False)  # precision exhausted
+@example(cap=70, threshold=0, upward=True)  # disjoint at level 0
+@example(cap=70, threshold=71, upward=True)  # indistinguishable
+def test_gallop_matches_linear_walk(cap, threshold, upward):
+    """On monotone step functions the search equals the linear walk."""
+    if upward:  # valuation: walk up from 0 to the first disagreement
+        start, stop, hit = 0, cap, lambda d: d >= threshold
+    else:  # attainable depth: walk down from cap to the first feasible depth
+        start, stop, hit = cap, 0, lambda d: d <= threshold
+    probes = []
+
+    def counted(d):
+        probes.append(d)
+        return hit(d)
+
+    found = _gallop(counted, start, stop)
+    assert found == _linear_walk(hit, start, stop)
+    gap = abs((stop if found is None else found) - start)
+    assert len(probes) <= 2 * math.log2(gap + 1) + 2
+
+
+@given(st.lists(st.booleans(), min_size=1, max_size=71), st.booleans())
+@example(values=[False], upward=True)
+def test_gallop_returns_only_probed_depths(values, upward):
+    """Soundness needs no monotonicity: every answer was tested."""
+    cap = len(values) - 1
+    start, stop = (0, cap) if upward else (cap, 0)
+    probes = {}
+
+    def hit(d):
+        probes[d] = values[d]
+        return values[d]
+
+    found = _gallop(hit, start, stop)
+    if found is None:
+        assert probes.get(stop) is False
+    else:
+        assert probes.get(found) is True
+        before = found - (1 if upward else -1)
+        assert found == start or probes.get(before) is False
+
+
+class _CountingPair(CommensuratedPair):
+    """Another pair's arithmetic, counting the engine's chain queries."""
+
+    def __init__(self, inner):
+        self.inner = inner
+        self.name = inner.name
+        self.max_depth = inner.max_depth
+        self.generators = inner.generators
+        self.calls = Counter()
+
+    @property
+    def identity(self):
+        return self.inner.identity
+
+    def mul(self, x, y):
+        return self.inner.mul(x, y)
+
+    def inv(self, x):
+        return self.inner.inv(x)
+
+    def in_level(self, x, depth):
+        self.calls["in_level"] += 1
+        return self.inner.in_level(x, depth)
+
+    def conj_depth(self, g, depth):
+        self.calls["conj_depth"] += 1
+        return self.inner.conj_depth(g, depth)
+
+    def validate(self, x):
+        self.inner.validate(x)
+
+
+def _log_bound(depth):
+    return 2 * math.log2(depth) + 4
+
+
+def test_product_search_is_logarithmic():
+    sl2 = _CountingPair(sl2_pair(3))
+    u, h = sl2.generators["u"], sl2.generators["h"]
+    f = sl2.embed(u, 2) * sl2.embed(h, 65536)
+    assert f.depth == 0  # conj_depth(h, d) = d + 2 leaves only level 0
+    assert sl2.calls["conj_depth"] <= _log_bound(65536)
+    sl2.calls.clear()
+    g = sl2.embed(h, 65536).inverse()
+    assert g.depth == 65534
+    assert sl2.calls["conj_depth"] <= _log_bound(65536)
+
+
+def test_valuation_search_is_logarithmic():
+    z2 = _CountingPair(integers_pair(2))
+    base = z2.embed(12345, 4096)
+    v = base.valuation(z2.embed(12345 + (1 << 3000), 4096))
+    assert v == Valuation(3000, False)
+    assert z2.calls["in_level"] <= _log_bound(4096)
+    z2.calls.clear()
+    assert base.valuation(base) == Valuation(4096, True)
+    assert z2.calls["in_level"] <= _log_bound(4096)
+
+
+def test_exhausted_search_reports_requirement():
+    sl2 = _CountingPair(sl2_pair(3))
+    u, h = sl2.generators["u"], sl2.generators["h"]
+    with pytest.raises(PrecisionExhausted) as err:
+        sl2.embed(u, 1) * sl2.embed(h, 65536)
+    assert err.value.required_depth == 2
+    assert str(err.value) == "product needs a left factor of depth >= 2, have 1"
+    with pytest.raises(PrecisionExhausted) as err:
+        sl2.embed(h, 1).inverse()
+    assert err.value.required_depth == 2
+    assert str(err.value) == "inverse needs depth >= 2, have 1"
+    assert sl2.calls["conj_depth"] <= 2 * _log_bound(65536)

@@ -224,11 +224,30 @@ def test_conj_depth_uniform_two_sided(pair):
         d = rng.randrange(0, 4)
         j = pair.conj_depth(g, d)
         assert j >= d
-        assert pair.conj_depth(g, d + 1) >= j  # monotone
         x = pair.mul(g, pair.sample_level(d, rng))  # any member of the coset
         n = pair.sample_level(j, rng)
         assert pair.in_level(pair.mul(pair.mul(x, n), pair.inv(x)), d)
         assert pair.in_level(pair.mul(pair.mul(pair.inv(x), n), x), d)
+
+
+# the engine's depth searches are maximal only because conj_depth is monotone
+
+@pytest.mark.parametrize("pair", _contract_pairs(), ids=lambda p: p.name)
+def test_conj_depth_monotone(pair):
+    rng = random.Random(RNG_SEED)
+    for _ in range(150):
+        g = pair.sample(rng)
+        js = [pair.conj_depth(g, d) for d in range(65)]
+        assert all(j >= d for d, j in enumerate(js))
+        assert js == sorted(js)
+
+
+def test_conj_depth_monotone_finite_models(model_pairs):
+    for pair in model_pairs:
+        for g in range(pair.model.n):
+            js = [pair.conj_depth(g, d) for d in range(pair.max_depth + 1)]
+            assert all(j >= d for d, j in enumerate(js)), (pair.name, g)
+            assert js == sorted(js), (pair.name, g)
 
 
 @pytest.mark.parametrize("pair", _contract_pairs(), ids=lambda p: p.name)
