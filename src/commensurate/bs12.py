@@ -19,7 +19,7 @@ import re
 from fractions import Fraction
 from typing import NamedTuple
 
-from .core import CommensuratedPair, ContractViolation, Depth
+from .core import CommensuratedPair, ContractViolation, Depth, DiscreteTarget
 
 
 class DyadicAffine(NamedTuple):
@@ -36,7 +36,7 @@ def _is_power_of_two(n: int) -> bool:
 
 class BS12Pair(CommensuratedPair):
     name = "bs12"
-    max_depth = None
+    target_names = ("texp",)
 
     def __init__(self):
         self.generators = {
@@ -78,6 +78,8 @@ class BS12Pair(CommensuratedPair):
         if m is None:
             raise ValueError(f"bs12: bad element literal {text!r}")
         num, den, texp = m.group(1), m.group(2), m.group(3)
+        if den is not None and int(den) == 0:
+            raise ValueError(f"bs12: zero denominator in {text!r}")
         shift = Fraction(int(num), int(den)) if den else Fraction(int(num))
         elt = DyadicAffine(shift, int(texp))
         self.validate(elt)
@@ -104,6 +106,17 @@ class BS12Pair(CommensuratedPair):
         return (
             "Baumslag-Solitar group BS(1,2) = <a,t | t a t^-1 = a^2>, "
             "K = <a>, level d = <a^(2^d)> (pro-2 closure of K)"
+        )
+
+    def target(self, name: str) -> DiscreteTarget:
+        """``texp``: the doubling exponent, a homomorphism onto Z killing K."""
+        if name != "texp":
+            return super().target(name)
+        return DiscreteTarget(
+            name="texp",
+            phi=lambda g: g.texp,
+            kill_level=0,
+            combine=lambda u, v: u + v,
         )
 
     def sample(self, rng) -> DyadicAffine:

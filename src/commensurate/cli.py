@@ -25,7 +25,6 @@ from .registry import (
     builtin_instances,
     resolve_instance,
     resolve_target,
-    target_catalog,
 )
 
 EXIT_OK = 0
@@ -45,7 +44,7 @@ def _element_payload(name: str, pair, requested: int, f: CompletionElement) -> d
         levels.append(
             {
                 "level": d,
-                "modulus_or_index": pair.level_value(d),
+                "modulus_or_index": pair.level_index(d),
                 "rep": pair.level_rep(f.rep, d),
             }
         )
@@ -75,7 +74,7 @@ def cmd_instances(args) -> int:
                     {
                         "name": p.name,
                         "description": p.describe(),
-                        "targets": target_catalog(p),
+                        "targets": p.target_names,
                     }
                     for p in pairs
                 ],
@@ -88,9 +87,8 @@ def cmd_instances(args) -> int:
         return EXIT_OK
     for p in pairs:
         print(f"{p.name:<8} {p.describe()}")
-        targets = target_catalog(p)
-        if targets:
-            print(f"{'':<8} targets: {', '.join(targets)}")
+        if p.target_names:
+            print(f"{'':<8} targets: {', '.join(p.target_names)}")
     print()
     print("name patterns:")
     for pat, desc in INSTANCE_PATTERNS:
@@ -98,21 +96,25 @@ def cmd_instances(args) -> int:
     return EXIT_OK
 
 
+def _print_psi(args, target: str, value) -> None:
+    if args.json:
+        _print_json(
+            {
+                "instance": args.instance,
+                "target": target,
+                "requested_depth": args.depth,
+                "value": str(value),
+            }
+        )
+    else:
+        print(value)
+
+
 def cmd_eval(args, table_only: bool = False) -> int:
     pair = resolve_instance(args.instance)
     result = evaluate(args.expr, pair, args.depth, resolve_target)
     if isinstance(result, PsiValue):
-        if args.json:
-            _print_json(
-                {
-                    "instance": args.instance,
-                    "target": result.target,
-                    "requested_depth": args.depth,
-                    "value": str(result.value),
-                }
-            )
-        else:
-            print(result.value)
+        _print_psi(args, result.target, result.value)
         return EXIT_OK
     payload = _element_payload(args.instance, pair, args.depth, result)
     if args.json:
@@ -132,20 +134,8 @@ def cmd_psi(args) -> int:
     pair = resolve_instance(args.instance)
     result = evaluate(args.expr, pair, args.depth, resolve_target)
     if isinstance(result, PsiValue):
-        value = result.value
-    else:
-        value = resolve_target(pair, args.target).evaluate(result)
-    if args.json:
-        _print_json(
-            {
-                "instance": args.instance,
-                "target": args.target,
-                "requested_depth": args.depth,
-                "value": str(value),
-            }
-        )
-    else:
-        print(value)
+        raise ExprError("psi(...) cannot be passed to psi", 0)
+    _print_psi(args, args.target, resolve_target(pair, args.target).evaluate(result))
     return EXIT_OK
 
 

@@ -53,13 +53,17 @@ class ContractViolation(CompletionError):
 class CommensuratedPair(ABC):
     """Exact group arithmetic bundled with a subgroup chain.
 
-    Concrete pairs supply the arithmetic of a group G, a membership test
-    for each chain level N_d inside the distinguished subgroup K = N_0,
-    and :meth:`conj_depth`.  Every chain level must be normal in K and the
-    chain must be nested; ``conj_depth`` must be monotone in the level and
-    uniform over the coset it is asked about (see its docstring).  All
-    shipped pairs satisfy these by construction; the test suite fuzzes
-    them.
+    This is the only seam between an instance and the engine.  Concrete
+    pairs supply the arithmetic of a group G (``identity``, :meth:`mul`,
+    :meth:`inv`), a membership test :meth:`in_level` for each chain level
+    N_d inside the distinguished subgroup K = N_0, and :meth:`conj_depth`.
+    Every chain level must be normal in K and the chain must be nested;
+    ``conj_depth`` must be monotone in the level and uniform over the
+    coset it is asked about (see its docstring).  All shipped pairs
+    satisfy these by construction; the test suite fuzzes them.  The other
+    methods are optional: :meth:`level_index` for level displays, the text
+    formats, :meth:`validate`, the samplers, and the discrete targets that
+    :attr:`target_names` lists and :meth:`target` builds.
 
     Pairs are immutable after construction.
     """
@@ -72,6 +76,8 @@ class CommensuratedPair(ABC):
     generators: dict[str, Any] = {}
     #: Regex for instance-specific literal tokens (None: only integers).
     literal_pattern: Optional[re.Pattern] = None
+    #: Display names of the discrete targets :meth:`target` can build.
+    target_names: tuple[str, ...] = ()
 
     # --- group arithmetic -------------------------------------------------
 
@@ -87,9 +93,6 @@ class CommensuratedPair(ABC):
     @abstractmethod
     def inv(self, x: Any) -> Any:
         """Exact inverse of x in G."""
-
-    def eq(self, x: Any, y: Any) -> bool:
-        return x == y
 
     # --- chain ------------------------------------------------------------
 
@@ -108,16 +111,9 @@ class CommensuratedPair(ABC):
         number of calls.  The value need not be least, only sound.
         """
 
-    def level_index(self, depth: Depth) -> Optional[int]:
-        """The index [K : N_depth], when the instance can compute it."""
-        return None
-
-    def level_value(self, depth: Depth) -> int:
-        """Display value for a level: modulus, congruence level or index."""
-        index = self.level_index(depth)
-        if index is None:
-            raise NotImplementedError
-        return index
+    def level_index(self, depth: Depth) -> int:
+        """The index [K : N_depth], shown for each level by the CLI."""
+        raise NotImplementedError
 
     # --- text formats and helpers ------------------------------------------
 
@@ -140,6 +136,10 @@ class CommensuratedPair(ABC):
 
     def describe(self) -> str:
         return self.name
+
+    def target(self, name: str) -> "DiscreteTarget":
+        """The discrete target called ``name``; KeyError with a reason otherwise."""
+        raise KeyError(f"unknown target {name!r} for instance {self.name}")
 
     def sample(self, rng) -> Any:
         """A random element of G, for randomized test suites."""

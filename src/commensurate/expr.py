@@ -245,7 +245,7 @@ _EXACT, _TRUNC = "exact", "trunc"
 
 
 class Evaluator:
-    def __init__(self, pair: CommensuratedPair, depth: int, target_resolver=None):
+    def __init__(self, pair: CommensuratedPair, depth: int, target_resolver):
         pair.check_depth(depth)
         self.pair = pair
         self.depth = depth
@@ -256,9 +256,7 @@ class Evaluator:
         tag, value = self._eval(node)
         if tag == _EXACT:
             return self.pair.embed(value, self.depth)
-        if tag == _TRUNC:
-            return value
-        return value  # PsiValue
+        return value  # CompletionElement or PsiValue
 
     def _eval(self, node):
         pair = self.pair
@@ -343,8 +341,6 @@ class Evaluator:
                 return _TRUNC, pair.embed(value, self.depth)
             return _TRUNC, value  # already truncated: nothing to refine
         if node.func == "psi":
-            if self.target_resolver is None:
-                raise ExprError("no targets are available here", node.pos)
             try:
                 target = self.target_resolver(pair, node.target)
             except KeyError as err:
@@ -356,6 +352,6 @@ class Evaluator:
         raise TypeError(f"unknown call {node.func!r}")
 
 
-def evaluate(src: str, pair: CommensuratedPair, depth: int, target_resolver=None):
+def evaluate(src: str, pair: CommensuratedPair, depth: int, target_resolver):
     """Parse and evaluate src at the requested depth."""
     return Evaluator(pair, depth, target_resolver).run(parse_expression(src, pair))

@@ -32,7 +32,7 @@ depth bound so oracle sensitivity can be demonstrated.
 from __future__ import annotations
 
 import re
-from functools import lru_cache
+from functools import cache
 
 from .core import CommensuratedPair, ContractViolation, Depth
 
@@ -354,7 +354,8 @@ class FiniteModelPair(CommensuratedPair):
         self.model = model
         self.name = model.name
         self.max_depth = len(model.levels) - 1
-        self.generators = {}
+        # per instance, so a dropped pair frees its cache with it
+        self._least_conj_depth = cache(self._least_conj_depth)
         if model.kind == "perm":
             self.literal_pattern = _PERM_LITERAL
             points = model.points or 1
@@ -384,7 +385,6 @@ class FiniteModelPair(CommensuratedPair):
             return depth  # deliberately unsound; for oracle sensitivity tests
         return self._least_conj_depth(g, depth)
 
-    @lru_cache(maxsize=None)
     def _least_conj_depth(self, g: int, depth: Depth) -> Depth:
         model = self.model
         level_d = model.levels[depth]

@@ -15,14 +15,19 @@ operation keeps full depth.  Two chains are offered:
 from __future__ import annotations
 
 import math
+import re
 
-from .core import CommensuratedPair, ContractViolation, Depth
+from .core import CommensuratedPair, ContractViolation, Depth, DiscreteTarget
 
 FACTORIAL = "factorial"
+
+_MOD_TARGET = re.compile(r"mod:(\d+)")
 
 
 class IntegerChainPair(CommensuratedPair):
     """Z with chain level d = modulus(d)·Z."""
+
+    target_names = ("mod:<m>",)
 
     def __init__(self, base):
         if base == FACTORIAL:
@@ -33,9 +38,6 @@ class IntegerChainPair(CommensuratedPair):
                 raise ValueError(f"base must be an integer >= 2, got {base!r}")
             self.base = base
             self.name = f"z{base}"
-        self.max_depth = None
-        self.generators = {}
-        self.literal_pattern = None
 
     def modulus(self, depth: Depth) -> int:
         if self.base == FACTORIAL:
@@ -68,9 +70,6 @@ class IntegerChainPair(CommensuratedPair):
 
     # text formats
 
-    def format_element(self, x: int) -> str:
-        return str(x)
-
     def int_literal(self, value: int) -> int:
         return value
 
@@ -91,6 +90,41 @@ class IntegerChainPair(CommensuratedPair):
             f"integers under addition, level d = multiples of {self.base}^d "
             f"(the pro-{self.base} completion of Z)"
         )
+
+    def target(self, name: str) -> DiscreteTarget:
+        """``mod:<m>``: reduction mod m, when some level's modulus is divisible by m."""
+        m = _MOD_TARGET.fullmatch(name)
+        if m is None:
+            return super().target(name)
+        modulus = int(m.group(1))
+        if modulus < 1:
+            raise KeyError(f"target {name!r}: modulus must be >= 1")
+        kill = self._kill_level(modulus)
+        if kill is None:
+            raise KeyError(
+                f"target {name!r} is unavailable on {self.name}: no chain "
+                f"level has a modulus divisible by {modulus}"
+            )
+        return DiscreteTarget(
+            name=name,
+            phi=lambda x: x % modulus,
+            kill_level=kill,
+            combine=lambda u, v: (u + v) % modulus,
+        )
+
+    def _kill_level(self, modulus: int):
+        """Least level whose modulus m divides, or None when there is none."""
+        if self.base != FACTORIAL:
+            # possible iff every prime of the modulus divides the base
+            residual = modulus
+            while (g := math.gcd(residual, self.base)) > 1:
+                residual //= g
+            if residual != 1:
+                return None
+        d = 0
+        while self.modulus(d) % modulus != 0:
+            d += 1
+        return d
 
     def sample(self, rng) -> int:
         return rng.randrange(-(1 << 34), 1 << 34)

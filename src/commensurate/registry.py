@@ -1,28 +1,23 @@
-"""Name-based lookup of instances and of psi targets.
+"""Name-based lookup of instances.
 
 Instance names: ``z<base>`` (integers, power chain), ``zfact``
 (integers, factorial chain), ``bs12``, ``sl2:<p>`` (``sl2`` means p=2),
-and ``model:<path>`` for a finite model file.
-
-Targets: ``texp`` (the doubling exponent of bs12, a homomorphism onto
-Z) and ``mod:<m>`` on the integer instances (reduction mod m, available
-when some chain level's modulus is divisible by m).
+and ``model:<path>`` for a finite model file.  Each pair names and
+builds its own discrete targets (``CommensuratedPair.target``).
 """
 
 from __future__ import annotations
 
-import math
 import re
 
-from .bs12 import BS12Pair, bs12_pair
+from .bs12 import bs12_pair
 from .core import CommensuratedPair, DiscreteTarget
 from .finitemodel import finite_model_pair, load_model
-from .integers import FACTORIAL, IntegerChainPair, integers_pair
+from .integers import FACTORIAL, integers_pair
 from .sl2 import sl2_pair
 
 _Z_NAME = re.compile(r"z(\d+)")
 _SL2_NAME = re.compile(r"sl2(?::(\d+))?")
-_MOD_TARGET = re.compile(r"mod:(\d+)")
 
 
 def resolve_instance(name: str) -> CommensuratedPair:
@@ -47,54 +42,8 @@ def resolve_instance(name: str) -> CommensuratedPair:
 
 def resolve_target(pair: CommensuratedPair, name: str) -> DiscreteTarget:
     """Target for a name on this pair; KeyError with a reason otherwise."""
-    if isinstance(pair, BS12Pair) and name == "texp":
-        return DiscreteTarget(
-            name="texp",
-            phi=lambda g: g.texp,
-            kill_level=0,
-            combine=lambda u, v: u + v,
-        )
-    m = _MOD_TARGET.fullmatch(name)
-    if m is not None and isinstance(pair, IntegerChainPair):
-        modulus = int(m.group(1))
-        if modulus < 1:
-            raise KeyError(f"target {name!r}: modulus must be >= 1")
-        kill = _kill_level(pair, modulus)
-        if kill is None:
-            raise KeyError(
-                f"target {name!r} is unavailable on {pair.name}: no chain "
-                f"level has a modulus divisible by {modulus}"
-            )
-        return DiscreteTarget(
-            name=name,
-            phi=lambda x: x % modulus,
-            kill_level=kill,
-            combine=lambda u, v: (u + v) % modulus,
-        )
-    raise KeyError(f"unknown target {name!r} for instance {pair.name}")
-
-
-def _kill_level(pair: IntegerChainPair, modulus: int):
-    if pair.base != FACTORIAL:
-        # possible iff every prime of the modulus divides the base
-        residual = modulus
-        while (g := math.gcd(residual, pair.base)) > 1:
-            residual //= g
-        if residual != 1:
-            return None
-    d = 0
-    while pair.modulus(d) % modulus != 0:
-        d += 1
-    return d
-
-
-def target_catalog(pair: CommensuratedPair) -> list[str]:
-    """Human-readable target names available on a pair."""
-    if isinstance(pair, BS12Pair):
-        return ["texp"]
-    if isinstance(pair, IntegerChainPair):
-        return ["mod:<m>"]
-    return []
+    # a function of its own so that bench/tracing.py can time target lookup
+    return pair.target(name)
 
 
 def builtin_instances() -> list[CommensuratedPair]:

@@ -39,26 +39,38 @@ def _mat(a, b, c, d) -> Mat2:
     return Mat2(Fraction(a), Fraction(b), Fraction(c), Fraction(d))
 
 
+# Miller-Rabin with the first 13 primes as bases is exact below this bound.
+_PRIME_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+_PRIME_LIMIT = 3317044064679887385961981
+
+
 def _is_prime(p: int) -> bool:
-    if p < 2:
-        return False
-    if p < 10**6:
-        k = 2
-        while k * k <= p:
-            if p % k == 0:
-                return False
-            k += 1
-        return True
-    return True  # large p: trusted input
+    """Deterministic primality for 2 <= p < _PRIME_LIMIT."""
+    for a in _PRIME_BASES:
+        if p % a == 0:
+            return p == a
+    d, s = p - 1, 0
+    while d % 2 == 0:
+        d, s = d // 2, s + 1
+    for a in _PRIME_BASES:
+        x = pow(a, d, p)
+        if x in (1, p - 1):
+            continue
+        for _ in range(s - 1):
+            x = x * x % p
+            if x == p - 1:
+                break
+        else:
+            return False
+    return True
 
 
 class SL2Pair(CommensuratedPair):
     def __init__(self, p: int):
-        if not isinstance(p, int) or not _is_prime(p):
-            raise ValueError(f"p must be prime, got {p!r}")
+        if not isinstance(p, int) or not 2 <= p < _PRIME_LIMIT or not _is_prime(p):
+            raise ValueError(f"p must be a prime below {_PRIME_LIMIT}, got {p!r}")
         self.p = p
         self.name = f"sl2:{p}"
-        self.max_depth = None
         self.generators = {
             "u": _mat(1, 1, 0, 1),
             "l": _mat(1, 0, 1, 1),
@@ -124,7 +136,10 @@ class SL2Pair(CommensuratedPair):
         m = _LITERAL.fullmatch(text.strip())
         if m is None:
             raise ValueError(f"{self.name}: bad matrix literal {text!r}")
-        elt = Mat2(*(Fraction(g.replace(" ", "")) for g in m.groups()))
+        try:
+            elt = Mat2(*(Fraction(g.replace(" ", "")) for g in m.groups()))
+        except ZeroDivisionError:
+            raise ValueError(f"{self.name}: zero denominator in {text!r}") from None
         self.validate(elt)
         return elt
 

@@ -10,6 +10,7 @@ import pathlib
 
 import pytest
 
+from commensurate import bs12, cli, core, expr, finitemodel, integers, oracle, registry, sl2
 from commensurate.cli import entry
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
@@ -28,8 +29,11 @@ CASES = [
     ("psi_mod8_json", ["psi", "z2", "mod:8", "--depth", "5", "embed(13)", "--json"]),
     ("psi_via_eval", ["eval", "z2", "--depth", "5", "psi(mod:8, embed(13))"]),
     ("psi_precision", ["psi", "z2", "mod:8", "--depth", "2", "embed(13)"]),
+    ("psi_nested", ["psi", "z2", "nosuch", "psi(mod:8, embed(13))"]),
     ("eval_contract_bs12", ["eval", "bs12", "(1/3; 0)"]),
     ("eval_contract_sl2", ["eval", "sl2:2", "[[1,2],[3,4]]"]),
+    ("eval_bs12_zero_denominator", ["eval", "bs12", "(1/0; 0)"]),
+    ("eval_sl2_zero_denominator", ["eval", "sl2", "[[1/0,0],[0,1]]"]),
     ("eval_syntax_error", ["eval", "bs12", "t**a"]),
     ("eval_unknown_instance", ["eval", "nowhere", "a"]),
     ("oracle_z8_json", ["oracle", "models/z8.model", "--trials", "100", "--json"]),
@@ -42,8 +46,11 @@ CASES = [
 
 EXPECTED_EXITS = {
     "psi_precision": 3,
+    "psi_nested": 2,
     "eval_contract_bs12": 4,
     "eval_contract_sl2": 4,
+    "eval_bs12_zero_denominator": 2,
+    "eval_sl2_zero_denominator": 2,
     "eval_syntax_error": 2,
     "eval_unknown_instance": 2,
     "oracle_corrupt": 1,
@@ -124,3 +131,43 @@ def test_depth_must_fit_finite_chain(capsys, monkeypatch):
     code = entry(["eval", "model:models/z8.model", "--depth", "9", "#1"])
     assert code == 2
     assert "no level 9" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "instance,code", [("sl2:1000000", 2), ("sl2:1000001", 2), ("sl2:1000003", 0)]
+)
+def test_sl2_prime_check_is_exact(instance, code, capsys):
+    # 1000001 = 101 * 9901 and 1000003 is prime
+    assert entry(["eval", instance, "--depth", "1", "u"]) == code
+    assert ("must be a prime" in capsys.readouterr().err) == (code == 2)
+
+
+def test_bench_patch_points_exist():
+    """bench/tracing.py wraps each of these names where its callers look it
+    up; renaming or moving one would silently drop spans from a traced run."""
+    for name in (
+        "entry",
+        "resolve_instance",
+        "resolve_target",
+        "evaluate",
+        "run_model_suite",
+        "load_model",
+        "finite_model_pair",
+    ):
+        assert callable(vars(cli).get(name)), name
+    for name in ("load_model", "finite_model_pair"):
+        assert callable(vars(registry).get(name)), name
+    assert callable(vars(expr).get("parse_expression"))
+    for name in ("compare_engine", "enumerate_completion"):
+        assert callable(vars(oracle).get(name)), name
+    assert callable(vars(core.CommensuratedPair).get("embed"))
+    for name in ("__mul__", "inverse", "valuation", "right_rep", "eq_at_depth"):
+        assert callable(vars(core.CompletionElement).get(name)), name
+    for cls in (
+        integers.IntegerChainPair,
+        bs12.BS12Pair,
+        sl2.SL2Pair,
+        finitemodel.FiniteModelPair,
+    ):
+        for name in ("mul", "inv", "in_level", "conj_depth"):
+            assert callable(vars(cls).get(name)), (cls.__name__, name)

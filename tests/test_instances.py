@@ -1,6 +1,8 @@
 """Instance contracts: arithmetic exactness, chain membership, depth bounds."""
 
+import gc
 import random
+import weakref
 from fractions import Fraction
 
 import pytest
@@ -23,6 +25,8 @@ from commensurate.finitemodel import (
     perm_inverse,
     perm_to_cycles,
 )
+from commensurate.registry import builtin_instances
+from commensurate.sl2 import _is_prime
 
 RNG_SEED = 20260814
 
@@ -184,6 +188,21 @@ def test_sl2_format_parse():
 def test_sl2_rejects_composite_p():
     with pytest.raises(ValueError):
         sl2_pair(6)
+    # the smallest composite that passes Miller-Rabin for every base in
+    # 2..41: from it on the test is no longer exact, so such p are refused
+    with pytest.raises(ValueError, match="below"):
+        sl2_pair(3317044064679887385961981)
+
+
+def test_is_prime_is_exact():
+    def by_trial_division(n):
+        return n >= 2 and all(n % k for k in range(2, int(n**0.5) + 1))
+
+    assert [n for n in range(2, 5000) if _is_prime(n) != by_trial_division(n)] == []
+    # strong pseudoprimes to every prime base up to 31 and 37 respectively
+    assert not _is_prime(3825123056546413051)
+    assert not _is_prime(318665857834031151167461)
+    assert _is_prime(2**61 - 1)
 
 
 def test_sl2_valuation_of_denominators():
@@ -404,3 +423,48 @@ def test_finite_pair_validate(s4_pair):
     )
     with pytest.raises(ContractViolation):
         c4.parse_literal("(1 2)")
+
+
+def test_dropped_model_pair_is_freed():
+    pair = finite_model_pair(
+        parse_model("kind: perm\npoints: 4\ngens: (1 2 3 4)\nK: (1 3)(2 4)\n")
+    )
+    pair.conj_depth(pair.parse_literal("(1 2 3 4)"), 0)  # fills the depth cache
+    ref = weakref.ref(pair)
+    del pair
+    gc.collect()
+    assert ref() is None
+
+
+# --- discrete targets -------------------------------------------------------------
+
+# per instance: target_names, and a resolvable name for each with its kill level
+_TARGETS = {
+    "z2": (("mod:<m>",), {"mod:2": 1}),
+    "z3": (("mod:<m>",), {"mod:3": 1}),
+    "zfact": (("mod:<m>",), {"mod:2": 2, "mod:12": 4}),
+    "bs12": (("texp",), {"texp": 0}),
+    "sl2:2": ((), {}),
+    "sl2:3": ((), {}),
+}
+
+
+@pytest.mark.parametrize("pair", builtin_instances(), ids=lambda p: p.name)
+def test_target_names_resolve(pair):
+    names, kill_levels = _TARGETS[pair.name]
+    assert pair.target_names == names
+    for name, kill_level in kill_levels.items():
+        target = pair.target(name)
+        assert (target.name, target.kill_level) == (name, kill_level)
+        f = pair.embed(pair.identity, kill_level)
+        assert target.evaluate(f) == target.phi(pair.identity) == 0
+    with pytest.raises(KeyError) as err:
+        pair.target("nosuch")
+    assert err.value.args[0] == f"unknown target 'nosuch' for instance {pair.name}"
+
+
+def test_finite_models_have_no_targets(model_pairs):
+    for pair in model_pairs:
+        assert pair.target_names == ()
+        with pytest.raises(KeyError, match="unknown target 'texp'"):
+            pair.target("texp")
