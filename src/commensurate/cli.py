@@ -112,7 +112,7 @@ def _print_psi(args, target: str, value) -> None:
 
 def cmd_eval(args, table_only: bool = False) -> int:
     pair = resolve_instance(args.instance)
-    result = evaluate(args.expr, pair, args.depth, resolve_target)
+    result = evaluate(args.expr, pair, args.depth)
     if isinstance(result, PsiValue):
         _print_psi(args, result.target, result.value)
         return EXIT_OK
@@ -132,7 +132,7 @@ def cmd_eval(args, table_only: bool = False) -> int:
 
 def cmd_psi(args) -> int:
     pair = resolve_instance(args.instance)
-    result = evaluate(args.expr, pair, args.depth, resolve_target)
+    result = evaluate(args.expr, pair, args.depth)
     if isinstance(result, PsiValue):
         raise ExprError("psi(...) cannot be passed to psi", 0)
     _print_psi(args, args.target, resolve_target(pair, args.target).evaluate(result))

@@ -94,6 +94,23 @@ class CommensuratedPair(ABC):
     def inv(self, x: Any) -> Any:
         """Exact inverse of x in G."""
 
+    def power(self, x: Any, k: int) -> Any:
+        """Exact power x^k in G (k may be negative), by square-and-multiply.
+
+        Exact arithmetic is associative, so this equals the k-fold product
+        at O(log |k|) multiplications.
+        """
+        if k < 0:
+            x, k = self.inv(x), -k
+        out = self.identity
+        while k:
+            if k & 1:
+                out = self.mul(out, x)
+            k >>= 1
+            if k:
+                x = self.mul(x, x)
+        return out
+
     # --- chain ------------------------------------------------------------
 
     @abstractmethod
@@ -226,6 +243,24 @@ def _attainable_depth(pair: CommensuratedPair, g: Any, cap: Depth, budget: Depth
     return _gallop(lambda d: pair.conj_depth(g, d) <= budget, cap, 0)
 
 
+def _product_depth(right: "CompletionElement", left_depth: Depth) -> Depth:
+    """Depth of a product whose left factor has depth left_depth.
+
+    The largest d <= right.depth with conj_depth(right.rep, d) <=
+    left_depth; PrecisionExhausted when there is none.
+    """
+    pair = right.pair
+    d = _attainable_depth(pair, right.rep, right.depth, left_depth)
+    if d is None:
+        required = pair.conj_depth(right.rep, 0)
+        raise PrecisionExhausted(
+            f"product needs a left factor of depth >= {required}, "
+            f"have {left_depth}",
+            required_depth=required,
+        )
+    return d
+
+
 @dataclass(frozen=True, eq=False)
 class CompletionElement:
     """A group element known up to right multiplication by N_depth.
@@ -258,16 +293,29 @@ class CompletionElement:
         refined.
         """
         self._same_pair(other)
+        d = _product_depth(other, self.depth)
+        return CompletionElement(self.pair, self.pair.mul(self.rep, other.rep), d)
+
+    def __pow__(self, k: int) -> "CompletionElement":
+        """The k-fold left-to-right product of self (of its inverse if k < 0).
+
+        That product's depth follows e_1 = base.depth, e_(i+1) =
+        max{d <= base.depth : conj_depth(base.rep, d) <= e_i}.  The
+        sequence never rises, so it stops at a fixed point (or exhausts
+        precision, with the product's message) within base.depth + 1
+        searches, whatever k is; the rep is then an exact binary power.
+        """
         pair = self.pair
-        d = _attainable_depth(pair, other.rep, other.depth, self.depth)
-        if d is None:
-            required = pair.conj_depth(other.rep, 0)
-            raise PrecisionExhausted(
-                f"product needs a left factor of depth >= {required}, "
-                f"have {self.depth}",
-                required_depth=required,
-            )
-        return CompletionElement(pair, pair.mul(self.rep, other.rep), d)
+        if k == 0:
+            return pair.embed(pair.identity, self.depth)
+        base = self if k > 0 else self.inverse()
+        depth = base.depth
+        for _ in range(abs(k) - 1):
+            nxt = _product_depth(base, depth)
+            if nxt == depth:
+                break
+            depth = nxt
+        return CompletionElement(pair, pair.power(base.rep, abs(k)), depth)
 
     def inverse(self) -> "CompletionElement":
         """Inverse at the maximal attainable depth.

@@ -9,13 +9,14 @@ tighter):
           | "inv" "(" expr ")" | "embed" "(" expr ")"
           | "psi" "(" target "," expr ")"
 
-Literals use the instance text formats (decimal integers, "(3/4; -2)",
-"[[1,0],[1,1]]", "(1 2)(3 4)", "#5").  Evaluation distinguishes exact
-group words from truncated completion values: a plain word multiplies
-out exactly in G and only the final result is embedded at the requested
-depth, while inv(...) and embed(...) force completion-level arithmetic
-immediately.  Mixing an exact word into a truncated product embeds the
-word at whatever depth keeps the truncated side's precision intact.
+Brackets nest at most MAX_NESTING deep.  Literals use the instance text
+formats (decimal integers, "(3/4; -2)", "[[1,0],[1,1]]", "(1 2)(3 4)",
+"#5").  Evaluation distinguishes exact group words from truncated
+completion values: a plain word multiplies out exactly in G and only the
+final result is embedded at the requested depth, while inv(...) and
+embed(...) force completion-level arithmetic immediately.  Mixing an
+exact word into a truncated product embeds the word at whatever depth
+keeps the truncated side's precision intact.
 """
 
 from __future__ import annotations
@@ -24,7 +25,7 @@ import re
 from dataclasses import dataclass
 from typing import Any, Optional
 
-from .core import CommensuratedPair
+from .core import CommensuratedPair, CompletionElement
 
 __all__ = [
     "ExprError",
@@ -123,11 +124,18 @@ class Call:
     pos: int
 
 
+#: Deepest bracket nesting the parser accepts.  Parsing and evaluation
+#: recurse a few frames per level, so this stays far below Python's
+#: recursion limit.
+MAX_NESTING = 100
+
+
 class _Parser:
     def __init__(self, tokens: list[Token], pair: CommensuratedPair):
         self.tokens = tokens
         self.pair = pair
         self.i = 0
+        self.nesting = 0
 
     def peek(self) -> Token:
         return self.tokens[self.i]
@@ -138,6 +146,16 @@ class _Parser:
             raise ExprError(f"expected {what}", tok.pos)
         self.i += 1
         return tok
+
+    def bracketed(self, pos: int):
+        """The expr up to the next ')', after a '(' opened at pos."""
+        self.nesting += 1
+        if self.nesting > MAX_NESTING:
+            raise ExprError(f"expression nests deeper than {MAX_NESTING} brackets", pos)
+        node = self.expr()
+        self.take("RPAREN", "')'")
+        self.nesting -= 1
+        return node
 
     def parse(self):
         node = self.expr()
@@ -177,23 +195,17 @@ class _Parser:
             return IntLit(int(tok.text), tok.pos)
         if tok.kind == "LPAREN":
             self.i += 1
-            node = self.expr()
-            self.take("RPAREN", "')'")
-            return node
+            return self.bracketed(tok.pos)
         if tok.kind == "NAME":
             self.i += 1
             if tok.text in ("inv", "embed"):
-                self.take("LPAREN", "'(' after " + tok.text)
-                node = self.expr()
-                self.take("RPAREN", "')'")
-                return Call(tok.text, None, node, tok.pos)
+                paren = self.take("LPAREN", "'(' after " + tok.text)
+                return Call(tok.text, None, self.bracketed(paren.pos), tok.pos)
             if tok.text == "psi":
-                self.take("LPAREN", "'(' after psi")
+                paren = self.take("LPAREN", "'(' after psi")
                 target = self.take("NAME", "a target name")
                 self.take("COMMA", "','")
-                node = self.expr()
-                self.take("RPAREN", "')'")
-                return Call("psi", target.text, node, tok.pos)
+                return Call("psi", target.text, self.bracketed(paren.pos), tok.pos)
             if tok.text in self.pair.generators:
                 return Gen(tok.text, tok.pos)
             raise ExprError(f"unknown generator {tok.text!r}", tok.pos)
@@ -241,117 +253,91 @@ class PsiValue:
     value: Any
 
 
-_EXACT, _TRUNC = "exact", "trunc"
-
-
 class Evaluator:
-    def __init__(self, pair: CommensuratedPair, depth: int, target_resolver):
+    """Evaluates an AST at one requested depth.
+
+    A sub-expression's value is a group element (an exact word), a
+    CompletionElement or a PsiValue; its type says which.
+    """
+
+    def __init__(self, pair: CommensuratedPair, depth: int):
         pair.check_depth(depth)
         self.pair = pair
         self.depth = depth
-        self.target_resolver = target_resolver
 
     def run(self, node):
         """Evaluate to a CompletionElement (or PsiValue for top-level psi)."""
-        tag, value = self._eval(node)
-        if tag == _EXACT:
-            return self.pair.embed(value, self.depth)
-        return value  # CompletionElement or PsiValue
+        return self._truncated(self._eval(node))
+
+    def _truncated(self, value):
+        """value as a completion value: exact words embed at the requested depth."""
+        if isinstance(value, (CompletionElement, PsiValue)):
+            return value
+        return self.pair.embed(value, self.depth)
 
     def _eval(self, node):
         pair = self.pair
         if isinstance(node, Gen):
-            return _EXACT, pair.generators[node.name]
+            return pair.generators[node.name]
         if isinstance(node, Lit):
             try:
-                return _EXACT, pair.parse_literal(node.text)
+                return pair.parse_literal(node.text)
             except ValueError as err:
                 raise ExprError(str(err), node.pos) from None
         if isinstance(node, IntLit):
             try:
-                return _EXACT, pair.int_literal(node.value)
+                return pair.int_literal(node.value)
             except ValueError as err:
                 raise ExprError(str(err), node.pos) from None
         if isinstance(node, Pow):
-            return self._pow(node)
+            value = self._eval(node.base)
+            if isinstance(value, PsiValue):
+                raise ExprError("psi(...) cannot be raised to a power", node.pos)
+            if isinstance(value, CompletionElement):
+                return value ** node.exp
+            return pair.power(value, node.exp)
         if isinstance(node, Prod):
-            tag, value = self._eval(node.factors[0])
+            value = self._eval(node.factors[0])
             for factor in node.factors[1:]:
-                tag, value = self._mul((tag, value), self._eval(factor), node.pos)
-            return tag, value
+                value = self._mul(value, self._eval(factor), node.pos)
+            return value
         if isinstance(node, Call):
             return self._call(node)
         raise TypeError(f"unknown node {node!r}")
 
-    def _pow(self, node: Pow):
-        pair = self.pair
-        tag, value = self._eval(node.base)
-        k = node.exp
-        if tag == _EXACT:
-            # square-and-multiply: exact arithmetic is associative, so this
-            # equals the k-fold product
-            out = pair.identity
-            base = value if k >= 0 else pair.inv(value)
-            k = abs(k)
-            while k:
-                if k & 1:
-                    out = pair.mul(out, base)
-                k >>= 1
-                if k:
-                    base = pair.mul(base, base)
-            return _EXACT, out
-        if tag != _TRUNC:
-            raise ExprError("psi(...) cannot be raised to a power", node.pos)
-        if k == 0:
-            return _TRUNC, pair.embed(pair.identity, value.depth)
-        base = value if k > 0 else value.inverse()
-        out = base
-        for _ in range(abs(k) - 1):
-            out = out * base
-        return _TRUNC, out
-
     def _mul(self, left, right, pos):
         pair = self.pair
-        ltag, lval = left
-        rtag, rval = right
-        if ltag == "psi" or rtag == "psi":
+        if isinstance(left, PsiValue) or isinstance(right, PsiValue):
             raise ExprError("psi(...) cannot appear inside a product", pos)
-        if ltag == _EXACT and rtag == _EXACT:
-            return _EXACT, pair.mul(lval, rval)
-        if ltag == _EXACT:
+        if isinstance(left, CompletionElement):
+            if isinstance(right, CompletionElement):
+                return left * right
+            return left * pair.embed(right, left.depth)
+        if isinstance(right, CompletionElement):
             # embed the exact word just deep enough not to cost the
             # truncated side any depth
-            lifted = pair.embed(lval, pair.conj_depth(rval.rep, rval.depth))
-            return _TRUNC, lifted * rval
-        if rtag == _EXACT:
-            return _TRUNC, lval * pair.embed(rval, lval.depth)
-        return _TRUNC, lval * rval
+            lifted = pair.embed(left, pair.conj_depth(right.rep, right.depth))
+            return lifted * right
+        return pair.mul(left, right)
 
     def _call(self, node: Call):
-        pair = self.pair
-        tag, value = self._eval(node.arg)
-        if tag == "psi":
+        value = self._eval(node.arg)
+        if isinstance(value, PsiValue):
             raise ExprError(f"psi(...) cannot be passed to {node.func}", node.pos)
         if node.func == "inv":
-            if tag == _EXACT:
-                value = pair.embed(value, self.depth)
-            return _TRUNC, value.inverse()
+            return self._truncated(value).inverse()
         if node.func == "embed":
-            if tag == _EXACT:
-                return _TRUNC, pair.embed(value, self.depth)
-            return _TRUNC, value  # already truncated: nothing to refine
+            return self._truncated(value)  # a truncated value has nothing to refine
         if node.func == "psi":
             try:
-                target = self.target_resolver(pair, node.target)
+                target = self.pair.target(node.target)
             except KeyError as err:
                 detail = err.args[0] if err.args else f"unknown target {node.target!r}"
                 raise ExprError(str(detail), node.pos) from None
-            if tag == _EXACT:
-                value = pair.embed(value, self.depth)
-            return "psi", PsiValue(node.target, target.evaluate(value))
+            return PsiValue(node.target, target.evaluate(self._truncated(value)))
         raise TypeError(f"unknown call {node.func!r}")
 
 
-def evaluate(src: str, pair: CommensuratedPair, depth: int, target_resolver):
+def evaluate(src: str, pair: CommensuratedPair, depth: int):
     """Parse and evaluate src at the requested depth."""
-    return Evaluator(pair, depth, target_resolver).run(parse_expression(src, pair))
+    return Evaluator(pair, depth).run(parse_expression(src, pair))

@@ -53,12 +53,6 @@ def perm_compose(p: tuple, q: tuple) -> tuple:
     """p after q."""
     return tuple(p[q[i]] for i in range(len(p)))
 
-def perm_inverse(p: tuple) -> tuple:
-    out = [0] * len(p)
-    for i, j in enumerate(p):
-        out[j] = i
-    return tuple(out)
-
 def perm_from_cycles(text: str, points: int) -> tuple:
     """Parse "(1 2)(3 4)" (1-based points, "()" = identity)."""
     body = text.strip()

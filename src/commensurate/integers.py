@@ -18,10 +18,47 @@ import math
 import re
 
 from .core import CommensuratedPair, ContractViolation, Depth, DiscreteTarget
+from .sl2 import PRIME_LIMIT, is_prime
 
 FACTORIAL = "factorial"
 
 _MOD_TARGET = re.compile(r"mod:(\d+)")
+
+#: Trial division bound for factoring ``mod:<m>`` moduli on the d! chain.
+_TRIAL_LIMIT = 1 << 16
+
+
+def _factorise(m: int) -> dict[int, int]:
+    """{p: a} with m the product of the p**a; KeyError when it cannot tell.
+
+    Trial division runs up to _TRIAL_LIMIT.  A cofactor left over has no
+    prime factor below that bound, so it is prime when it is below the
+    bound squared or when Miller-Rabin proves it; otherwise it is refused.
+    """
+    out: dict[int, int] = {}
+    rest, p = m, 2
+    while p < _TRIAL_LIMIT and p * p <= rest:
+        while rest % p == 0:
+            out[p] = out.get(p, 0) + 1
+            rest //= p
+        p += 1 if p == 2 else 2
+    if rest > 1:
+        if rest >= _TRIAL_LIMIT**2 and not (rest < PRIME_LIMIT and is_prime(rest)):
+            raise KeyError(
+                f"cannot factor the modulus {m}: {rest} has no prime factor "
+                f"below {_TRIAL_LIMIT} and is not provably prime"
+            )
+        out[rest] = 1
+    return out
+
+
+def _legendre(d: int, p: int) -> int:
+    """The exponent of the prime p in d! (Legendre's formula)."""
+    v = 0
+    while d:
+        d //= p
+        v += d
+    return v
 
 
 class IntegerChainPair(CommensuratedPair):
@@ -114,13 +151,22 @@ class IntegerChainPair(CommensuratedPair):
 
     def _kill_level(self, modulus: int):
         """Least level whose modulus m divides, or None when there is none."""
-        if self.base != FACTORIAL:
-            # possible iff every prime of the modulus divides the base
-            residual = modulus
-            while (g := math.gcd(residual, self.base)) > 1:
-                residual //= g
-            if residual != 1:
-                return None
+        if self.base == FACTORIAL:
+            # p**a divides d! iff v_p(d!) >= a, and the least such d is a
+            # multiple of p: the answer is the largest of those over p**a || m
+            levels = [0]
+            for p, a in _factorise(modulus).items():
+                k = 1
+                while _legendre(p * k, p) < a:
+                    k += 1
+                levels.append(p * k)
+            return max(levels)
+        # possible iff every prime of the modulus divides the base
+        residual = modulus
+        while (g := math.gcd(residual, self.base)) > 1:
+            residual //= g
+        if residual != 1:
+            return None
         d = 0
         while self.modulus(d) % modulus != 0:
             d += 1

@@ -348,8 +348,9 @@ def run_model_suite(pair: FiniteModelPair, trials: int, rng) -> OracleReport:
             )
 
     try:
-        enumerate_completion(model)
-    except OracleError as err:
+        report = compare_engine(pair, trials, rng)
+    except OracleError as err:  # raised by the completion table, before any trial
+        report = OracleReport(model=model.name, trials=0, mismatches=[])
         mismatches.append(
             {
                 "op": "completion-table",
@@ -358,7 +359,5 @@ def run_model_suite(pair: FiniteModelPair, trials: int, rng) -> OracleReport:
                 "got": str(err),
             }
         )
-
-    report = compare_engine(pair, trials, rng)
     report.mismatches[:0] = mismatches
     return report

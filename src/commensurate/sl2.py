@@ -41,11 +41,11 @@ def _mat(a, b, c, d) -> Mat2:
 
 # Miller-Rabin with the first 13 primes as bases is exact below this bound.
 _PRIME_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
-_PRIME_LIMIT = 3317044064679887385961981
+PRIME_LIMIT = 3317044064679887385961981
 
 
-def _is_prime(p: int) -> bool:
-    """Deterministic primality for 2 <= p < _PRIME_LIMIT."""
+def is_prime(p: int) -> bool:
+    """Deterministic primality for 2 <= p < PRIME_LIMIT."""
     for a in _PRIME_BASES:
         if p % a == 0:
             return p == a
@@ -67,8 +67,8 @@ def _is_prime(p: int) -> bool:
 
 class SL2Pair(CommensuratedPair):
     def __init__(self, p: int):
-        if not isinstance(p, int) or not 2 <= p < _PRIME_LIMIT or not _is_prime(p):
-            raise ValueError(f"p must be a prime below {_PRIME_LIMIT}, got {p!r}")
+        if not isinstance(p, int) or not 2 <= p < PRIME_LIMIT or not is_prime(p):
+            raise ValueError(f"p must be a prime below {PRIME_LIMIT}, got {p!r}")
         self.p = p
         self.name = f"sl2:{p}"
         self.generators = {

@@ -35,6 +35,10 @@ CASES = [
     ("eval_bs12_zero_denominator", ["eval", "bs12", "(1/0; 0)"]),
     ("eval_sl2_zero_denominator", ["eval", "sl2", "[[1/0,0],[0,1]]"]),
     ("eval_syntax_error", ["eval", "bs12", "t**a"]),
+    ("eval_nesting_limit", ["eval", "bs12", "(" * 3000 + "a" + ")" * 3000]),
+    ("eval_bs12_huge_power", ["eval", "bs12", "inv(embed(a))^99999999999"]),
+    ("eval_sl2_huge_power", ["eval", "sl2:3", "inv(embed(h))^-99999999999"]),
+    ("psi_zfact_unfactorable", ["psi", "zfact", "mod:4295229443", "5"]),
     ("eval_unknown_instance", ["eval", "nowhere", "a"]),
     ("oracle_z8_json", ["oracle", "models/z8.model", "--trials", "100", "--json"]),
     ("oracle_s4", ["oracle", "models/s4.model", "--trials", "120"]),
@@ -52,6 +56,9 @@ EXPECTED_EXITS = {
     "eval_bs12_zero_denominator": 2,
     "eval_sl2_zero_denominator": 2,
     "eval_syntax_error": 2,
+    "eval_nesting_limit": 2,
+    "eval_sl2_huge_power": 3,
+    "psi_zfact_unfactorable": 2,
     "eval_unknown_instance": 2,
     "oracle_corrupt": 1,
     "oracle_missing": 2,
@@ -118,6 +125,20 @@ def test_oracle_json_schema(capsys, monkeypatch):
     payload = json.loads(capsys.readouterr().out)
     assert list(payload) == ["model", "trials", "mismatches"]
     assert payload == {"model": "z8", "trials": 40, "mismatches": []}
+
+
+def test_oracle_reports_a_failed_completion_table(capsys, monkeypatch):
+    def broken(model):
+        raise oracle.OracleError("completion table lost its identity")
+
+    monkeypatch.setattr(oracle, "enumerate_completion", broken)
+    blob = run_case(["oracle", "models/s4.model", "--trials", "5"], capsys, monkeypatch)
+    assert blob.startswith("exit: 1\n")
+    assert "trials: 0\n" in blob and "Traceback" not in blob
+    assert (
+        "  completion-table: inputs s4; expected single-coset products; "
+        "got completion table lost its identity\n"
+    ) in blob
 
 
 def test_usage_error_exits_2(capsys):

@@ -1,6 +1,8 @@
 """Engine laws: products, inverses, depths, valuations, targets."""
 
 import math
+import pathlib
+import random
 from collections import Counter
 from fractions import Fraction
 
@@ -15,10 +17,14 @@ from commensurate import (
     PrecisionExhausted,
     Valuation,
     bs12_pair,
+    finite_model_pair,
     integers_pair,
+    load_model,
     sl2_pair,
 )
+from commensurate import core
 from commensurate.core import _gallop
+from commensurate.registry import builtin_instances
 
 Z2 = integers_pair(2)
 BS = bs12_pair()
@@ -391,3 +397,92 @@ def test_exhausted_search_reports_requirement():
     assert err.value.required_depth == 2
     assert str(err.value) == "inverse needs depth >= 2, have 1"
     assert sl2.calls["conj_depth"] <= 2 * _log_bound(65536)
+
+
+# --- truncated powers ----------------------------------------------------------------
+
+MODELS = pathlib.Path(__file__).resolve().parent.parent / "models"
+POWER_PAIRS = builtin_instances() + [
+    finite_model_pair(load_model(MODELS / f"{name}.model"))
+    for name in ("s4", "s4_d8", "z8", "s4_corrupt")
+]
+
+
+def _left_fold(f, k):
+    """f^k as the k-fold left-to-right product, one search per factor."""
+    if k == 0:
+        return f.pair.embed(f.pair.identity, f.depth)
+    base = f if k > 0 else f.inverse()
+    out = base
+    for _ in range(abs(k) - 1):
+        out = out * base
+    return out
+
+
+def _outcome(compute):
+    try:
+        f = compute()
+    except PrecisionExhausted as err:
+        return "exhausted", str(err), err.required_depth
+    return "ok", f.rep, f.depth
+
+
+@pytest.mark.parametrize("pair", POWER_PAIRS, ids=lambda p: p.name)
+@given(
+    seed=st.integers(min_value=0, max_value=1 << 32),
+    depth=st.integers(min_value=0, max_value=16),
+    k=st.integers(min_value=-40, max_value=40),
+)
+def test_power_matches_left_fold(pair, seed, depth, k):
+    """Same rep and depth, or the same PrecisionExhausted text and requirement."""
+    if pair.max_depth is not None:
+        depth = min(depth, pair.max_depth)
+    f = pair.embed(pair.sample(random.Random(seed)), depth)
+    assert _outcome(lambda: f ** k) == _outcome(lambda: _left_fold(f, k))
+
+
+def _count_searches(monkeypatch):
+    calls = []
+    search = core._attainable_depth
+
+    def counted(*args):
+        calls.append(args)
+        return search(*args)
+
+    monkeypatch.setattr(core, "_attainable_depth", counted)
+    return calls
+
+
+@pytest.mark.parametrize(
+    "pair,gen,rep,depth,error",
+    [
+        (BS, "a", DyadicAffine(Fraction(10**9), 0), 12, None),
+        (BS, "t", None, 12, "product needs a left factor of depth >= 1, have 0"),
+        (sl2_pair(3), "u", sl2_pair(3).power(sl2_pair(3).generators["u"], 10**9), 12, None),
+        (sl2_pair(3), "h", None, 12, "product needs a left factor of depth >= 2, have 0"),
+    ],
+    ids=["bs12-a", "bs12-t", "sl2:3-u", "sl2:3-h"],
+)
+def test_power_search_count_is_bounded_by_depth(monkeypatch, pair, gen, rep, depth, error):
+    searches = _count_searches(monkeypatch)
+    f = pair.embed(pair.generators[gen], depth)
+    if error is None:
+        g = f ** 10**9
+        assert g.rep == rep and g.depth == depth
+    else:
+        with pytest.raises(PrecisionExhausted, match=error):
+            f ** 10**9
+    assert len(searches) <= depth + 1
+
+
+@pytest.mark.parametrize("pair", POWER_PAIRS[-4:], ids=lambda p: p.name)
+def test_power_search_count_on_models(monkeypatch, pair):
+    searches = _count_searches(monkeypatch)
+    for g in range(pair.model.n):
+        f = pair.embed(g, pair.max_depth)
+        searches.clear()
+        try:
+            f ** 10**9
+        except PrecisionExhausted:
+            pass
+        assert len(searches) <= f.depth + 1, pair.format_element(g)

@@ -14,6 +14,7 @@ from commensurate import (
     sl2_pair,
 )
 from commensurate.expr import (
+    MAX_NESTING,
     ExprError,
     PsiValue,
     evaluate,
@@ -28,7 +29,7 @@ SL2 = sl2_pair(2)
 
 
 def ev(src, pair, depth=8):
-    return evaluate(src, pair, depth, resolve_target)
+    return evaluate(src, pair, depth)
 
 
 # --- parsing ------------------------------------------------------------------
@@ -58,6 +59,15 @@ def test_parse_unbalanced():
         parse_expression("a^t", BS)
     with pytest.raises(ExprError):
         parse_expression("", BS)
+
+
+def test_nesting_limit():
+    deepest = "inv(" * MAX_NESTING + "a" + ")" * MAX_NESTING
+    assert render(parse_expression(deepest, BS)) == deepest
+    with pytest.raises(ExprError, match="nests deeper") as err:
+        parse_expression("(" + deepest + ")", BS)
+    assert err.value.pos == len("inv(" * (MAX_NESTING - 1)) + 4
+    assert ev("embed(" * MAX_NESTING + "a" + ")" * MAX_NESTING, BS).depth == 8
 
 
 def test_parse_trailing_junk():

@@ -1,6 +1,7 @@
 """Instance contracts: arithmetic exactness, chain membership, depth bounds."""
 
 import gc
+import time
 import random
 import weakref
 from fractions import Fraction
@@ -22,11 +23,10 @@ from commensurate import (
 from commensurate.finitemodel import (
     perm_compose,
     perm_from_cycles,
-    perm_inverse,
     perm_to_cycles,
 )
 from commensurate.registry import builtin_instances
-from commensurate.sl2 import _is_prime
+from commensurate.sl2 import is_prime
 
 RNG_SEED = 20260814
 
@@ -198,11 +198,11 @@ def test_is_prime_is_exact():
     def by_trial_division(n):
         return n >= 2 and all(n % k for k in range(2, int(n**0.5) + 1))
 
-    assert [n for n in range(2, 5000) if _is_prime(n) != by_trial_division(n)] == []
+    assert [n for n in range(2, 5000) if is_prime(n) != by_trial_division(n)] == []
     # strong pseudoprimes to every prime base up to 31 and 37 respectively
-    assert not _is_prime(3825123056546413051)
-    assert not _is_prime(318665857834031151167461)
-    assert _is_prime(2**61 - 1)
+    assert not is_prime(3825123056546413051)
+    assert not is_prime(318665857834031151167461)
+    assert is_prime(2**61 - 1)
 
 
 def test_sl2_valuation_of_denominators():
@@ -287,9 +287,6 @@ def test_perm_parse_and_format():
     assert perm_to_cycles(p) == "(1 2)(3 4)"
     assert perm_from_cycles("()", 4) == (0, 1, 2, 3)
     assert perm_to_cycles((0, 1, 2, 3)) == "()"
-    assert perm_inverse(perm_from_cycles("(1 2 3)", 4)) == perm_from_cycles(
-        "(1 3 2)", 4
-    )
 
 
 def test_perm_conjugation_convention():
@@ -468,3 +465,28 @@ def test_finite_models_have_no_targets(model_pairs):
         assert pair.target_names == ()
         with pytest.raises(KeyError, match="unknown target 'texp'"):
             pair.target("texp")
+
+
+def test_zfact_kill_level_matches_factorial_walk():
+    """Legendre's closed form against the least d with m | d!, for m <= 2000."""
+    zfact = integers_pair("factorial")
+    factorials = [1]
+    while len(factorials) <= 2000:
+        factorials.append(factorials[-1] * len(factorials))
+    for m in range(1, 2001):
+        walk = next(d for d, f in enumerate(factorials) if f % m == 0)
+        assert zfact.target(f"mod:{m}").kill_level == walk, m
+
+
+def test_zfact_kill_level_is_fast_for_large_primes():
+    zfact = integers_pair("factorial")
+    start = time.perf_counter()
+    assert zfact.target("mod:1000000000000000003").kill_level == 10**18 + 3
+    assert zfact.target(f"mod:{2**5 * 3**4 * 10007}").kill_level == 10007
+    assert time.perf_counter() - start < 0.1
+
+
+def test_zfact_refuses_unfactorable_modulus():
+    # 65537 and 65539 are primes above the trial-division bound
+    with pytest.raises(KeyError, match="cannot factor the modulus 4295229443"):
+        integers_pair("factorial").target(f"mod:{65537 * 65539}")

@@ -4,7 +4,7 @@ import random
 
 import pytest
 
-from commensurate import finite_model_pair, parse_model
+from commensurate import finite_model_pair, oracle, parse_model
 from commensurate.oracle import (
     coherent_chains,
     compare_engine,
@@ -134,6 +134,19 @@ def test_run_model_suite_reports(s4_pair):
     assert report.ok
     payload = report.to_json()
     assert '"model": "s4"' in payload and '"mismatches": []' in payload
+
+
+def test_suite_enumerates_the_completion_once(s4_d8_pair, monkeypatch):
+    calls = []
+    enumerate_once = oracle.enumerate_completion
+
+    def counted(model):
+        calls.append(model.name)
+        return enumerate_once(model)
+
+    monkeypatch.setattr(oracle, "enumerate_completion", counted)
+    assert run_model_suite(s4_d8_pair, 20, random.Random(SEED)).ok
+    assert calls == ["s4_d8"]
 
 
 def test_suite_deterministic_under_seed(z8_pair):
