@@ -41,10 +41,18 @@ def _print_json(payload) -> None:
 def _element_payload(name: str, pair, requested: int, f: CompletionElement) -> dict:
     levels = []
     for d in range(f.depth + 1):
+        index = pair.level_index(d)
+        try:
+            str(index)
+        except ValueError:  # Python caps int-to-str conversion
+            raise ValueError(
+                f"level {d}: modulus/index exceeds the display limit of "
+                f"{sys.get_int_max_str_digits()} digits"
+            ) from None
         levels.append(
             {
                 "level": d,
-                "modulus_or_index": pair.level_index(d),
+                "modulus_or_index": index,
                 "rep": pair.level_rep(f.rep, d),
             }
         )
@@ -120,13 +128,13 @@ def cmd_eval(args, table_only: bool = False) -> int:
     if args.json:
         _print_json(payload)
         return EXIT_OK
-    if not table_only:
-        print(f"instance: {payload['instance']}")
-        print(f"requested depth: {payload['requested_depth']}")
-        print(f"attained depth: {payload['attained_depth']}")
-        print(f"rep: {payload['rep']}")
-    for line in _level_lines(payload):
-        print(line)
+    lines = [] if table_only else [
+        f"instance: {payload['instance']}",
+        f"requested depth: {payload['requested_depth']}",
+        f"attained depth: {payload['attained_depth']}",
+        f"rep: {payload['rep']}",
+    ]
+    print("\n".join(lines + _level_lines(payload)))
     return EXIT_OK
 
 
@@ -140,6 +148,8 @@ def cmd_psi(args) -> int:
 
 
 def cmd_oracle(args) -> int:
+    if args.trials < 0:
+        raise ValueError(f"trials must be >= 0, got {args.trials}")
     pair = finite_model_pair(load_model(args.model))
     seed = int(os.environ.get("COMMENSURATE_SEED", "0"))
     report = run_model_suite(pair, args.trials, random.Random(seed))

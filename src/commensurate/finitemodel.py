@@ -32,6 +32,7 @@ depth bound so oracle sensitivity can be demonstrated.
 from __future__ import annotations
 
 import re
+from dataclasses import dataclass
 from functools import cache
 
 from .core import CommensuratedPair, ContractViolation, Depth
@@ -89,11 +90,29 @@ def perm_to_cycles(p: tuple) -> str:
 
 # --- the model ---------------------------------------------------------------
 
+@dataclass(frozen=True)
+class CosetTable:
+    """The cosets of one chain level on one side, each a literal set.
+
+    ``ids[x]`` numbers the coset holding element x, ``sets[i]`` is the
+    i-th coset and ``reps[i]`` its least member; ids follow the order of
+    the least members.
+    """
+
+    ids: tuple
+    sets: tuple
+    reps: tuple
+
+    def of(self, x: int) -> frozenset:
+        return self.sets[self.ids[x]]
+
+
 class FiniteModel:
     """A finite group as index tables, plus K and the chain as index sets.
 
     ``levels[0]`` is K; ``levels[-1]`` is the bottom of the chain.
-    Instances are immutable after construction and hash by identity.
+    Instances are immutable after construction and hash by identity;
+    the per-level coset tables are built on first use and kept.
     """
 
     def __init__(self, name, kind, names, mul_table, K_gens, level_gens,
@@ -112,6 +131,7 @@ class FiniteModel:
             levels.append(self._close(gens))
         self.levels = tuple(frozenset(s) for s in levels)
         self._check_chain()
+        self._coset_tables: dict = {}  # (side, depth) -> CosetTable
 
     # construction helpers
 
@@ -196,6 +216,34 @@ class FiniteModel:
 
     def right_coset(self, members, g: int) -> frozenset:
         return frozenset(self.mul_table[x][g] for x in members)
+
+    def left_cosets(self, depth: int) -> CosetTable:
+        """The left cosets g·N of chain level ``depth``."""
+        return self._coset_table("left", depth)
+
+    def right_cosets(self, depth: int) -> CosetTable:
+        """The right cosets N·g of chain level ``depth``."""
+        return self._coset_table("right", depth)
+
+    def _coset_table(self, side: str, depth: int) -> CosetTable:
+        table = self._coset_tables.get((side, depth))
+        if table is None:
+            level = self.levels[depth]
+            ids: list = [None] * self.n
+            sets, reps = [], []
+            for x in range(self.n):
+                if ids[x] is None:
+                    if side == "left":
+                        coset = self.left_coset(x, level)
+                    else:
+                        coset = self.right_coset(level, x)
+                    for y in coset:
+                        ids[y] = len(sets)
+                    sets.append(coset)
+                    reps.append(x)
+            table = CosetTable(tuple(ids), tuple(sets), tuple(reps))
+            self._coset_tables[side, depth] = table
+        return table
 
     @property
     def bottom(self) -> frozenset:
@@ -382,7 +430,7 @@ class FiniteModelPair(CommensuratedPair):
     def _least_conj_depth(self, g: int, depth: Depth) -> Depth:
         model = self.model
         level_d = model.levels[depth]
-        coset = model.left_coset(g, level_d)
+        coset = model.left_cosets(depth).of(g)
         for j in range(depth, self.max_depth + 1):
             if all(
                 model.conj(x, n) in level_d and model.conj(model.inv(x), n) in level_d
@@ -425,8 +473,8 @@ class FiniteModelPair(CommensuratedPair):
         return idx
 
     def level_rep(self, x: int, depth: Depth) -> str:
-        coset = self.model.left_coset(x, self.model.levels[depth])
-        return self.model.names[min(coset)]
+        table = self.model.left_cosets(depth)
+        return self.model.names[table.reps[table.ids[x]]]
 
     def validate(self, x) -> None:
         if not isinstance(x, int) or not 0 <= x < self.model.n:

@@ -2,7 +2,9 @@
 
 Everything in here works with literal sets of element indices — no
 depth bounds, no cleverness — so it can sit in judgment over the
-generic engine.  `refinement_subgroup` builds the finite-index subgroup
+generic engine.  Level cosets are read from the model's per-level coset
+tables, which hold the same literal sets, each built once.
+`refinement_subgroup` builds the finite-index subgroup
 whose left cosets refine all the mixed left/right intersections,
 `enumerate_completion` multiplies whole filters out as sets, and
 `compare_engine` replays random engine operations against both.
@@ -21,19 +23,21 @@ class OracleError(Exception):
     """A set computation that the construction guarantees cannot fail, failed."""
 
 
-def refinement_subgroup(model: FiniteModel, N: frozenset, g: int) -> frozenset:
-    """A finite-index subgroup M of N such that every set gN ∩ Nh is a
-    union of left cosets of M.
+def refinement_subgroup(model: FiniteModel, d: int, g: int) -> frozenset:
+    """A finite-index subgroup M of the chain level N = N_d such that
+    every set gN ∩ Nh is a union of left cosets of M.
 
     M is N intersected with the conjugates h_i^-1 N h_i, where the h_i
-    represent the distinct values of gN ∩ Nh as h runs over the group
-    (the empty value included; its conjugate only shrinks M harmlessly).
+    are the least representatives of the distinct values of gN ∩ Nh as
+    Nh runs over the right cosets (the empty value included; its
+    conjugate only shrinks M harmlessly).
     """
-    gN = model.left_coset(g, N)
+    N = model.levels[d]
+    gN = model.left_cosets(d).of(g)
+    right = model.right_cosets(d)
     reps: dict[frozenset, int] = {}
-    for h in range(model.n):
-        key = gN & model.right_coset(N, h)
-        reps.setdefault(key, h)
+    for h, Nh in zip(right.reps, right.sets):
+        reps.setdefault(gN & Nh, h)
     M = set(N)
     for h in reps.values():
         hinv = model.inv(h)
@@ -74,28 +78,21 @@ def enumerate_completion(model: FiniteModel) -> CompletionTable:
     quotient by the bottom (which is normal by the model preconditions).
     """
     N = model.bottom
-    seen: dict[frozenset, int] = {}
-    reps = []
-    coset_of = [None] * model.n
-    for x in range(model.n):
-        coset = model.left_coset(x, N)
-        if coset not in seen:
-            seen[coset] = len(reps)
-            reps.append(min(coset))
-        coset_of[x] = seen[coset]
+    cosets = model.left_cosets(len(model.levels) - 1)
+    reps, coset_of = cosets.reps, cosets.ids
+    # the factors M = N ∩ g2·N·g2^-1 and g2·N depend on g2 alone
+    factors = []
+    for g2 in reps:
+        g2inv = model.inv(g2)
+        M = N & {model.mul(model.mul(g2, x), g2inv) for x in N}
+        factors.append((M, cosets.of(g2)))
 
     table = []
     for g1 in reps:
         row = []
-        for g2 in reps:
-            g2inv = model.inv(g2)
-            M = N & {model.mul(model.mul(g2, x), g2inv) for x in N}
-            product = {
-                model.mul(model.mul(g1, m), y)
-                for m in M
-                for y in model.left_coset(g2, N)
-            }
-            expected = model.left_coset(model.mul(g1, g2), N)
+        for g2, (M, g2N) in zip(reps, factors):
+            product = {model.mul(model.mul(g1, m), y) for m in M for y in g2N}
+            expected = cosets.of(model.mul(g1, g2))
             if product != expected:
                 raise OracleError(
                     f"filter product of {model.names[g1]} and {model.names[g2]} "
@@ -103,7 +100,7 @@ def enumerate_completion(model: FiniteModel) -> CompletionTable:
                 )
             row.append(coset_of[model.mul(g1, g2)])
         table.append(tuple(row))
-    out = CompletionTable(model, tuple(reps), tuple(table), tuple(coset_of))
+    out = CompletionTable(model, reps, tuple(table), coset_of)
 
     # sanity: the table is a group and coincides with the quotient table
     k = out.size
@@ -120,10 +117,9 @@ def enumerate_completion(model: FiniteModel) -> CompletionTable:
 
 def coherent_chains(model: FiniteModel):
     """All coherent nested left-coset chains (one per bottom coset)."""
-    bottoms = {model.left_coset(x, model.bottom) for x in range(model.n)}
-    for bottom in sorted(bottoms, key=min):
-        g = min(bottom)
-        yield [model.left_coset(g, level) for level in model.levels]
+    tables = [model.left_cosets(d) for d in range(len(model.levels))]
+    for g in tables[-1].reps:
+        yield [table.of(g) for table in tables]
 
 
 def left_right_check(model: FiniteModel, chain) -> bool:
@@ -138,11 +134,12 @@ def left_right_check(model: FiniteModel, chain) -> bool:
             return False
     bottom = chain[-1]
     previous = None
-    for level in model.levels:
-        containing = {model.right_coset(level, b) for b in bottom}
+    for d in range(len(model.levels)):
+        cosets = model.right_cosets(d)
+        containing = {cosets.ids[b] for b in bottom}
         if len(containing) != 1:
             return False
-        right = containing.pop()
+        right = cosets.sets[containing.pop()]
         if previous is not None and not right <= previous:
             return False
         previous = right
@@ -173,7 +170,7 @@ def _oracle_conj(model: FiniteModel, cache: dict, g: int, d: int):
     key = (g, d)
     if key not in cache:
         level = model.levels[d]
-        coset = model.left_coset(g, level)
+        coset = model.left_cosets(d).of(g)
         found = None
         for j in range(d, len(model.levels)):
             ok = True
@@ -226,8 +223,8 @@ def compare_engine(pair: FiniteModelPair, trials: int, rng) -> OracleReport:
         g2 = rng.randrange(model.n)
         f1 = fuzzed(g1, d1)
         f2 = fuzzed(g2, d2)
-        coset1 = model.left_coset(f1.rep, model.levels[d1])
-        coset2 = model.left_coset(f2.rep, model.levels[d2])
+        coset1 = model.left_cosets(d1).of(f1.rep)
+        coset2 = model.left_cosets(d2).of(f2.rep)
         label = (
             f"{model.names[f1.rep]}@{d1}, {model.names[f2.rep]}@{d2}"
         )
@@ -244,7 +241,7 @@ def compare_engine(pair: FiniteModelPair, trials: int, rng) -> OracleReport:
             note("mul-depth", label, want_d, got_d)
         if prod is not None and want_d is not None:
             literal = {model.mul(x, y) for x in coset1 for y in coset2}
-            claimed = model.left_coset(prod.rep, model.levels[prod.depth])
+            claimed = model.left_cosets(prod.depth).of(prod.rep)
             if not literal <= claimed:
                 note("mul-coset", label, sorted(literal), sorted(claimed))
 
@@ -260,25 +257,22 @@ def compare_engine(pair: FiniteModelPair, trials: int, rng) -> OracleReport:
             note("inv-depth", label, want_d, got_d)
         if invf is not None:
             literal = {model.inv(x) for x in coset1}
-            claimed = model.left_coset(invf.rep, model.levels[invf.depth])
+            claimed = model.left_cosets(invf.depth).of(invf.rep)
             if not literal <= claimed:
                 note("inv-coset", label, sorted(literal), sorted(claimed))
 
         # eq_at_depth against literal coset equality
         d = rng.randrange(min(d1, d2) + 1)
-        want = model.left_coset(f1.rep, model.levels[d]) == model.left_coset(
-            f2.rep, model.levels[d]
-        )
+        ids = model.left_cosets(d).ids
+        want = ids[f1.rep] == ids[f2.rep]
         if f1.eq_at_depth(f2, d) != want:
             note("eq_at_depth", f"{label} at {d}", want, not want)
 
         # valuation by literal upward scan, deliberately not the engine's search
         want_v = None
         for dd in range(min(d1, d2) + 1):
-            same = model.left_coset(f1.rep, model.levels[dd]) == model.left_coset(
-                f2.rep, model.levels[dd]
-            )
-            if not same:
+            ids = model.left_cosets(dd).ids
+            if ids[f1.rep] != ids[f2.rep]:
                 break
             want_v = dd
         val = f1.valuation(f2)
@@ -298,7 +292,7 @@ def compare_engine(pair: FiniteModelPair, trials: int, rng) -> OracleReport:
         if (h is not None) != feasible:
             note("right_rep-feasible", f"{label} at {d}", feasible, h is not None)
         if h is not None:
-            if not coset1 <= model.right_coset(model.levels[d], h):
+            if not coset1 <= model.right_cosets(d).of(h):
                 note("right_rep-coset", f"{label} at {d}", "containment", "violated")
 
         # products of bottom-depth elements against the completion table
@@ -321,12 +315,15 @@ def run_model_suite(pair: FiniteModelPair, trials: int, rng) -> OracleReport:
     model = pair.model
     mismatches = []
 
-    for d, N in enumerate(model.levels):
+    for d in range(len(model.levels)):
+        left, right = model.left_cosets(d), model.right_cosets(d)
         for g in range(model.n):
-            M = refinement_subgroup(model, N, g)
-            gN = model.left_coset(g, N)
+            M = refinement_subgroup(model, d, g)
+            gN = left.of(g)
+            # gN ∩ Nh depends on h only through its right coset Nh
+            unions = [is_union_of_left_cosets(model, gN & Nh, M) for Nh in right.sets]
             for h in range(model.n):
-                if not is_union_of_left_cosets(model, gN & model.right_coset(N, h), M):
+                if not unions[right.ids[h]]:
                     mismatches.append(
                         {
                             "op": "refinement",

@@ -58,9 +58,9 @@ def test_criterion_02_refinement_subgroup_exhaustive():
     cosets of the refinement subgroup computed from (N, g)."""
     started = time.perf_counter()
     for model in _shipped_models():
-        for N in model.levels:
+        for d, N in enumerate(model.levels):
             for g in range(model.n):
-                M = refinement_subgroup(model, N, g)
+                M = refinement_subgroup(model, d, g)
                 assert M <= N
                 gN = model.left_coset(g, N)
                 for h in range(model.n):

@@ -39,11 +39,14 @@ CASES = [
     ("eval_bs12_huge_power", ["eval", "bs12", "inv(embed(a))^99999999999"]),
     ("eval_sl2_huge_power", ["eval", "sl2:3", "inv(embed(h))^-99999999999"]),
     ("psi_zfact_unfactorable", ["psi", "zfact", "mod:4295229443", "5"]),
+    ("eval_zfact_digit_limit", ["eval", "zfact", "--depth", "3000", "1"]),
     ("eval_unknown_instance", ["eval", "nowhere", "a"]),
     ("oracle_z8_json", ["oracle", "models/z8.model", "--trials", "100", "--json"]),
     ("oracle_s4", ["oracle", "models/s4.model", "--trials", "120"]),
+    ("oracle_s5_json", ["oracle", "models/s5.model", "--trials", "60", "--json"]),
     ("oracle_corrupt", ["oracle", "models/s4_corrupt.model", "--trials", "20"]),
     ("oracle_missing", ["oracle", "models/nope.model"]),
+    ("oracle_negative_trials", ["oracle", "models/s4.model", "--trials", "-3"]),
     ("instances", ["instances"]),
     ("instances_json", ["instances", "--json"]),
 ]
@@ -59,9 +62,11 @@ EXPECTED_EXITS = {
     "eval_nesting_limit": 2,
     "eval_sl2_huge_power": 3,
     "psi_zfact_unfactorable": 2,
+    "eval_zfact_digit_limit": 2,
     "eval_unknown_instance": 2,
     "oracle_corrupt": 1,
     "oracle_missing": 2,
+    "oracle_negative_trials": 2,
 }
 
 
@@ -139,6 +144,16 @@ def test_oracle_reports_a_failed_completion_table(capsys, monkeypatch):
         "  completion-table: inputs s4; expected single-coset products; "
         "got completion table lost its identity\n"
     ) in blob
+
+
+@pytest.mark.parametrize("extra", [[], ["--json"]])
+def test_digit_limit_is_refused_before_any_output(extra, capsys):
+    assert entry(["eval", "zfact", "--depth", "3000", "1", *extra]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == (
+        "error: level 1559: modulus/index exceeds the display limit of 4300 digits\n"
+    )
 
 
 def test_usage_error_exits_2(capsys):

@@ -1,6 +1,7 @@
 """Instance contracts: arithmetic exactness, chain membership, depth bounds."""
 
 import gc
+import pathlib
 import time
 import random
 import weakref
@@ -17,6 +18,7 @@ from commensurate import (
     bs12_pair,
     finite_model_pair,
     integers_pair,
+    load_model,
     parse_model,
     sl2_pair,
 )
@@ -29,6 +31,7 @@ from commensurate.registry import builtin_instances
 from commensurate.sl2 import is_prime
 
 RNG_SEED = 20260814
+MODELS = pathlib.Path(__file__).resolve().parent.parent / "models"
 
 
 # --- integers -----------------------------------------------------------------
@@ -428,6 +431,42 @@ def test_dropped_model_pair_is_freed():
     )
     pair.conj_depth(pair.parse_literal("(1 2 3 4)"), 0)  # fills the depth cache
     ref = weakref.ref(pair)
+    del pair
+    gc.collect()
+    assert ref() is None
+
+
+@pytest.mark.parametrize("name", ["s4", "s4_d8", "s4_corrupt", "z8", "s5"])
+def test_coset_tables_are_the_literal_cosets(name):
+    model = load_model(MODELS / f"{name}.model")
+    everything = list(range(model.n))
+    for d, level in enumerate(model.levels):
+        for table, literal in (
+            (model.left_cosets(d), [model.left_coset(x, level) for x in everything]),
+            (model.right_cosets(d), [model.right_coset(level, x) for x in everything]),
+        ):
+            assert [table.of(x) for x in everything] == literal
+            # the ids partition the group, each coset numbered by its least member
+            assert sorted(x for coset in table.sets for x in coset) == everything
+            for i, coset in enumerate(table.sets):
+                assert {x for x in everything if table.ids[x] == i} == coset
+                assert table.reps[i] == min(coset)
+            assert list(table.reps) == sorted(table.reps)
+
+
+def test_coset_tables_are_built_on_first_use():
+    model = load_model(MODELS / "s5.model")
+    pair = finite_model_pair(model)
+    assert model._coset_tables == {}
+    pair.level_rep(pair.identity, 2)
+    assert list(model._coset_tables) == [("left", 2)]
+
+
+def test_dropped_model_with_coset_tables_is_freed():
+    pair = finite_model_pair(load_model(MODELS / "s4.model"))
+    pair.conj_depth(pair.parse_literal("(1 4)"), 1)  # reads the left table
+    pair.model.right_cosets(1)
+    ref = weakref.ref(pair.model)
     del pair
     gc.collect()
     assert ref() is None

@@ -26,16 +26,16 @@ def _subgroup(model, members):
 
 def test_refinement_collapses_on_abelian(z8_pair):
     model = z8_pair.model
-    for level in model.levels:
+    for d, level in enumerate(model.levels):
         for g in range(model.n):
-            assert refinement_subgroup(model, level, g) == level
+            assert refinement_subgroup(model, d, g) == level
 
 
 def test_refinement_postcondition_s4(s4_pair):
     model = s4_pair.model
     N = model.levels[1]  # the rotation subgroup of K
     g = s4_pair.parse_literal("(1 4)")
-    M = refinement_subgroup(model, N, g)
+    M = refinement_subgroup(model, 1, g)
     assert _subgroup(model, M)
     assert M <= N
     gN = model.left_coset(g, N)
@@ -47,9 +47,9 @@ def test_refinement_postcondition_s4(s4_pair):
 def test_refinement_exhaustive_everywhere(model_pairs):
     for pair in model_pairs:
         model = pair.model
-        for N in model.levels:
+        for d, N in enumerate(model.levels):
             for g in range(model.n):
-                M = refinement_subgroup(model, N, g)
+                M = refinement_subgroup(model, d, g)
                 gN = model.left_coset(g, N)
                 for h in range(model.n):
                     piece = gN & model.right_coset(N, h)
@@ -147,6 +147,33 @@ def test_suite_enumerates_the_completion_once(s4_d8_pair, monkeypatch):
     monkeypatch.setattr(oracle, "enumerate_completion", counted)
     assert run_model_suite(s4_d8_pair, 20, random.Random(SEED)).ok
     assert calls == ["s4_d8"]
+
+
+def test_refinement_failures_match_a_plain_loop(s4_pair, monkeypatch):
+    """The suite tests gN ∩ Nh once per right coset Nh; a failure must
+    still be reported for every (d, g, h), in the order of the triple loop."""
+    model = s4_pair.model
+    literal_check = oracle.is_union_of_left_cosets
+    g, h = s4_pair.parse_literal("(1 4)"), s4_pair.parse_literal("(2 4)")
+    chosen = model.left_coset(g, model.levels[1]) & model.right_coset(model.levels[1], h)
+    assert chosen
+
+    def failing(model_, subset, M):
+        return subset != chosen and literal_check(model_, subset, M)
+
+    monkeypatch.setattr(oracle, "is_union_of_left_cosets", failing)
+    expected = []
+    for d, N in enumerate(model.levels):
+        for g in range(model.n):
+            M = refinement_subgroup(model, d, g)
+            for h in range(model.n):
+                if not failing(model, model.left_coset(g, N) & model.right_coset(N, h), M):
+                    expected.append(f"level {d}, g={model.names[g]}, h={model.names[h]}")
+    report = run_model_suite(s4_pair, 0, random.Random(SEED))
+    got = [m["inputs"] for m in report.mismatches if m["op"] == "refinement"]
+    assert len(expected) > 1
+    assert got == expected
+    assert len(report.mismatches) == len(expected)
 
 
 def test_suite_deterministic_under_seed(z8_pair):
