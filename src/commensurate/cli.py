@@ -150,8 +150,12 @@ def cmd_psi(args) -> int:
 def cmd_oracle(args) -> int:
     if args.trials < 0:
         raise ValueError(f"trials must be >= 0, got {args.trials}")
+    seed = os.environ.get("COMMENSURATE_SEED", "0")
+    try:
+        seed = int(seed)
+    except ValueError:
+        raise ValueError(f"COMMENSURATE_SEED must be an integer, got {seed!r}") from None
     pair = finite_model_pair(load_model(args.model))
-    seed = int(os.environ.get("COMMENSURATE_SEED", "0"))
     report = run_model_suite(pair, args.trials, random.Random(seed))
     if args.json:
         print(report.to_json())

@@ -52,7 +52,7 @@ def perm_identity(points: int) -> tuple:
 
 def perm_compose(p: tuple, q: tuple) -> tuple:
     """p after q."""
-    return tuple(p[q[i]] for i in range(len(p)))
+    return tuple([p[i] for i in q])
 
 def perm_from_cycles(text: str, points: int) -> tuple:
     """Parse "(1 2)(3 4)" (1-based points, "()" = identity)."""
@@ -332,7 +332,11 @@ def parse_model(text: str) -> FiniteModel:
                 raise ModelError(f"bad table row {value!r}") from None
         if not rows:
             raise ModelError("table models need 'row' lines")
-        if "order" in fields and int(fields["order"]) != len(rows):
+        try:
+            order = int(fields.get("order", len(rows)))
+        except ValueError:
+            raise ModelError(f"'order' must be an integer, got {fields['order']!r}") from None
+        if order != len(rows):
             raise ModelError("stated order does not match the number of rows")
         names = [f"#{i}" for i in range(len(rows))]
 
@@ -388,8 +392,9 @@ class FiniteModelPair(CommensuratedPair):
     """Completion pair over a FiniteModel; elements are table indices.
 
     conj_depth is the least level that works, found by brute force over
-    the whole coset — the reference behaviour the infinite instances'
-    closed-form bounds are tested against.
+    the conjugates of the coset's rep: every level is normal in K, so the
+    rep decides for the whole coset.  The oracle checks the engine's
+    depths built on it against literal coset containment.
     """
 
     def __init__(self, model: FiniteModel):
@@ -428,13 +433,15 @@ class FiniteModelPair(CommensuratedPair):
         return self._least_conj_depth(g, depth)
 
     def _least_conj_depth(self, g: int, depth: Depth) -> Depth:
+        # x = g·n with n in N_depth, and every level is normal in K, so
+        # x·N_j·x^-1 = g·N_j·g^-1 and x^-1·N_j·x = n^-1·(g^-1·N_j·g)·n:
+        # the rep alone decides for the whole coset
         model = self.model
         level_d = model.levels[depth]
-        coset = model.left_cosets(depth).of(g)
+        ginv = model.inv(g)
         for j in range(depth, self.max_depth + 1):
             if all(
-                model.conj(x, n) in level_d and model.conj(model.inv(x), n) in level_d
-                for x in coset
+                model.conj(g, n) in level_d and model.conj(ginv, n) in level_d
                 for n in model.levels[j]
             ):
                 return j

@@ -7,7 +7,9 @@ tables, which hold the same literal sets, each built once.
 `refinement_subgroup` builds the finite-index subgroup
 whose left cosets refine all the mixed left/right intersections,
 `enumerate_completion` multiplies whole filters out as sets, and
-`compare_engine` replays random engine operations against both.
+`compare_engine` replays random engine operations against both.  The
+depth an operation must attain is the literal optimum: the deepest
+level one of whose cosets holds the literal set of results.
 """
 
 from __future__ import annotations
@@ -40,8 +42,7 @@ def refinement_subgroup(model: FiniteModel, d: int, g: int) -> frozenset:
         reps.setdefault(gN & Nh, h)
     M = set(N)
     for h in reps.values():
-        hinv = model.inv(h)
-        M &= {model.mul(model.mul(hinv, x), h) for x in N}
+        M &= {model.conj(model.inv(h), x) for x in N}
     return frozenset(M)
 
 
@@ -83,8 +84,7 @@ def enumerate_completion(model: FiniteModel) -> CompletionTable:
     # the factors M = N ∩ g2·N·g2^-1 and g2·N depend on g2 alone
     factors = []
     for g2 in reps:
-        g2inv = model.inv(g2)
-        M = N & {model.mul(model.mul(g2, x), g2inv) for x in N}
+        M = N & {model.conj(g2, x) for x in N}
         factors.append((M, cosets.of(g2)))
 
     table = []
@@ -165,37 +165,14 @@ class OracleReport:
         return json.dumps(payload, indent=2)
 
 
-def _oracle_conj(model: FiniteModel, cache: dict, g: int, d: int):
-    """Least level j >= d uniformly conjugation-stable over g·N_d, by sets."""
-    key = (g, d)
-    if key not in cache:
-        level = model.levels[d]
-        coset = model.left_cosets(d).of(g)
-        found = None
-        for j in range(d, len(model.levels)):
-            ok = True
-            for x in coset:
-                xinv = model.inv(x)
-                if not all(
-                    model.conj(x, n) in level and model.conj(xinv, n) in level
-                    for n in model.levels[j]
-                ):
-                    ok = False
-                    break
-            if ok:
-                found = j
-                break
-        cache[key] = found
-    return cache[key]
-
-
-def _best_depth(model, cache, g, cap, budget):
-    best = None
-    for d in range(cap + 1):
-        j = _oracle_conj(model, cache, g, d)
-        if j is not None and j <= budget:
-            best = d
-    return best
+def _deepest_coset(model: FiniteModel, members, g: int):
+    """Deepest level e whose left coset g·N_e holds every member, or None."""
+    deepest = None
+    for e in range(len(model.levels)):
+        if not members <= model.left_cosets(e).of(g):
+            break
+        deepest = e
+    return deepest
 
 
 def compare_engine(pair: FiniteModelPair, trials: int, rng) -> OracleReport:
@@ -204,7 +181,6 @@ def compare_engine(pair: FiniteModelPair, trials: int, rng) -> OracleReport:
     model = pair.model
     table = enumerate_completion(model)
     top = pair.max_depth
-    conj_cache: dict = {}
     mismatches = []
 
     def note(op, inputs, expected, got):
@@ -229,8 +205,10 @@ def compare_engine(pair: FiniteModelPair, trials: int, rng) -> OracleReport:
             f"{model.names[f1.rep]}@{d1}, {model.names[f2.rep]}@{d2}"
         )
 
-        # mul: depth claim and coset claim
-        want_d = _best_depth(model, conj_cache, f2.rep, d2, d1)
+        # mul: the deepest coset holding the literal product set; that set
+        # contains a whole coset of N_d2, so no level finer than d2 can
+        product_set = {model.mul(x, y) for x in coset1 for y in coset2}
+        want_d = _deepest_coset(model, product_set, model.mul(f1.rep, f2.rep))
         try:
             prod = f1 * f2
             got_d = prod.depth
@@ -240,13 +218,13 @@ def compare_engine(pair: FiniteModelPair, trials: int, rng) -> OracleReport:
         if got_d != want_d:
             note("mul-depth", label, want_d, got_d)
         if prod is not None and want_d is not None:
-            literal = {model.mul(x, y) for x in coset1 for y in coset2}
             claimed = model.left_cosets(prod.depth).of(prod.rep)
-            if not literal <= claimed:
-                note("mul-coset", label, sorted(literal), sorted(claimed))
+            if not product_set <= claimed:
+                note("mul-coset", label, sorted(product_set), sorted(claimed))
 
-        # inv
-        want_d = _best_depth(model, conj_cache, f1.rep, d1, d1)
+        # inv: the same rule for the literal inverse set
+        inverse_set = {model.inv(x) for x in coset1}
+        want_d = _deepest_coset(model, inverse_set, model.inv(f1.rep))
         try:
             invf = f1.inverse()
             got_d = invf.depth
@@ -256,10 +234,9 @@ def compare_engine(pair: FiniteModelPair, trials: int, rng) -> OracleReport:
         if got_d != want_d:
             note("inv-depth", label, want_d, got_d)
         if invf is not None:
-            literal = {model.inv(x) for x in coset1}
             claimed = model.left_cosets(invf.depth).of(invf.rep)
-            if not literal <= claimed:
-                note("inv-coset", label, sorted(literal), sorted(claimed))
+            if not inverse_set <= claimed:
+                note("inv-coset", label, sorted(inverse_set), sorted(claimed))
 
         # eq_at_depth against literal coset equality
         d = rng.randrange(min(d1, d2) + 1)
@@ -282,9 +259,11 @@ def compare_engine(pair: FiniteModelPair, trials: int, rng) -> OracleReport:
         if (want_v == min(d1, d2)) != val.indistinguishable:
             note("valuation-flag", label, want_v == min(d1, d2), val.indistinguishable)
 
-        # right_rep: the known left coset must sit inside the claimed right coset
+        # right_rep: feasible iff the known left coset sits in one right
+        # coset, which must then be the claimed one
         d = rng.randrange(top + 1)
-        feasible = (j := _oracle_conj(model, conj_cache, f1.rep, d)) is not None and j <= d1
+        right_ids = model.right_cosets(d).ids
+        feasible = len({right_ids[x] for x in coset1}) == 1
         try:
             h = f1.right_rep(d)
         except PrecisionExhausted:

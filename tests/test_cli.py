@@ -146,6 +146,24 @@ def test_oracle_reports_a_failed_completion_table(capsys, monkeypatch):
     ) in blob
 
 
+def test_oracle_names_a_bad_order_line(tmp_path, capsys):
+    model = tmp_path / "bad.model"
+    model.write_text("kind: table\norder: x\nrow: 0\nK: #0\n", encoding="utf-8")
+    assert entry(["oracle", str(model)]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == "error: 'order' must be an integer, got 'x'\n"
+
+
+def test_oracle_names_a_bad_seed(capsys, monkeypatch):
+    monkeypatch.chdir(ROOT)
+    monkeypatch.setenv("COMMENSURATE_SEED", "x")
+    assert entry(["oracle", "models/z8.model"]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == "error: COMMENSURATE_SEED must be an integer, got 'x'\n"
+
+
 @pytest.mark.parametrize("extra", [[], ["--json"]])
 def test_digit_limit_is_refused_before_any_output(extra, capsys):
     assert entry(["eval", "zfact", "--depth", "3000", "1", *extra]) == 2

@@ -391,6 +391,8 @@ def test_table_model_rejects_bad_rows():
         parse_model(
             "kind: table\norder: 3\nrow: 0 1\nrow: 1 0\nK: #1\n"
         )
+    with pytest.raises(ModelError, match="'order' must be an integer, got 'x'"):
+        parse_model("kind: table\norder: x\nrow: 0 1\nrow: 1 0\nK: #1\n")
 
 
 def test_non_associative_table_rejected():
@@ -411,6 +413,30 @@ def test_finite_conj_depth_nontrivial(s4_pair):
     # only the trivial bottom level survives conjugation uniformly
     g = s4_pair.parse_literal("(1 4)")
     assert s4_pair.conj_depth(g, 1) == 2
+
+
+def _whole_coset_conj_depth(pair, g, depth):
+    """Least j with N_j inside x·N_depth·x^-1 and x^-1·N_depth·x for every
+    x in g·N_depth, scanning the whole coset."""
+    model = pair.model
+    level_d = model.levels[depth]
+    coset = model.left_cosets(depth).of(g)
+    for j in range(depth, pair.max_depth + 1):
+        if all(
+            model.conj(x, n) in level_d and model.conj(model.inv(x), n) in level_d
+            for x in coset
+            for n in model.levels[j]
+        ):
+            return j
+    return None
+
+
+@pytest.mark.parametrize("name", ["s4", "s4_d8", "z8", "s5"])
+def test_finite_conj_depth_rep_decides_the_coset(name):
+    pair = finite_model_pair(load_model(MODELS / f"{name}.model"))
+    for g in range(pair.model.n):
+        for d in range(pair.max_depth + 1):
+            assert pair.conj_depth(g, d) == _whole_coset_conj_depth(pair, g, d)
 
 
 def test_finite_pair_validate(s4_pair):
@@ -464,7 +490,8 @@ def test_coset_tables_are_built_on_first_use():
 
 def test_dropped_model_with_coset_tables_is_freed():
     pair = finite_model_pair(load_model(MODELS / "s4.model"))
-    pair.conj_depth(pair.parse_literal("(1 4)"), 1)  # reads the left table
+    pair.conj_depth(pair.parse_literal("(1 4)"), 1)  # fills the depth cache
+    pair.model.left_cosets(1)
     pair.model.right_cosets(1)
     ref = weakref.ref(pair.model)
     del pair

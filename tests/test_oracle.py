@@ -1,10 +1,18 @@
 """The brute-force suites against themselves and against the engine."""
 
+import pathlib
 import random
 
 import pytest
 
-from commensurate import finite_model_pair, oracle, parse_model
+from commensurate import (
+    FiniteModelPair,
+    PrecisionExhausted,
+    finite_model_pair,
+    load_model,
+    oracle,
+    parse_model,
+)
 from commensurate.oracle import (
     coherent_chains,
     compare_engine,
@@ -16,6 +24,7 @@ from commensurate.oracle import (
 )
 
 SEED = 7
+MODELS = pathlib.Path(__file__).resolve().parent.parent / "models"
 
 
 def _subgroup(model, members):
@@ -127,6 +136,85 @@ corrupt_conj_depth: true
     report = compare_engine(pair, 100, random.Random(SEED))
     assert report.mismatches
     assert any("depth" in m["op"] or "coset" in m["op"] for m in report.mismatches)
+
+
+def _literal_depth(model, members, g):
+    """Deepest level whose left coset of g holds members, read off the tables."""
+    holding = [
+        e for e in range(len(model.levels)) if members <= model.left_cosets(e).of(g)
+    ]
+    return max(holding, default=None)
+
+
+def _engine_depth(op):
+    try:
+        return op().depth
+    except PrecisionExhausted:
+        return None
+
+
+def _check_inverses_and_right_reps(pair):
+    model = pair.model
+    depths = range(pair.max_depth + 1)
+    for g in range(model.n):
+        for d1 in depths:
+            coset = model.left_cosets(d1).of(g)
+            f = pair.embed(g, d1)
+            want = _literal_depth(model, {model.inv(x) for x in coset}, model.inv(g))
+            assert _engine_depth(f.inverse) == want, (model.names[g], d1)
+            for d in depths:
+                right = model.right_cosets(d)
+                feasible = len({right.ids[x] for x in coset}) == 1
+                try:
+                    h = f.right_rep(d)
+                except PrecisionExhausted:
+                    h = None
+                assert (h is not None) == feasible, (model.names[g], d1, d)
+                assert h is None or coset <= right.of(h)
+
+
+@pytest.mark.parametrize("name", ["s4", "s4_d8", "z8"])
+def test_engine_depths_are_the_literal_optima(name):
+    """Every product, inverse and right_rep claim the engine makes on a
+    small model is the deepest one the literal cosets allow."""
+    pair = finite_model_pair(load_model(MODELS / f"{name}.model"))
+    model = pair.model
+    depths = range(pair.max_depth + 1)
+    for g1 in range(model.n):
+        for d1 in depths:
+            coset1 = model.left_cosets(d1).of(g1)
+            f1 = pair.embed(g1, d1)
+            for g2 in range(model.n):
+                for d2 in depths:
+                    coset2 = model.left_cosets(d2).of(g2)
+                    product = {model.mul(x, y) for x in coset1 for y in coset2}
+                    want = _literal_depth(model, product, model.mul(g1, g2))
+                    got = _engine_depth(lambda: f1 * pair.embed(g2, d2))
+                    assert got == want, (model.names[g1], d1, model.names[g2], d2)
+    _check_inverses_and_right_reps(pair)
+
+
+def test_engine_inverse_and_right_rep_are_the_literal_optima_s5():
+    _check_inverses_and_right_reps(finite_model_pair(load_model(MODELS / "s5.model")))
+
+
+class _LossyPair(FiniteModelPair):
+    """Sound and monotone, but one level coarser than it needs to be."""
+
+    def conj_depth(self, g, depth):
+        return min(super().conj_depth(g, depth) + 1, self.max_depth)
+
+
+def test_compare_engine_detects_a_lossy_pair():
+    pair = _LossyPair(load_model(MODELS / "s4.model"))
+    report = compare_engine(pair, 200, random.Random(SEED))
+    ops = {m["op"] for m in report.mismatches}
+    assert ops & {"mul-depth", "inv-depth"}
+    assert not any("coset" in op for op in ops)  # lossy, never unsound
+    for m in report.mismatches:
+        if m["op"] in ("mul-depth", "inv-depth"):
+            got = -1 if m["got"] == "None" else int(m["got"])
+            assert int(m["expected"]) > got, m
 
 
 def test_run_model_suite_reports(s4_pair):
