@@ -26,7 +26,8 @@ Chain requirements (checked on load): each level is a subgroup of the
 one above, strictly smaller, normal in K; the bottom level is normal in
 the whole group, which is what makes the brute-force completion below
 it exact.  ``corrupt_conj_depth: true`` deliberately breaks the pair's
-depth bound so oracle sensitivity can be demonstrated.
+depth bound so oracle sensitivity can be demonstrated.  Any other key
+is refused.
 """
 
 from __future__ import annotations
@@ -39,6 +40,9 @@ from .core import CommensuratedPair, ContractViolation, Depth
 
 MAX_POINTS = 16
 MAX_ORDER = 200
+_KEYS = frozenset(
+    {"name", "kind", "points", "gens", "k", "level", "order", "row", "corrupt_conj_depth"}
+)
 
 
 class ModelError(ValueError):
@@ -88,6 +92,23 @@ def perm_to_cycles(p: tuple) -> str:
     return "".join(parts) if parts else "()"
 
 
+def _closure(identity, gens, mul, cap=None) -> set:
+    """The subgroup that ``gens`` generate in a finite group, by search from
+    ``identity``; more than ``cap`` elements raises ModelError."""
+    out = {identity}
+    frontier = [identity]
+    while frontier:
+        x = frontier.pop()
+        for g in gens:
+            y = mul(x, g)
+            if y not in out:
+                if cap is not None and len(out) >= cap:
+                    raise ModelError(f"group order exceeds {cap}")
+                out.add(y)
+                frontier.append(y)
+    return out
+
+
 # --- the model ---------------------------------------------------------------
 
 @dataclass(frozen=True)
@@ -110,26 +131,26 @@ class CosetTable:
 class FiniteModel:
     """A finite group as index tables, plus K and the chain as index sets.
 
-    ``levels[0]`` is K; ``levels[-1]`` is the bottom of the chain.
+    ``levels[0]`` is K; ``levels[-1]`` is the bottom of the chain.  A
+    permutation model also keeps ``perm_index``, each permutation's index.
     Instances are immutable after construction and hash by identity;
     the per-level coset tables are built on first use and kept.
     """
 
     def __init__(self, name, kind, names, mul_table, K_gens, level_gens,
-                 corrupt=False, points=None):
+                 corrupt=False, points=None, perm_index=None):
         self.name = name
         self.kind = kind
         self.points = points
+        self.perm_index = perm_index
         self.n = len(mul_table)
         self.names = tuple(names)
         self.mul_table = tuple(tuple(row) for row in mul_table)
         self.corrupt = bool(corrupt)
         self._check_group_axioms()
-        K = self._close(K_gens)
-        levels = [K]
-        for gens in level_gens:
-            levels.append(self._close(gens))
-        self.levels = tuple(frozenset(s) for s in levels)
+        self.levels = tuple(
+            frozenset(_closure(self.e, gens, self.mul)) for gens in (K_gens, *level_gens)
+        )
         self._check_chain()
         self._coset_tables: dict = {}  # (side, depth) -> CosetTable
 
@@ -167,19 +188,6 @@ class FiniteModel:
                     rb = table[b]
                     if any(rab[c] != ra[rb[c]] for c in range(n)):
                         raise ModelError("multiplication table is not associative")
-
-    def _close(self, gens) -> frozenset:
-        out = {self.e}
-        frontier = [self.e]
-        gens = list(gens)
-        while frontier:
-            x = frontier.pop()
-            for g in gens:
-                y = self.mul_table[x][g]
-                if y not in out:
-                    out.add(y)
-                    frontier.append(y)
-        return frozenset(out)
 
     def _check_chain(self):
         for d, level in enumerate(self.levels):
@@ -272,6 +280,8 @@ def _parse_lines(text: str):
 def parse_model(text: str) -> FiniteModel:
     fields: dict = {"level": [], "row": []}
     for key, value, lineno in _parse_lines(text):
+        if key not in _KEYS:
+            raise ModelError(f"line {lineno}: unknown key {key!r}")
         if key in ("level", "row"):
             fields[key].append(value)
         elif key in fields:
@@ -301,7 +311,7 @@ def parse_model(text: str) -> FiniteModel:
             return [perm_from_cycles(item, points) for item in _split_items(value)]
 
         gens = parse_gens(fields["gens"])
-        elements = _perm_closure(gens, points)
+        elements = sorted(_closure(perm_identity(points), gens, perm_compose, MAX_ORDER))
         index = {p: i for i, p in enumerate(elements)}
         mul_table = [
             [index[perm_compose(p, q)] for q in elements] for p in elements
@@ -320,7 +330,7 @@ def parse_model(text: str) -> FiniteModel:
             name, "perm", names, mul_table,
             gen_indices(fields["k"]),
             [gen_indices(v) for v in fields["level"]],
-            corrupt=corrupt, points=points,
+            corrupt=corrupt, points=points, perm_index=index,
         )
 
     if kind == "table":
@@ -366,22 +376,6 @@ def load_model(path) -> FiniteModel:
         return parse_model(fh.read())
 
 
-def _perm_closure(gens, points):
-    ident = perm_identity(points)
-    out = {ident}
-    frontier = [ident]
-    while frontier:
-        p = frontier.pop()
-        for g in gens:
-            q = perm_compose(p, g)
-            if q not in out:
-                if len(out) >= MAX_ORDER:
-                    raise ModelError(f"group order exceeds {MAX_ORDER}")
-                out.add(q)
-                frontier.append(q)
-    return sorted(out)
-
-
 # --- the pair ----------------------------------------------------------------
 
 _PERM_LITERAL = re.compile(r"\(\s*(?:\d+(?:\s+\d+)*)?\s*\)(?:\s*\(\s*(?:\d+(?:\s+\d+)*)?\s*\))*")
@@ -403,16 +397,7 @@ class FiniteModelPair(CommensuratedPair):
         self.max_depth = len(model.levels) - 1
         # per instance, so a dropped pair frees its cache with it
         self._least_conj_depth = cache(self._least_conj_depth)
-        if model.kind == "perm":
-            self.literal_pattern = _PERM_LITERAL
-            points = model.points or 1
-            self._perm_index = {
-                perm_from_cycles(name, points): i
-                for i, name in enumerate(model.names)
-            }
-        else:
-            self.literal_pattern = _TABLE_LITERAL
-            self._perm_index = {}
+        self.literal_pattern = _PERM_LITERAL if model.kind == "perm" else _TABLE_LITERAL
 
     @property
     def identity(self) -> int:
@@ -460,10 +445,10 @@ class FiniteModelPair(CommensuratedPair):
         model = self.model
         if model.kind == "perm":
             try:
-                perm = perm_from_cycles(text, model.points or 1)
+                perm = perm_from_cycles(text, model.points)
             except ModelError as err:
                 raise ValueError(str(err)) from None
-            idx = self._perm_index.get(perm)
+            idx = model.perm_index.get(perm)
             if idx is None:
                 raise ContractViolation(
                     f"{self.name}: permutation {text.strip()} is outside the group"

@@ -44,6 +44,7 @@ CASES = [
     ("oracle_z8_json", ["oracle", "models/z8.model", "--trials", "100", "--json"]),
     ("oracle_s4", ["oracle", "models/s4.model", "--trials", "120"]),
     ("oracle_s5_json", ["oracle", "models/s5.model", "--trials", "60", "--json"]),
+    ("oracle_s4_d8", ["oracle", "models/s4_d8.model"]),
     ("oracle_corrupt", ["oracle", "models/s4_corrupt.model", "--trials", "20"]),
     ("oracle_missing", ["oracle", "models/nope.model"]),
     ("oracle_negative_trials", ["oracle", "models/s4.model", "--trials", "-3"]),
@@ -153,6 +154,32 @@ def test_oracle_names_a_bad_order_line(tmp_path, capsys):
     out, err = capsys.readouterr()
     assert out == ""
     assert err == "error: 'order' must be an integer, got 'x'\n"
+
+
+def _cyclic_rows(n):
+    return "".join(f"row: {' '.join(str((i + j) % n) for j in range(n))}\n" for i in range(n))
+
+
+@pytest.mark.parametrize(
+    "text,message",
+    [
+        # (1 2) and (1 2 3 4 5 6) generate S6, of order 720
+        ("kind: perm\npoints: 6\ngens: (1 2), (1 2 3 4 5 6)\nK: (1 2)\n",
+         "group order exceeds 200"),
+        ("kind: perm\npoints: 17\ngens: (1 2)\nK: (1 2)\n", "points must be 1..16"),
+        (f"kind: table\n{_cyclic_rows(201)}K: #1\n", "model order 201 outside 1..200"),
+        ("kind: perm\npoints: 4\ngens: (1 2)\nK: (1 2)\nlevl: -\n",
+         "line 5: unknown key 'levl'"),
+    ],
+    ids=["order-cap", "points-cap", "table-cap", "unknown-key"],
+)
+def test_oracle_refuses_an_oversized_or_misspelt_model(text, message, tmp_path, capsys):
+    model = tmp_path / "bad.model"
+    model.write_text(text, encoding="utf-8")
+    assert entry(["oracle", str(model)]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == f"error: {message}\n"
 
 
 def test_oracle_names_a_bad_seed(capsys, monkeypatch):

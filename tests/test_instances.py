@@ -374,6 +374,22 @@ def test_model_rejects_garbage():
         parse_model(S4_TEXT.replace("kind: perm", "kind: magma"))
 
 
+def test_model_refuses_unknown_keys():
+    # a misspelt key would otherwise drop a chain level or a flag unseen
+    with pytest.raises(ModelError, match=r"^line 7: unknown key 'levl'$"):
+        parse_model(S4_TEXT.replace("level: (1 2 3)", "levl: (1 2 3)"))
+    with pytest.raises(ModelError, match=r"^line 9: unknown key 'corrupt_conj_dpth'$"):
+        parse_model(S4_TEXT + "corrupt_conj_dpth: true\n")
+
+
+@pytest.mark.parametrize("name", ["s4", "s4_d8", "s4_corrupt", "s5"])
+def test_perm_names_parse_back_to_their_index(name):
+    pair = finite_model_pair(load_model(MODELS / f"{name}.model"))
+    assert pair.model.kind == "perm"
+    for i, text in enumerate(pair.model.names):
+        assert pair.parse_literal(text) == i
+
+
 def test_table_model(z8_pair):
     model = z8_pair.model
     assert model.n == 8 and model.e == 0

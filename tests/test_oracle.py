@@ -237,9 +237,37 @@ def test_suite_enumerates_the_completion_once(s4_d8_pair, monkeypatch):
     assert calls == ["s4_d8"]
 
 
+@pytest.mark.parametrize("name", ["s4", "s4_d8", "s4_corrupt", "z8", "s5"])
+def test_refinement_subgroup_depends_on_the_left_coset_only(name):
+    model = load_model(MODELS / f"{name}.model")
+    for d in range(len(model.levels)):
+        left = model.left_cosets(d)
+        for g in range(model.n):
+            M = refinement_subgroup(model, d, g)
+            assert M == refinement_subgroup(model, d, left.reps[left.ids[g]])
+
+
+def test_suite_builds_one_refinement_subgroup_per_left_coset(monkeypatch):
+    pair = finite_model_pair(load_model(MODELS / "s5.model"))
+    model = pair.model
+    calls = []
+    build = oracle.refinement_subgroup
+
+    def counted(model_, d, g):
+        calls.append((d, g))
+        return build(model_, d, g)
+
+    monkeypatch.setattr(oracle, "refinement_subgroup", counted)
+    assert run_model_suite(pair, 0, random.Random(SEED)).ok
+    indices = [model.n // len(level) for level in model.levels]
+    assert len(calls) == sum(indices) == 165
+    assert len(set(calls)) == len(calls)
+
+
 def test_refinement_failures_match_a_plain_loop(s4_pair, monkeypatch):
-    """The suite tests gN ∩ Nh once per right coset Nh; a failure must
-    still be reported for every (d, g, h), in the order of the triple loop."""
+    """The suite tests gN ∩ Nh once per pair of left and right cosets; a
+    failure must still be reported for every (d, g, h), in the order of
+    the triple loop."""
     model = s4_pair.model
     literal_check = oracle.is_union_of_left_cosets
     g, h = s4_pair.parse_literal("(1 4)"), s4_pair.parse_literal("(2 4)")
