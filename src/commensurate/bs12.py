@@ -16,6 +16,7 @@ completion has K-closure Z_2 (the 2-adic integers), not all of Z-hat.
 from __future__ import annotations
 
 import re
+import sys
 from fractions import Fraction
 from typing import NamedTuple
 
@@ -50,11 +51,13 @@ class BS12Pair(CommensuratedPair):
         return DyadicAffine(Fraction(0), 0)
 
     def mul(self, x: DyadicAffine, y: DyadicAffine) -> DyadicAffine:
-        # composition of affine maps: first y, then x
-        return DyadicAffine(x.shift + Fraction(2) ** x.texp * y.shift, x.texp + y.texp)
+        # first y, then x; a zero shift needs no 2**texp, which may be huge
+        shift = x.shift + Fraction(2) ** x.texp * y.shift if y.shift else x.shift
+        return DyadicAffine(shift, x.texp + y.texp)
 
     def inv(self, x: DyadicAffine) -> DyadicAffine:
-        return DyadicAffine(-(Fraction(2) ** -x.texp) * x.shift, -x.texp)
+        shift = -(Fraction(2) ** -x.texp) * x.shift if x.shift else x.shift
+        return DyadicAffine(shift, -x.texp)
 
     def in_level(self, x: DyadicAffine, depth: Depth) -> bool:
         return (
@@ -86,10 +89,18 @@ class BS12Pair(CommensuratedPair):
         return elt
 
     def level_rep(self, x: DyadicAffine, depth: Depth) -> str:
-        # the coset x·N_d consists of (x.shift + 2**(texp+d)·z, x.texp);
-        # normalize the shift into [0, 2**(texp+d))
-        step = Fraction(2) ** (x.texp + depth)
-        shift = x.shift - (x.shift // step) * step
+        # the coset x·N_d consists of (x.shift + 2**e·z, x.texp) with
+        # e = texp + d; normalize the shift into [0, 2**e)
+        e, shift = x.texp + depth, x.shift
+        if abs(e) <= max(shift.numerator.bit_length(), shift.denominator.bit_length()):
+            step = Fraction(2) ** e
+            shift -= (shift // step) * step
+        elif e < 0:
+            shift = Fraction(0)  # 2**e divides the shift
+        elif shift < 0:  # |shift| < 2**e
+            if e > 4 * sys.get_int_max_str_digits() > 0:  # 2**e is too long to print
+                raise ValueError("the level rep exceeds the display limit")
+            shift += 1 << e
         return f"({shift}; {x.texp})"
 
     def validate(self, x) -> None:

@@ -11,6 +11,7 @@ COMMENSURATE_SEED environment variable (default 0).
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import random
@@ -38,6 +39,11 @@ def _print_json(payload) -> None:
     print(json.dumps(payload, indent=2))
 
 
+def _display_error(d: int, what: str) -> ValueError:
+    limit = sys.get_int_max_str_digits()
+    return ValueError(f"level {d}: {what} exceeds the display limit of {limit} digits")
+
+
 def _element_payload(name: str, pair, requested: int, f: CompletionElement) -> dict:
     levels = []
     for d in range(f.depth + 1):
@@ -45,17 +51,12 @@ def _element_payload(name: str, pair, requested: int, f: CompletionElement) -> d
         try:
             str(index)
         except ValueError:  # Python caps int-to-str conversion
-            raise ValueError(
-                f"level {d}: modulus/index exceeds the display limit of "
-                f"{sys.get_int_max_str_digits()} digits"
-            ) from None
-        levels.append(
-            {
-                "level": d,
-                "modulus_or_index": index,
-                "rep": pair.level_rep(f.rep, d),
-            }
-        )
+            raise _display_error(d, "modulus/index") from None
+        try:
+            rep = pair.level_rep(f.rep, d)
+        except ValueError:
+            raise _display_error(d, "rep") from None
+        levels.append({"level": d, "modulus_or_index": index, "rep": rep})
     return {
         "instance": name,
         "requested_depth": requested,
@@ -171,6 +172,7 @@ def cmd_oracle(args) -> int:
     return EXIT_OK if report.ok else EXIT_MISMATCH
 
 
+@functools.cache  # built on the first entry() call, then shared by every call
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="commensurate",
@@ -182,19 +184,23 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("instances", help="list available instances and targets")
+    p.set_defaults(run=cmd_instances)
     p.add_argument("--json", action="store_true")
 
-    for cmd, help_text in (
-        ("eval", "evaluate an expression at a depth"),
-        ("table", "per-level coset table of an expression"),
+    for cmd, help_text, run in (
+        ("eval", "evaluate an expression at a depth", cmd_eval),
+        ("table", "per-level coset table of an expression",
+         functools.partial(cmd_eval, table_only=True)),
     ):
         p = sub.add_parser(cmd, help=help_text)
+        p.set_defaults(run=run)
         p.add_argument("instance")
         p.add_argument("expr")
         p.add_argument("--depth", type=int, default=8)
         p.add_argument("--json", action="store_true")
 
     p = sub.add_parser("psi", help="evaluate an expression through a target")
+    p.set_defaults(run=cmd_psi)
     p.add_argument("instance")
     p.add_argument("target")
     p.add_argument("expr")
@@ -202,6 +208,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--json", action="store_true")
 
     p = sub.add_parser("oracle", help="run the brute-force suites on a model file")
+    p.set_defaults(run=cmd_oracle)
     p.add_argument("model")
     p.add_argument("--trials", type=int, default=200)
     p.add_argument("--json", action="store_true")
@@ -212,17 +219,7 @@ def build_parser() -> argparse.ArgumentParser:
 def entry(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        if args.command == "instances":
-            return cmd_instances(args)
-        if args.command == "eval":
-            return cmd_eval(args)
-        if args.command == "table":
-            return cmd_eval(args, table_only=True)
-        if args.command == "psi":
-            return cmd_psi(args)
-        if args.command == "oracle":
-            return cmd_oracle(args)
-        raise AssertionError(args.command)
+        return args.run(args)
     except ContractViolation as err:
         print(f"error: {err}", file=sys.stderr)
         return EXIT_CONTRACT

@@ -21,9 +21,10 @@ keeps the truncated side's precision intact.
 
 from __future__ import annotations
 
+import functools
 import re
 from dataclasses import dataclass
-from typing import Any, Optional
+from typing import Any, NamedTuple, Optional
 
 from .core import CommensuratedPair, CompletionElement
 
@@ -43,48 +44,38 @@ class ExprError(ValueError):
         self.pos = pos
 
 
-_NAME = re.compile(r"[A-Za-z_][A-Za-z0-9_]*(?::[A-Za-z0-9_]+)*")
-_INT = re.compile(r"-?\d+")
-_PUNCT = {"*": "STAR", "^": "CARET", "(": "LPAREN", ")": "RPAREN", ",": "COMMA"}
+# Every token kind but LIT, in the order tokenize tries them after the
+# instance's literal pattern.
+_TOKENS = (
+    r"(?P<NAME>[A-Za-z_][A-Za-z0-9_]*(?::[A-Za-z0-9_]+)*)|(?P<INT>-?\d+)"
+    r"|(?P<STAR>\*)|(?P<CARET>\^)|(?P<LPAREN>\()|(?P<RPAREN>\))|(?P<COMMA>,)"
+    r"|(?P<SPACE>\s+)|(?P<BAD>(?s:.))"
+)
 
 
-@dataclass(frozen=True)
-class Token:
+class Token(NamedTuple):
     kind: str
     text: str
     pos: int
 
 
+@functools.cache  # keyed by the few module-level literal patterns
+def _scanner(literal_pattern: Optional[re.Pattern]) -> re.Pattern:
+    if literal_pattern is None:
+        return re.compile(_TOKENS)
+    return re.compile(f"(?P<LIT>{literal_pattern.pattern})|{_TOKENS}")
+
+
 def tokenize(src: str, pair: CommensuratedPair) -> list[Token]:
     out = []
-    i, n = 0, len(src)
-    while i < n:
-        ch = src[i]
-        if ch.isspace():
-            i += 1
+    for m in _scanner(pair.literal_pattern).finditer(src):
+        kind = m.lastgroup
+        if kind == "SPACE":
             continue
-        if pair.literal_pattern is not None:
-            m = pair.literal_pattern.match(src, i)
-            if m is not None:
-                out.append(Token("LIT", m.group(0), i))
-                i = m.end()
-                continue
-        m = _NAME.match(src, i)
-        if m is not None:
-            out.append(Token("NAME", m.group(0), i))
-            i = m.end()
-            continue
-        m = _INT.match(src, i)
-        if m is not None:
-            out.append(Token("INT", m.group(0), i))
-            i = m.end()
-            continue
-        if ch in _PUNCT:
-            out.append(Token(_PUNCT[ch], ch, i))
-            i += 1
-            continue
-        raise ExprError(f"unexpected character {ch!r}", i)
-    out.append(Token("END", "", n))
+        if kind == "BAD":
+            raise ExprError(f"unexpected character {m.group()!r}", m.start())
+        out.append(Token(kind, m.group(), m.start()))
+    out.append(Token("END", "", len(src)))
     return out
 
 

@@ -7,6 +7,10 @@ output change, and review the diff before committing it.
 import json
 import os
 import pathlib
+import random
+import resource
+import subprocess
+import sys
 
 import pytest
 
@@ -26,6 +30,7 @@ CASES = [
     ("table_bs12", ["table", "bs12", "--depth", "3", "a"]),
     ("table_z8", ["table", "model:models/z8.model", "--depth", "3", "#5"]),
     ("psi_texp", ["psi", "bs12", "texp", "a^5*t^3"]),
+    ("psi_texp_huge", ["psi", "bs12", "texp", "t^-99999999999999999999"]),
     ("psi_mod8_json", ["psi", "z2", "mod:8", "--depth", "5", "embed(13)", "--json"]),
     ("psi_via_eval", ["eval", "z2", "--depth", "5", "psi(mod:8, embed(13))"]),
     ("psi_precision", ["psi", "z2", "mod:8", "--depth", "2", "embed(13)"]),
@@ -93,6 +98,61 @@ def test_golden(name, argv, capsys, monkeypatch):
     assert blob == path.read_text(encoding="utf-8")
     expected = EXPECTED_EXITS.get(name, 0)
     assert blob.startswith(f"exit: {expected}\n")
+
+
+def test_reused_parser_keeps_no_state(capsys, monkeypatch):
+    """Replay every golden case twice in one process, in a shuffled order,
+    with usage errors and --json/plain pairs in between: the parser that
+    entry() builds once must carry nothing from one call to the next."""
+    replay = CASES * 2
+    random.Random(9).shuffle(replay)
+    for i, (name, argv) in enumerate(replay):
+        if i % 2:
+            with pytest.raises(SystemExit) as err:
+                entry(["eval"])
+            assert err.value.code == 2
+        else:
+            assert entry(["eval", "z2", "--depth", "3", "7", "--json"]) == 0
+            assert entry(["eval", "z2", "--depth", "3", "7"]) == 0
+        capsys.readouterr()
+        blob = run_case(argv, capsys, monkeypatch)
+        assert blob == (GOLDEN / f"{name}.txt").read_text(encoding="utf-8"), name
+
+
+def _limit_memory():
+    limit = 1 << 30
+    resource.setrlimit(resource.RLIMIT_AS, (limit, limit))
+
+
+@pytest.mark.parametrize(
+    "argv,stdout",
+    [
+        (["psi", "bs12", "texp", "t^-99999999999999999999"], "-99999999999999999999\n"),
+        (["eval", "bs12", "(1/2; 99999999999999999999)"], None),
+        (["eval", "bs12", "t^-99999999999999999999"], None),
+        (["eval", "bs12", "(-1/2; 99999999999999999999)"], ""),
+    ],
+    ids=["psi-texp", "literal-shift", "t-power", "negative-shift"],
+)
+def test_huge_doubling_exponents_end_quickly(argv, stdout):
+    """A huge doubling exponent must not make bs12 build 2**texp.  Each run
+    is a child process capped at 1 GB of address space, so a regression
+    fails here instead of exhausting the test run's memory."""
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")])
+    ))
+    proc = subprocess.run(
+        [sys.executable, "-m", "commensurate.cli", *argv],
+        capture_output=True,
+        text=True,
+        timeout=20,
+        env=env,
+        preexec_fn=_limit_memory,
+    )
+    assert proc.returncode in (0, 2), proc.stderr
+    assert "Traceback" not in proc.stderr
+    if stdout is not None:
+        assert proc.stdout == stdout
 
 
 def test_byte_identical_reruns(capsys, monkeypatch):
@@ -199,6 +259,14 @@ def test_digit_limit_is_refused_before_any_output(extra, capsys):
     assert err == (
         "error: level 1559: modulus/index exceeds the display limit of 4300 digits\n"
     )
+
+
+def test_long_bs12_level_rep_is_refused_before_any_output(capsys):
+    # a negative shift normalizes to shift + 2**(texp + d), too long to print
+    assert entry(["eval", "bs12", "(-1/2; 15000)"]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == "error: level 0: rep exceeds the display limit of 4300 digits\n"
 
 
 def test_usage_error_exits_2(capsys):

@@ -1,8 +1,11 @@
 """Parsing and evaluation of group-word expressions."""
 
+import pathlib
+import re
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, strategies as st
 
 from commensurate import (
     CompletionElement,
@@ -10,7 +13,9 @@ from commensurate import (
     DyadicAffine,
     PrecisionExhausted,
     bs12_pair,
+    finite_model_pair,
     integers_pair,
+    load_model,
     sl2_pair,
 )
 from commensurate.expr import (
@@ -20,9 +25,11 @@ from commensurate.expr import (
     evaluate,
     parse_expression,
     render,
+    tokenize,
 )
 from commensurate.registry import resolve_target
 
+MODELS = pathlib.Path(__file__).resolve().parent.parent / "models"
 BS = bs12_pair()
 Z2 = integers_pair(2)
 SL2 = sl2_pair(2)
@@ -105,6 +112,75 @@ def test_render_round_trip(s4_pair):
         once = render(parse_expression(src, pair))
         again = render(parse_expression(once, pair))
         assert once == again
+
+
+# The three-regex scan that tokenize's single alternation replaced, kept as
+# the reference for its token streams and errors.
+_REF_NAME = re.compile(r"[A-Za-z_][A-Za-z0-9_]*(?::[A-Za-z0-9_]+)*")
+_REF_INT = re.compile(r"-?\d+")
+_REF_PUNCT = {"*": "STAR", "^": "CARET", "(": "LPAREN", ")": "RPAREN", ",": "COMMA"}
+
+
+def reference_tokenize(src, pair):
+    out = []
+    i, n = 0, len(src)
+    while i < n:
+        ch = src[i]
+        if ch.isspace():
+            i += 1
+            continue
+        if pair.literal_pattern is not None:
+            m = pair.literal_pattern.match(src, i)
+            if m is not None:
+                out.append(("LIT", m.group(0), i))
+                i = m.end()
+                continue
+        m = _REF_NAME.match(src, i)
+        if m is not None:
+            out.append(("NAME", m.group(0), i))
+            i = m.end()
+            continue
+        m = _REF_INT.match(src, i)
+        if m is not None:
+            out.append(("INT", m.group(0), i))
+            i = m.end()
+            continue
+        if ch in _REF_PUNCT:
+            out.append((_REF_PUNCT[ch], ch, i))
+            i += 1
+            continue
+        raise ExprError(f"unexpected character {ch!r}", i)
+    out.append(("END", "", n))
+    return out
+
+
+def _token_stream(scan, src, pair):
+    try:
+        return [tuple(tok) for tok in scan(src, pair)]
+    except ExprError as err:
+        return str(err)
+
+
+_LITERAL_STYLES = {
+    "bs12": BS,
+    "sl2:3": sl2_pair(3),
+    "z2": Z2,
+    "s4": finite_model_pair(load_model(MODELS / "s4.model")),
+    "z8": finite_model_pair(load_model(MODELS / "z8.model")),
+}
+_FRAGMENTS = [
+    *"*^(),:_-/;[]#.0123456789 atuhlinvembdpsxz",
+    "\t", "\x1c", "\u3000", "\u00e9", "\u0663",
+    "inv(", "embed(", "psi(", "mod:8", "texp", "(3/4; -2)", "(1 / 2;3)", "(1;",
+    "[[1,0],[1,1]]", "[[1/2, 0], [0, 2]]", "[[1,0]", "(1 2)(3 4)", "( )", "(1 2", "#5", "#",
+]
+
+
+@pytest.mark.parametrize("instance", list(_LITERAL_STYLES))
+@given(src=st.lists(st.sampled_from(_FRAGMENTS), max_size=12).map("".join))
+def test_tokenize_matches_reference_scan(instance, src):
+    pair = _LITERAL_STYLES[instance]
+    assert _token_stream(tokenize, src, pair) == _token_stream(reference_tokenize, src, pair)
 
 
 # --- evaluation semantics -------------------------------------------------------
