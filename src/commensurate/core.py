@@ -366,13 +366,17 @@ class CompletionElement:
     def valuation(self, other: "CompletionElement") -> Valuation:
         """Largest level at which the two elements agree.
 
-        Agreement at a level implies agreement at every coarser one, so a
-        galloping search up from level 0 finds the first disagreement in
-        O(log depth) comparisons.
+        The cosets agree at level d exactly when the one quotient
+        rep1^-1.rep2 lies in N_d, so that quotient is computed once and
+        scanned.  Agreement at a level implies agreement at every coarser
+        one, so a galloping search up from level 0 finds the first
+        disagreement in O(log depth) membership tests.
         """
         self._same_pair(other)
+        pair = self.pair
         cap = min(self.depth, other.depth)
-        split = _gallop(lambda d: not self.eq_at_depth(other, d), 0, cap)
+        quotient = pair.mul(pair.inv(self.rep), other.rep)
+        split = _gallop(lambda d: not pair.in_level(quotient, d), 0, cap)
         if split is None:
             return Valuation(depth=cap, indistinguishable=True)
         return Valuation(depth=split - 1, indistinguishable=False)

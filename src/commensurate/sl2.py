@@ -11,10 +11,16 @@ matrix cannot increase denominators, so the bound is uniform on cosets.
 The congruence chain is not cofinal among all finite-index subgroups of
 SL2(Z) (there are non-congruence ones); the computed completion is the
 p-congruence completion, a dense subgroup image in SL2(Q_p).
+
+Elements are kept as four reduced Fraction entries, but the pair computes
+on integers: every denominator is a power of p, so the largest one is a
+common denominator.  Products multiply the integer matrices over it and
+reduce once per entry, and the chain test reads numerators directly.
 """
 
 from __future__ import annotations
 
+import math
 import re
 from fractions import Fraction
 from typing import NamedTuple
@@ -37,6 +43,24 @@ _LITERAL = re.compile(
 
 def _mat(a, b, c, d) -> Mat2:
     return Mat2(Fraction(a), Fraction(b), Fraction(c), Fraction(d))
+
+
+def _integral(x: Mat2) -> tuple[int, int, int, int, int]:
+    """x as integers (a, b, c, d) over its largest denominator, and that denominator.
+
+    Every denominator is a power of p, so the largest is a multiple of
+    the others.
+    """
+    a, b, c, d = x
+    da, db, dc, dd = a.denominator, b.denominator, c.denominator, d.denominator
+    den = max(da, db, dc, dd)
+    return (
+        a.numerator * (den // da),
+        b.numerator * (den // db),
+        c.numerator * (den // dc),
+        d.numerator * (den // dd),
+        den,
+    )
 
 
 # Miller-Rabin with the first 13 primes as bases is exact below this bound.
@@ -83,12 +107,14 @@ class SL2Pair(CommensuratedPair):
         return _mat(1, 0, 0, 1)
 
     def mul(self, x: Mat2, y: Mat2) -> Mat2:
-        return Mat2(
-            x.a * y.a + x.b * y.c,
-            x.a * y.b + x.b * y.d,
-            x.c * y.a + x.d * y.c,
-            x.c * y.b + x.d * y.d,
-        )
+        # (A/m)(B/n) = AB/(mn) for integer matrices A, B
+        a, b, c, d, m = _integral(x)
+        e, f, g, h, n = _integral(y)
+        entries = (a * e + b * g, a * f + b * h, c * e + d * g, c * f + d * h)
+        den = m * n
+        if den == 1:
+            return Mat2(*map(Fraction, entries))
+        return Mat2(*(Fraction(k, den) for k in entries))
 
     def inv(self, x: Mat2) -> Mat2:
         # determinant is 1, so the adjugate is the inverse
@@ -106,18 +132,29 @@ class SL2Pair(CommensuratedPair):
         return e
 
     def denominator_exponent(self, g: Mat2) -> int:
-        """Largest p-exponent among entry denominators (same for g and g^-1)."""
+        """Largest p-exponent among entry denominators (same for g and g^-1).
+
+        The largest denominator is matched against p**e for e read off
+        its logarithm; every smaller p-power divides it.  When either
+        check fails, each entry is factored in turn, which reports the
+        first one whose denominator is not a p-power.
+        """
+        top = max(q.denominator for q in g)
+        e = round(math.log(top, self.p))
+        if self.p ** e == top and not any(top % q.denominator for q in g):
+            return e
         return max(self._den_exponent(q) for q in g)
 
     def in_level(self, x: Mat2, depth: Depth) -> bool:
-        if any(q.denominator != 1 for q in x):
+        a, b, c, d = x
+        if a.denominator != 1 or b.denominator != 1 or c.denominator != 1 or d.denominator != 1:
             return False
         q = self.p ** depth
         return (
-            (x.a - 1) % q == 0
-            and x.b % q == 0
-            and x.c % q == 0
-            and (x.d - 1) % q == 0
+            (a.numerator - 1) % q == 0
+            and b.numerator % q == 0
+            and c.numerator % q == 0
+            and (d.numerator - 1) % q == 0
         )
 
     def conj_depth(self, g: Mat2, depth: Depth) -> Depth:
@@ -147,14 +184,15 @@ class SL2Pair(CommensuratedPair):
         if depth == 0 or any(q.denominator != 1 for q in x):
             return self.format_element(x)
         q = self.p ** depth
-        return f"[[{x.a % q},{x.b % q}],[{x.c % q},{x.d % q}]]"
+        a, b, c, d = (entry.numerator % q for entry in x)
+        return f"[[{a},{b}],[{c},{d}]]"
 
     def validate(self, x) -> None:
         if not isinstance(x, Mat2) or not all(isinstance(q, Fraction) for q in x):
             raise ContractViolation(f"{self.name}: not a matrix element: {x!r}")
-        for q in x:
-            self._den_exponent(q)
-        if x.a * x.d - x.b * x.c != 1:
+        self.denominator_exponent(x)
+        a, b, c, d, den = _integral(x)
+        if a * d - b * c != den * den:
             raise ContractViolation(f"{self.name}: determinant of {self.format_element(x)} is not 1")
 
     def describe(self) -> str:

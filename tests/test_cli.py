@@ -4,13 +4,16 @@ Regenerate the golden files with UPDATE_GOLDEN=1 after an intentional
 output change, and review the diff before committing it.
 """
 
+import contextlib
 import json
 import os
 import pathlib
 import random
 import resource
+import signal
 import subprocess
 import sys
+import time
 
 import pytest
 
@@ -76,10 +79,43 @@ EXPECTED_EXITS = {
 }
 
 
+# A golden case that runs longer than this fails instead of hanging the run.
+CASE_SECONDS = 20
+
+
+class CaseTimeout(Exception):
+    """A golden case ran past its time limit."""
+
+
+@contextlib.contextmanager
+def time_limit(seconds):
+    """Raise CaseTimeout in the block once ``seconds`` of wall time pass.
+
+    Uses SIGALRM, so the block runs unlimited where that signal does not
+    exist.  The handler runs between bytecodes: a single long C-level
+    operation is interrupted only when it returns.
+    """
+    if not hasattr(signal, "SIGALRM"):
+        yield
+        return
+
+    def expire(signum, frame):
+        raise CaseTimeout(f"ran longer than {seconds} s")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.setitimer(signal.ITIMER_REAL, seconds)
+    try:
+        yield
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, previous)
+
+
 def run_case(argv, capsys, monkeypatch):
     monkeypatch.chdir(ROOT)
     monkeypatch.setenv("COMMENSURATE_SEED", "0")
-    code = entry(argv)
+    with time_limit(CASE_SECONDS):
+        code = entry(argv)
     captured = capsys.readouterr()
     return (
         f"exit: {code}\n"
@@ -98,6 +134,19 @@ def test_golden(name, argv, capsys, monkeypatch):
     assert blob == path.read_text(encoding="utf-8")
     expected = EXPECTED_EXITS.get(name, 0)
     assert blob.startswith(f"exit: {expected}\n")
+
+
+@pytest.mark.skipif(not hasattr(signal, "SIGALRM"), reason="needs SIGALRM")
+def test_time_limit_interrupts_a_long_case():
+    start = time.perf_counter()
+    with pytest.raises(CaseTimeout, match="longer than 0.05 s"):
+        with time_limit(0.05):
+            while True:
+                pass
+    assert time.perf_counter() - start < 5
+    with time_limit(5):
+        pass  # a case that ends in time leaves no timer running
+    assert signal.getitimer(signal.ITIMER_REAL) == (0.0, 0.0)
 
 
 def test_reused_parser_keeps_no_state(capsys, monkeypatch):

@@ -14,6 +14,7 @@ from commensurate import (
     CompletionElement,
     DiscreteTarget,
     DyadicAffine,
+    Mat2,
     PrecisionExhausted,
     Valuation,
     bs12_pair,
@@ -327,7 +328,8 @@ def test_gallop_returns_only_probed_depths(values, upward):
 
 
 class _CountingPair(CommensuratedPair):
-    """Another pair's arithmetic, counting the engine's chain queries."""
+    """Another pair's arithmetic, counting the engine's group operations and
+    chain queries."""
 
     def __init__(self, inner):
         self.inner = inner
@@ -341,9 +343,11 @@ class _CountingPair(CommensuratedPair):
         return self.inner.identity
 
     def mul(self, x, y):
+        self.calls["mul"] += 1
         return self.inner.mul(x, y)
 
     def inv(self, x):
+        self.calls["inv"] += 1
         return self.inner.inv(x)
 
     def in_level(self, x, depth):
@@ -374,15 +378,41 @@ def test_product_search_is_logarithmic():
     assert sl2.calls["conj_depth"] <= _log_bound(65536)
 
 
+# per instance: a base element, and an element of level w outside level w + 1
+_VALUATION_CASES = {
+    "z2": (integers_pair(2), lambda pair: 12345, lambda pair, w: 1 << w),
+    "bs12": (
+        bs12_pair(),
+        lambda pair: pair.mul(pair.generators["a"], pair.power(pair.generators["t"], -5)),
+        lambda pair, w: DyadicAffine(Fraction(3 << w), 0),
+    ),
+    "sl2:3": (
+        sl2_pair(3),
+        lambda pair: pair.mul(pair.generators["u"], pair.power(pair.generators["h"], 7)),
+        lambda pair, w: Mat2(Fraction(1), Fraction(2 * 3**w), Fraction(0), Fraction(1)),
+    ),
+}
+
+
 def test_valuation_search_is_logarithmic():
-    z2 = _CountingPair(integers_pair(2))
-    base = z2.embed(12345, 4096)
-    v = base.valuation(z2.embed(12345 + (1 << 3000), 4096))
-    assert v == Valuation(3000, False)
-    assert z2.calls["in_level"] <= _log_bound(4096)
-    z2.calls.clear()
-    assert base.valuation(base) == Valuation(4096, True)
-    assert z2.calls["in_level"] <= _log_bound(4096)
+    """One valuation computes its quotient once (one mul, one inv) and
+    then makes O(log cap) membership tests, whatever the cap."""
+    for name, (inner, make_base, make_level) in _VALUATION_CASES.items():
+        pair = _CountingPair(inner)
+        g = make_base(inner)
+        for cap in (1, 37, 4096):
+            base = pair.embed(g, cap)
+            for w, expect in (
+                (0, Valuation(0, False)),
+                (cap * 3 // 4, Valuation(cap * 3 // 4, False)),
+                (cap, Valuation(cap, True)),
+                (None, Valuation(cap, True)),  # base against itself
+            ):
+                other = base if w is None else pair.embed(inner.mul(g, make_level(inner, w)), cap)
+                pair.calls.clear()
+                assert base.valuation(other) == expect, (name, cap, w)
+                assert (pair.calls["mul"], pair.calls["inv"]) == (1, 1), (name, cap, w)
+                assert pair.calls["in_level"] <= _log_bound(cap), (name, cap, w)
 
 
 def test_exhausted_search_reports_requirement():

@@ -8,6 +8,7 @@ import weakref
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, strategies as st
 
 from commensurate import (
     ContractViolation,
@@ -213,6 +214,178 @@ def test_sl2_valuation_of_denominators():
     g = Mat2(Fraction(1, 4), Fraction(0), Fraction(0), Fraction(4))
     assert sl2.denominator_exponent(g) == 2
     assert sl2.conj_depth(g, 2) == 6
+
+
+# The Fraction formulas that the pair's integer arithmetic replaced, kept as
+# the reference for its products, chain tests, level reps, denominator
+# exponents and contract messages.
+
+def _ref_den_exponent(pair, q):
+    den, e = q.denominator, 0
+    while den % pair.p == 0:
+        den //= pair.p
+        e += 1
+    if den != 1:
+        raise ContractViolation(f"{pair.name}: entry {q} has a denominator outside p-powers")
+    return e
+
+
+def _ref_denominator_exponent(pair, g):
+    return max(_ref_den_exponent(pair, q) for q in g)
+
+
+def _ref_conj_depth(pair, g, depth):
+    return depth + 2 * _ref_denominator_exponent(pair, g)
+
+
+def _ref_mul(x, y):
+    return Mat2(
+        x.a * y.a + x.b * y.c,
+        x.a * y.b + x.b * y.d,
+        x.c * y.a + x.d * y.c,
+        x.c * y.b + x.d * y.d,
+    )
+
+
+def _ref_in_level(pair, x, depth):
+    if any(q.denominator != 1 for q in x):
+        return False
+    q = pair.p ** depth
+    return (x.a - 1) % q == 0 and x.b % q == 0 and x.c % q == 0 and (x.d - 1) % q == 0
+
+
+def _ref_level_rep(pair, x, depth):
+    if depth == 0 or any(q.denominator != 1 for q in x):
+        return pair.format_element(x)
+    q = pair.p ** depth
+    return f"[[{x.a % q},{x.b % q}],[{x.c % q},{x.d % q}]]"
+
+
+def _ref_validate(pair, x):
+    for q in x:
+        _ref_den_exponent(pair, q)
+    if x.a * x.d - x.b * x.c != 1:
+        raise ContractViolation(
+            f"{pair.name}: determinant of {pair.format_element(x)} is not 1"
+        )
+
+
+def _violation(compute):
+    """compute()'s value, or the message of the ContractViolation it raised."""
+    try:
+        return "ok", compute()
+    except ContractViolation as err:
+        return "violation", str(err)
+
+
+def _assert_same_matrix(got, expect):
+    assert type(got) is Mat2 and all(type(q) is Fraction for q in got)
+    assert tuple(got) == tuple(expect)
+
+
+_SL2_BY_P = {p: sl2_pair(p) for p in (2, 3, 5)}
+_SL2_DEPTHS = [*range(36), 400, 800]
+
+
+@st.composite
+def _sl2_elements(draw, p):
+    """A word in u, l and h^±v (v <= 20), with b and c optionally scaled by
+    p^±400 (a conjugation by h^±200, so the determinant stays 1)."""
+    pair = _SL2_BY_P[p]
+    zero = Fraction(0)
+    steps = {
+        "u": pair.generators["u"], "U": pair.inv(pair.generators["u"]),
+        "l": pair.generators["l"], "L": pair.inv(pair.generators["l"]),
+    }
+    letters = st.one_of(st.sampled_from(sorted(steps)), st.integers(-20, 20))
+    x = pair.identity
+    for letter in draw(st.lists(letters, max_size=10)):
+        if isinstance(letter, int):
+            step = Mat2(Fraction(p) ** letter, zero, zero, Fraction(p) ** -letter)
+        else:
+            step = steps[letter]
+        x = _ref_mul(x, step)
+    scale = Fraction(p) ** (400 * draw(st.sampled_from((-1, 0, 1))))
+    return Mat2(x.a, x.b * scale, x.c / scale, x.d)
+
+
+@st.composite
+def _sl2_level_elements(draw, p):
+    """A member of level j outside level j + 1 (j <= 30), upper or lower."""
+    one, zero = Fraction(1), Fraction(0)
+    k = draw(st.integers(1, 50).filter(lambda k: k % p)) * p ** draw(st.integers(0, 30))
+    if draw(st.booleans()):
+        return Mat2(one, Fraction(k), zero, one)
+    return Mat2(one, zero, Fraction(k), one)
+
+
+@pytest.mark.parametrize("p", sorted(_SL2_BY_P))
+@given(data=st.data())
+def test_sl2_integer_arithmetic_matches_fraction_formulas(p, data):
+    pair = _SL2_BY_P[p]
+    x = data.draw(_sl2_elements(p))
+    y = data.draw(_sl2_elements(p))
+    n = data.draw(_sl2_level_elements(p))
+    _assert_same_matrix(pair.mul(x, y), _ref_mul(x, y))
+    _assert_same_matrix(pair.mul(x, n), _ref_mul(x, n))
+    quotient = _ref_mul(pair.inv(x), _ref_mul(x, n))
+    _assert_same_matrix(pair.mul(pair.inv(x), pair.mul(x, n)), quotient)
+    for g in (x, y, _ref_mul(x, y), n, quotient):
+        for d in _SL2_DEPTHS:
+            assert pair.in_level(g, d) is _ref_in_level(pair, g, d), (g, d)
+            assert pair.level_rep(g, d) == _ref_level_rep(pair, g, d), (g, d)
+        assert pair.denominator_exponent(g) == _ref_denominator_exponent(pair, g)
+        assert pair.conj_depth(g, 3) == _ref_conj_depth(pair, g, 3)
+        assert _violation(lambda: pair.validate(g)) == ("ok", None)
+    # b + 1 leaves the determinant at 1 - c: fails unless c is 0
+    bumped = Mat2(x.a, x.b + 1, x.c, x.d)
+    assert _violation(lambda: pair.validate(bumped)) == _violation(
+        lambda: _ref_validate(pair, bumped)
+    )
+
+
+@pytest.mark.parametrize("p", sorted(_SL2_BY_P))
+def test_sl2_integer_arithmetic_when_one_entry_has_the_largest_denominator(p):
+    """Each entry in turn carries the strictly largest denominator: h^±v and
+    the unipotents with entry p^-v, with their products."""
+    pair = _SL2_BY_P[p]
+    one, zero = Fraction(1), Fraction(0)
+    elements = []
+    for v in (1, 20):
+        s = Fraction(p) ** v
+        elements += [
+            Mat2(s, zero, zero, 1 / s),
+            Mat2(1 / s, zero, zero, s),
+            Mat2(one, 1 / s, zero, one),
+            Mat2(one, zero, 1 / s, one),
+        ]
+    elements += [_ref_mul(x, y) for x in elements for y in elements[:4]]
+    for x in elements:
+        assert pair.denominator_exponent(x) == _ref_denominator_exponent(pair, x)
+        for y in elements:
+            _assert_same_matrix(pair.mul(x, y), _ref_mul(x, y))
+
+
+@pytest.mark.parametrize("p", sorted(_SL2_BY_P))
+@given(data=st.data())
+def test_sl2_foreign_denominators_raise_the_same_message(p, data):
+    """An entry plus 1/(r·p^k), for a prime r != p, keeps r in its
+    denominator; the first such entry is the one reported."""
+    pair = _SL2_BY_P[p]
+    x = data.draw(_sl2_elements(p))
+    foreign = st.sampled_from([r for r in (2, 3, 5, 7) if r != p])
+    entries = list(x)
+    for i in data.draw(st.sets(st.integers(0, 3), min_size=1)):
+        r, k = data.draw(foreign), data.draw(st.integers(0, 40))
+        entries[i] += Fraction(1, r * p**k)
+    bad = Mat2(*entries)
+    expect = _violation(lambda: _ref_validate(pair, bad))
+    assert expect[0] == "violation"
+    assert _violation(lambda: pair.validate(bad)) == expect
+    assert _violation(lambda: pair.conj_depth(bad, 5)) == _violation(
+        lambda: _ref_conj_depth(pair, bad, 5)
+    )
+    assert _violation(lambda: pair.denominator_exponent(bad)) == expect
 
 
 # --- shared contract fuzz --------------------------------------------------------
