@@ -20,7 +20,7 @@ import sys
 from fractions import Fraction
 from typing import NamedTuple
 
-from .core import CommensuratedPair, ContractViolation, Depth, DiscreteTarget
+from .core import CommensuratedPair, ContractViolation, Depth, DiscreteTarget, check_exact_bits
 
 
 class DyadicAffine(NamedTuple):
@@ -33,6 +33,12 @@ _LITERAL = re.compile(r"\(\s*(-?\d+)(?:\s*/\s*(\d+))?\s*;\s*(-?\d+)\s*\)")
 
 def _is_power_of_two(n: int) -> bool:
     return n >= 1 and (n & (n - 1)) == 0
+
+
+def _scaled(shift: Fraction, texp: int) -> Fraction:
+    """2**texp · shift, refused before it is built when too large."""
+    check_exact_bits(abs(texp) + max(shift.numerator.bit_length(), shift.denominator.bit_length()))
+    return Fraction(2) ** texp * shift
 
 
 class BS12Pair(CommensuratedPair):
@@ -52,11 +58,11 @@ class BS12Pair(CommensuratedPair):
 
     def mul(self, x: DyadicAffine, y: DyadicAffine) -> DyadicAffine:
         # first y, then x; a zero shift needs no 2**texp, which may be huge
-        shift = x.shift + Fraction(2) ** x.texp * y.shift if y.shift else x.shift
+        shift = x.shift + _scaled(y.shift, x.texp) if y.shift else x.shift
         return DyadicAffine(shift, x.texp + y.texp)
 
     def inv(self, x: DyadicAffine) -> DyadicAffine:
-        shift = -(Fraction(2) ** -x.texp) * x.shift if x.shift else x.shift
+        shift = -_scaled(x.shift, -x.texp) if x.shift else x.shift
         return DyadicAffine(shift, -x.texp)
 
     def in_level(self, x: DyadicAffine, depth: Depth) -> bool:

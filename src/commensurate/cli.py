@@ -39,29 +39,32 @@ def _print_json(payload) -> None:
     print(json.dumps(payload, indent=2))
 
 
-def _display_error(d: int, what: str) -> ValueError:
-    limit = sys.get_int_max_str_digits()
-    return ValueError(f"level {d}: {what} exceeds the display limit of {limit} digits")
+def _displayed(what: str, show, *args) -> str:
+    """show(*args), or one line naming ``what`` when it is too long to print.
+
+    Python caps int-to-str conversion, so an exact value can be too long
+    to show.  Commands pass every value through here before printing any,
+    so a refusal leaves stdout empty.
+    """
+    try:
+        return show(*args)
+    except ValueError:
+        limit = sys.get_int_max_str_digits()
+        raise ValueError(f"{what} exceeds the display limit of {limit} digits") from None
 
 
 def _element_payload(name: str, pair, requested: int, f: CompletionElement) -> dict:
     levels = []
     for d in range(f.depth + 1):
         index = pair.level_index(d)
-        try:
-            str(index)
-        except ValueError:  # Python caps int-to-str conversion
-            raise _display_error(d, "modulus/index") from None
-        try:
-            rep = pair.level_rep(f.rep, d)
-        except ValueError:
-            raise _display_error(d, "rep") from None
+        _displayed(f"level {d}: modulus/index", str, index)
+        rep = _displayed(f"level {d}: rep", pair.level_rep, f.rep, d)
         levels.append({"level": d, "modulus_or_index": index, "rep": rep})
     return {
         "instance": name,
         "requested_depth": requested,
         "attained_depth": f.depth,
-        "rep": pair.format_element(f.rep),
+        "rep": _displayed("rep", pair.format_element, f.rep),
         "levels": levels,
     }
 
@@ -106,17 +109,18 @@ def cmd_instances(args) -> int:
 
 
 def _print_psi(args, target: str, value) -> None:
+    text = _displayed("psi value", str, value)
     if args.json:
         _print_json(
             {
                 "instance": args.instance,
                 "target": target,
                 "requested_depth": args.depth,
-                "value": str(value),
+                "value": text,
             }
         )
     else:
-        print(value)
+        print(text)
 
 
 def cmd_eval(args, table_only: bool = False) -> int:

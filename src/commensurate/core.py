@@ -25,6 +25,17 @@ from typing import Any, Callable, Optional
 #: Chain index: 0 is the coarsest level (the subgroup K itself), larger is finer.
 Depth = int
 
+#: Largest bit size of an exact product that an instance builds.  Products
+#: near it take about 0.1 s (an sl2:3 square, Python 3.11); each doubling
+#: past it costs about four times more, until memory runs out.
+MAX_EXACT_BITS = 1 << 18
+
+
+def check_exact_bits(bits: int) -> None:
+    """Refuse, before it is built, an exact product of more than MAX_EXACT_BITS bits."""
+    if bits > MAX_EXACT_BITS:
+        raise ValueError(f"exact product exceeds the bound of {MAX_EXACT_BITS} bits")
+
 
 class CompletionError(Exception):
     """Base class for completion arithmetic failures."""
@@ -234,29 +245,22 @@ def _gallop(hit: Callable[[Depth], bool], start: Depth, stop: Depth) -> Optional
     return start + step * reach
 
 
-def _attainable_depth(pair: CommensuratedPair, g: Any, cap: Depth, budget: Depth):
-    """Largest d <= cap with conj_depth(g, d) <= budget, or None.
+_PRODUCT_NEEDS = "product needs a left factor of depth"
+
+
+def _attainable_depth(pair: CommensuratedPair, g: Any, cap: Depth, budget: Depth, need: str):
+    """Largest d <= cap with conj_depth(g, d) <= budget.
 
     conj_depth is monotone in d, so the first success walking down from
     cap is the maximum; :func:`_gallop` finds it in O(log cap) calls.
+    When no d qualifies, PrecisionExhausted names ``need`` and the least
+    budget that would have sufficed, conj_depth(g, 0).
     """
-    return _gallop(lambda d: pair.conj_depth(g, d) <= budget, cap, 0)
-
-
-def _product_depth(right: "CompletionElement", left_depth: Depth) -> Depth:
-    """Depth of a product whose left factor has depth left_depth.
-
-    The largest d <= right.depth with conj_depth(right.rep, d) <=
-    left_depth; PrecisionExhausted when there is none.
-    """
-    pair = right.pair
-    d = _attainable_depth(pair, right.rep, right.depth, left_depth)
+    d = _gallop(lambda d: pair.conj_depth(g, d) <= budget, cap, 0)
     if d is None:
-        required = pair.conj_depth(right.rep, 0)
+        required = pair.conj_depth(g, 0)
         raise PrecisionExhausted(
-            f"product needs a left factor of depth >= {required}, "
-            f"have {left_depth}",
-            required_depth=required,
+            f"{need} >= {required}, have {budget}", required_depth=required
         )
     return d
 
@@ -293,8 +297,19 @@ class CompletionElement:
         refined.
         """
         self._same_pair(other)
-        d = _product_depth(other, self.depth)
+        d = _attainable_depth(self.pair, other.rep, other.depth, self.depth, _PRODUCT_NEEDS)
         return CompletionElement(self.pair, self.pair.mul(self.rep, other.rep), d)
+
+    def left_mul(self, g: Any) -> "CompletionElement":
+        """g·self for an exact group element g, at self's depth.
+
+        G acts on the completion by left translation, g·(rep·N_d) =
+        (g·rep)·N_d at every level d, so an exact left factor maps each
+        coset exactly: it costs no depth and needs no search.  Only right
+        factors and inverses conjugate the chain.
+        """
+        self.pair.validate(g)
+        return CompletionElement(self.pair, self.pair.mul(g, self.rep), self.depth)
 
     def __pow__(self, k: int) -> "CompletionElement":
         """The k-fold left-to-right product of self (of its inverse if k < 0).
@@ -311,7 +326,7 @@ class CompletionElement:
         base = self if k > 0 else self.inverse()
         depth = base.depth
         for _ in range(abs(k) - 1):
-            nxt = _product_depth(base, depth)
+            nxt = _attainable_depth(pair, base.rep, base.depth, depth, _PRODUCT_NEEDS)
             if nxt == depth:
                 break
             depth = nxt
@@ -325,13 +340,7 @@ class CompletionElement:
         left coset of the inverse.
         """
         pair = self.pair
-        d = _attainable_depth(pair, self.rep, self.depth, self.depth)
-        if d is None:
-            required = pair.conj_depth(self.rep, 0)
-            raise PrecisionExhausted(
-                f"inverse needs depth >= {required}, have {self.depth}",
-                required_depth=required,
-            )
+        d = _attainable_depth(pair, self.rep, self.depth, self.depth, "inverse needs depth")
         return CompletionElement(pair, pair.inv(self.rep), d)
 
     def truncate(self, depth: Depth) -> "CompletionElement":

@@ -14,9 +14,10 @@ formats (decimal integers, "(3/4; -2)", "[[1,0],[1,1]]", "(1 2)(3 4)",
 "#5").  Evaluation distinguishes exact group words from truncated
 completion values: a plain word multiplies out exactly in G and only the
 final result is embedded at the requested depth, while inv(...) and
-embed(...) force completion-level arithmetic immediately.  Mixing an
-exact word into a truncated product embeds the word at whatever depth
-keeps the truncated side's precision intact.
+embed(...) force completion-level arithmetic immediately.  An exact word
+on the left of a truncated value translates its coset exactly,
+g·(rep·N_d) = (g·rep)·N_d, and costs no depth; on the right it is
+embedded at the truncated side's depth and conjugates the chain.
 """
 
 from __future__ import annotations
@@ -305,10 +306,7 @@ class Evaluator:
                 return left * right
             return left * pair.embed(right, left.depth)
         if isinstance(right, CompletionElement):
-            # embed the exact word just deep enough not to cost the
-            # truncated side any depth
-            lifted = pair.embed(left, pair.conj_depth(right.rep, right.depth))
-            return lifted * right
+            return right.left_mul(left)
         return pair.mul(left, right)
 
     def _call(self, node: Call):

@@ -58,10 +58,14 @@ def perm_compose(p: tuple, q: tuple) -> tuple:
     """p after q."""
     return tuple([p[i] for i in q])
 
+# element literals, shared by the model loader and the expression tokenizer
+_PERM_LITERAL = re.compile(r"\(\s*(?:\d+(?:\s+\d+)*)?\s*\)(?:\s*\(\s*(?:\d+(?:\s+\d+)*)?\s*\))*")
+_TABLE_LITERAL = re.compile(r"#\d+")
+
 def perm_from_cycles(text: str, points: int) -> tuple:
-    """Parse "(1 2)(3 4)" (1-based points, "()" = identity)."""
+    """Parse "(1 2)(3 4)" or "(1 2) (3 4)" (1-based points, "()" = identity)."""
     body = text.strip()
-    if not re.fullmatch(r"(\(\s*(\d+(\s+\d+)*)?\s*\))+", body):
+    if not _PERM_LITERAL.fullmatch(body):
         raise ModelError(f"bad permutation literal {text!r}")
     result = perm_identity(points)
     for cycle_text in re.findall(r"\(([^()]*)\)", body):
@@ -355,10 +359,9 @@ def parse_model(text: str) -> FiniteModel:
                 return []
             out = []
             for item in _split_items(value):
-                m = re.fullmatch(r"#(\d+)", item)
-                if m is None or int(m.group(1)) >= len(rows):
+                if not _TABLE_LITERAL.fullmatch(item) or int(item[1:]) >= len(rows):
                     raise ModelError(f"bad table element {item!r}")
-                out.append(int(m.group(1)))
+                out.append(int(item[1:]))
             return out
 
         return FiniteModel(
@@ -377,10 +380,6 @@ def load_model(path) -> FiniteModel:
 
 
 # --- the pair ----------------------------------------------------------------
-
-_PERM_LITERAL = re.compile(r"\(\s*(?:\d+(?:\s+\d+)*)?\s*\)(?:\s*\(\s*(?:\d+(?:\s+\d+)*)?\s*\))*")
-_TABLE_LITERAL = re.compile(r"#\d+")
-
 
 class FiniteModelPair(CommensuratedPair):
     """Completion pair over a FiniteModel; elements are table indices.

@@ -25,7 +25,7 @@ import re
 from fractions import Fraction
 from typing import NamedTuple
 
-from .core import CommensuratedPair, ContractViolation, Depth
+from .core import CommensuratedPair, ContractViolation, Depth, check_exact_bits
 
 
 class Mat2(NamedTuple):
@@ -110,6 +110,9 @@ class SL2Pair(CommensuratedPair):
         # (A/m)(B/n) = AB/(mn) for integer matrices A, B
         a, b, c, d, m = _integral(x)
         e, f, g, h, n = _integral(y)
+        check_exact_bits(
+            max(map(int.bit_length, (a, b, c, d, m))) + max(map(int.bit_length, (e, f, g, h, n)))
+        )
         entries = (a * e + b * g, a * f + b * h, c * e + d * g, c * f + d * h)
         den = m * n
         if den == 1:

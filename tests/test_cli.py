@@ -204,6 +204,44 @@ def test_huge_doubling_exponents_end_quickly(argv, stdout):
         assert proc.stdout == stdout
 
 
+_PAST_BOUND = (2, "", f"error: exact product exceeds the bound of {core.MAX_EXACT_BITS} bits\n")
+
+
+@pytest.mark.parametrize(
+    "argv,outcome",
+    [
+        (["eval", "bs12", "t^-99999999999999999999*a"], _PAST_BOUND),
+        (["eval", "bs12", "(a*t)^99999999999"], _PAST_BOUND),
+        (["eval", "sl2:3", "(u*h)^99999999999"], _PAST_BOUND),
+        (["psi", "bs12", "texp", "t^-100000*a*t^100000"], (0, "0\n", "")),
+    ],
+    ids=["bs12-scaled-shift", "bs12-power", "sl2-power", "bs12-under-bound"],
+)
+def test_exact_products_past_the_size_bound_are_refused(argv, outcome):
+    """A product past MAX_EXACT_BITS exits 2 at once, naming the bound,
+    instead of exhausting memory or running for minutes.  Each run is a
+    child process capped at 1 GB of address space and 20 s."""
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")])
+    ))
+    proc = subprocess.run(
+        [sys.executable, "-m", "commensurate.cli", *argv],
+        capture_output=True,
+        text=True,
+        timeout=20,
+        env=env,
+        preexec_fn=_limit_memory,
+    )
+    assert (proc.returncode, proc.stdout, proc.stderr) == outcome
+
+
+def test_spaced_cycles_evaluate_like_packed_ones(capsys, monkeypatch):
+    argv = ["eval", "model:models/s4.model", "--depth", "0"]
+    spaced = run_case([*argv, "(1 2) (3 4)"], capsys, monkeypatch)
+    assert spaced.startswith("exit: 0\n")
+    assert spaced == run_case([*argv, "(1 2)(3 4)"], capsys, monkeypatch)
+
+
 def test_byte_identical_reruns(capsys, monkeypatch):
     argv = ["oracle", "models/s4.model", "--trials", "60", "--json"]
     first = run_case(argv, capsys, monkeypatch)
@@ -308,6 +346,17 @@ def test_digit_limit_is_refused_before_any_output(extra, capsys):
     assert err == (
         "error: level 1559: modulus/index exceeds the display limit of 4300 digits\n"
     )
+    # exact values that are too long to print: a rep and a psi value
+    k = "7" * 4000
+    for argv, what in (
+        (["eval", "bs12", "--depth", "0", f"(a^{k})^{k}"], "rep"),
+        (["psi", "bs12", "texp", f"(t^{k})^{k}"], "psi value"),
+        (["eval", "bs12", f"psi(texp, (t^{k})^{k})"], "psi value"),
+    ):
+        assert entry([*argv, *extra]) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == f"error: {what} exceeds the display limit of 4300 digits\n"
 
 
 def test_long_bs12_level_rep_is_refused_before_any_output(capsys):
@@ -369,3 +418,17 @@ def test_bench_patch_points_exist():
     ):
         for name in ("mul", "inv", "in_level", "conj_depth"):
             assert callable(vars(cls).get(name)), (cls.__name__, name)
+
+
+def test_bench_smoke_passes():
+    """bench/smoke.py runs every benchmark workload at tiny size, traced
+    and untraced.  The tracer wraps engine methods by name, so this fails
+    when a change breaks a traced run."""
+    proc = subprocess.run(
+        [sys.executable, str(ROOT / "bench" / "smoke.py")],
+        cwd=ROOT,
+        capture_output=True,
+        text=True,
+        timeout=300,
+    )
+    assert proc.returncode == 0, proc.stdout + proc.stderr

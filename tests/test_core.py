@@ -25,6 +25,7 @@ from commensurate import (
 )
 from commensurate import core
 from commensurate.core import _gallop
+from commensurate.expr import evaluate
 from commensurate.registry import builtin_instances
 
 Z2 = integers_pair(2)
@@ -516,3 +517,61 @@ def test_power_search_count_on_models(monkeypatch, pair):
         except PrecisionExhausted:
             pass
         assert len(searches) <= f.depth + 1, pair.format_element(g)
+
+
+# --- exact left factors --------------------------------------------------------
+
+LEFT_PAIRS = builtin_instances() + [
+    finite_model_pair(load_model(path)) for path in sorted(MODELS.glob("*.model"))
+]
+
+
+def _lifted_product(g, f):
+    """g·f as the evaluator once computed it: g embedded just deep enough
+    that conjugating f's chain costs f no depth, then a searched product."""
+    pair = f.pair
+    return pair.embed(g, pair.conj_depth(f.rep, f.depth)) * f
+
+
+@pytest.mark.parametrize("pair", LEFT_PAIRS, ids=lambda p: p.name)
+@given(
+    seed=st.integers(min_value=0, max_value=1 << 32),
+    depth=st.integers(min_value=0, max_value=64),
+)
+def test_left_mul_matches_the_lifted_product(pair, seed, depth):
+    if pair.max_depth is not None:
+        depth = min(depth, pair.max_depth)
+    rng = random.Random(seed)
+    g, f = pair.sample(rng), pair.embed(pair.sample(rng), depth)
+    out, ref = f.left_mul(g), _lifted_product(g, f)
+    assert (out.rep, out.depth) == (ref.rep, ref.depth) == (pair.mul(g, f.rep), depth)
+
+
+@pytest.mark.parametrize("inner", LEFT_PAIRS, ids=lambda p: p.name)
+def test_left_mul_is_one_group_product_without_a_search(inner):
+    pair = _CountingPair(inner)
+    rng = random.Random(7)
+    depth = inner.max_depth if inner.max_depth is not None else 4096
+    for _ in range(20):
+        f = pair.embed(inner.sample(rng), depth)
+        pair.calls.clear()
+        f.left_mul(inner.sample(rng))
+        assert pair.calls == Counter(mul=1), inner.name
+
+
+def test_evaluator_multiplies_exact_left_words_without_a_search():
+    pair = _CountingPair(BS)
+    right = evaluate("inv(embed(a*t^3))", pair, 8)
+    alone = Counter(pair.calls)
+    pair.calls.clear()
+    f = evaluate("(a*t)*inv(embed(a*t^3))", pair, 8)
+    assert pair.calls - alone == Counter(mul=2)  # a*t, then the left factor
+    assert pair.calls["conj_depth"] == alone["conj_depth"]
+    assert f.depth == right.depth
+    assert f.rep == BS.mul(BS.mul(BS.generators["a"], BS.generators["t"]), right.rep)
+
+
+def test_left_mul_validates_its_factor():
+    f = BS.embed(BS.generators["t"], 3)
+    with pytest.raises(core.ContractViolation, match="not a dyadic rational"):
+        f.left_mul(DyadicAffine(Fraction(1, 3), 0))

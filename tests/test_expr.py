@@ -212,7 +212,7 @@ def test_power_of_truncated():
 
 
 def test_mixed_exact_and_truncated_products():
-    # exact left factor: lifted just deep enough, no depth loss
+    # exact left factor: translates the coset exactly, no depth loss
     f = ev("t*embed(a)", BS, 8)
     assert f.depth == 8
     assert f.rep == DyadicAffine(Fraction(2), 1)

@@ -4,6 +4,7 @@ import gc
 import pathlib
 import time
 import random
+import re
 import weakref
 from fractions import Fraction
 
@@ -582,6 +583,23 @@ def test_table_model_rejects_bad_rows():
         )
     with pytest.raises(ModelError, match="'order' must be an integer, got 'x'"):
         parse_model("kind: table\norder: x\nrow: 0 1\nrow: 1 0\nK: #1\n")
+
+
+def test_model_cycles_may_be_spaced_as_in_expressions():
+    text = "kind: perm\npoints: 4\ngens: (1 2), (1 2 3 4)\nK: {}\nlevel: -\n"
+    spaced = parse_model(text.format("(1 2) (3 4)"))
+    packed = parse_model(text.format("(1 2)(3 4)"))
+    assert spaced.levels == packed.levels and len(spaced.levels[0]) == 2
+
+
+_Z4_ROWS = "".join(f"row: {' '.join(str((i + j) % 4) for j in range(4))}\n" for i in range(4))
+
+
+def test_table_model_reads_element_literals():
+    assert parse_model(f"kind: table\n{_Z4_ROWS}K: #2\nlevel: -\n").levels[0] == {0, 2}
+    for item in ("#4", "2", "#", "# 2", "#2x"):
+        with pytest.raises(ModelError, match=re.escape(f"bad table element {item!r}")):
+            parse_model(f"kind: table\n{_Z4_ROWS}K: {item}\n")
 
 
 def test_non_associative_table_rejected():
