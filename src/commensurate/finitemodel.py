@@ -5,7 +5,10 @@ against literal set arithmetic.  A model is either a permutation group
 (generators on at most 16 points) or an explicit multiplication table
 (order at most 200); the distinguished subgroup K and the chain levels
 are given by generator lists and closed off here.  Everything is stored
-as index tables, so the oracle can treat cosets as plain sets.
+as index tables, so the oracle can treat cosets as plain sets.  A
+permutation model's table is built from generator columns: one
+composition per element and generator, then one index lookup per entry
+(see ``perm_mul_table``).
 
 Model text format, one "key: value" per line, full-line # comments:
 
@@ -26,8 +29,10 @@ Chain requirements (checked on load): each level is a subgroup of the
 one above, strictly smaller, normal in K; the bottom level is normal in
 the whole group, which is what makes the brute-force completion below
 it exact.  ``corrupt_conj_depth: true`` deliberately breaks the pair's
-depth bound so oracle sensitivity can be demonstrated.  Any other key
-is refused.
+depth bound so oracle sensitivity can be demonstrated; its value must be
+``true`` or ``false``.  Any other key, and a key of the other kind
+(``points``/``gens`` in a table model, ``row``/``order`` in a perm
+model), is refused with the number of its line.
 """
 
 from __future__ import annotations
@@ -43,6 +48,8 @@ MAX_ORDER = 200
 _KEYS = frozenset(
     {"name", "kind", "points", "gens", "k", "level", "order", "row", "corrupt_conj_depth"}
 )
+# the keys that only the other kind of model reads
+_FOREIGN_KEYS = {"perm": ("order", "row"), "table": ("points", "gens")}
 
 
 class ModelError(ValueError):
@@ -113,6 +120,33 @@ def _closure(identity, gens, mul, cap=None) -> set:
     return out
 
 
+def perm_mul_table(elements, index, gens) -> list:
+    """Rows ``i·j`` of the group that ``gens`` generate, as index tuples.
+
+    ``elements`` are the group's permutations sorted, so index 0 is the
+    identity, and ``index`` maps each back to its position.  ``right[i]``
+    is the index of ``i·g`` for one generator g: n compositions per
+    generator.  Column j lists ``i·j`` for every i, and
+    ``i·(j·g) = (i·j)·g``, so the column of ``j·g`` is column j mapped
+    through ``right``; a walk from the identity's column reaches every
+    column, since right multiplication by the generators reaches every
+    element.
+    """
+    rights = [[index[perm_compose(p, g)] for p in elements] for g in gens]
+    columns: list = [None] * len(elements)
+    columns[0] = range(len(elements))
+    frontier = [0]
+    while frontier:
+        j = frontier.pop()
+        column = columns[j]
+        for right in rights:
+            k = right[j]
+            if columns[k] is None:
+                columns[k] = list(map(right.__getitem__, column))
+                frontier.append(k)
+    return list(zip(*columns))
+
+
 # --- the model ---------------------------------------------------------------
 
 @dataclass(frozen=True)
@@ -164,33 +198,35 @@ class FiniteModel:
         n, table = self.n, self.mul_table
         if n == 0 or n > MAX_ORDER:
             raise ModelError(f"model order {n} outside 1..{MAX_ORDER}")
-        if any(len(row) != n or any(not 0 <= v < n for v in row) for row in table):
+        if any(len(row) != n or min(row) < 0 or max(row) >= n for row in table):
             raise ModelError("multiplication table is not closed")
-        ident = None
-        for e in range(n):
-            if all(table[e][j] == j and table[j][e] == j for j in range(n)):
-                ident = e
-                break
+        # the first e whose row and column are both the identity map
+        plain = tuple(range(n))
+        ident = next(
+            (e for e in range(n)
+             if table[e] == plain and all(row[e] == j for j, row in enumerate(table))),
+            None,
+        )
         if ident is None:
             raise ModelError("multiplication table has no identity")
         self.e = ident
-        inv = [None] * n
-        for i in range(n):
-            for j in range(n):
-                if table[i][j] == ident and table[j][i] == ident:
-                    inv[i] = j
-                    break
-            if inv[i] is None:
-                raise ModelError(f"element {self.names[i]} has no inverse")
+        inv = []
+        for i, row in enumerate(table):
+            # the first j with both i·j and j·i the identity
+            try:
+                j = row.index(ident)
+                while table[j][i] != ident:
+                    j = row.index(ident, j + 1)
+            except ValueError:
+                raise ModelError(f"element {self.names[i]} has no inverse") from None
+            inv.append(j)
         self.inv_table = tuple(inv)
         if self.kind == "table":
-            # permutation models are associative by construction
-            for a in range(n):
-                ra = table[a]
-                for b in range(n):
-                    rab = table[ra[b]]
-                    rb = table[b]
-                    if any(rab[c] != ra[rb[c]] for c in range(n)):
+            # permutation models are associative by construction;
+            # row a·b must be row b mapped through row a
+            for ra in table:
+                for b, rb in enumerate(table):
+                    if table[ra[b]] != tuple(map(ra.__getitem__, rb)):
                         raise ModelError("multiplication table is not associative")
 
     def _check_chain(self):
@@ -283,9 +319,11 @@ def _parse_lines(text: str):
 
 def parse_model(text: str) -> FiniteModel:
     fields: dict = {"level": [], "row": []}
+    first_line: dict = {}  # key -> the line it first appears on
     for key, value, lineno in _parse_lines(text):
         if key not in _KEYS:
             raise ModelError(f"line {lineno}: unknown key {key!r}")
+        first_line.setdefault(key, lineno)
         if key in ("level", "row"):
             fields[key].append(value)
         elif key in fields:
@@ -295,9 +333,19 @@ def parse_model(text: str) -> FiniteModel:
 
     kind = fields.get("kind", "perm")
     name = fields.get("name", "model")
-    corrupt = fields.get("corrupt_conj_depth", "false").lower() == "true"
+    flag = fields.get("corrupt_conj_depth", "false")
+    if flag.lower() not in ("true", "false"):
+        raise ModelError(
+            f"line {first_line['corrupt_conj_depth']}: corrupt_conj_depth must be "
+            f"true or false, got {flag!r}"
+        )
+    corrupt = flag.lower() == "true"
     if "k" not in fields:
         raise ModelError("missing K line")
+    foreign = [(first_line[key], key) for key in _FOREIGN_KEYS.get(kind, ()) if key in first_line]
+    if foreign:
+        lineno, key = min(foreign)
+        raise ModelError(f"line {lineno}: key {key!r} does not apply to {kind} models")
 
     if kind == "perm":
         try:
@@ -317,9 +365,7 @@ def parse_model(text: str) -> FiniteModel:
         gens = parse_gens(fields["gens"])
         elements = sorted(_closure(perm_identity(points), gens, perm_compose, MAX_ORDER))
         index = {p: i for i, p in enumerate(elements)}
-        mul_table = [
-            [index[perm_compose(p, q)] for q in elements] for p in elements
-        ]
+        mul_table = perm_mul_table(elements, index, gens)
         names = [perm_to_cycles(p) for p in elements]
 
         def gen_indices(value):
@@ -396,6 +442,7 @@ class FiniteModelPair(CommensuratedPair):
         self.max_depth = len(model.levels) - 1
         # per instance, so a dropped pair frees its cache with it
         self._least_conj_depth = cache(self._least_conj_depth)
+        self._level_members = tuple(tuple(sorted(level)) for level in model.levels)
         self.literal_pattern = _PERM_LITERAL if model.kind == "perm" else _TABLE_LITERAL
 
     @property
@@ -482,7 +529,7 @@ class FiniteModelPair(CommensuratedPair):
         return rng.randrange(self.model.n)
 
     def sample_level(self, depth: Depth, rng) -> int:
-        return rng.choice(sorted(self.model.levels[depth]))
+        return rng.choice(self._level_members[depth])
 
 
 def finite_model_pair(model: FiniteModel) -> FiniteModelPair:

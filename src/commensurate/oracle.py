@@ -3,18 +3,25 @@
 Everything in here works with literal sets of element indices — no
 depth bounds, no cleverness — so it can sit in judgment over the
 generic engine.  Level cosets are read from the model's per-level coset
-tables, which hold the same literal sets, each built once.
+tables, which hold the same literal sets, each built once, and products
+from its multiplication table (a permutation model builds that table
+from generator columns, one index lookup per entry).
 `refinement_subgroup` builds the finite-index subgroup
 whose left cosets refine all the mixed left/right intersections,
 `enumerate_completion` multiplies whole filters out as sets, and
 `compare_engine` replays random engine operations against both.  The
 depth an operation must attain is the literal optimum: the deepest
 level one of whose cosets holds the literal set of results.
+
+The intersections gN ∩ Nh are found in one pass over each left coset
+gN: grouping its members by right coset gives every nonempty one, and
+an empty one is trivially a union of cosets.
 """
 
 from __future__ import annotations
 
 import json
+from collections import defaultdict
 from dataclasses import dataclass
 
 from .core import PrecisionExhausted
@@ -36,14 +43,17 @@ def refinement_subgroup(model: FiniteModel, d: int, g: int) -> frozenset:
     its left coset gN.
     """
     N = model.levels[d]
-    gN = model.left_cosets(d).of(g)
     right = model.right_cosets(d)
-    reps: dict[frozenset, int] = {}
-    for h, Nh in zip(right.reps, right.sets):
-        reps.setdefault(gN & Nh, h)
+    # each right coset that meets gN gives its own value; the first one
+    # that misses gN, if any, stands for the empty value, and with
+    # |met| ids met it lies among the ids 0..|met|
+    met = {right.ids[x] for x in model.left_cosets(d).of(g)}
+    if len(met) < len(right.sets):
+        met.add(next(i for i in range(len(met) + 1) if i not in met))
     M = set(N)
-    for h in reps.values():
-        M &= {model.conj(model.inv(h), x) for x in N}
+    for i in met:
+        h_inv = model.inv(right.reps[i])
+        M &= {model.conj(h_inv, x) for x in N}
     return frozenset(M)
 
 
@@ -78,29 +88,30 @@ def enumerate_completion(model: FiniteModel) -> CompletionTable:
     promises is the single coset g1·g2·N; that promise is checked for
     every pair.  Each entry is the coset of g1·g2, so the table is the
     quotient by the bottom (which is normal by the model preconditions).
+    The set M·g2·N is built once per g2, and each product is g1 times it.
     """
     N = model.bottom
     cosets = model.left_cosets(len(model.levels) - 1)
     reps, coset_of = cosets.reps, cosets.ids
-    # the factors M = N ∩ g2·N·g2^-1 and g2·N depend on g2 alone
+    mul = model.mul_table
+    # M = N ∩ g2·N·g2^-1, and so the literal set M·g2·N, depends on g2 alone
     factors = []
     for g2 in reps:
         M = N & {model.conj(g2, x) for x in N}
-        factors.append((M, cosets.of(g2)))
+        g2N = cosets.of(g2)
+        factors.append({mul[m][y] for m in M for y in g2N})
 
     table = []
     for g1 in reps:
-        row = []
-        for g2, (M, g2N) in zip(reps, factors):
-            product = {model.mul(model.mul(g1, m), y) for m in M for y in g2N}
-            expected = cosets.of(model.mul(g1, g2))
-            if product != expected:
+        row_g1 = mul[g1]
+        row = tuple([coset_of[row_g1[g2]] for g2 in reps])
+        for g2, MgN, position in zip(reps, factors, row):
+            if set(map(row_g1.__getitem__, MgN)) != cosets.sets[position]:
                 raise OracleError(
                     f"filter product of {model.names[g1]} and {model.names[g2]} "
                     "is not a single coset"
                 )
-            row.append(coset_of[model.mul(g1, g2)])
-        table.append(tuple(row))
+        table.append(row)
     return CompletionTable(model, reps, tuple(table), coset_of)
 
 
@@ -166,11 +177,12 @@ def _unless_exhausted(operation):
         return None
 
 
-def _deepest_coset(model: FiniteModel, members, g: int):
-    """Deepest level e whose left coset g·N_e holds every member, or None."""
+def _deepest_coset(lefts, members, g: int):
+    """Deepest level e whose left coset g·N_e (``lefts[e]``) holds every
+    member, or None."""
     deepest = None
-    for e in range(len(model.levels)):
-        if not members <= model.left_cosets(e).of(g):
+    for e, cosets in enumerate(lefts):
+        if not members <= cosets.of(g):
             break
         deepest = e
     return deepest
@@ -182,6 +194,9 @@ def compare_engine(pair: FiniteModelPair, trials: int, rng) -> OracleReport:
     model = pair.model
     table = enumerate_completion(model)
     top = pair.max_depth
+    mul, inv = model.mul_table, model.inv_table
+    lefts = [model.left_cosets(d) for d in range(top + 1)]
+    rights = [model.right_cosets(d) for d in range(top + 1)]
     mismatches = []
 
     def note(*fields):
@@ -189,7 +204,7 @@ def compare_engine(pair: FiniteModelPair, trials: int, rng) -> OracleReport:
 
     def fuzzed(g, d):
         # replace the rep by another member of its coset: nothing may change
-        return pair.embed(model.mul(g, pair.sample_level(d, rng)), d)
+        return pair.embed(mul[g][pair.sample_level(d, rng)], d)
 
     for _ in range(trials):
         d1 = rng.randrange(top + 1)
@@ -198,40 +213,42 @@ def compare_engine(pair: FiniteModelPair, trials: int, rng) -> OracleReport:
         g2 = rng.randrange(model.n)
         f1 = fuzzed(g1, d1)
         f2 = fuzzed(g2, d2)
-        coset1 = model.left_cosets(d1).of(f1.rep)
-        coset2 = model.left_cosets(d2).of(f2.rep)
+        coset1 = lefts[d1].of(f1.rep)
+        coset2 = lefts[d2].of(f2.rep)
         label = (
             f"{model.names[f1.rep]}@{d1}, {model.names[f2.rep]}@{d2}"
         )
 
         # mul: the deepest coset holding the literal product set; that set
         # contains a whole coset of N_d2, so no level finer than d2 can
-        product_set = {model.mul(x, y) for x in coset1 for y in coset2}
-        want_d = _deepest_coset(model, product_set, model.mul(f1.rep, f2.rep))
+        product_set = set()
+        for x in coset1:
+            product_set.update(map(mul[x].__getitem__, coset2))
+        want_d = _deepest_coset(lefts, product_set, mul[f1.rep][f2.rep])
         prod = _unless_exhausted(lambda: f1 * f2)
         got_d = None if prod is None else prod.depth
         if got_d != want_d:
             note("mul-depth", label, want_d, got_d)
         if prod is not None and want_d is not None:
-            claimed = model.left_cosets(prod.depth).of(prod.rep)
+            claimed = lefts[prod.depth].of(prod.rep)
             if not product_set <= claimed:
                 note("mul-coset", label, sorted(product_set), sorted(claimed))
 
         # inv: the same rule for the literal inverse set
-        inverse_set = {model.inv(x) for x in coset1}
-        want_d = _deepest_coset(model, inverse_set, model.inv(f1.rep))
+        inverse_set = {inv[x] for x in coset1}
+        want_d = _deepest_coset(lefts, inverse_set, inv[f1.rep])
         invf = _unless_exhausted(f1.inverse)
         got_d = None if invf is None else invf.depth
         if got_d != want_d:
             note("inv-depth", label, want_d, got_d)
         if invf is not None:
-            claimed = model.left_cosets(invf.depth).of(invf.rep)
+            claimed = lefts[invf.depth].of(invf.rep)
             if not inverse_set <= claimed:
                 note("inv-coset", label, sorted(inverse_set), sorted(claimed))
 
         # eq_at_depth against literal coset equality
         d = rng.randrange(min(d1, d2) + 1)
-        ids = model.left_cosets(d).ids
+        ids = lefts[d].ids
         want = ids[f1.rep] == ids[f2.rep]
         if f1.eq_at_depth(f2, d) != want:
             note("eq_at_depth", f"{label} at {d}", want, not want)
@@ -239,7 +256,7 @@ def compare_engine(pair: FiniteModelPair, trials: int, rng) -> OracleReport:
         # valuation by literal upward scan, deliberately not the engine's search
         want_v = None
         for dd in range(min(d1, d2) + 1):
-            ids = model.left_cosets(dd).ids
+            ids = lefts[dd].ids
             if ids[f1.rep] != ids[f2.rep]:
                 break
             want_v = dd
@@ -253,13 +270,13 @@ def compare_engine(pair: FiniteModelPair, trials: int, rng) -> OracleReport:
         # right_rep: feasible iff the known left coset sits in one right
         # coset, which must then be the claimed one
         d = rng.randrange(top + 1)
-        right_ids = model.right_cosets(d).ids
+        right_ids = rights[d].ids
         feasible = len({right_ids[x] for x in coset1}) == 1
         h = _unless_exhausted(lambda: f1.right_rep(d))
         if (h is not None) != feasible:
             note("right_rep-feasible", f"{label} at {d}", feasible, h is not None)
         if h is not None:
-            if not coset1 <= model.right_cosets(d).of(h):
+            if not coset1 <= rights[d].of(h):
                 note("right_rep-coset", f"{label} at {d}", "containment", "violated")
 
         # products of bottom-depth elements against the completion table
@@ -281,19 +298,29 @@ def run_model_suite(pair: FiniteModelPair, trials: int, rng) -> OracleReport:
 
     for d in range(len(model.levels)):
         left, right = model.left_cosets(d), model.right_cosets(d)
-        # M and gN ∩ Nh depend on g and h only through gN and Nh
-        unions = []
+        # M and gN ∩ Nh depend on g and h only through gN and Nh; one pass
+        # over gN yields each nonempty gN ∩ Nh, keyed by Nh's id, and an
+        # empty one is trivially a union of cosets
+        failing = []  # per left coset, the ids of the Nh that fail
         for g, gN in zip(left.reps, left.sets):
             M = refinement_subgroup(model, d, g)
-            unions.append([is_union_of_left_cosets(model, gN & Nh, M) for Nh in right.sets])
-        for g in range(model.n):
-            row = unions[left.ids[g]]
-            for h in range(model.n):
-                if not row[right.ids[h]]:
-                    inputs = f"level {d}, g={model.names[g]}, h={model.names[h]}"
-                    mismatches.append(
-                        _mismatch("refinement", inputs, "union of left cosets", "not a union")
-                    )
+            pieces = defaultdict(set)
+            for x in gN:
+                pieces[right.ids[x]].add(x)
+            failing.append(
+                {i for i, piece in pieces.items()
+                 if not is_union_of_left_cosets(model, piece, M)}
+            )
+        if any(failing):
+            # every failing (g, h), in the order of the plain double loop
+            for g in range(model.n):
+                bad = failing[left.ids[g]]
+                for h in range(model.n):
+                    if right.ids[h] in bad:
+                        inputs = f"level {d}, g={model.names[g]}, h={model.names[h]}"
+                        mismatches.append(
+                            _mismatch("refinement", inputs, "union of left cosets", "not a union")
+                        )
 
     for chain in coherent_chains(model):
         if not left_right_check(model, chain):

@@ -5,6 +5,7 @@ output change, and review the diff before committing it.
 """
 
 import contextlib
+import io
 import json
 import os
 import pathlib
@@ -13,9 +14,12 @@ import resource
 import signal
 import subprocess
 import sys
+import tempfile
 import time
+from contextlib import redirect_stderr, redirect_stdout
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from commensurate import bs12, cli, core, expr, finitemodel, integers, oracle, registry, sl2
 from commensurate.cli import entry
@@ -327,6 +331,96 @@ def test_oracle_refuses_an_oversized_or_misspelt_model(text, message, tmp_path, 
     out, err = capsys.readouterr()
     assert out == ""
     assert err == f"error: {message}\n"
+
+
+@st.composite
+def _perm_model_text(draw):
+    """A perm model on at most 6 points; its generators, K and levels are
+    drawn freely, so many break a precondition, and one line may hold a
+    malformed cycle."""
+    points = draw(st.integers(1, 6))
+    items = st.one_of(
+        st.permutations(range(points)).map(lambda p: finitemodel.perm_to_cycles(tuple(p))),
+        st.sampled_from(["(1 2)", "(" + " ".join(map(str, range(1, points + 1))) + ")", "()"]),
+    )
+
+    def generator_line():
+        return ", ".join(draw(st.lists(items, max_size=3))) or "-"
+
+    lines = ["kind: perm", f"points: {points}", f"gens: {generator_line()}",
+             f"K: {generator_line()}"]
+    lines += [f"level: {generator_line()}" for _ in range(draw(st.integers(0, 3)))]
+    bad = draw(st.sampled_from([None, None, None, "(0 1)", "(1 1)", "(1 2", "x"]))
+    if bad is not None:
+        line = draw(st.integers(2, len(lines) - 1))
+        lines[line] += f", {bad}"
+    return lines
+
+
+def _dihedral_rows(n):
+    # r^a s^e is a + m·e, and (r^a s^e)(r^b s^f) = r^(a ± b) s^(e + f)
+    m = n // 2
+    return [
+        [(a + (-1) ** e * b) % m + m * ((e + f) % 2) for f in (0, 1) for b in range(m)]
+        for e in (0, 1) for a in range(m)
+    ]
+
+
+@st.composite
+def _table_model_text(draw):
+    """A table model of order at most 12: a cyclic or dihedral table, or
+    random rows, with a few entries overwritten, so many tables are not
+    closed, not associative, or lack an identity or inverses."""
+    n = draw(st.integers(1, 12))
+    shape = draw(st.sampled_from(["cyclic", "dihedral", "random"]))
+    if shape == "cyclic":
+        rows = [[(i + j) % n for j in range(n)] for i in range(n)]
+    elif shape == "dihedral" and n % 2 == 0 and n >= 4:
+        rows = _dihedral_rows(n)
+    else:
+        rows = draw(st.lists(st.lists(st.integers(0, n - 1), min_size=n, max_size=n),
+                             min_size=n, max_size=n))
+    for i, j, v in draw(st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1),
+                                           st.integers(-1, n)), max_size=2)):
+        rows[i][j] = v
+    items = st.integers(0, n).map(lambda k: f"#{k}")
+
+    def element_line():
+        return ", ".join(draw(st.lists(items, max_size=2))) or "-"
+
+    lines = ["kind: table"]
+    if draw(st.booleans()):
+        lines.append(f"order: {draw(st.sampled_from([n, n, n + 1]))}")
+    lines += [f"row: {' '.join(map(str, row))}" for row in rows]
+    lines.append(f"K: {element_line()}")
+    lines += [f"level: {element_line()}" for _ in range(draw(st.integers(0, 3)))]
+    return lines
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.one_of(_perm_model_text(), _table_model_text()),
+    st.sampled_from([None, None, "true", "false", "yes"]),
+    st.integers(0, 3),
+)
+def test_fuzzed_model_files_end_cleanly(lines, corrupt, depth):
+    """Any small model file ends in bounded time with a documented exit
+    code and at most a one-line message; 1 only flags a corrupt model."""
+    if corrupt is not None:
+        lines = [*lines, f"corrupt_conj_depth: {corrupt}"]
+    literal = "#0" if lines[0] == "kind: table" else "()"
+    with tempfile.TemporaryDirectory() as tmp:
+        path = pathlib.Path(tmp) / "fuzz.model"
+        path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        for argv in (["oracle", str(path), "--trials", "10"],
+                     ["eval", f"model:{path}", "--depth", str(depth), literal]):
+            out, err = io.StringIO(), io.StringIO()
+            with time_limit(CASE_SECONDS), redirect_stdout(out), redirect_stderr(err):
+                code = entry(argv)
+            allowed = {0, 2, 3, 4} | ({1} if corrupt == "true" and argv[0] == "oracle" else set())
+            assert code in allowed, (argv[0], code, err.getvalue())
+            assert err.getvalue().count("\n") <= 1, err.getvalue()
+            assert "Traceback" not in out.getvalue() + err.getvalue()
 
 
 def test_oracle_names_a_bad_seed(capsys, monkeypatch):

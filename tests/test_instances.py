@@ -24,9 +24,15 @@ from commensurate import (
     parse_model,
     sl2_pair,
 )
+from commensurate import finitemodel
+from commensurate.cli import entry
 from commensurate.finitemodel import (
+    MAX_ORDER,
+    _closure,
     perm_compose,
     perm_from_cycles,
+    perm_identity,
+    perm_mul_table,
     perm_to_cycles,
 )
 from commensurate.registry import builtin_instances
@@ -556,6 +562,35 @@ def test_model_refuses_unknown_keys():
         parse_model(S4_TEXT + "corrupt_conj_dpth: true\n")
 
 
+def test_model_refuses_keys_that_mean_nothing(capsys, tmp_path):
+    # a typo in the corruption flag would load a sound model, and a key of
+    # the other kind would be read by nobody
+    cases = [
+        (S4_TEXT + "corrupt_conj_depth: yes\n",
+         "line 9: corrupt_conj_depth must be true or false, got 'yes'"),
+        (S4_TEXT + "corrupt_conj_depth:\n",
+         "line 9: corrupt_conj_depth must be true or false, got ''"),
+        (S4_TEXT + "order: 24\nrow: 0\n", "line 9: key 'order' does not apply to perm models"),
+        (S4_TEXT + "row: 0\norder: 24\n", "line 9: key 'row' does not apply to perm models"),
+        (f"kind: table\n{_Z4_ROWS}K: #2\npoints: 4\n",
+         "line 7: key 'points' does not apply to table models"),
+        (f"gens: (1 2)\nkind: table\n{_Z4_ROWS}K: #2\n",
+         "line 1: key 'gens' does not apply to table models"),
+    ]
+    for number, (text, message) in enumerate(cases):
+        with pytest.raises(ModelError, match=f"^{re.escape(message)}$"):
+            parse_model(text)
+        path = tmp_path / f"case{number}.model"
+        path.write_text(text)
+        assert entry(["oracle", str(path)]) == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
+
+
+def test_model_reads_both_spellings_of_the_corruption_flag():
+    for value, corrupt in (("true", True), ("True", True), ("false", False), ("FALSE", False)):
+        assert parse_model(S4_TEXT + f"corrupt_conj_depth: {value}\n").corrupt is corrupt
+
+
 @pytest.mark.parametrize("name", ["s4", "s4_d8", "s4_corrupt", "s5"])
 def test_perm_names_parse_back_to_their_index(name):
     pair = finite_model_pair(load_model(MODELS / f"{name}.model"))
@@ -600,6 +635,57 @@ def test_table_model_reads_element_literals():
     for item in ("#4", "2", "#", "# 2", "#2x"):
         with pytest.raises(ModelError, match=re.escape(f"bad table element {item!r}")):
             parse_model(f"kind: table\n{_Z4_ROWS}K: {item}\n")
+
+
+def _reference_mul_table(elements):
+    """The reference table: one composition per pair of elements."""
+    index = {p: i for i, p in enumerate(elements)}
+    return [tuple(index[perm_compose(p, q)] for q in elements) for p in elements]
+
+
+@st.composite
+def _perm_gens(draw):
+    points = draw(st.integers(1, 7))
+    perms = st.permutations(range(points)).map(tuple)
+    return points, draw(st.lists(perms, min_size=0, max_size=3))
+
+
+@given(_perm_gens())
+def test_generator_column_table_matches_the_pairwise_table(case):
+    points, gens = case
+    try:
+        elements = sorted(_closure(perm_identity(points), gens, perm_compose, MAX_ORDER))
+    except ModelError:
+        return  # more than MAX_ORDER elements: no model can hold the group
+    index = {p: i for i, p in enumerate(elements)}
+    assert perm_mul_table(elements, index, gens) == _reference_mul_table(elements)
+
+
+@pytest.mark.parametrize("name", ["s4", "s4_d8", "s4_corrupt", "s5"])
+def test_shipped_model_tables_match_the_pairwise_table(name):
+    model = load_model(MODELS / f"{name}.model")
+    elements = sorted(model.perm_index, key=model.perm_index.get)
+    assert list(model.mul_table) == _reference_mul_table(elements)
+
+
+def test_loading_composes_once_per_element_and_generator(monkeypatch):
+    """Loading S5 composes once per cycle literal, n·|gens| times for the
+    closure and n·|gens| times more for the table; the rest are lookups."""
+    calls = []
+
+    def counted(p, q):
+        calls.append(None)
+        return perm_compose(p, q)
+
+    text = (MODELS / "s5.model").read_text()
+    cycles = sum(
+        line.count("(") for line in text.splitlines()
+        if line.startswith(("gens:", "K:", "level:"))
+    )
+    monkeypatch.setattr(finitemodel, "perm_compose", counted)
+    n, gens = parse_model(text).n, 2
+    # a pairwise table would add n² = 14 400 compositions
+    assert len(calls) == cycles + 2 * n * gens == 490
 
 
 def test_non_associative_table_rejected():

@@ -296,3 +296,26 @@ def test_suite_deterministic_under_seed(z8_pair):
     a = run_model_suite(z8_pair, 80, random.Random(SEED)).to_json()
     b = run_model_suite(z8_pair, 80, random.Random(SEED)).to_json()
     assert a == b
+
+
+def test_suite_tests_only_the_nonempty_intersections(monkeypatch):
+    """One pass over each left coset finds every nonempty gN ∩ Nh; each is
+    tested once, and the empty ones, trivially unions, not at all."""
+    pair = finite_model_pair(load_model(MODELS / "s5.model"))
+    model = pair.model
+    calls = []
+    literal_check = oracle.is_union_of_left_cosets
+
+    def counted(model_, subset, M):
+        calls.append(frozenset(subset))
+        return literal_check(model_, subset, M)
+
+    monkeypatch.setattr(oracle, "is_union_of_left_cosets", counted)
+    assert run_model_suite(pair, 0, random.Random(SEED)).ok
+    nonempty = []
+    for d in range(len(model.levels)):
+        left, right = model.left_cosets(d), model.right_cosets(d)
+        nonempty += [gN & Nh for gN in left.sets for Nh in right.sets if gN & Nh]
+    # one test per pair of left and right cosets would be 15 425
+    assert len(calls) == len(nonempty) == 273
+    assert sorted(calls, key=sorted) == sorted(nonempty, key=sorted)
