@@ -222,6 +222,10 @@ def build_parser() -> argparse.ArgumentParser:
 
 def entry(argv=None) -> int:
     args = build_parser().parse_args(argv)
+    if [] in vars(args).values():
+        # argparse before Python 3.13 reads a "--" after the "--" separator as []
+        print("error: '--' is not a valid argument", file=sys.stderr)
+        return EXIT_USAGE
     try:
         return args.run(args)
     except ContractViolation as err:

@@ -39,7 +39,6 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from functools import cache
 
 from .core import CommensuratedPair, ContractViolation, Depth
 
@@ -162,6 +161,20 @@ class CosetTable:
     sets: tuple
     reps: tuple
 
+    @classmethod
+    def build(cls, n: int, coset) -> CosetTable:
+        """The table of the partition of 0..n-1 into the sets ``coset(x)``."""
+        ids: list = [None] * n
+        sets, reps = [], []
+        for x in range(n):
+            if ids[x] is None:
+                members = coset(x)
+                for y in members:
+                    ids[y] = len(sets)
+                sets.append(members)
+                reps.append(x)
+        return cls(tuple(ids), tuple(sets), tuple(reps))
+
     def of(self, x: int) -> frozenset:
         return self.sets[self.ids[x]]
 
@@ -171,8 +184,14 @@ class FiniteModel:
 
     ``levels[0]`` is K; ``levels[-1]`` is the bottom of the chain.  A
     permutation model also keeps ``perm_index``, each permutation's index.
-    Instances are immutable after construction and hash by identity;
-    the per-level coset tables are built on first use and kept.
+    Every table is built once, in the constructor, and instances are
+    immutable after it and hash by identity:
+
+    - ``lefts[d]`` and ``rights[d]``: the left cosets g·N_d and the right
+      cosets N_d·g, as ``CosetTable``s;
+    - ``level_members[d]``: the members of N_d, sorted;
+    - ``conj_depths[d][g]``: the least j >= d with g·N_j·g^-1 and
+      g^-1·N_j·g inside N_d.
     """
 
     def __init__(self, name, kind, names, mul_table, K_gens, level_gens,
@@ -185,16 +204,24 @@ class FiniteModel:
         self.names = tuple(names)
         self.mul_table = tuple(tuple(row) for row in mul_table)
         self.corrupt = bool(corrupt)
-        self._check_group_axioms()
+        self.e, self.inv_table = self._check_group_axioms()
         self.levels = tuple(
             frozenset(_closure(self.e, gens, self.mul)) for gens in (K_gens, *level_gens)
         )
         self._check_chain()
-        self._coset_tables: dict = {}  # (side, depth) -> CosetTable
+        self.lefts = tuple(
+            CosetTable.build(self.n, lambda x, N=N: self.left_coset(x, N)) for N in self.levels
+        )
+        self.rights = tuple(
+            CosetTable.build(self.n, lambda x, N=N: self.right_coset(N, x)) for N in self.levels
+        )
+        self.level_members = tuple(tuple(sorted(level)) for level in self.levels)
+        self.conj_depths = tuple(self._conj_depths(d) for d in range(len(self.levels)))
 
     # construction helpers
 
-    def _check_group_axioms(self):
+    def _check_group_axioms(self) -> tuple:
+        """The identity and the inverse table, once the table is a group."""
         n, table = self.n, self.mul_table
         if n == 0 or n > MAX_ORDER:
             raise ModelError(f"model order {n} outside 1..{MAX_ORDER}")
@@ -209,7 +236,6 @@ class FiniteModel:
         )
         if ident is None:
             raise ModelError("multiplication table has no identity")
-        self.e = ident
         inv = []
         for i, row in enumerate(table):
             # the first j with both i·j and j·i the identity
@@ -220,7 +246,6 @@ class FiniteModel:
             except ValueError:
                 raise ModelError(f"element {self.names[i]} has no inverse") from None
             inv.append(j)
-        self.inv_table = tuple(inv)
         if self.kind == "table":
             # permutation models are associative by construction;
             # row a·b must be row b mapped through row a
@@ -228,6 +253,7 @@ class FiniteModel:
                 for b, rb in enumerate(table):
                     if table[ra[b]] != tuple(map(ra.__getitem__, rb)):
                         raise ModelError("multiplication table is not associative")
+        return ident, tuple(inv)
 
     def _check_chain(self):
         for d, level in enumerate(self.levels):
@@ -260,38 +286,33 @@ class FiniteModel:
         return self.mul_table[self.mul_table[g][x]][self.inv_table[g]]
 
     def left_coset(self, g: int, members) -> frozenset:
-        return frozenset(self.mul_table[g][x] for x in members)
+        return frozenset(map(self.mul_table[g].__getitem__, members))
 
     def right_coset(self, members, g: int) -> frozenset:
-        return frozenset(self.mul_table[x][g] for x in members)
+        return frozenset([self.mul_table[x][g] for x in members])
 
-    def left_cosets(self, depth: int) -> CosetTable:
-        """The left cosets g·N of chain level ``depth``."""
-        return self._coset_table("left", depth)
+    def _conj_depths(self, d: int) -> tuple:
+        """``conj_depths[d]``, one search per left coset of N_d.
 
-    def right_cosets(self, depth: int) -> CosetTable:
-        """The right cosets N·g of chain level ``depth``."""
-        return self._coset_table("right", depth)
+        g·N_j·g^-1 lies in N_d exactly when g·N_j lies in N_d·g.  The
+        least such j is the same for every x = g·n in g·N_d: every level
+        is normal in K, so x·N_j·x^-1 = g·N_j·g^-1 and
+        x^-1·N_j·x = n^-1·(g^-1·N_j·g)·n.  The bottom level is normal in
+        the whole group, so it needs no test.
+        """
+        top = len(self.levels) - 1
+        rights = self.rights[d]
 
-    def _coset_table(self, side: str, depth: int) -> CosetTable:
-        table = self._coset_tables.get((side, depth))
-        if table is None:
-            level = self.levels[depth]
-            ids: list = [None] * self.n
-            sets, reps = [], []
-            for x in range(self.n):
-                if ids[x] is None:
-                    if side == "left":
-                        coset = self.left_coset(x, level)
-                    else:
-                        coset = self.right_coset(level, x)
-                    for y in coset:
-                        ids[y] = len(sets)
-                    sets.append(coset)
-                    reps.append(x)
-            table = CosetTable(tuple(ids), tuple(sets), tuple(reps))
-            self._coset_tables[side, depth] = table
-        return table
+        def stable(g, j):
+            return self.lefts[j].of(g) <= rights.of(g)
+
+        depths: list = [None] * self.n
+        for g, coset in zip(self.lefts[d].reps, self.lefts[d].sets):
+            ginv = self.inv_table[g]
+            j = next((j for j in range(d, top) if stable(g, j) and stable(ginv, j)), top)
+            for x in coset:
+                depths[x] = j
+        return tuple(depths)
 
     @property
     def bottom(self) -> frozenset:
@@ -430,19 +451,16 @@ def load_model(path) -> FiniteModel:
 class FiniteModelPair(CommensuratedPair):
     """Completion pair over a FiniteModel; elements are table indices.
 
-    conj_depth is the least level that works, found by brute force over
-    the conjugates of the coset's rep: every level is normal in K, so the
-    rep decides for the whole coset.  The oracle checks the engine's
-    depths built on it against literal coset containment.
+    conj_depth is the least level that works, read off the model's
+    ``conj_depths`` table, which its coset tables decide.  The oracle
+    checks the engine's depths built on it against literal coset
+    containment.
     """
 
     def __init__(self, model: FiniteModel):
         self.model = model
         self.name = model.name
         self.max_depth = len(model.levels) - 1
-        # per instance, so a dropped pair frees its cache with it
-        self._least_conj_depth = cache(self._least_conj_depth)
-        self._level_members = tuple(tuple(sorted(level)) for level in model.levels)
         self.literal_pattern = _PERM_LITERAL if model.kind == "perm" else _TABLE_LITERAL
 
     @property
@@ -459,27 +477,8 @@ class FiniteModelPair(CommensuratedPair):
         return x in self.model.levels[depth]
 
     def conj_depth(self, g: int, depth: Depth) -> Depth:
-        if self.model.corrupt:
-            return depth  # deliberately unsound; for oracle sensitivity tests
-        return self._least_conj_depth(g, depth)
-
-    def _least_conj_depth(self, g: int, depth: Depth) -> Depth:
-        # x = g·n with n in N_depth, and every level is normal in K, so
-        # x·N_j·x^-1 = g·N_j·g^-1 and x^-1·N_j·x = n^-1·(g^-1·N_j·g)·n:
-        # the rep alone decides for the whole coset
-        model = self.model
-        level_d = model.levels[depth]
-        ginv = model.inv(g)
-        for j in range(depth, self.max_depth + 1):
-            if all(
-                model.conj(g, n) in level_d and model.conj(ginv, n) in level_d
-                for n in model.levels[j]
-            ):
-                return j
-        raise ContractViolation(
-            f"{self.name}: no chain level is uniformly conjugation-stable for "
-            f"{model.names[g]} at depth {depth}"
-        )
+        # a corrupt model is deliberately unsound, for oracle sensitivity tests
+        return depth if self.model.corrupt else self.model.conj_depths[depth][g]
 
     def level_index(self, depth: Depth) -> int:
         return len(self.model.levels[0]) // len(self.model.levels[depth])
@@ -511,7 +510,7 @@ class FiniteModelPair(CommensuratedPair):
         return idx
 
     def level_rep(self, x: int, depth: Depth) -> str:
-        table = self.model.left_cosets(depth)
+        table = self.model.lefts[depth]
         return self.model.names[table.reps[table.ids[x]]]
 
     def validate(self, x) -> None:
@@ -529,9 +528,9 @@ class FiniteModelPair(CommensuratedPair):
         return rng.randrange(self.model.n)
 
     def sample_level(self, depth: Depth, rng) -> int:
-        return rng.choice(self._level_members[depth])
+        return rng.choice(self.model.level_members[depth])
 
 
 def finite_model_pair(model: FiniteModel) -> FiniteModelPair:
-    """Completion pair whose depth bounds are brute-forced from the model."""
+    """Completion pair whose depth bounds are read off the model's coset tables."""
     return FiniteModelPair(model)

@@ -3,9 +3,9 @@
 Everything in here works with literal sets of element indices — no
 depth bounds, no cleverness — so it can sit in judgment over the
 generic engine.  Level cosets are read from the model's per-level coset
-tables, which hold the same literal sets, each built once, and products
-from its multiplication table (a permutation model builds that table
-from generator columns, one index lookup per entry).
+tables, which hold the same literal sets and are built when the model
+loads, and products from its multiplication table (a permutation model
+builds that table from generator columns, one index lookup per entry).
 `refinement_subgroup` builds the finite-index subgroup
 whose left cosets refine all the mixed left/right intersections,
 `enumerate_completion` multiplies whole filters out as sets, and
@@ -43,11 +43,11 @@ def refinement_subgroup(model: FiniteModel, d: int, g: int) -> frozenset:
     its left coset gN.
     """
     N = model.levels[d]
-    right = model.right_cosets(d)
+    right = model.rights[d]
     # each right coset that meets gN gives its own value; the first one
     # that misses gN, if any, stands for the empty value, and with
     # |met| ids met it lies among the ids 0..|met|
-    met = {right.ids[x] for x in model.left_cosets(d).of(g)}
+    met = {right.ids[x] for x in model.lefts[d].of(g)}
     if len(met) < len(right.sets):
         met.add(next(i for i in range(len(met) + 1) if i not in met))
     M = set(N)
@@ -85,41 +85,33 @@ def enumerate_completion(model: FiniteModel) -> CompletionTable:
 
     The product of the cosets g1·N and g2·N (N the chain bottom) is the
     literal set g1·M·g2·N with M = N ∩ g2·N·g2^-1, which the construction
-    promises is the single coset g1·g2·N; that promise is checked for
-    every pair.  Each entry is the coset of g1·g2, so the table is the
-    quotient by the bottom (which is normal by the model preconditions).
-    The set M·g2·N is built once per g2, and each product is g1 times it.
+    promises is the single coset g1·g2·N.  Left multiplication by g1 is
+    one-to-one and g1·(g2·N) = g1·g2·N, so the promise holds for every g1
+    exactly when M·g2·N is the coset g2·N; that is checked once per g2.
+    Each entry is the coset of g1·g2, so the table is the quotient by the
+    bottom (which is normal by the model preconditions).
     """
     N = model.bottom
-    cosets = model.left_cosets(len(model.levels) - 1)
+    cosets = model.lefts[-1]
     reps, coset_of = cosets.reps, cosets.ids
     mul = model.mul_table
-    # M = N ∩ g2·N·g2^-1, and so the literal set M·g2·N, depends on g2 alone
-    factors = []
     for g2 in reps:
         M = N & {model.conj(g2, x) for x in N}
         g2N = cosets.of(g2)
-        factors.append({mul[m][y] for m in M for y in g2N})
-
-    table = []
-    for g1 in reps:
-        row_g1 = mul[g1]
-        row = tuple([coset_of[row_g1[g2]] for g2 in reps])
-        for g2, MgN, position in zip(reps, factors, row):
-            if set(map(row_g1.__getitem__, MgN)) != cosets.sets[position]:
-                raise OracleError(
-                    f"filter product of {model.names[g1]} and {model.names[g2]} "
-                    "is not a single coset"
-                )
-        table.append(row)
-    return CompletionTable(model, reps, tuple(table), coset_of)
+        if {mul[m][y] for m in M for y in g2N} != g2N:
+            # a loop over every (g1, g2) would fail first at g1 = reps[0]
+            raise OracleError(
+                f"filter product of {model.names[reps[0]]} and {model.names[g2]} "
+                "is not a single coset"
+            )
+    table = tuple(tuple([coset_of[mul[g1][g2]] for g2 in reps]) for g1 in reps)
+    return CompletionTable(model, reps, table, coset_of)
 
 
 def coherent_chains(model: FiniteModel):
     """All coherent nested left-coset chains (one per bottom coset)."""
-    tables = [model.left_cosets(d) for d in range(len(model.levels))]
-    for g in tables[-1].reps:
-        yield [table.of(g) for table in tables]
+    for g in model.lefts[-1].reps:
+        yield [table.of(g) for table in model.lefts]
 
 
 def left_right_check(model: FiniteModel, chain) -> bool:
@@ -134,8 +126,7 @@ def left_right_check(model: FiniteModel, chain) -> bool:
             return False
     bottom = chain[-1]
     previous = None
-    for d in range(len(model.levels)):
-        cosets = model.right_cosets(d)
+    for cosets in model.rights:
         containing = {cosets.ids[b] for b in bottom}
         if len(containing) != 1:
             return False
@@ -195,8 +186,7 @@ def compare_engine(pair: FiniteModelPair, trials: int, rng) -> OracleReport:
     table = enumerate_completion(model)
     top = pair.max_depth
     mul, inv = model.mul_table, model.inv_table
-    lefts = [model.left_cosets(d) for d in range(top + 1)]
-    rights = [model.right_cosets(d) for d in range(top + 1)]
+    lefts, rights = model.lefts, model.rights
     mismatches = []
 
     def note(*fields):
@@ -297,7 +287,7 @@ def run_model_suite(pair: FiniteModelPair, trials: int, rng) -> OracleReport:
     mismatches = []
 
     for d in range(len(model.levels)):
-        left, right = model.left_cosets(d), model.right_cosets(d)
+        left, right = model.lefts[d], model.rights[d]
         # M and gN ∩ Nh depend on g and h only through gN and Nh; one pass
         # over gN yields each nonempty gN ∩ Nh, keyed by Nh's id, and an
         # empty one is trivially a union of cosets

@@ -423,6 +423,72 @@ def test_fuzzed_model_files_end_cleanly(lines, corrupt, depth):
             assert "Traceback" not in out.getvalue() + err.getvalue()
 
 
+_NAMED_INSTANCES = [
+    "z2", "z3", "z10", "z0", "z1", "zfact", "zfactorial", "bs12", "sl2", "sl2:2", "sl2:3",
+    "sl2:7", "sl2:0", "sl2:1", "sl2:4", "sl2:", "model:",
+    *(f"model:{ROOT / 'models' / name}"
+      for name in ("s4.model", "z8.model", "s4_corrupt.model", "missing.model")),
+]
+# model files are drawn from the list only: a free path could name a device
+_INSTANCE_NAMES = st.one_of(
+    st.sampled_from(_NAMED_INSTANCES),
+    st.integers(0, 10**30).map(lambda n: f"z{n}"),
+    st.integers(0, 10**12).map(lambda n: f"sl2:{n}"),
+    st.text(max_size=12).filter(lambda name: not name.startswith("model:")),
+)
+_EXPRESSION_PIECES = [
+    "a", "t", "u", "h", "x", "embed(", "inv(", "psi(", "texp", "mod:4", "mod:0", "(", ")",
+    "^", "^-", "*", ",", " ", "-", "0", "1", "7", "99999999999999999999", "(1 2)",
+    "(1 2 3 4)", "#3", "#99", "(3/4; -2)", "[[1,0],[1,1]]", "[[2,0],[0,1/2]]", "/", ";",
+    "[", "]",
+]
+_EXPRESSIONS = st.one_of(
+    st.text(max_size=30),
+    st.lists(st.sampled_from(_EXPRESSION_PIECES), max_size=12).map("".join),
+)
+_TARGET_NAMES = st.one_of(
+    st.sampled_from(["texp", "mod:2", "mod:8", "mod:0", "mod:-4", "mod:99999999999999999999",
+                     "mod:x", "mod:"]),
+    st.text(max_size=10),
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.sampled_from(["eval", "table", "psi"]),
+    _INSTANCE_NAMES,
+    _TARGET_NAMES,
+    _EXPRESSIONS,
+    st.integers(0, 16),
+    st.booleans(),
+)
+def test_fuzzed_expressions_and_instance_names_end_cleanly(
+    command, instance, target, expression, depth, as_json
+):
+    """Any instance name, target name and expression text ends in bounded
+    time with a documented exit code and at most a one-line message.
+    Every free-text token follows ``--``, so argparse takes each as given."""
+    positionals = [instance, target, expression] if command == "psi" else [instance, expression]
+    argv = [command, "--depth", str(depth), *(["--json"] if as_json else []), "--", *positionals]
+    out, err = io.StringIO(), io.StringIO()
+    with time_limit(CASE_SECONDS), redirect_stdout(out), redirect_stderr(err):
+        code = entry(argv)
+    assert code in {0, 2, 3, 4}, (argv, code, err.getvalue())
+    assert err.getvalue().count("\n") <= 1, (argv, err.getvalue())
+    assert "Traceback" not in out.getvalue() + err.getvalue()
+
+
+@pytest.mark.parametrize(
+    "argv", [["eval", "z2", "--", "--"], ["table", "--", "z2", "--"], ["psi", "--", "z2", "--", "1"]]
+)
+def test_double_dash_as_a_value_exits_2(argv, capsys):
+    # argparse before Python 3.13 hands the program [] for such a value
+    assert entry(argv) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == "error: '--' is not a valid argument\n"
+
+
 def test_oracle_names_a_bad_seed(capsys, monkeypatch):
     monkeypatch.chdir(ROOT)
     monkeypatch.setenv("COMMENSURATE_SEED", "x")

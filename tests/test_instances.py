@@ -1,5 +1,6 @@
 """Instance contracts: arithmetic exactness, chain membership, depth bounds."""
 
+import contextlib
 import gc
 import pathlib
 import time
@@ -9,7 +10,7 @@ import weakref
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from commensurate import (
     ContractViolation,
@@ -35,6 +36,7 @@ from commensurate.finitemodel import (
     perm_mul_table,
     perm_to_cycles,
 )
+from commensurate.oracle import run_model_suite
 from commensurate.registry import builtin_instances
 from commensurate.sl2 import is_prime
 
@@ -713,7 +715,7 @@ def _whole_coset_conj_depth(pair, g, depth):
     x in g·N_depth, scanning the whole coset."""
     model = pair.model
     level_d = model.levels[depth]
-    coset = model.left_cosets(depth).of(g)
+    coset = model.lefts[depth].of(g)
     for j in range(depth, pair.max_depth + 1):
         if all(
             model.conj(x, n) in level_d and model.conj(model.inv(x), n) in level_d
@@ -744,25 +746,14 @@ def test_finite_pair_validate(s4_pair):
         c4.parse_literal("(1 2)")
 
 
-def test_dropped_model_pair_is_freed():
-    pair = finite_model_pair(
-        parse_model("kind: perm\npoints: 4\ngens: (1 2 3 4)\nK: (1 3)(2 4)\n")
-    )
-    pair.conj_depth(pair.parse_literal("(1 2 3 4)"), 0)  # fills the depth cache
-    ref = weakref.ref(pair)
-    del pair
-    gc.collect()
-    assert ref() is None
-
-
 @pytest.mark.parametrize("name", ["s4", "s4_d8", "s4_corrupt", "z8", "s5"])
 def test_coset_tables_are_the_literal_cosets(name):
     model = load_model(MODELS / f"{name}.model")
     everything = list(range(model.n))
     for d, level in enumerate(model.levels):
         for table, literal in (
-            (model.left_cosets(d), [model.left_coset(x, level) for x in everything]),
-            (model.right_cosets(d), [model.right_coset(level, x) for x in everything]),
+            (model.lefts[d], [model.left_coset(x, level) for x in everything]),
+            (model.rights[d], [model.right_coset(level, x) for x in everything]),
         ):
             assert [table.of(x) for x in everything] == literal
             # the ids partition the group, each coset numbered by its least member
@@ -773,23 +764,142 @@ def test_coset_tables_are_the_literal_cosets(name):
             assert list(table.reps) == sorted(table.reps)
 
 
-def test_coset_tables_are_built_on_first_use():
-    model = load_model(MODELS / "s5.model")
-    pair = finite_model_pair(model)
-    assert model._coset_tables == {}
-    pair.level_rep(pair.identity, 2)
-    assert list(model._coset_tables) == [("left", 2)]
+def _normal_closure(model, members, within):
+    """The subgroup generated by the conjugates of ``members`` by ``within``."""
+    return frozenset(
+        _closure(model.e, {model.conj(k, x) for k in within for x in members}, model.mul)
+    )
+
+
+@st.composite
+def _chain_model_text(draw):
+    """A sound model: a perm group of order at most 48 on at most 6
+    points, or a cyclic or dihedral table of order at most 16, with K and
+    its chain drawn at random.  The bottom is the core of K in the group
+    met with a normal closure in the group, or the trivial group, so it
+    is normal in the group; each level above it is the normal closure in
+    K of one member of the level above, times the bottom, so it is
+    normal in K."""
+    shape = draw(st.sampled_from(["perm", "perm", "cyclic", "dihedral"]))
+    if shape == "perm":
+        points = draw(st.integers(1, 6))
+        perms = st.permutations(range(points)).map(lambda p: perm_to_cycles(tuple(p)))
+        gens = ", ".join(draw(st.lists(perms, min_size=1, max_size=3)))
+        head = f"kind: perm\npoints: {points}\ngens: {gens}\n"
+    else:
+        if shape == "cyclic":
+            n = draw(st.integers(1, 16))
+            rows = [[(i + j) % n for j in range(n)] for i in range(n)]
+        else:
+            # r^a s^e is a + m·e, and (r^a s^e)(r^b s^f) = r^(a ± b) s^(e + f)
+            m = draw(st.integers(2, 8))
+            rows = [
+                [(a + (-1) ** e * b) % m + m * ((e + f) % 2) for f in (0, 1) for b in range(m)]
+                for e in (0, 1) for a in range(m)
+            ]
+        head = "kind: table\n" + "".join(f"row: {' '.join(map(str, row))}\n" for row in rows)
+    # with K the whole group every chain requirement holds
+    everything = gens if shape == "perm" else ", ".join(f"#{i}" for i in range(len(rows)))
+    try:
+        group = parse_model(f"{head}K: {everything}\n")
+    except ModelError:  # more than MAX_ORDER elements
+        group = None
+    assume(group is not None and group.n <= 48)
+    G = range(group.n)
+
+    def members(subgroup, least, most):
+        # the identity only where there is nothing else
+        others = sorted(subgroup - {group.e}) or [group.e]
+        return draw(st.lists(st.sampled_from(others), min_size=least, max_size=most))
+
+    K = frozenset(_closure(group.e, members(set(G), 1, 2), group.mul))
+    core = frozenset.intersection(*(frozenset(group.conj(g, k) for k in K) for g in G))
+    bottom = core & _normal_closure(group, members(K, 0, 1), G)
+    if bottom == K:  # the trivial group instead, so that the chain descends
+        bottom = frozenset({group.e})
+    chain = [K]
+    for _ in range(draw(st.integers(0, 4))):
+        above = chain[-1]
+        level = frozenset(
+            _closure(group.e, _normal_closure(group, members(above, 1, 1), K) | bottom, group.mul)
+        )
+        if bottom < level < above:
+            chain.append(level)
+    if bottom != chain[-1]:
+        chain.append(bottom)
+    lines = [", ".join(group.names[x] for x in sorted(level)) for level in chain]
+    return head + f"K: {lines[0]}\n" + "".join(f"level: {line}\n" for line in lines[1:])
+
+
+# Z2^3 ⋊ Z3, with g = (1 3 5)(2 4 6) cycling the three transpositions:
+# g·N_2·g^-1 = <(3 4)> lies in N_1 but g^-1·N_2·g = <(5 6)> does not, so
+# only a two-sided test gives conj_depth(g, 1) = 3
+_ONE_SIDE_IS_NOT_ENOUGH = """kind: perm
+points: 6
+gens: (1 2), (1 3 5)(2 4 6)
+K: (1 2), (3 4), (5 6)
+level: (1 2), (3 4)
+level: (1 2)
+level: -
+"""
+
+
+@settings(max_examples=200, deadline=None)
+@given(_chain_model_text())
+@example(_ONE_SIDE_IS_NOT_ENOUGH)
+def test_conj_depth_table_matches_the_whole_coset_scan_on_fuzzed_chains(text):
+    pair = finite_model_pair(parse_model(text))
+    corrupt = finite_model_pair(parse_model(text + "corrupt_conj_depth: true\n"))
+    for d in range(pair.max_depth + 1):
+        for g in range(pair.model.n):
+            assert pair.conj_depth(g, d) == _whole_coset_conj_depth(pair, g, d)
+            assert corrupt.conj_depth(g, d) == d
+
+
+@contextlib.contextmanager
+def _cyclic_gc_disabled():
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        yield
+    finally:
+        if enabled:
+            gc.enable()
+
+
+def _attributes(obj) -> dict:
+    return {name: id(value) for name, value in vars(obj).items()}
+
+
+def test_dropped_model_pair_is_freed():
+    """A used pair and its model die on ``del`` by reference counting alone,
+    and using them assigns no attribute."""
+    with _cyclic_gc_disabled():
+        model = load_model(MODELS / "s5.model")
+        pair = finite_model_pair(model)
+        before = _attributes(model), _attributes(pair)
+        g = pair.parse_literal("(1 2 3 4 5)")
+        rng = random.Random(RNG_SEED)
+        for d in range(pair.max_depth + 1):
+            pair.conj_depth(g, d)
+            pair.level_rep(g, d)
+            pair.sample_level(d, rng)
+            pair.embed(g, pair.max_depth) * pair.embed(pair.inv(g), d)
+        assert (_attributes(model), _attributes(pair)) == before
+        refs = weakref.ref(model), weakref.ref(pair)
+        del model, pair
+        assert [ref() for ref in refs] == [None, None]
 
 
 def test_dropped_model_with_coset_tables_is_freed():
-    pair = finite_model_pair(load_model(MODELS / "s4.model"))
-    pair.conj_depth(pair.parse_literal("(1 4)"), 1)  # fills the depth cache
-    pair.model.left_cosets(1)
-    pair.model.right_cosets(1)
-    ref = weakref.ref(pair.model)
-    del pair
-    gc.collect()
-    assert ref() is None
+    """A model and pair that the oracle suite has run on die on ``del``
+    by reference counting alone."""
+    with _cyclic_gc_disabled():
+        pair = finite_model_pair(load_model(MODELS / "s5.model"))
+        assert run_model_suite(pair, 20, random.Random(RNG_SEED)).ok
+        refs = weakref.ref(pair.model), weakref.ref(pair)
+        del pair
+        assert [ref() for ref in refs] == [None, None]
 
 
 # --- discrete targets -------------------------------------------------------------

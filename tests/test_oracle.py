@@ -100,6 +100,25 @@ K: (1 2 3), (1 2)(3 4)
     assert enumerate_completion(model).size == 2
 
 
+def test_completion_table_names_the_first_failing_product(monkeypatch):
+    """A broken M for two g2 fails the single-coset check; the message
+    names the pair a loop over every (g1, g2) would meet first."""
+    model = load_model(MODELS / "s4.model")
+    reps = model.lefts[-1].reps
+    broken = {reps[5], reps[3]}
+    conj = type(model).conj
+    # conjugates outside N leave M, and so M·g2·N, empty
+    monkeypatch.setattr(
+        type(model), "conj", lambda self, g, x: -1 if g in broken else conj(self, g, x)
+    )
+    with pytest.raises(oracle.OracleError) as err:
+        enumerate_completion(model)
+    assert str(err.value) == (
+        f"filter product of {model.names[reps[0]]} and {model.names[reps[3]]} "
+        "is not a single coset"
+    )
+
+
 def test_left_right_check_all_chains(model_pairs):
     for pair in model_pairs:
         for chain in coherent_chains(pair.model):
@@ -141,7 +160,7 @@ corrupt_conj_depth: true
 def _literal_depth(model, members, g):
     """Deepest level whose left coset of g holds members, read off the tables."""
     holding = [
-        e for e in range(len(model.levels)) if members <= model.left_cosets(e).of(g)
+        e for e in range(len(model.levels)) if members <= model.lefts[e].of(g)
     ]
     return max(holding, default=None)
 
@@ -158,12 +177,12 @@ def _check_inverses_and_right_reps(pair):
     depths = range(pair.max_depth + 1)
     for g in range(model.n):
         for d1 in depths:
-            coset = model.left_cosets(d1).of(g)
+            coset = model.lefts[d1].of(g)
             f = pair.embed(g, d1)
             want = _literal_depth(model, {model.inv(x) for x in coset}, model.inv(g))
             assert _engine_depth(f.inverse) == want, (model.names[g], d1)
             for d in depths:
-                right = model.right_cosets(d)
+                right = model.rights[d]
                 feasible = len({right.ids[x] for x in coset}) == 1
                 try:
                     h = f.right_rep(d)
@@ -182,11 +201,11 @@ def test_engine_depths_are_the_literal_optima(name):
     depths = range(pair.max_depth + 1)
     for g1 in range(model.n):
         for d1 in depths:
-            coset1 = model.left_cosets(d1).of(g1)
+            coset1 = model.lefts[d1].of(g1)
             f1 = pair.embed(g1, d1)
             for g2 in range(model.n):
                 for d2 in depths:
-                    coset2 = model.left_cosets(d2).of(g2)
+                    coset2 = model.lefts[d2].of(g2)
                     product = {model.mul(x, y) for x in coset1 for y in coset2}
                     want = _literal_depth(model, product, model.mul(g1, g2))
                     got = _engine_depth(lambda: f1 * pair.embed(g2, d2))
@@ -241,7 +260,7 @@ def test_suite_enumerates_the_completion_once(s4_d8_pair, monkeypatch):
 def test_refinement_subgroup_depends_on_the_left_coset_only(name):
     model = load_model(MODELS / f"{name}.model")
     for d in range(len(model.levels)):
-        left = model.left_cosets(d)
+        left = model.lefts[d]
         for g in range(model.n):
             M = refinement_subgroup(model, d, g)
             assert M == refinement_subgroup(model, d, left.reps[left.ids[g]])
@@ -314,7 +333,7 @@ def test_suite_tests_only_the_nonempty_intersections(monkeypatch):
     assert run_model_suite(pair, 0, random.Random(SEED)).ok
     nonempty = []
     for d in range(len(model.levels)):
-        left, right = model.left_cosets(d), model.right_cosets(d)
+        left, right = model.lefts[d], model.rights[d]
         nonempty += [gN & Nh for gN in left.sets for Nh in right.sets if gN & Nh]
     # one test per pair of left and right cosets would be 15 425
     assert len(calls) == len(nonempty) == 273
