@@ -28,9 +28,11 @@ Model text format, one "key: value" per line, full-line # comments:
 Chain requirements (checked on load): each level is a subgroup of the
 one above, strictly smaller, normal in K; the bottom level is normal in
 the whole group, which is what makes the brute-force completion below
-it exact.  ``corrupt_conj_depth: true`` deliberately breaks the pair's
-depth bound so oracle sensitivity can be demonstrated; its value must be
-``true`` or ``false``.  Any other key, and a key of the other kind
+it exact.  The coset tables decide normality: N is normal in H exactly
+when h·N = N·h for every h in H.  ``corrupt_conj_depth: true`` (or
+``false``, the default) makes the load set every ``conj_depths[d]``
+entry to d, which breaks the pair's depth bound on purpose so oracle
+sensitivity can be shown.  Any other key, and a key of the other kind
 (``points``/``gens`` in a table model, ``row``/``order`` in a perm
 model), is refused with the number of its line.
 """
@@ -191,7 +193,7 @@ class FiniteModel:
       cosets N_d·g, as ``CosetTable``s;
     - ``level_members[d]``: the members of N_d, sorted;
     - ``conj_depths[d][g]``: the least j >= d with g·N_j·g^-1 and
-      g^-1·N_j·g inside N_d.
+      g^-1·N_j·g inside N_d; d itself in a corrupt model.
     """
 
     def __init__(self, name, kind, names, mul_table, K_gens, level_gens,
@@ -208,15 +210,17 @@ class FiniteModel:
         self.levels = tuple(
             frozenset(_closure(self.e, gens, self.mul)) for gens in (K_gens, *level_gens)
         )
-        self._check_chain()
         self.lefts = tuple(
             CosetTable.build(self.n, lambda x, N=N: self.left_coset(x, N)) for N in self.levels
         )
         self.rights = tuple(
             CosetTable.build(self.n, lambda x, N=N: self.right_coset(N, x)) for N in self.levels
         )
+        self._check_chain()
         self.level_members = tuple(tuple(sorted(level)) for level in self.levels)
-        self.conj_depths = tuple(self._conj_depths(d) for d in range(len(self.levels)))
+        self.conj_depths = tuple(
+            (d,) * self.n if self.corrupt else self._conj_depths(d) for d in range(len(self.levels))
+        )
 
     # construction helpers
 
@@ -263,16 +267,14 @@ class FiniteModel:
                     raise ModelError(f"{label} is not inside level {d - 1}")
                 if level == self.levels[d - 1]:
                     raise ModelError(f"{label} does not descend strictly")
-            for k in self.levels[0]:
-                if any(self.conj(k, x) not in level for x in level):
-                    raise ModelError(f"{label} is not normal in K")
-        bottom = self.levels[-1]
-        for g in range(self.n):
-            if any(self.conj(g, x) not in bottom for x in bottom):
-                raise ModelError(
-                    f"chain bottom {{{', '.join(sorted(self.names[i] for i in bottom))}}}"
-                    " is not normal in the whole group"
-                )
+            if any(self.lefts[d].of(k) != self.rights[d].of(k) for k in self.levels[0]):
+                raise ModelError(f"{label} is not normal in K")
+        # both tables number cosets by least member: equal partitions, equal tables
+        if self.lefts[-1] != self.rights[-1]:
+            raise ModelError(
+                f"chain bottom {{{', '.join(sorted(self.names[i] for i in self.bottom))}}}"
+                " is not normal in the whole group"
+            )
 
     # index arithmetic
 
@@ -477,8 +479,7 @@ class FiniteModelPair(CommensuratedPair):
         return x in self.model.levels[depth]
 
     def conj_depth(self, g: int, depth: Depth) -> Depth:
-        # a corrupt model is deliberately unsound, for oracle sensitivity tests
-        return depth if self.model.corrupt else self.model.conj_depths[depth][g]
+        return self.model.conj_depths[depth][g]
 
     def level_index(self, depth: Depth) -> int:
         return len(self.model.levels[0]) // len(self.model.levels[depth])

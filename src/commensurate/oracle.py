@@ -70,7 +70,6 @@ class CompletionTable:
     filter product; ``coset_of[x]`` locates the coset of element x.
     """
 
-    model: FiniteModel
     reps: tuple
     table: tuple
     coset_of: tuple
@@ -105,7 +104,7 @@ def enumerate_completion(model: FiniteModel) -> CompletionTable:
                 "is not a single coset"
             )
     table = tuple(tuple([coset_of[mul[g1][g2]] for g2 in reps]) for g1 in reps)
-    return CompletionTable(model, reps, table, coset_of)
+    return CompletionTable(reps, table, coset_of)
 
 
 def coherent_chains(model: FiniteModel):

@@ -10,7 +10,7 @@ import weakref
 from fractions import Fraction
 
 import pytest
-from hypothesis import assume, example, given, settings, strategies as st
+from hypothesis import Phase, assume, example, find, given, settings, strategies as st
 
 from commensurate import (
     ContractViolation,
@@ -547,6 +547,35 @@ def test_model_rejects_level_outside_k():
         parse_model(bad)
 
 
+def test_model_rejects_level_not_normal_in_k(capsys, tmp_path):
+    # (1 3)·<(1 2)>·(1 3) = <(2 3)> inside K = Sym{1, 2, 3}
+    bad = S4_TEXT.replace("level: (1 2 3)", "level: (1 2)")
+    message = "chain level 1 is not normal in K"
+    with pytest.raises(ModelError, match=f"^{message}$"):
+        parse_model(bad)
+    path = tmp_path / "bad.model"
+    path.write_text(bad)
+    assert entry(["oracle", str(path)]) == 2
+    assert capsys.readouterr() == ("", f"error: {message}\n")
+
+
+@pytest.mark.parametrize("name", ["s4", "s4_d8", "s4_corrupt", "z8", "s5"])
+def test_loading_conjugates_nothing(name, monkeypatch):
+    """The coset tables decide normality; loading makes no conj call."""
+    calls = []
+    conj = finitemodel.FiniteModel.conj
+
+    def counted(self, g, x):
+        calls.append(None)
+        return conj(self, g, x)
+
+    monkeypatch.setattr(finitemodel.FiniteModel, "conj", counted)
+    model = load_model(MODELS / f"{name}.model")
+    assert calls == []
+    model.conj(model.e, model.e)
+    assert len(calls) == 1
+
+
 def test_model_rejects_garbage():
     with pytest.raises(ModelError):
         parse_model("kind: perm\npoints: 4\n")
@@ -771,37 +800,68 @@ def _normal_closure(model, members, within):
     )
 
 
+def _renamed(p, sigma):
+    """The permutation ``p`` with each point i renamed ``sigma[i]``."""
+    out = [None] * len(p)
+    for i, image in enumerate(p):
+        out[sigma[i]] = sigma[image]
+    return tuple(out)
+
+
+# perm groups drawn on renamed points: the points, the generators, and
+# what K is generated from (None: the whole group)
+_NAMED_GROUPS = {
+    "s4": (4, ("(1 2)", "(1 2 3 4)"), None),
+    # (1 3 5)(2 4 6) cycles the three transpositions of Z2^3
+    "z2^3:z3": (6, ("(1 2)", "(1 3 5)(2 4 6)"), ("(1 2)", "(3 4)", "(5 6)")),
+}
+
+
 @st.composite
-def _chain_model_text(draw):
-    """A sound model: a perm group of order at most 48 on at most 6
-    points, or a cyclic or dihedral table of order at most 16, with K and
-    its chain drawn at random.  The bottom is the core of K in the group
-    met with a normal closure in the group, or the trivial group, so it
-    is normal in the group; each level above it is the normal closure in
-    K of one member of the level above, times the bottom, so it is
-    normal in K."""
-    shape = draw(st.sampled_from(["perm", "perm", "cyclic", "dihedral"]))
-    if shape == "perm":
+def _sound_chains(draw):
+    """A sound chain: ``(head, group, chain)``, with ``head`` the model
+    text up to K, ``group`` the model with K the whole group and
+    ``chain`` the level sets, K first.
+
+    The group is a perm group of order at most 48 on at most 6 points,
+    S4 or Z2^3 ⋊ Z3 with their points renamed at random, or a cyclic or
+    dihedral table of order at most 16.  K is generated by up to three
+    members of the group, or in Z2^3 ⋊ Z3 of the three transpositions,
+    so that an element outside K can move one level of K to another.
+    The bottom is the core of K in the group met with a normal closure
+    in the group, or the trivial group, so it is normal in the group;
+    each level above it is the normal closure in K of one or two members
+    of the level above, times the bottom, so it is normal in K."""
+    shape = draw(st.sampled_from(["perm", *_NAMED_GROUPS, "cyclic", "dihedral"]))
+    pool = None
+    if shape == "cyclic":
+        n = draw(st.integers(1, 16))
+        rows = [[(i + j) % n for j in range(n)] for i in range(n)]
+    elif shape == "dihedral":
+        # r^a s^e is a + m·e, and (r^a s^e)(r^b s^f) = r^(a ± b) s^(e + f)
+        m = draw(st.integers(2, 8))
+        rows = [
+            [(a + (-1) ** e * b) % m + m * ((e + f) % 2) for f in (0, 1) for b in range(m)]
+            for e in (0, 1) for a in range(m)
+        ]
+    elif shape == "perm":
         points = draw(st.integers(1, 6))
-        perms = st.permutations(range(points)).map(lambda p: perm_to_cycles(tuple(p)))
-        gens = ", ".join(draw(st.lists(perms, min_size=1, max_size=3)))
-        head = f"kind: perm\npoints: {points}\ngens: {gens}\n"
+        perms = draw(st.lists(st.permutations(range(points)), min_size=1, max_size=3))
     else:
-        if shape == "cyclic":
-            n = draw(st.integers(1, 16))
-            rows = [[(i + j) % n for j in range(n)] for i in range(n)]
-        else:
-            # r^a s^e is a + m·e, and (r^a s^e)(r^b s^f) = r^(a ± b) s^(e + f)
-            m = draw(st.integers(2, 8))
-            rows = [
-                [(a + (-1) ** e * b) % m + m * ((e + f) % 2) for f in (0, 1) for b in range(m)]
-                for e in (0, 1) for a in range(m)
-            ]
+        points, gen_cycles, pool_cycles = _NAMED_GROUPS[shape]
+        sigma = draw(st.permutations(range(points)))
+        perms = [_renamed(perm_from_cycles(c, points), sigma) for c in gen_cycles]
+        if pool_cycles:
+            pool = [_renamed(perm_from_cycles(c, points), sigma) for c in pool_cycles]
+    if shape in ("cyclic", "dihedral"):
+        gens = ", ".join(f"#{i}" for i in range(len(rows)))
         head = "kind: table\n" + "".join(f"row: {' '.join(map(str, row))}\n" for row in rows)
+    else:
+        gens = ", ".join(perm_to_cycles(tuple(p)) for p in perms)
+        head = f"kind: perm\npoints: {points}\ngens: {gens}\n"
     # with K the whole group every chain requirement holds
-    everything = gens if shape == "perm" else ", ".join(f"#{i}" for i in range(len(rows)))
     try:
-        group = parse_model(f"{head}K: {everything}\n")
+        group = parse_model(f"{head}K: {gens}\n")
     except ModelError:  # more than MAX_ORDER elements
         group = None
     assume(group is not None and group.n <= 48)
@@ -812,7 +872,8 @@ def _chain_model_text(draw):
         others = sorted(subgroup - {group.e}) or [group.e]
         return draw(st.lists(st.sampled_from(others), min_size=least, max_size=most))
 
-    K = frozenset(_closure(group.e, members(set(G), 1, 2), group.mul))
+    pool = set(G) if pool is None else {group.perm_index[p] for p in pool}
+    K = frozenset(_closure(group.e, members(pool, 1, 3), group.mul))
     core = frozenset.intersection(*(frozenset(group.conj(g, k) for k in K) for g in G))
     bottom = core & _normal_closure(group, members(K, 0, 1), G)
     if bottom == K:  # the trivial group instead, so that the chain descends
@@ -821,14 +882,21 @@ def _chain_model_text(draw):
     for _ in range(draw(st.integers(0, 4))):
         above = chain[-1]
         level = frozenset(
-            _closure(group.e, _normal_closure(group, members(above, 1, 1), K) | bottom, group.mul)
+            _closure(group.e, _normal_closure(group, members(above, 1, 2), K) | bottom, group.mul)
         )
         if bottom < level < above:
             chain.append(level)
     if bottom != chain[-1]:
         chain.append(bottom)
+    return head, group, chain
+
+
+def _model_text(head, group, chain):
     lines = [", ".join(group.names[x] for x in sorted(level)) for level in chain]
     return head + f"K: {lines[0]}\n" + "".join(f"level: {line}\n" for line in lines[1:])
+
+
+_chain_model_text = _sound_chains().map(lambda case: _model_text(*case))
 
 
 # Z2^3 ⋊ Z3, with g = (1 3 5)(2 4 6) cycling the three transpositions:
@@ -845,7 +913,7 @@ level: -
 
 
 @settings(max_examples=200, deadline=None)
-@given(_chain_model_text())
+@given(_chain_model_text)
 @example(_ONE_SIDE_IS_NOT_ENOUGH)
 def test_conj_depth_table_matches_the_whole_coset_scan_on_fuzzed_chains(text):
     pair = finite_model_pair(parse_model(text))
@@ -854,6 +922,88 @@ def test_conj_depth_table_matches_the_whole_coset_scan_on_fuzzed_chains(text):
         for g in range(pair.model.n):
             assert pair.conj_depth(g, d) == _whole_coset_conj_depth(pair, g, d)
             assert corrupt.conj_depth(g, d) == d
+
+
+def _one_side_is_not_enough(text) -> bool:
+    """Whether some g·N_j·g^-1 lies in N_d for a j that g^-1 refutes."""
+    model = parse_model(text)
+    top = len(model.levels) - 1
+    return any(
+        model.conj_depths[d][g] != next(
+            (j for j in range(d, top) if model.lefts[j].of(g) <= model.rights[d].of(g)), top
+        )
+        for d in range(top + 1)
+        for g in range(model.n)
+    )
+
+
+def test_fuzzed_chains_reach_one_where_one_side_is_not_enough():
+    assert _one_side_is_not_enough(_ONE_SIDE_IS_NOT_ENOUGH)
+    found = find(
+        _chain_model_text, _one_side_is_not_enough,
+        settings=settings(max_examples=5000, database=None, phases=[Phase.generate]),
+    )
+    assert _one_side_is_not_enough(found)
+
+
+def _reference_chain_error(group, chain):
+    """The first message of the conjugation-based chain check that loading
+    used before the coset tables decided normality, or None: ``chain``
+    is the level sets of a model of ``group``, K first."""
+    for d, level in enumerate(chain):
+        label = "K" if d == 0 else f"chain level {d}"
+        if d > 0:
+            if not level <= chain[d - 1]:
+                return f"{label} is not inside level {d - 1}"
+            if level == chain[d - 1]:
+                return f"{label} does not descend strictly"
+        for k in chain[0]:
+            if any(group.conj(k, x) not in level for x in level):
+                return f"{label} is not normal in K"
+    bottom = chain[-1]
+    for g in range(group.n):
+        if any(group.conj(g, x) not in bottom for x in bottom):
+            names = ", ".join(sorted(group.names[i] for i in bottom))
+            return f"chain bottom {{{names}}} is not normal in the whole group"
+    return None
+
+
+@st.composite
+def _chains_sound_or_not(draw):
+    """A sound chain, or one with a single fault drawn in: a level from
+    anywhere in the group (it may not nest), a repeated level (it does
+    not descend), a level from one member of the level above (it may not
+    be normal in K), or the chain cut short above its bottom (the new
+    bottom may not be normal in the group)."""
+    head, group, chain = draw(_sound_chains())
+    fault = draw(st.sampled_from(["none", "nest", "descend", "normal", "bottom"]))
+    i = draw(st.integers(1, len(chain)))
+
+    def generated(subgroup, most):
+        gens = draw(st.lists(st.sampled_from(sorted(subgroup)), min_size=1, max_size=most))
+        return frozenset(_closure(group.e, gens, group.mul))
+
+    if fault == "nest":
+        chain.insert(i, generated(range(group.n), 2))
+    elif fault == "descend":
+        chain.insert(i, chain[i - 1])
+    elif fault == "normal":
+        chain.insert(i, generated(chain[i - 1], 1))
+    elif fault == "bottom":
+        del chain[i:]  # a level normal in K need not be normal in the group
+    return _model_text(head, group, chain), group, chain
+
+
+@settings(max_examples=300, deadline=None)
+@given(_chains_sound_or_not())
+def test_chain_check_matches_the_conjugation_reference(case):
+    text, group, chain = case
+    expected = _reference_chain_error(group, chain)
+    if expected is None:
+        assert parse_model(text).levels == tuple(chain)
+    else:
+        with pytest.raises(ModelError, match=f"^{re.escape(expected)}$"):
+            parse_model(text)
 
 
 @contextlib.contextmanager
