@@ -39,13 +39,16 @@ model), is refused with the number of its line.
 
 from __future__ import annotations
 
+import os
 import re
+import stat
 from dataclasses import dataclass
 
 from .core import CommensuratedPair, ContractViolation, Depth
 
 MAX_POINTS = 16
 MAX_ORDER = 200
+MAX_MODEL_BYTES = 1 << 20  # an order-200 table model is about 140 KB
 _KEYS = frozenset(
     {"name", "kind", "points", "gens", "k", "level", "order", "row", "corrupt_conj_depth"}
 )
@@ -324,6 +327,9 @@ class FiniteModel:
 # --- parsing -----------------------------------------------------------------
 
 def _split_items(value: str):
+    """The comma-separated items of a generator line; "-" has none."""
+    if value == "-":
+        return []
     return [item.strip() for item in value.split(",") if item.strip()]
 
 
@@ -380,72 +386,70 @@ def parse_model(text: str) -> FiniteModel:
         if "gens" not in fields:
             raise ModelError("perm models need a 'gens' line")
 
-        def parse_gens(value):
-            if value == "-":
-                return []
-            return [perm_from_cycles(item, points) for item in _split_items(value)]
+        def read(item):
+            return perm_from_cycles(item, points)
 
-        gens = parse_gens(fields["gens"])
+        gens = [read(item) for item in _split_items(fields["gens"])]
         elements = sorted(_closure(perm_identity(points), gens, perm_compose, MAX_ORDER))
-        index = {p: i for i, p in enumerate(elements)}
-        mul_table = perm_mul_table(elements, index, gens)
+        perm_index = {p: i for i, p in enumerate(elements)}
+        table = perm_mul_table(elements, perm_index, gens)
         names = [perm_to_cycles(p) for p in elements]
 
-        def gen_indices(value):
-            out = []
-            for p in parse_gens(value):
-                if p not in index:
-                    raise ModelError(f"generator {perm_to_cycles(p)} is outside the group")
-                out.append(index[p])
-            return out
+        def element(perm):
+            if perm not in perm_index:
+                raise ModelError(f"generator {perm_to_cycles(perm)} is outside the group")
+            return perm_index[perm]
 
-        return FiniteModel(
-            name, "perm", names, mul_table,
-            gen_indices(fields["k"]),
-            [gen_indices(v) for v in fields["level"]],
-            corrupt=corrupt, points=points, perm_index=index,
-        )
-
-    if kind == "table":
-        rows = []
+    elif kind == "table":
+        table = []
         for value in fields["row"]:
             try:
-                rows.append([int(tok) for tok in value.split()])
+                table.append([int(tok) for tok in value.split()])
             except ValueError:
                 raise ModelError(f"bad table row {value!r}") from None
-        if not rows:
+        if not table:
             raise ModelError("table models need 'row' lines")
         try:
-            order = int(fields.get("order", len(rows)))
+            order = int(fields.get("order", len(table)))
         except ValueError:
             raise ModelError(f"'order' must be an integer, got {fields['order']!r}") from None
-        if order != len(rows):
+        if order != len(table):
             raise ModelError("stated order does not match the number of rows")
-        names = [f"#{i}" for i in range(len(rows))]
+        names = [f"#{i}" for i in range(order)]
+        points = perm_index = None
 
-        def gen_indices(value):
-            if value == "-":
-                return []
-            out = []
-            for item in _split_items(value):
-                if not _TABLE_LITERAL.fullmatch(item) or int(item[1:]) >= len(rows):
-                    raise ModelError(f"bad table element {item!r}")
-                out.append(int(item[1:]))
-            return out
+        def read(item):
+            if not _TABLE_LITERAL.fullmatch(item) or int(item[1:]) >= order:
+                raise ModelError(f"bad table element {item!r}")
+            return int(item[1:])
 
-        return FiniteModel(
-            name, "table", names, rows,
-            gen_indices(fields["k"]),
-            [gen_indices(v) for v in fields["level"]],
-            corrupt=corrupt,
-        )
+        def element(i):
+            return i
 
-    raise ModelError(f"unknown model kind {kind!r}")
+    else:
+        raise ModelError(f"unknown model kind {kind!r}")
+
+    def indices(value):
+        # every item is read before any is looked up, so a malformed item
+        # is named ahead of one outside the group
+        return [element(x) for x in [read(item) for item in _split_items(value)]]
+
+    return FiniteModel(
+        name, kind, names, table, indices(fields["k"]), [indices(v) for v in fields["level"]],
+        corrupt=corrupt, points=points, perm_index=perm_index,
+    )
 
 
 def load_model(path) -> FiniteModel:
-    with open(path, "r", encoding="utf-8") as fh:
-        return parse_model(fh.read())
+    """The model in the regular file ``path`` of at most MAX_MODEL_BYTES;
+    a device, a FIFO or a larger file is refused before it is read."""
+    if not stat.S_ISREG(os.stat(path).st_mode):
+        raise ModelError(f"model file {str(path)!r} is not a regular file")
+    with open(path, "rb") as fh:
+        data = fh.read(MAX_MODEL_BYTES + 1)
+    if len(data) > MAX_MODEL_BYTES:
+        raise ModelError(f"model file {str(path)!r} is larger than {MAX_MODEL_BYTES} bytes")
+    return parse_model(data.decode("utf-8"))
 
 
 # --- the pair ----------------------------------------------------------------
@@ -515,7 +519,7 @@ class FiniteModelPair(CommensuratedPair):
         return self.model.names[table.reps[table.ids[x]]]
 
     def validate(self, x) -> None:
-        if not isinstance(x, int) or not 0 <= x < self.model.n:
+        if not isinstance(x, int) or isinstance(x, bool) or not 0 <= x < self.model.n:
             raise ContractViolation(f"{self.name}: no element with index {x!r}")
 
     def describe(self) -> str:

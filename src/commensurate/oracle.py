@@ -6,8 +6,8 @@ generic engine.  Level cosets are read from the model's per-level coset
 tables, which hold the same literal sets and are built when the model
 loads, and products from its multiplication table (a permutation model
 builds that table from generator columns, one index lookup per entry).
-`refinement_subgroup` builds the finite-index subgroup
-whose left cosets refine all the mixed left/right intersections,
+`refinement_subgroup` builds, from the right cosets that meet gN, the
+finite-index subgroup whose left cosets refine every gN ∩ Nh,
 `enumerate_completion` multiplies whole filters out as sets, and
 `compare_engine` replays random engine operations against both.  The
 depth an operation must attain is the literal optimum: the deepest
@@ -15,7 +15,8 @@ level one of whose cosets holds the literal set of results.
 
 The intersections gN ∩ Nh are found in one pass over each left coset
 gN: grouping its members by right coset gives every nonempty one, and
-an empty one is trivially a union of cosets.
+an empty one is trivially a union of cosets.  A piece that is not a
+union is reported in that pass, once, by the least members of gN and Nh.
 """
 
 from __future__ import annotations
@@ -36,22 +37,15 @@ def refinement_subgroup(model: FiniteModel, d: int, g: int) -> frozenset:
     """A finite-index subgroup M of the chain level N = N_d such that
     every set gN ∩ Nh is a union of left cosets of M.
 
-    M is N intersected with the conjugates h_i^-1 N h_i, where the h_i
-    are the least representatives of the distinct values of gN ∩ Nh as
-    Nh runs over the right cosets (the empty value included; its
-    conjugate only shrinks M harmlessly).  M depends on g only through
-    its left coset gN.
+    M is N intersected with the conjugates h^-1 N h, where h runs over
+    the least representatives of the right cosets Nh that meet gN; an
+    empty gN ∩ Nh is a union of cosets of any M.  M depends on g only
+    through its left coset gN.
     """
     N = model.levels[d]
     right = model.rights[d]
-    # each right coset that meets gN gives its own value; the first one
-    # that misses gN, if any, stands for the empty value, and with
-    # |met| ids met it lies among the ids 0..|met|
-    met = {right.ids[x] for x in model.lefts[d].of(g)}
-    if len(met) < len(right.sets):
-        met.add(next(i for i in range(len(met) + 1) if i not in met))
     M = set(N)
-    for i in met:
+    for i in {right.ids[x] for x in model.lefts[d].of(g)}:
         h_inv = model.inv(right.reps[i])
         M &= {model.conj(h_inv, x) for x in N}
     return frozenset(M)
@@ -290,26 +284,17 @@ def run_model_suite(pair: FiniteModelPair, trials: int, rng) -> OracleReport:
         # M and gN ∩ Nh depend on g and h only through gN and Nh; one pass
         # over gN yields each nonempty gN ∩ Nh, keyed by Nh's id, and an
         # empty one is trivially a union of cosets
-        failing = []  # per left coset, the ids of the Nh that fail
         for g, gN in zip(left.reps, left.sets):
             M = refinement_subgroup(model, d, g)
             pieces = defaultdict(set)
             for x in gN:
                 pieces[right.ids[x]].add(x)
-            failing.append(
-                {i for i, piece in pieces.items()
-                 if not is_union_of_left_cosets(model, piece, M)}
-            )
-        if any(failing):
-            # every failing (g, h), in the order of the plain double loop
-            for g in range(model.n):
-                bad = failing[left.ids[g]]
-                for h in range(model.n):
-                    if right.ids[h] in bad:
-                        inputs = f"level {d}, g={model.names[g]}, h={model.names[h]}"
-                        mismatches.append(
-                            _mismatch("refinement", inputs, "union of left cosets", "not a union")
-                        )
+            for i in sorted(pieces):
+                if not is_union_of_left_cosets(model, pieces[i], M):
+                    inputs = f"level {d}, g={model.names[g]}, h={model.names[right.reps[i]]}"
+                    mismatches.append(
+                        _mismatch("refinement", inputs, "union of left cosets", "not a union")
+                    )
 
     for chain in coherent_chains(model):
         if not left_right_check(model, chain):

@@ -177,6 +177,22 @@ def _limit_memory():
     resource.setrlimit(resource.RLIMIT_AS, (limit, limit))
 
 
+def _run_capped(argv):
+    """The CLI on ``argv`` in a child process capped at 1 GB of address
+    space and 20 s."""
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")])
+    ))
+    return subprocess.run(
+        [sys.executable, "-m", "commensurate.cli", *argv],
+        capture_output=True,
+        text=True,
+        timeout=20,
+        env=env,
+        preexec_fn=_limit_memory,
+    )
+
+
 @pytest.mark.parametrize(
     "argv,stdout",
     [
@@ -191,17 +207,7 @@ def test_huge_doubling_exponents_end_quickly(argv, stdout):
     """A huge doubling exponent must not make bs12 build 2**texp.  Each run
     is a child process capped at 1 GB of address space, so a regression
     fails here instead of exhausting the test run's memory."""
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")])
-    ))
-    proc = subprocess.run(
-        [sys.executable, "-m", "commensurate.cli", *argv],
-        capture_output=True,
-        text=True,
-        timeout=20,
-        env=env,
-        preexec_fn=_limit_memory,
-    )
+    proc = _run_capped(argv)
     assert proc.returncode in (0, 2), proc.stderr
     assert "Traceback" not in proc.stderr
     if stdout is not None:
@@ -225,17 +231,7 @@ def test_exact_products_past_the_size_bound_are_refused(argv, outcome):
     """A product past MAX_EXACT_BITS exits 2 at once, naming the bound,
     instead of exhausting memory or running for minutes.  Each run is a
     child process capped at 1 GB of address space and 20 s."""
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")])
-    ))
-    proc = subprocess.run(
-        [sys.executable, "-m", "commensurate.cli", *argv],
-        capture_output=True,
-        text=True,
-        timeout=20,
-        env=env,
-        preexec_fn=_limit_memory,
-    )
+    proc = _run_capped(argv)
     assert (proc.returncode, proc.stdout, proc.stderr) == outcome
 
 
@@ -331,6 +327,52 @@ def test_oracle_refuses_an_oversized_or_misspelt_model(text, message, tmp_path, 
     out, err = capsys.readouterr()
     assert out == ""
     assert err == f"error: {message}\n"
+
+
+def _refused_model_file(kind, tmp_path):
+    """A path that is not a small regular file, and the refusal it gets."""
+    if kind == "device":
+        path = pathlib.Path("/dev/zero")
+        if not path.exists():
+            pytest.skip("no zero device")
+        return path, "is not a regular file"
+    if kind == "fifo":
+        if not hasattr(os, "mkfifo"):
+            pytest.skip("no FIFOs")
+        path = tmp_path / "fifo.model"
+        os.mkfifo(path)  # with no writer, opening it would block for good
+        return path, "is not a regular file"
+    path = tmp_path / "big.model"
+    text = (ROOT / "models" / "s4.model").read_bytes()
+    path.write_bytes(text + b"#" * (finitemodel.MAX_MODEL_BYTES + 1 - len(text)))
+    return path, f"is larger than {finitemodel.MAX_MODEL_BYTES} bytes"
+
+
+@pytest.mark.parametrize("command", ["oracle", "eval"])
+@pytest.mark.parametrize("kind", ["device", "fifo", "over-cap"])
+def test_model_files_that_are_not_small_regular_files_are_refused(kind, command, tmp_path):
+    """A device, a FIFO or an over-cap file exits 2 at once with one line,
+    under both commands that load a model file.  Reading the zero device
+    would never end, so that case runs in a capped child process."""
+    path, reason = _refused_model_file(kind, tmp_path)
+    argv = (["oracle", str(path), "--trials", "1"] if command == "oracle"
+            else ["eval", f"model:{path}", "()"])
+    if kind == "device":
+        proc = _run_capped(argv)
+        got = (proc.returncode, proc.stdout, proc.stderr)
+    else:
+        out, err = io.StringIO(), io.StringIO()
+        with time_limit(CASE_SECONDS), redirect_stdout(out), redirect_stderr(err):
+            got = (entry(argv), out.getvalue(), err.getvalue())
+    assert got == (2, "", f"error: model file {str(path)!r} {reason}\n")
+
+
+def test_a_model_file_at_the_byte_cap_loads(tmp_path, capsys):
+    path = tmp_path / "full.model"
+    text = (ROOT / "models" / "s4.model").read_bytes()
+    path.write_bytes(text + b"#" * (finitemodel.MAX_MODEL_BYTES - len(text)))
+    assert entry(["eval", f"model:{path}", "--depth", "2", "(1 2)"]) == 0
+    assert capsys.readouterr().err == ""
 
 
 @st.composite

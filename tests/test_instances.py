@@ -766,6 +766,10 @@ def test_finite_conj_depth_rep_decides_the_coset(name):
 def test_finite_pair_validate(s4_pair):
     with pytest.raises(ContractViolation):
         s4_pair.validate(99)
+    # bools are ints to Python, but not elements
+    for flag in (True, False):
+        with pytest.raises(ContractViolation):
+            s4_pair.embed(flag, 1)
     # a cyclic group on 4 points: transpositions are well-formed literals
     # but lie outside the group
     c4 = finite_model_pair(

@@ -283,32 +283,71 @@ def test_suite_builds_one_refinement_subgroup_per_left_coset(monkeypatch):
     assert len(set(calls)) == len(calls)
 
 
-def test_refinement_failures_match_a_plain_loop(s4_pair, monkeypatch):
-    """The suite tests gN ∩ Nh once per pair of left and right cosets; a
-    failure must still be reported for every (d, g, h), in the order of
-    the triple loop."""
-    model = s4_pair.model
+@pytest.mark.parametrize(
+    "name,d,size,pairs", [("s4", 1, 3, 9), ("s5", 0, 6, 576)], ids=["s4", "s5"]
+)
+def test_a_failing_refinement_piece_is_reported_once(name, d, size, pairs, monkeypatch):
+    """A failing gN ∩ Nh is reported once, in the pass that tests it, by
+    the least members of gN and Nh; a walk over every (g, h) in gN × Nh
+    used to report it ``pairs`` times."""
+    pair = finite_model_pair(load_model(MODELS / f"{name}.model"))
+    model = pair.model
+    left, right = model.lefts[d], model.rights[d]
+    # no level has two equal pieces of this size, so only this one fails
+    gN, Nh = next(
+        (gN, Nh) for gN in left.sets for Nh in right.sets if len(gN & Nh) == size
+    )
+    chosen = gN & Nh
+    assert len(gN) * len(Nh) == pairs
     literal_check = oracle.is_union_of_left_cosets
-    g, h = s4_pair.parse_literal("(1 4)"), s4_pair.parse_literal("(2 4)")
-    chosen = model.left_coset(g, model.levels[1]) & model.right_coset(model.levels[1], h)
-    assert chosen
 
     def failing(model_, subset, M):
         return subset != chosen and literal_check(model_, subset, M)
 
     monkeypatch.setattr(oracle, "is_union_of_left_cosets", failing)
-    expected = []
-    for d, N in enumerate(model.levels):
-        for g in range(model.n):
-            M = refinement_subgroup(model, d, g)
-            for h in range(model.n):
-                if not failing(model, model.left_coset(g, N) & model.right_coset(N, h), M):
-                    expected.append(f"level {d}, g={model.names[g]}, h={model.names[h]}")
-    report = run_model_suite(s4_pair, 0, random.Random(SEED))
-    got = [m["inputs"] for m in report.mismatches if m["op"] == "refinement"]
-    assert len(expected) > 1
+    report = run_model_suite(pair, 0, random.Random(SEED))
+    assert report.mismatches == [{
+        "op": "refinement",
+        "inputs": f"level {d}, g={model.names[min(gN)]}, h={model.names[min(Nh)]}",
+        "expected": "union of left cosets",
+        "got": "not a union",
+    }]
+
+
+def test_refinement_failures_follow_left_then_right_coset_ids(s4_d8_pair, monkeypatch):
+    model = s4_d8_pair.model
+    monkeypatch.setattr(oracle, "is_union_of_left_cosets", lambda model_, subset, M: False)
+    got = [m["inputs"] for m in run_model_suite(s4_d8_pair, 0, random.Random(SEED)).mismatches]
+    expected = [
+        f"level {d}, g={model.names[g]}, h={model.names[h]}"
+        for d in range(len(model.levels))
+        for g, gN in zip(model.lefts[d].reps, model.lefts[d].sets)
+        for h, Nh in zip(model.rights[d].reps, model.rights[d].sets)
+        if gN & Nh
+    ]
+    assert len(expected) > len(model.levels)
     assert got == expected
-    assert len(report.mismatches) == len(expected)
+
+
+@pytest.mark.parametrize("name", ["s4", "s4_d8", "z8", "s5"])
+def test_refinement_subgroup_conjugates_by_the_right_cosets_that_meet_gN(name, monkeypatch):
+    model = load_model(MODELS / f"{name}.model")
+    conj = type(model).conj
+    used = []
+
+    def recorded(self, g, x):
+        used.append(g)
+        return conj(self, g, x)
+
+    monkeypatch.setattr(type(model), "conj", recorded)
+    for d, N in enumerate(model.levels):
+        right = model.rights[d]
+        for g, gN in zip(model.lefts[d].reps, model.lefts[d].sets):
+            used.clear()
+            refinement_subgroup(model, d, g)
+            met = {right.ids[x] for x in gN}
+            assert set(used) == {model.inv(right.reps[i]) for i in met}
+            assert len(used) == len(met) * len(N)
 
 
 def test_suite_deterministic_under_seed(z8_pair):
