@@ -14,14 +14,14 @@ import random
 import time
 
 import test_cli
-
-from commensurate.oracle import (
+from test_oracle import (
     coherent_chains,
-    compare_engine,
     is_union_of_left_cosets,
     left_right_check,
     refinement_subgroup,
 )
+
+from commensurate.oracle import compare_engine
 from commensurate.finitemodel import load_model
 from commensurate.registry import builtin_instances, resolve_instance, resolve_target
 
@@ -29,11 +29,9 @@ ROOT = pathlib.Path(__file__).resolve().parent.parent
 MODELS = ROOT / "models"
 SEED = int(os.environ.get("COMMENSURATE_SEED", "0"))
 
-SHIPPED_MODELS = ("s4.model", "s4_d8.model", "z8.model", "s4_corrupt.model")
-
 
 def _shipped_models():
-    return [load_model(MODELS / name) for name in SHIPPED_MODELS]
+    return [load_model(path) for path in sorted(MODELS.glob("*.model"))]
 
 
 def _budget(started, limit, label):

@@ -280,20 +280,6 @@ def test_oracle_json_schema(capsys, monkeypatch):
     assert payload == {"model": "z8", "trials": 40, "mismatches": []}
 
 
-def test_oracle_reports_a_failed_completion_table(capsys, monkeypatch):
-    def broken(model):
-        raise oracle.OracleError("completion table lost its identity")
-
-    monkeypatch.setattr(oracle, "enumerate_completion", broken)
-    blob = run_case(["oracle", "models/s4.model", "--trials", "5"], capsys, monkeypatch)
-    assert blob.startswith("exit: 1\n")
-    assert "trials: 0\n" in blob and "Traceback" not in blob
-    assert (
-        "  completion-table: inputs s4; expected single-coset products; "
-        "got completion table lost its identity\n"
-    ) in blob
-
-
 def test_oracle_names_a_bad_order_line(tmp_path, capsys):
     model = tmp_path / "bad.model"
     model.write_text("kind: table\norder: x\nrow: 0\nK: #0\n", encoding="utf-8")

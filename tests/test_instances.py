@@ -40,6 +40,13 @@ from commensurate.oracle import run_model_suite
 from commensurate.registry import builtin_instances
 from commensurate.sl2 import is_prime
 
+from test_oracle import (
+    coherent_chains,
+    is_union_of_left_cosets,
+    left_right_check,
+    refinement_subgroup,
+)
+
 RNG_SEED = 20260814
 MODELS = pathlib.Path(__file__).resolve().parent.parent / "models"
 
@@ -1008,6 +1015,30 @@ def test_chain_check_matches_the_conjugation_reference(case):
     else:
         with pytest.raises(ModelError, match=f"^{re.escape(expected)}$"):
             parse_model(text)
+
+
+@settings(max_examples=200, deadline=None)
+@given(_chain_model_text)
+def test_the_coset_identities_hold_on_fuzzed_chains(text):
+    """The paper's three coset identities hold on every chain that loads,
+    since loading checks the levels nest and are normal in K and the
+    bottom is normal in the whole group: each gN ∩ Nh is a union of left
+    cosets of M ≤ N, every coherent left chain is coherent on the right,
+    and for the bottom N and M = N ∩ g₂·N·g₂⁻¹ the set M·g₂·N is g₂·N."""
+    model = parse_model(text)
+    for d, N in enumerate(model.levels):
+        left, right = model.lefts[d], model.rights[d]
+        for g, gN in zip(left.reps, left.sets):
+            M = refinement_subgroup(model, d, g)
+            assert M <= N
+            for Nh in right.sets:  # an empty gN ∩ Nh passes trivially
+                assert is_union_of_left_cosets(model, gN & Nh, M), (d, g, min(Nh))
+    for chain in coherent_chains(model):
+        assert left_right_check(model, chain), sorted(chain[-1])
+    N = model.bottom
+    for g2, g2N in zip(model.lefts[-1].reps, model.lefts[-1].sets):
+        M = N & {model.conj(g2, x) for x in N}
+        assert {model.mul(m, y) for m in M for y in g2N} == g2N, g2
 
 
 @contextlib.contextmanager

@@ -1,4 +1,5 @@
-"""The brute-force suites against themselves and against the engine."""
+"""The brute-force oracle against the engine, and the paper's coset
+identities checked literally."""
 
 import pathlib
 import random
@@ -13,18 +14,69 @@ from commensurate import (
     oracle,
     parse_model,
 )
-from commensurate.oracle import (
-    coherent_chains,
-    compare_engine,
-    enumerate_completion,
-    is_union_of_left_cosets,
-    left_right_check,
-    refinement_subgroup,
-    run_model_suite,
-)
+from commensurate.finitemodel import FiniteModel
+from commensurate.oracle import compare_engine, enumerate_completion, run_model_suite
 
 SEED = 7
 MODELS = pathlib.Path(__file__).resolve().parent.parent / "models"
+
+
+# --- the paper's coset identities, checked literally ---------------------------
+# Given the load checks (levels nested and normal in K, the bottom normal
+# in the whole group) each identity holds in every group, so the oracle
+# command does not repeat them; the tests below, acceptance criteria 02
+# and 03 and the fuzzed-chain property test in test_instances.py do.
+
+
+def refinement_subgroup(model: FiniteModel, d: int, g: int) -> frozenset:
+    """A finite-index subgroup M of the chain level N = N_d such that
+    every set gN ∩ Nh is a union of left cosets of M.
+
+    M is N intersected with the conjugates h^-1 N h, where h runs over
+    the least representatives of the right cosets Nh that meet gN; an
+    empty gN ∩ Nh is a union of cosets of any M.  M depends on g only
+    through its left coset gN.
+    """
+    N = model.levels[d]
+    right = model.rights[d]
+    M = set(N)
+    for i in {right.ids[x] for x in model.lefts[d].of(g)}:
+        h_inv = model.inv(right.reps[i])
+        M &= {model.conj(h_inv, x) for x in N}
+    return frozenset(M)
+
+
+def is_union_of_left_cosets(model: FiniteModel, subset, M) -> bool:
+    return all(model.left_coset(s, M) <= subset for s in subset)
+
+
+def coherent_chains(model: FiniteModel):
+    """All coherent nested left-coset chains (one per bottom coset)."""
+    for g in model.lefts[-1].reps:
+        yield [table.of(g) for table in model.lefts]
+
+
+def left_right_check(model: FiniteModel, chain) -> bool:
+    """Whether a coherent left-coset chain is also a coherent right-coset
+    chain: at each level exactly one right coset contains the chain's
+    bottom intersection, and those right cosets nest."""
+    for d, coset in enumerate(chain):
+        level = model.levels[d]
+        if len(coset) != len(level):
+            return False
+        if d > 0 and not coset <= chain[d - 1]:
+            return False
+    bottom = chain[-1]
+    previous = None
+    for cosets in model.rights:
+        containing = {cosets.ids[b] for b in bottom}
+        if len(containing) != 1:
+            return False
+        right = cosets.sets[containing.pop()]
+        if previous is not None and not right <= previous:
+            return False
+        previous = right
+    return True
 
 
 def _subgroup(model, members):
@@ -98,25 +150,6 @@ K: (1 2 3), (1 2)(3 4)
     model = parse_model(text)
     assert [len(s) for s in model.levels] == [12]
     assert enumerate_completion(model).size == 2
-
-
-def test_completion_table_names_the_first_failing_product(monkeypatch):
-    """A broken M for two g2 fails the single-coset check; the message
-    names the pair a loop over every (g1, g2) would meet first."""
-    model = load_model(MODELS / "s4.model")
-    reps = model.lefts[-1].reps
-    broken = {reps[5], reps[3]}
-    conj = type(model).conj
-    # conjugates outside N leave M, and so M·g2·N, empty
-    monkeypatch.setattr(
-        type(model), "conj", lambda self, g, x: -1 if g in broken else conj(self, g, x)
-    )
-    with pytest.raises(oracle.OracleError) as err:
-        enumerate_completion(model)
-    assert str(err.value) == (
-        f"filter product of {model.names[reps[0]]} and {model.names[reps[3]]} "
-        "is not a single coset"
-    )
 
 
 def test_left_right_check_all_chains(model_pairs):
@@ -266,114 +299,7 @@ def test_refinement_subgroup_depends_on_the_left_coset_only(name):
             assert M == refinement_subgroup(model, d, left.reps[left.ids[g]])
 
 
-def test_suite_builds_one_refinement_subgroup_per_left_coset(monkeypatch):
-    pair = finite_model_pair(load_model(MODELS / "s5.model"))
-    model = pair.model
-    calls = []
-    build = oracle.refinement_subgroup
-
-    def counted(model_, d, g):
-        calls.append((d, g))
-        return build(model_, d, g)
-
-    monkeypatch.setattr(oracle, "refinement_subgroup", counted)
-    assert run_model_suite(pair, 0, random.Random(SEED)).ok
-    indices = [model.n // len(level) for level in model.levels]
-    assert len(calls) == sum(indices) == 165
-    assert len(set(calls)) == len(calls)
-
-
-@pytest.mark.parametrize(
-    "name,d,size,pairs", [("s4", 1, 3, 9), ("s5", 0, 6, 576)], ids=["s4", "s5"]
-)
-def test_a_failing_refinement_piece_is_reported_once(name, d, size, pairs, monkeypatch):
-    """A failing gN ∩ Nh is reported once, in the pass that tests it, by
-    the least members of gN and Nh; a walk over every (g, h) in gN × Nh
-    used to report it ``pairs`` times."""
-    pair = finite_model_pair(load_model(MODELS / f"{name}.model"))
-    model = pair.model
-    left, right = model.lefts[d], model.rights[d]
-    # no level has two equal pieces of this size, so only this one fails
-    gN, Nh = next(
-        (gN, Nh) for gN in left.sets for Nh in right.sets if len(gN & Nh) == size
-    )
-    chosen = gN & Nh
-    assert len(gN) * len(Nh) == pairs
-    literal_check = oracle.is_union_of_left_cosets
-
-    def failing(model_, subset, M):
-        return subset != chosen and literal_check(model_, subset, M)
-
-    monkeypatch.setattr(oracle, "is_union_of_left_cosets", failing)
-    report = run_model_suite(pair, 0, random.Random(SEED))
-    assert report.mismatches == [{
-        "op": "refinement",
-        "inputs": f"level {d}, g={model.names[min(gN)]}, h={model.names[min(Nh)]}",
-        "expected": "union of left cosets",
-        "got": "not a union",
-    }]
-
-
-def test_refinement_failures_follow_left_then_right_coset_ids(s4_d8_pair, monkeypatch):
-    model = s4_d8_pair.model
-    monkeypatch.setattr(oracle, "is_union_of_left_cosets", lambda model_, subset, M: False)
-    got = [m["inputs"] for m in run_model_suite(s4_d8_pair, 0, random.Random(SEED)).mismatches]
-    expected = [
-        f"level {d}, g={model.names[g]}, h={model.names[h]}"
-        for d in range(len(model.levels))
-        for g, gN in zip(model.lefts[d].reps, model.lefts[d].sets)
-        for h, Nh in zip(model.rights[d].reps, model.rights[d].sets)
-        if gN & Nh
-    ]
-    assert len(expected) > len(model.levels)
-    assert got == expected
-
-
-@pytest.mark.parametrize("name", ["s4", "s4_d8", "z8", "s5"])
-def test_refinement_subgroup_conjugates_by_the_right_cosets_that_meet_gN(name, monkeypatch):
-    model = load_model(MODELS / f"{name}.model")
-    conj = type(model).conj
-    used = []
-
-    def recorded(self, g, x):
-        used.append(g)
-        return conj(self, g, x)
-
-    monkeypatch.setattr(type(model), "conj", recorded)
-    for d, N in enumerate(model.levels):
-        right = model.rights[d]
-        for g, gN in zip(model.lefts[d].reps, model.lefts[d].sets):
-            used.clear()
-            refinement_subgroup(model, d, g)
-            met = {right.ids[x] for x in gN}
-            assert set(used) == {model.inv(right.reps[i]) for i in met}
-            assert len(used) == len(met) * len(N)
-
-
 def test_suite_deterministic_under_seed(z8_pair):
     a = run_model_suite(z8_pair, 80, random.Random(SEED)).to_json()
     b = run_model_suite(z8_pair, 80, random.Random(SEED)).to_json()
     assert a == b
-
-
-def test_suite_tests_only_the_nonempty_intersections(monkeypatch):
-    """One pass over each left coset finds every nonempty gN ∩ Nh; each is
-    tested once, and the empty ones, trivially unions, not at all."""
-    pair = finite_model_pair(load_model(MODELS / "s5.model"))
-    model = pair.model
-    calls = []
-    literal_check = oracle.is_union_of_left_cosets
-
-    def counted(model_, subset, M):
-        calls.append(frozenset(subset))
-        return literal_check(model_, subset, M)
-
-    monkeypatch.setattr(oracle, "is_union_of_left_cosets", counted)
-    assert run_model_suite(pair, 0, random.Random(SEED)).ok
-    nonempty = []
-    for d in range(len(model.levels)):
-        left, right = model.lefts[d], model.rights[d]
-        nonempty += [gN & Nh for gN in left.sets for Nh in right.sets if gN & Nh]
-    # one test per pair of left and right cosets would be 15 425
-    assert len(calls) == len(nonempty) == 273
-    assert sorted(calls, key=sorted) == sorted(nonempty, key=sorted)
