@@ -1,7 +1,7 @@
 """Exact finite-precision arithmetic in group completions along
 commensurated subgroup chains, with brute-force oracles and a CLI."""
 
-from .bs12 import BS12Pair, DyadicAffine, bs12_pair
+from .bs12 import BS12Pair, DyadicAffine
 from .core import (
     CommensuratedPair,
     CompletionElement,
@@ -19,8 +19,8 @@ from .finitemodel import (
     load_model,
     parse_model,
 )
-from .integers import FACTORIAL, IntegerChainPair, integers_pair
-from .sl2 import Mat2, SL2Pair, sl2_pair
+from .integers import FACTORIAL, IntegerChainPair
+from .sl2 import Mat2, SL2Pair
 
 __all__ = [
     "BS12Pair",
@@ -39,10 +39,7 @@ __all__ = [
     "PrecisionExhausted",
     "SL2Pair",
     "Valuation",
-    "bs12_pair",
     "finite_model_pair",
-    "integers_pair",
     "load_model",
     "parse_model",
-    "sl2_pair",
 ]

@@ -112,7 +112,11 @@ class BS12Pair(CommensuratedPair):
     def validate(self, x) -> None:
         if not isinstance(x, DyadicAffine):
             raise ContractViolation(f"bs12: not an affine element: {x!r}")
-        if not isinstance(x.shift, Fraction) or not isinstance(x.texp, int):
+        if (
+            not isinstance(x.shift, Fraction)
+            or not isinstance(x.texp, int)
+            or isinstance(x.texp, bool)
+        ):
             raise ContractViolation(f"bs12: malformed element fields: {x!r}")
         if not _is_power_of_two(x.shift.denominator):
             raise ContractViolation(
@@ -146,8 +150,3 @@ class BS12Pair(CommensuratedPair):
         return DyadicAffine(
             Fraction((1 << depth) * rng.randrange(-(1 << 8), 1 << 8)), 0
         )
-
-
-def bs12_pair() -> BS12Pair:
-    """BS(1,2) with K the translation subgroup and its power-of-two chain."""
-    return BS12Pair()

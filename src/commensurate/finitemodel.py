@@ -522,13 +522,6 @@ class FiniteModelPair(CommensuratedPair):
         if not isinstance(x, int) or isinstance(x, bool) or not 0 <= x < self.model.n:
             raise ContractViolation(f"{self.name}: no element with index {x!r}")
 
-    def describe(self) -> str:
-        sizes = "|".join(str(len(s)) for s in self.model.levels)
-        return (
-            f"finite model of order {self.model.n} "
-            f"(K order {len(self.model.levels[0])}, chain orders {sizes})"
-        )
-
     def sample(self, rng) -> int:
         return rng.randrange(self.model.n)
 

@@ -177,8 +177,3 @@ class IntegerChainPair(CommensuratedPair):
 
     def sample_level(self, depth: Depth, rng) -> int:
         return self.modulus(depth) * rng.randrange(-(1 << 16), 1 << 16)
-
-
-def integers_pair(base) -> IntegerChainPair:
-    """Pair for Z with the base**d chain, or the d! chain for ``"factorial"``."""
-    return IntegerChainPair(base)

@@ -1,42 +1,61 @@
-"""Name-based lookup of instances.
+"""The instance table: names, patterns, listed instances.
 
 Instance names: ``z<base>`` (integers, power chain), ``zfact``
 (integers, factorial chain), ``bs12``, ``sl2:<p>`` (``sl2`` means p=2),
 and ``model:<path>`` for a finite model file.  Each pair names and
-builds its own discrete targets (``CommensuratedPair.target``).
+builds its own discrete targets (``CommensuratedPair.target``).  A new
+instance is one pair class plus one row of ``_INSTANCES``.
 """
 
 from __future__ import annotations
 
 import re
+from typing import Callable, NamedTuple
 
-from .bs12 import bs12_pair
+from .bs12 import BS12Pair
 from .core import CommensuratedPair, DiscreteTarget
 from .finitemodel import finite_model_pair, load_model
-from .integers import FACTORIAL, integers_pair
-from .sl2 import sl2_pair
+from .integers import FACTORIAL, IntegerChainPair
+from .sl2 import SL2Pair
 
-_Z_NAME = re.compile(r"z(\d+)")
-_SL2_NAME = re.compile(r"sl2(?::(\d+))?")
+
+class _Instance(NamedTuple):
+    name: re.Pattern  # matched in full against the requested name
+    build: Callable[[re.Match], CommensuratedPair]
+    pattern: str  # what `instances` prints for the name ...
+    description: str  # ... and beside it
+    listed: tuple[str, ...]  # the names `instances` lists
+
+
+def _power_chain(m: re.Match) -> IntegerChainPair:
+    base = int(m.group(1))
+    if base < 2:
+        raise KeyError(f"instance {m.string!r}: base must be >= 2")
+    return IntegerChainPair(base)
+
+
+_INSTANCES = (
+    _Instance(re.compile(r"z(\d+)"), _power_chain,
+              "z<base>", "integers with the base**d chain", ("z2", "z3")),
+    _Instance(re.compile(r"zfact(?:orial)?"), lambda m: IntegerChainPair(FACTORIAL),
+              "zfact", "integers with the factorial chain", ("zfact",)),
+    _Instance(re.compile(r"bs12"), lambda m: BS12Pair(),
+              "bs12", "Baumslag-Solitar group BS(1,2)", ("bs12",)),
+    _Instance(re.compile(r"sl2(?::(\d+))?"), lambda m: SL2Pair(int(m.group(1) or 2)),
+              "sl2:<p>", "SL2(Z[1/p]) with the congruence chain", ("sl2:2", "sl2:3")),
+    # a lambda body looks both names up per call, where bench/tracing.py wraps them
+    _Instance(re.compile(r"model:(.*)", re.DOTALL),
+              lambda m: finite_model_pair(load_model(m.group(1))),
+              "model:<path>", "finite model loaded from a model file", ()),
+)
 
 
 def resolve_instance(name: str) -> CommensuratedPair:
     """Pair for an instance name; KeyError when the name matches nothing."""
-    if name in ("zfact", "zfactorial"):
-        return integers_pair(FACTORIAL)
-    m = _Z_NAME.fullmatch(name)
-    if m is not None:
-        base = int(m.group(1))
-        if base < 2:
-            raise KeyError(f"instance {name!r}: base must be >= 2")
-        return integers_pair(base)
-    if name == "bs12":
-        return bs12_pair()
-    m = _SL2_NAME.fullmatch(name)
-    if m is not None:
-        return sl2_pair(int(m.group(1) or 2))
-    if name.startswith("model:"):
-        return finite_model_pair(load_model(name[len("model:"):]))
+    for row in _INSTANCES:
+        m = row.name.fullmatch(name)
+        if m is not None:
+            return row.build(m)
     raise KeyError(f"unknown instance {name!r}")
 
 
@@ -48,20 +67,7 @@ def resolve_target(pair: CommensuratedPair, name: str) -> DiscreteTarget:
 
 def builtin_instances() -> list[CommensuratedPair]:
     """The pairs shown by the `instances` command, in display order."""
-    return [
-        integers_pair(2),
-        integers_pair(3),
-        integers_pair(FACTORIAL),
-        bs12_pair(),
-        sl2_pair(2),
-        sl2_pair(3),
-    ]
+    return [resolve_instance(name) for row in _INSTANCES for name in row.listed]
 
 
-INSTANCE_PATTERNS = [
-    ("z<base>", "integers with the base**d chain"),
-    ("zfact", "integers with the factorial chain"),
-    ("bs12", "Baumslag-Solitar group BS(1,2)"),
-    ("sl2:<p>", "SL2(Z[1/p]) with the congruence chain"),
-    ("model:<path>", "finite model loaded from a model file"),
-]
+INSTANCE_PATTERNS = [(row.pattern, row.description) for row in _INSTANCES]

@@ -225,8 +225,3 @@ class SL2Pair(CommensuratedPair):
                 step = _mat(1, 0, k, 1)
             out = self.mul(out, step)
         return out
-
-
-def sl2_pair(p: int) -> SL2Pair:
-    """SL2(Z[1/p]) over SL2(Z) with the mod-p**d congruence chain."""
-    return SL2Pair(p)

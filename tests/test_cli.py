@@ -303,10 +303,21 @@ def _cyclic_rows(n):
         (f"kind: table\n{_cyclic_rows(201)}K: #1\n", "model order 201 outside 1..200"),
         ("kind: perm\npoints: 4\ngens: (1 2)\nK: (1 2)\nlevl: -\n",
          "line 5: unknown key 'levl'"),
+        ("name: a\nname: b\nkind: perm\npoints: 4\ngens: (1 2)\nK: (1 2)\n",
+         "line 2: duplicate key 'name'"),
+        ("kind: perm\ngens: (1 2)\nK: (1 2)\n", "perm models need an integer 'points' line"),
+        ("kind: perm\npoints: 4\nK: (1 2)\n", "perm models need a 'gens' line"),
+        ("kind: table\nrow: 0 x\nK: #0\n", "bad table row '0 x'"),
+        ("kind: table\nK: #0\n", "table models need 'row' lines"),
+        ("kind: table\nrow: 0 1\nrow: 1 1\nK: #0\n", "element #1 has no inverse"),
     ],
-    ids=["order-cap", "points-cap", "table-cap", "unknown-key"],
+    ids=["order-cap", "points-cap", "table-cap", "unknown-key", "duplicate-key",
+         "no-points", "no-gens", "bad-row", "no-rows", "no-inverse"],
 )
 def test_oracle_refuses_an_oversized_or_misspelt_model(text, message, tmp_path, capsys):
+    with pytest.raises(finitemodel.ModelError) as err:
+        finitemodel.parse_model(text)
+    assert str(err.value) == message
     model = tmp_path / "bad.model"
     model.write_text(text, encoding="utf-8")
     assert entry(["oracle", str(model)]) == 2
@@ -555,6 +566,13 @@ def test_long_bs12_level_rep_is_refused_before_any_output(capsys):
     assert err == "error: level 0: rep exceeds the display limit of 4300 digits\n"
 
 
+def test_psi_refuses_a_modulus_below_one(capsys):
+    assert entry(["psi", "z2", "mod:0", "1"]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == "error: target 'mod:0': modulus must be >= 1\n"
+
+
 def test_usage_error_exits_2(capsys):
     with pytest.raises(SystemExit) as err:
         entry(["eval"])  # missing required positionals
@@ -606,6 +624,22 @@ def test_bench_patch_points_exist():
     ):
         for name in ("mul", "inv", "in_level", "conj_depth"):
             assert callable(vars(cls).get(name)), (cls.__name__, name)
+
+
+def test_model_instances_load_through_the_traced_names(monkeypatch):
+    """bench/tracing.py times model loads by wrapping registry.load_model
+    and registry.finite_model_pair, so resolving a model: name must look
+    both up when it runs; a copy bound at import would read 0 ms unseen."""
+    calls = []
+    for name in ("load_model", "finite_model_pair"):
+        def recording(arg, name=name, inner=vars(registry)[name]):
+            calls.append(name)
+            return inner(arg)
+
+        monkeypatch.setattr(registry, name, recording)
+    pair = registry.resolve_instance(f"model:{ROOT / 'models' / 's4.model'}")
+    assert calls == ["load_model", "finite_model_pair"]
+    assert pair.model.name == "s4"
 
 
 def test_bench_smoke_passes():

@@ -1,5 +1,7 @@
 """Engine laws: products, inverses, depths, valuations, targets."""
 
+import contextlib
+import io
 import math
 import pathlib
 import random
@@ -10,26 +12,26 @@ import pytest
 from hypothesis import example, given, strategies as st
 
 from commensurate import (
+    BS12Pair,
     CommensuratedPair,
     CompletionElement,
     DiscreteTarget,
     DyadicAffine,
+    IntegerChainPair,
     Mat2,
     PrecisionExhausted,
+    SL2Pair,
     Valuation,
-    bs12_pair,
     finite_model_pair,
-    integers_pair,
     load_model,
-    sl2_pair,
 )
 from commensurate import core
 from commensurate.core import _gallop
 from commensurate.expr import evaluate
 from commensurate.registry import builtin_instances
 
-Z2 = integers_pair(2)
-BS = bs12_pair()
+Z2 = IntegerChainPair(2)
+BS = BS12Pair()
 
 ints = st.integers(min_value=-(1 << 40), max_value=1 << 40)
 depths = st.integers(min_value=0, max_value=12)
@@ -123,7 +125,7 @@ def test_inv_exhausted_reports_requirement():
 
 def test_cross_pair_rejected():
     with pytest.raises(ValueError):
-        Z2.embed(1, 2) * integers_pair(2).embed(1, 2)
+        Z2.embed(1, 2) * IntegerChainPair(2).embed(1, 2)
     with pytest.raises(TypeError):
         Z2.embed(1, 2) * 7
 
@@ -368,7 +370,7 @@ def _log_bound(depth):
 
 
 def test_product_search_is_logarithmic():
-    sl2 = _CountingPair(sl2_pair(3))
+    sl2 = _CountingPair(SL2Pair(3))
     u, h = sl2.generators["u"], sl2.generators["h"]
     f = sl2.embed(u, 2) * sl2.embed(h, 65536)
     assert f.depth == 0  # conj_depth(h, d) = d + 2 leaves only level 0
@@ -381,14 +383,14 @@ def test_product_search_is_logarithmic():
 
 # per instance: a base element, and an element of level w outside level w + 1
 _VALUATION_CASES = {
-    "z2": (integers_pair(2), lambda pair: 12345, lambda pair, w: 1 << w),
+    "z2": (IntegerChainPair(2), lambda pair: 12345, lambda pair, w: 1 << w),
     "bs12": (
-        bs12_pair(),
+        BS12Pair(),
         lambda pair: pair.mul(pair.generators["a"], pair.power(pair.generators["t"], -5)),
         lambda pair, w: DyadicAffine(Fraction(3 << w), 0),
     ),
     "sl2:3": (
-        sl2_pair(3),
+        SL2Pair(3),
         lambda pair: pair.mul(pair.generators["u"], pair.power(pair.generators["h"], 7)),
         lambda pair, w: Mat2(Fraction(1), Fraction(2 * 3**w), Fraction(0), Fraction(1)),
     ),
@@ -417,7 +419,7 @@ def test_valuation_search_is_logarithmic():
 
 
 def test_exhausted_search_reports_requirement():
-    sl2 = _CountingPair(sl2_pair(3))
+    sl2 = _CountingPair(SL2Pair(3))
     u, h = sl2.generators["u"], sl2.generators["h"]
     with pytest.raises(PrecisionExhausted) as err:
         sl2.embed(u, 1) * sl2.embed(h, 65536)
@@ -489,8 +491,8 @@ def _count_searches(monkeypatch):
     [
         (BS, "a", DyadicAffine(Fraction(10**9), 0), 12, None),
         (BS, "t", None, 12, "product needs a left factor of depth >= 1, have 0"),
-        (sl2_pair(3), "u", sl2_pair(3).power(sl2_pair(3).generators["u"], 10**9), 12, None),
-        (sl2_pair(3), "h", None, 12, "product needs a left factor of depth >= 2, have 0"),
+        (SL2Pair(3), "u", SL2Pair(3).power(SL2Pair(3).generators["u"], 10**9), 12, None),
+        (SL2Pair(3), "h", None, 12, "product needs a left factor of depth >= 2, have 0"),
     ],
     ids=["bs12-a", "bs12-t", "sl2:3-u", "sl2:3-h"],
 )
@@ -575,3 +577,13 @@ def test_left_mul_validates_its_factor():
     f = BS.embed(BS.generators["t"], 3)
     with pytest.raises(core.ContractViolation, match="not a dyadic rational"):
         f.left_mul(DyadicAffine(Fraction(1, 3), 0))
+
+
+def test_readme_python_api_example_prints_what_it_says():
+    """The README's Python API block runs and prints its commented lines."""
+    readme = (MODELS.parent / "README.md").read_text(encoding="utf-8")
+    block = readme.split("## Python API", 1)[1].split("```python\n", 1)[1].split("```", 1)[0]
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        exec(block, {})
+    assert out.getvalue().splitlines() == ["5 (1; 2)", "3", "6 (1000000000000; 0)"]

@@ -8,15 +8,15 @@ import pytest
 from hypothesis import given, strategies as st
 
 from commensurate import (
+    BS12Pair,
     CompletionElement,
     ContractViolation,
     DyadicAffine,
+    IntegerChainPair,
     PrecisionExhausted,
-    bs12_pair,
+    SL2Pair,
     finite_model_pair,
-    integers_pair,
     load_model,
-    sl2_pair,
 )
 from commensurate.expr import (
     MAX_NESTING,
@@ -30,9 +30,9 @@ from commensurate.expr import (
 from commensurate.registry import resolve_target
 
 MODELS = pathlib.Path(__file__).resolve().parent.parent / "models"
-BS = bs12_pair()
-Z2 = integers_pair(2)
-SL2 = sl2_pair(2)
+BS = BS12Pair()
+Z2 = IntegerChainPair(2)
+SL2 = SL2Pair(2)
 
 
 def ev(src, pair, depth=8):
@@ -163,7 +163,7 @@ def _token_stream(scan, src, pair):
 
 _LITERAL_STYLES = {
     "bs12": BS,
-    "sl2:3": sl2_pair(3),
+    "sl2:3": SL2Pair(3),
     "z2": Z2,
     "s4": finite_model_pair(load_model(MODELS / "s4.model")),
     "z8": finite_model_pair(load_model(MODELS / "z8.model")),
@@ -267,7 +267,7 @@ def test_unknown_target_is_reported():
 
 
 def test_mod_target_on_factorial_chain():
-    zf = integers_pair("factorial")
+    zf = IntegerChainPair("factorial")
     target = resolve_target(zf, "mod:8")
     assert target.kill_level == 4  # 4! = 24 is the first multiple of 8
     assert ev("psi(mod:8, embed(13))", zf, 4).value == 5

@@ -13,17 +13,17 @@ import pytest
 from hypothesis import Phase, assume, example, find, given, settings, strategies as st
 
 from commensurate import (
+    BS12Pair,
     ContractViolation,
     DyadicAffine,
     FACTORIAL,
+    IntegerChainPair,
     Mat2,
     ModelError,
-    bs12_pair,
+    SL2Pair,
     finite_model_pair,
-    integers_pair,
     load_model,
     parse_model,
-    sl2_pair,
 )
 from commensurate import finitemodel
 from commensurate.cli import entry
@@ -54,63 +54,63 @@ MODELS = pathlib.Path(__file__).resolve().parent.parent / "models"
 # --- integers -----------------------------------------------------------------
 
 def test_integers_in_level():
-    z2 = integers_pair(2)
+    z2 = IntegerChainPair(2)
     assert z2.in_level(8, 3)
     assert not z2.in_level(8, 4)
-    zf = integers_pair(FACTORIAL)
+    zf = IntegerChainPair(FACTORIAL)
     assert not zf.in_level(5, 5)  # 5 is not a multiple of 5! = 120
     assert zf.in_level(240, 5)
 
 
 def test_integers_moduli():
-    zf = integers_pair(FACTORIAL)
+    zf = IntegerChainPair(FACTORIAL)
     assert [zf.modulus(d) for d in range(6)] == [1, 1, 2, 6, 24, 120]
-    z3 = integers_pair(3)
+    z3 = IntegerChainPair(3)
     assert z3.modulus(4) == 81
 
 
 def test_integers_conj_depth_is_flat():
-    z2 = integers_pair(2)
+    z2 = IntegerChainPair(2)
     assert all(z2.conj_depth(g, d) == d for g in (-7, 0, 12345) for d in range(9))
 
 
 def test_integers_rejects_bad_base():
     with pytest.raises(ValueError):
-        integers_pair(1)
+        IntegerChainPair(1)
     with pytest.raises(ValueError):
-        integers_pair("fib")
+        IntegerChainPair("fib")
 
 
 def test_integers_validate():
     with pytest.raises(ContractViolation):
-        integers_pair(2).validate("five")
+        IntegerChainPair(2).validate("five")
 
 
 # --- BS(1,2) --------------------------------------------------------------------
 
 def test_bs12_defining_relation():
-    bs = bs12_pair()
+    bs = BS12Pair()
     a, t = bs.generators["a"], bs.generators["t"]
     tat = bs.mul(bs.mul(t, a), bs.inv(t))
     assert tat == bs.mul(a, a)
 
 
 def test_bs12_in_level():
-    bs = bs12_pair()
+    bs = BS12Pair()
     assert bs.in_level(DyadicAffine(Fraction(4), 0), 2)
     assert not bs.in_level(DyadicAffine(Fraction(4), 1), 2)
     assert not bs.in_level(DyadicAffine(Fraction(1, 2), 0), 0)
 
 
 def test_bs12_conj_depth_value():
-    bs = bs12_pair()
+    bs = BS12Pair()
     assert bs.conj_depth(bs.generators["t"], 3) == 4
 
 
 def test_bs12_conj_depth_brute_force():
     # every translation by a multiple of 2^4 conjugates into level 3 from
     # both sides of t, exactly
-    bs = bs12_pair()
+    bs = BS12Pair()
     t = bs.generators["t"]
     for k in range(-40, 41):
         n = DyadicAffine(Fraction(16 * k), 0)
@@ -123,14 +123,14 @@ def test_bs12_conj_depth_brute_force():
 
 
 def test_bs12_inverse_formula():
-    bs = bs12_pair()
+    bs = BS12Pair()
     g = DyadicAffine(Fraction(3), 2)
     assert bs.inv(g) == DyadicAffine(Fraction(-3, 4), -2)
     assert bs.mul(g, bs.inv(g)) == bs.identity
 
 
 def test_bs12_format_parse():
-    bs = bs12_pair()
+    bs = BS12Pair()
     g = DyadicAffine(Fraction(-3, 4), -2)
     assert bs.format_element(g) == "(-3/4; -2)"
     assert bs.parse_literal("(-3/4; -2)") == g
@@ -142,29 +142,33 @@ def test_bs12_format_parse():
 
 
 def test_bs12_validate():
-    bs = bs12_pair()
+    bs = BS12Pair()
     with pytest.raises(ContractViolation):
         bs.validate(DyadicAffine(Fraction(1, 3), 0))
     with pytest.raises(ContractViolation):
         bs.validate((Fraction(1), 0))
+    # bool is an int subclass, but no doubling exponent
+    flag = DyadicAffine(Fraction(1), True)
+    with pytest.raises(ContractViolation, match=re.escape(f"bs12: malformed element fields: {flag!r}")):
+        bs.embed(flag, 3)
 
 
 # --- SL2(Z[1/p]) -----------------------------------------------------------------
 
 def test_sl2_integral_conj_depth():
-    sl2 = sl2_pair(2)
+    sl2 = SL2Pair(2)
     u = sl2.generators["u"]
     assert all(sl2.conj_depth(u, d) == d for d in range(6))
 
 
 def test_sl2_h_conj_depth():
-    sl2 = sl2_pair(2)
+    sl2 = SL2Pair(2)
     assert sl2.conj_depth(sl2.generators["h"], 1) == 3
 
 
 def test_sl2_h_conj_sampling():
     # conjugating level-3 members by diag(2, 1/2) lands inside level 1
-    sl2 = sl2_pair(2)
+    sl2 = SL2Pair(2)
     h = sl2.generators["h"]
     rng = random.Random(RNG_SEED)
     for _ in range(60):
@@ -174,7 +178,7 @@ def test_sl2_h_conj_sampling():
 
 
 def test_sl2_in_level():
-    sl2 = sl2_pair(2)
+    sl2 = SL2Pair(2)
     g = sl2.parse_literal("[[1,2],[0,1]]")
     assert sl2.in_level(g, 1)
     assert not sl2.in_level(g, 2)
@@ -182,7 +186,7 @@ def test_sl2_in_level():
 
 
 def test_sl2_det_preserved():
-    sl2 = sl2_pair(3)
+    sl2 = SL2Pair(3)
     rng = random.Random(RNG_SEED)
     det = lambda m: m.a * m.d - m.b * m.c
     for _ in range(100):
@@ -193,7 +197,7 @@ def test_sl2_det_preserved():
 
 
 def test_sl2_format_parse():
-    sl2 = sl2_pair(2)
+    sl2 = SL2Pair(2)
     h = sl2.generators["h"]
     assert sl2.format_element(h) == "[[2,0],[0,1/2]]"
     assert sl2.parse_literal("[[2,0],[0,1/2]]") == h
@@ -207,11 +211,11 @@ def test_sl2_format_parse():
 
 def test_sl2_rejects_composite_p():
     with pytest.raises(ValueError):
-        sl2_pair(6)
+        SL2Pair(6)
     # the smallest composite that passes Miller-Rabin for every base in
     # 2..41: from it on the test is no longer exact, so such p are refused
     with pytest.raises(ValueError, match="below"):
-        sl2_pair(3317044064679887385961981)
+        SL2Pair(3317044064679887385961981)
 
 
 def test_is_prime_is_exact():
@@ -226,7 +230,7 @@ def test_is_prime_is_exact():
 
 
 def test_sl2_valuation_of_denominators():
-    sl2 = sl2_pair(2)
+    sl2 = SL2Pair(2)
     g = Mat2(Fraction(1, 4), Fraction(0), Fraction(0), Fraction(4))
     assert sl2.denominator_exponent(g) == 2
     assert sl2.conj_depth(g, 2) == 6
@@ -299,7 +303,7 @@ def _assert_same_matrix(got, expect):
     assert tuple(got) == tuple(expect)
 
 
-_SL2_BY_P = {p: sl2_pair(p) for p in (2, 3, 5)}
+_SL2_BY_P = {p: SL2Pair(p) for p in (2, 3, 5)}
 _SL2_DEPTHS = [*range(36), 400, 800]
 
 
@@ -408,10 +412,10 @@ def test_sl2_foreign_denominators_raise_the_same_message(p, data):
 
 def _contract_pairs():
     return [
-        integers_pair(2),
-        integers_pair(FACTORIAL),
-        bs12_pair(),
-        sl2_pair(2),
+        IntegerChainPair(2),
+        IntegerChainPair(FACTORIAL),
+        BS12Pair(),
+        SL2Pair(2),
     ]
 
 
@@ -1123,7 +1127,7 @@ def test_finite_models_have_no_targets(model_pairs):
 
 def test_zfact_kill_level_matches_factorial_walk():
     """Legendre's closed form against the least d with m | d!, for m <= 2000."""
-    zfact = integers_pair("factorial")
+    zfact = IntegerChainPair("factorial")
     factorials = [1]
     while len(factorials) <= 2000:
         factorials.append(factorials[-1] * len(factorials))
@@ -1133,7 +1137,7 @@ def test_zfact_kill_level_matches_factorial_walk():
 
 
 def test_zfact_kill_level_is_fast_for_large_primes():
-    zfact = integers_pair("factorial")
+    zfact = IntegerChainPair("factorial")
     start = time.perf_counter()
     assert zfact.target("mod:1000000000000000003").kill_level == 10**18 + 3
     assert zfact.target(f"mod:{2**5 * 3**4 * 10007}").kill_level == 10007
@@ -1143,4 +1147,4 @@ def test_zfact_kill_level_is_fast_for_large_primes():
 def test_zfact_refuses_unfactorable_modulus():
     # 65537 and 65539 are primes above the trial-division bound
     with pytest.raises(KeyError, match="cannot factor the modulus 4295229443"):
-        integers_pair("factorial").target(f"mod:{65537 * 65539}")
+        IntegerChainPair("factorial").target(f"mod:{65537 * 65539}")

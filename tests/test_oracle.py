@@ -7,8 +7,10 @@ import random
 import pytest
 
 from commensurate import (
+    CompletionElement,
     FiniteModelPair,
     PrecisionExhausted,
+    Valuation,
     finite_model_pair,
     load_model,
     oracle,
@@ -267,6 +269,52 @@ def test_compare_engine_detects_a_lossy_pair():
         if m["op"] in ("mul-depth", "inv-depth"):
             got = -1 if m["got"] == "None" else int(m["got"])
             assert int(m["expected"]) > got, m
+
+
+def _negated(eq_at_depth, pair):
+    return lambda f1, f2, depth: not eq_at_depth(f1, f2, depth)
+
+
+def _one_level_lower(valuation, pair):
+    def lowered(f1, f2):
+        val = valuation(f1, f2)
+        return Valuation(val.depth - 1, val.indistinguishable)
+    return lowered
+
+
+def _flag_flipped(valuation, pair):
+    def flipped(f1, f2):
+        val = valuation(f1, f2)
+        return Valuation(val.depth, not val.indistinguishable)
+    return flipped
+
+
+def _rep_moved_off_its_coset(mul, pair):
+    outside = pair.parse_literal("(1 4)")  # not in K, so in no chain level
+
+    def moved(f1, f2):
+        prod = mul(f1, f2)
+        return CompletionElement(pair, pair.mul(prod.rep, outside), prod.depth)
+    return moved
+
+
+@pytest.mark.parametrize(
+    "method,break_it,kinds",
+    [
+        ("eq_at_depth", _negated, {"eq_at_depth"}),
+        ("valuation", _one_level_lower, {"valuation"}),
+        ("valuation", _flag_flipped, {"valuation-flag"}),
+        ("__mul__", _rep_moved_off_its_coset, {"mul-coset", "table"}),
+    ],
+    ids=["eq_at_depth", "valuation", "valuation-flag", "mul-coset-and-table"],
+)
+def test_compare_engine_reports_each_broken_claim(s4_pair, monkeypatch, method, break_it, kinds):
+    """Every check of compare_engine can fail: an engine method that lies
+    is reported under its own kinds and no others."""
+    broken = break_it(getattr(CompletionElement, method), s4_pair)
+    monkeypatch.setattr(CompletionElement, method, broken)
+    report = compare_engine(s4_pair, 100, random.Random(SEED))
+    assert {m["op"] for m in report.mismatches} == kinds
 
 
 def test_run_model_suite_reports(s4_pair):
