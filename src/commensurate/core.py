@@ -136,7 +136,12 @@ class CommensuratedPair(ABC):
         The uniformity over the coset is what makes truncated products and
         inverses well defined; monotonicity in ``depth`` is what lets the
         engine find the maximal attainable output depth with a logarithmic
-        number of calls.  The value need not be least, only sound.
+        number of calls.  Because j >= depth, no level deeper than the
+        search's budget (the left factor's depth in a product, the
+        element's own depth in an inverse) can qualify, so each search
+        starts at min(cap, budget) rather than at its cap (the right
+        factor's depth in a product).  The value need not be least, only
+        sound.
         """
 
     def level_index(self, depth: Depth) -> int:
@@ -251,12 +256,14 @@ _PRODUCT_NEEDS = "product needs a left factor of depth"
 def _attainable_depth(pair: CommensuratedPair, g: Any, cap: Depth, budget: Depth, need: str):
     """Largest d <= cap with conj_depth(g, d) <= budget.
 
-    conj_depth is monotone in d, so the first success walking down from
-    cap is the maximum; :func:`_gallop` finds it in O(log cap) calls.
-    When no d qualifies, PrecisionExhausted names ``need`` and the least
-    budget that would have sufficed, conj_depth(g, 0).
+    conj_depth(g, d) >= d, so no d above budget qualifies and the walk
+    starts at min(cap, budget).  conj_depth is monotone in d, so the
+    first success walking down from there is the maximum; :func:`_gallop`
+    finds it in O(log min(cap, budget)) calls.  When no d qualifies,
+    PrecisionExhausted names ``need`` and the least budget that would
+    have sufficed, conj_depth(g, 0).
     """
-    d = _gallop(lambda d: pair.conj_depth(g, d) <= budget, cap, 0)
+    d = _gallop(lambda d: pair.conj_depth(g, d) <= budget, min(cap, budget), 0)
     if d is None:
         required = pair.conj_depth(g, 0)
         raise PrecisionExhausted(

@@ -35,7 +35,6 @@ __all__ = [
     "parse_expression",
     "render",
     "evaluate",
-    "Evaluator",
 ]
 
 
@@ -170,11 +169,8 @@ class _Parser:
         base = self.atom()
         if self.peek().kind == "CARET":
             self.i += 1
-            tok = self.peek()
-            if tok.kind != "INT":
-                raise ExprError("expected an integer exponent", tok.pos)
-            self.i += 1
-            return Pow(base, int(tok.text), base.pos)
+            exp = self.take("INT", "an integer exponent")
+            return Pow(base, int(exp.text), base.pos)
         return base
 
     def atom(self):
@@ -245,60 +241,59 @@ class PsiValue:
     value: Any
 
 
-class Evaluator:
-    """Evaluates an AST at one requested depth.
+def evaluate(src: str, pair: CommensuratedPair, depth: int):
+    """Parse and evaluate src at the requested depth.
 
     A sub-expression's value is a group element (an exact word), a
-    CompletionElement or a PsiValue; its type says which.
+    CompletionElement or a PsiValue; its type says which.  The result is
+    a CompletionElement, or a PsiValue for a top-level psi.
     """
+    pair.check_depth(depth)
 
-    def __init__(self, pair: CommensuratedPair, depth: int):
-        pair.check_depth(depth)
-        self.pair = pair
-        self.depth = depth
-
-    def run(self, node):
-        """Evaluate to a CompletionElement (or PsiValue for top-level psi)."""
-        return self._truncated(self._eval(node))
-
-    def _truncated(self, value):
+    def truncated(value):
         """value as a completion value: exact words embed at the requested depth."""
         if isinstance(value, (CompletionElement, PsiValue)):
             return value
-        return self.pair.embed(value, self.depth)
+        return pair.embed(value, depth)
 
-    def _eval(self, node):
-        pair = self.pair
+    def value_of(node):
         if isinstance(node, Gen):
             return pair.generators[node.name]
-        if isinstance(node, Lit):
-            try:
+        try:
+            if isinstance(node, Lit):
                 return pair.parse_literal(node.text)
-            except ValueError as err:
-                raise ExprError(str(err), node.pos) from None
-        if isinstance(node, IntLit):
-            try:
+            if isinstance(node, IntLit):
                 return pair.int_literal(node.value)
-            except ValueError as err:
-                raise ExprError(str(err), node.pos) from None
+        except ValueError as err:
+            raise ExprError(str(err), node.pos) from None
         if isinstance(node, Pow):
-            value = self._eval(node.base)
+            value = value_of(node.base)
             if isinstance(value, PsiValue):
                 raise ExprError("psi(...) cannot be raised to a power", node.pos)
             if isinstance(value, CompletionElement):
                 return value ** node.exp
             return pair.power(value, node.exp)
         if isinstance(node, Prod):
-            value = self._eval(node.factors[0])
+            value = value_of(node.factors[0])
             for factor in node.factors[1:]:
-                value = self._mul(value, self._eval(factor), node.pos)
+                value = times(value, value_of(factor), node.pos)
             return value
-        if isinstance(node, Call):
-            return self._call(node)
-        raise TypeError(f"unknown node {node!r}")
+        # a Call: inv, embed or psi
+        value = value_of(node.arg)
+        if isinstance(value, PsiValue):
+            raise ExprError(f"psi(...) cannot be passed to {node.func}", node.pos)
+        if node.func == "inv":
+            return truncated(value).inverse()
+        if node.func == "embed":
+            return truncated(value)  # a truncated value has nothing to refine
+        try:
+            target = pair.target(node.target)
+        except KeyError as err:
+            detail = err.args[0] if err.args else f"unknown target {node.target!r}"
+            raise ExprError(str(detail), node.pos) from None
+        return PsiValue(node.target, target.evaluate(truncated(value)))
 
-    def _mul(self, left, right, pos):
-        pair = self.pair
+    def times(left, right, pos):
         if isinstance(left, PsiValue) or isinstance(right, PsiValue):
             raise ExprError("psi(...) cannot appear inside a product", pos)
         if isinstance(left, CompletionElement):
@@ -309,24 +304,4 @@ class Evaluator:
             return right.left_mul(left)
         return pair.mul(left, right)
 
-    def _call(self, node: Call):
-        value = self._eval(node.arg)
-        if isinstance(value, PsiValue):
-            raise ExprError(f"psi(...) cannot be passed to {node.func}", node.pos)
-        if node.func == "inv":
-            return self._truncated(value).inverse()
-        if node.func == "embed":
-            return self._truncated(value)  # a truncated value has nothing to refine
-        if node.func == "psi":
-            try:
-                target = self.pair.target(node.target)
-            except KeyError as err:
-                detail = err.args[0] if err.args else f"unknown target {node.target!r}"
-                raise ExprError(str(detail), node.pos) from None
-            return PsiValue(node.target, target.evaluate(self._truncated(value)))
-        raise TypeError(f"unknown call {node.func!r}")
-
-
-def evaluate(src: str, pair: CommensuratedPair, depth: int):
-    """Parse and evaluate src at the requested depth."""
-    return Evaluator(pair, depth).run(parse_expression(src, pair))
+    return truncated(value_of(parse_expression(src, pair)))

@@ -161,14 +161,15 @@ class IntegerChainPair(CommensuratedPair):
                     k += 1
                 levels.append(p * k)
             return max(levels)
-        # possible iff every prime of the modulus divides the base
-        residual = modulus
-        while (g := math.gcd(residual, self.base)) > 1:
+        # after d steps the residual is m / gcd(m, base**d), so the count
+        # at residual 1 is the least d with m | base**d; a step with gcd 1
+        # means some prime of m does not divide the base
+        d, residual = 0, modulus
+        while residual != 1:
+            g = math.gcd(residual, self.base)
+            if g == 1:
+                return None
             residual //= g
-        if residual != 1:
-            return None
-        d = 0
-        while self.modulus(d) % modulus != 0:
             d += 1
         return d
 

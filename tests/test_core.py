@@ -72,6 +72,8 @@ def test_truncate():
     assert f.truncate(8) is f
     with pytest.raises(PrecisionExhausted):
         f.truncate(9)
+    with pytest.raises(ValueError, match=r"^depth must be >= 0, got -1$"):
+        f.truncate(-1)
 
 
 # --- multiplication and inversion ---------------------------------------------
@@ -198,6 +200,7 @@ def test_valuation_examples():
     assert v == Valuation(3, False) and str(v) == "3"
     f = Z2.embed(9, 6)
     assert f.valuation(f) == Valuation(6, True)
+    assert str(Valuation(3, True)) == "indistinguishable at depth 3"
     # in z2 the level-0 subgroup is all of G, so elements can only be
     # coset-disjoint at level 0 in pairs where G is strictly bigger than K
     w = BS.embed(BS.generators["t"], 4).valuation(BS.embed(BS.identity, 4))
@@ -375,6 +378,11 @@ def test_product_search_is_logarithmic():
     f = sl2.embed(u, 2) * sl2.embed(h, 65536)
     assert f.depth == 0  # conj_depth(h, d) = d + 2 leaves only level 0
     assert sl2.calls["conj_depth"] <= _log_bound(65536)
+    sl2.calls.clear()
+    # conj_depth(g, d) >= d, so the search starts at the left factor's depth
+    w = sl2.embed(u, 2) * sl2.embed(u, 65536)
+    assert w.depth == 2
+    assert sl2.calls["conj_depth"] == 1
     sl2.calls.clear()
     g = sl2.embed(h, 65536).inverse()
     assert g.depth == 65534

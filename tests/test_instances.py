@@ -129,7 +129,7 @@ def test_bs12_inverse_formula():
     assert bs.mul(g, bs.inv(g)) == bs.identity
 
 
-def test_bs12_format_parse():
+def test_bs12_format_parse(capsys):
     bs = BS12Pair()
     g = DyadicAffine(Fraction(-3, 4), -2)
     assert bs.format_element(g) == "(-3/4; -2)"
@@ -139,6 +139,12 @@ def test_bs12_format_parse():
         bs.parse_literal("(1/3; 0)")
     with pytest.raises(ValueError):
         bs.parse_literal("(1; )")
+    # 2**(d - 5) divides 3/4 for every d <= 3: levels 0-1 take the shortcut
+    # past the shift's bit length, levels 2-3 the general reduction
+    assert entry(["table", "bs12", "--depth", "3", "(3/4; -5)"]) == 0
+    assert capsys.readouterr().out == "".join(
+        f"level {d}: modulus/index {1 << d}, rep (0; -5)\n" for d in range(4)
+    )
 
 
 def test_bs12_validate():
@@ -414,8 +420,10 @@ def _contract_pairs():
     return [
         IntegerChainPair(2),
         IntegerChainPair(FACTORIAL),
+        IntegerChainPair(3),
         BS12Pair(),
         SL2Pair(2),
+        SL2Pair(3),
     ]
 
 
@@ -445,7 +453,10 @@ def test_conj_depth_uniform_two_sided(pair):
         assert pair.in_level(pair.mul(pair.mul(pair.inv(x), n), x), d)
 
 
-# the engine's depth searches are maximal only because conj_depth is monotone
+# the engine's depth searches rely on two things: conj_depth is monotone
+# in d, so the first level that qualifies walking down is the maximum, and
+# conj_depth(g, d) >= d, so no level above the budget can qualify and each
+# search may start at min(cap, budget)
 
 @pytest.mark.parametrize("pair", _contract_pairs(), ids=lambda p: p.name)
 def test_conj_depth_monotone(pair):
@@ -457,8 +468,9 @@ def test_conj_depth_monotone(pair):
         assert js == sorted(js)
 
 
-def test_conj_depth_monotone_finite_models(model_pairs):
-    for pair in model_pairs:
+def test_conj_depth_monotone_finite_models():
+    for path in sorted(MODELS.glob("*.model")):
+        pair = finite_model_pair(load_model(path))
         for g in range(pair.model.n):
             js = [pair.conj_depth(g, d) for d in range(pair.max_depth + 1)]
             assert all(j >= d for d, j in enumerate(js)), (pair.name, g)
@@ -493,13 +505,21 @@ def test_perm_conjugation_convention():
     assert perm_to_cycles(conj) == "(2 3 4)"
 
 
-def test_perm_parse_errors():
+def test_perm_parse_errors(capsys):
     with pytest.raises(ModelError):
         perm_from_cycles("(1 5)", 4)
     with pytest.raises(ModelError):
         perm_from_cycles("(1 1)", 4)
     with pytest.raises(ModelError):
         perm_from_cycles("1 2", 4)
+    # the same errors in an expression name the literal and its position
+    for src, message in [
+        ("(1 9)", "point out of range 1..4 in '(1 9)' at position 0"),
+        ("(1 1)", "repeated point in cycle in '(1 1)' at position 0"),
+        ("(1 2 3)*(1 5)", "point out of range 1..4 in '(1 5)' at position 8"),
+    ]:
+        assert entry(["eval", f"model:{MODELS / 's4.model'}", "--depth", "1", src]) == 2
+        assert capsys.readouterr() == ("", f"error: {message}\n")
 
 
 # --- finite models -----------------------------------------------------------------
@@ -1134,6 +1154,25 @@ def test_zfact_kill_level_matches_factorial_walk():
     for m in range(1, 2001):
         walk = next(d for d, f in enumerate(factorials) if f % m == 0)
         assert zfact.target(f"mod:{m}").kill_level == walk, m
+
+
+def test_base_kill_level_matches_power_walk():
+    """The gcd walk against the least d with m | base**d, for m <= 2000,
+    including the moduli with a prime that the base lacks."""
+    for base in (2, 3, 6, 10, 12):
+        pair = IntegerChainPair(base)
+        powers = [base**d for d in range(12)]  # any reachable m <= 2000 divides base**11
+        for m in range(1, 2001):
+            walk = next((d for d, q in enumerate(powers) if q % m == 0), None)
+            if walk is None:
+                message = (
+                    f"target 'mod:{m}' is unavailable on {pair.name}: no chain "
+                    f"level has a modulus divisible by {m}"
+                )
+                with pytest.raises(KeyError, match=re.escape(message)):
+                    pair.target(f"mod:{m}")
+            else:
+                assert pair.target(f"mod:{m}").kill_level == walk, (base, m)
 
 
 def test_zfact_kill_level_is_fast_for_large_primes():
