@@ -8,9 +8,9 @@ commensurated but not normal, with chain level d the translations by
 multiples of 2**d.  Conjugating level d by a word with doubling exponent
 m moves it to level d - m at worst, whence the depth bound d + |m|.
 
-The chain is cofinal among the finite-index subgroups of K that are
-commensurated-compatible here only in the pro-2 sense: the computed
-completion has K-closure Z_2 (the 2-adic integers), not all of Z-hat.
+The levels 2**d·Z are cofinal only among the subgroups of K of 2-power
+index.  So K closes to Z_2 (the 2-adic integers), not to Z-hat, and this
+instance computes a proper quotient of the completion G-hat_K.
 """
 
 from __future__ import annotations

@@ -20,7 +20,6 @@ import sys
 from .core import CompletionElement, ContractViolation, PrecisionExhausted
 from .expr import ExprError, PsiValue, evaluate
 from .finitemodel import ModelError, finite_model_pair, load_model
-from .oracle import run_model_suite
 from .registry import (
     INSTANCE_PATTERNS,
     builtin_instances,
@@ -150,6 +149,13 @@ def cmd_psi(args) -> int:
         raise ExprError("psi(...) cannot be passed to psi", 0)
     _print_psi(args, args.target, resolve_target(pair, args.target).evaluate(result))
     return EXIT_OK
+
+
+def run_model_suite(pair, trials: int, rng):
+    """The oracle report for ``pair``; the oracle module loads on first use."""
+    from .oracle import compare_engine
+
+    return compare_engine(pair, trials, rng)
 
 
 def cmd_oracle(args) -> int:

@@ -134,13 +134,9 @@ class CommensuratedPair(ABC):
         x^-1.N_depth.x for *every* x in the coset g.N_depth.
 
         The uniformity over the coset is what makes truncated products and
-        inverses well defined; monotonicity in ``depth`` is what lets the
-        engine find the maximal attainable output depth with a logarithmic
-        number of calls.  Because j >= depth, no level deeper than the
-        search's budget (the left factor's depth in a product, the
-        element's own depth in an inverse) can qualify, so each search
-        starts at min(cap, budget) rather than at its cap (the right
-        factor's depth in a product).  The value need not be least, only
+        inverses well defined; monotonicity in ``depth`` and j >= depth are
+        what let the engine find the maximal attainable output depth with
+        a logarithmic number of calls.  The value need not be least, only
         sound.
         """
 
@@ -253,6 +249,11 @@ def _gallop(hit: Callable[[Depth], bool], start: Depth, stop: Depth) -> Optional
 _PRODUCT_NEEDS = "product needs a left factor of depth"
 
 
+def _exhausted(need: str, required: Depth, have: Depth) -> PrecisionExhausted:
+    """The error for an operation that needs depth ``required`` and has ``have``."""
+    return PrecisionExhausted(f"{need} >= {required}, have {have}", required_depth=required)
+
+
 def _attainable_depth(pair: CommensuratedPair, g: Any, cap: Depth, budget: Depth, need: str):
     """Largest d <= cap with conj_depth(g, d) <= budget.
 
@@ -261,14 +262,18 @@ def _attainable_depth(pair: CommensuratedPair, g: Any, cap: Depth, budget: Depth
     first success walking down from there is the maximum; :func:`_gallop`
     finds it in O(log min(cap, budget)) calls.  When no d qualifies,
     PrecisionExhausted names ``need`` and the least budget that would
-    have sufficed, conj_depth(g, 0).
+    have sufficed, conj_depth(g, 0): the walk's last probe.
     """
-    d = _gallop(lambda d: pair.conj_depth(g, d) <= budget, min(cap, budget), 0)
+    required = None
+
+    def fits(d: Depth) -> bool:
+        nonlocal required
+        required = pair.conj_depth(g, d)
+        return required <= budget
+
+    d = _gallop(fits, min(cap, budget), 0)
     if d is None:
-        required = pair.conj_depth(g, 0)
-        raise PrecisionExhausted(
-            f"{need} >= {required}, have {budget}", required_depth=required
-        )
+        raise _exhausted(need, required, budget)
     return d
 
 
@@ -406,11 +411,7 @@ class CompletionElement:
         """
         required = self.pair.conj_depth(self.rep, depth)
         if required > self.depth:
-            raise PrecisionExhausted(
-                f"right coset at level {depth} needs depth >= {required}, "
-                f"have {self.depth}",
-                required_depth=required,
-            )
+            raise _exhausted(f"right coset at level {depth} needs depth", required, self.depth)
         return self.rep
 
 
@@ -432,9 +433,5 @@ class DiscreteTarget:
     def evaluate(self, f: CompletionElement) -> Any:
         """Value of the induced map on f; constant on f's coset at kill_level."""
         if f.depth < self.kill_level:
-            raise PrecisionExhausted(
-                f"target {self.name!r} needs depth >= {self.kill_level}, "
-                f"have {f.depth}",
-                required_depth=self.kill_level,
-            )
+            raise _exhausted(f"target {self.name!r} needs depth", self.kill_level, f.depth)
         return self.phi(f.rep)

@@ -202,11 +202,3 @@ def compare_engine(pair: FiniteModelPair, trials: int, rng) -> OracleReport:
             note("table", f"{model.names[g1]} * {model.names[g2]}", want_class, got)
 
     return OracleReport(model=model.name, trials=trials, mismatches=mismatches)
-
-
-def run_model_suite(pair: FiniteModelPair, trials: int, rng) -> OracleReport:
-    """Everything ``commensurate oracle`` checks: the randomized replay of
-    `compare_engine`.  The coset identities the paper relies on hold on
-    every model that loads (see the module docstring), so nothing else
-    is checked."""
-    return compare_engine(pair, trials, rng)

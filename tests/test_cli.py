@@ -177,18 +177,22 @@ def _limit_memory():
     resource.setrlimit(resource.RLIMIT_AS, (limit, limit))
 
 
+def _child_env():
+    """The environment for a child interpreter that imports from src/."""
+    return dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")])
+    ))
+
+
 def _run_capped(argv):
     """The CLI on ``argv`` in a child process capped at 1 GB of address
     space and 20 s."""
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")])
-    ))
     return subprocess.run(
         [sys.executable, "-m", "commensurate.cli", *argv],
         capture_output=True,
         text=True,
         timeout=20,
-        env=env,
+        env=_child_env(),
         preexec_fn=_limit_memory,
     )
 
@@ -624,6 +628,19 @@ def test_bench_patch_points_exist():
     ):
         for name in ("mul", "inv", "in_level", "conj_depth"):
             assert callable(vars(cls).get(name)), (cls.__name__, name)
+
+
+def test_cli_import_leaves_the_oracle_unloaded():
+    """Only the oracle command needs the oracle module; it loads on first use."""
+    proc = subprocess.run(
+        [sys.executable, "-c",
+         "import sys, commensurate.cli; print('commensurate.oracle' in sys.modules)"],
+        capture_output=True,
+        text=True,
+        timeout=60,
+        env=_child_env(),
+    )
+    assert (proc.returncode, proc.stdout, proc.stderr) == (0, "False\n", "")
 
 
 def test_model_instances_load_through_the_traced_names(monkeypatch):

@@ -343,6 +343,7 @@ class _CountingPair(CommensuratedPair):
         self.max_depth = inner.max_depth
         self.generators = inner.generators
         self.calls = Counter()
+        self.conj_depths = []  # the depth of each conj_depth call, in order
 
     @property
     def identity(self):
@@ -362,6 +363,7 @@ class _CountingPair(CommensuratedPair):
 
     def conj_depth(self, g, depth):
         self.calls["conj_depth"] += 1
+        self.conj_depths.append(depth)
         return self.inner.conj_depth(g, depth)
 
     def validate(self, x):
@@ -387,6 +389,23 @@ def test_product_search_is_logarithmic():
     g = sl2.embed(h, 65536).inverse()
     assert g.depth == 65534
     assert sl2.calls["conj_depth"] <= _log_bound(65536)
+
+
+def test_exhausted_search_probes_depth_zero_once():
+    """A search that exhausts precision has just probed depth 0, and that
+    probe's value is the requirement it reports; it is not asked again."""
+    bs = _CountingPair(BS12Pair())
+    a, t5 = bs.generators["a"], bs.power(bs.generators["t"], 5)
+    for op, message in (
+        (lambda: bs.embed(a, 3) * bs.embed(t5, 8), "product needs a left factor of depth"),
+        (lambda: bs.embed(t5, 3).inverse(), "inverse needs depth"),
+    ):
+        bs.conj_depths.clear()
+        with pytest.raises(PrecisionExhausted) as err:
+            op()
+        assert str(err.value) == f"{message} >= 5, have 3"
+        assert err.value.required_depth == 5
+        assert bs.conj_depths == [3, 2, 0]
 
 
 # per instance: a base element, and an element of level w outside level w + 1

@@ -36,8 +36,8 @@ from commensurate.finitemodel import (
     perm_mul_table,
     perm_to_cycles,
 )
-from commensurate.oracle import run_model_suite
-from commensurate.registry import builtin_instances
+from commensurate.oracle import compare_engine
+from commensurate.registry import builtin_instances, resolve_instance
 from commensurate.sl2 import is_prime
 
 from test_oracle import (
@@ -160,6 +160,13 @@ def test_bs12_validate():
 
 
 # --- SL2(Z[1/p]) -----------------------------------------------------------------
+
+def test_sl2_validate_refuses_data_that_is_not_a_matrix():
+    sl2 = SL2Pair(3)
+    for x in ((1, 0, 0, 1), Mat2(1, 0, 0, 1), Mat2(*map(Fraction, (1, 0, 0)), True)):
+        with pytest.raises(ContractViolation, match=re.escape(f"sl2:3: not a matrix element: {x!r}")):
+            sl2.validate(x)
+
 
 def test_sl2_integral_conj_depth():
     sl2 = SL2Pair(2)
@@ -475,6 +482,54 @@ def test_conj_depth_monotone_finite_models():
             js = [pair.conj_depth(g, d) for d in range(pair.max_depth + 1)]
             assert all(j >= d for d, j in enumerate(js)), (pair.name, g)
             assert js == sorted(js), (pair.name, g)
+
+
+def _level_generators(pair, j):
+    """Elements that generate N_j topologically, in the chain topology.
+
+    Every level is open and closed there and conjugation is continuous,
+    so g·N_j·g⁻¹ lies in a level exactly when each g·s·g⁻¹ does.
+    """
+    if isinstance(pair, IntegerChainPair):
+        return [pair.modulus(j)]
+    if isinstance(pair, BS12Pair):
+        return [DyadicAffine(Fraction(1 << j), 0)]
+    u, l = pair.generators["u"], pair.generators["l"]
+    if j == 0:
+        return [u, l]  # SL2(Z)
+    if pair.p == 2 and j == 1:
+        return [pair.power(u, 2), pair.power(l, 2), Mat2(*map(Fraction, (-1, 0, 0, -1)))]
+    # these span K(j)/K(j+1) ≅ sl2(F_p), and K(j) is uniform, so they
+    # generate it topologically (Dixon, du Sautoy, Mann and Segal,
+    # Analytic pro-p groups)
+    q = pair.p ** j
+    return [Mat2(*map(Fraction, m)) for m in ((1, q, 0, 1), (1, 0, q, 1), (1 + q, q, -q, 1 - q))]
+
+
+@pytest.mark.parametrize("name", ["z2", "z3", "zfact", "bs12", "sl2:2", "sl2:3", "sl2:5"])
+def test_closed_form_conj_depth_is_least(name):
+    """j = conj_depth(g, d) is sound (N_j lies in both g⁻¹·N_d·g and
+    g·N_d·g⁻¹) and not needlessly lossy (when j > d, N_(j-1) does not)."""
+    pair = resolve_instance(name)
+    rng = random.Random(RNG_SEED)
+
+    def conjugates_in(g, s, d):
+        g_inv = pair.inv(g)
+        return all(
+            pair.in_level(pair.mul(pair.mul(x, s), y), d) for x, y in ((g, g_inv), (g_inv, g))
+        )
+
+    costly = 0
+    for _ in range(300):
+        g, d = pair.sample(rng), rng.randrange(7)
+        j = pair.conj_depth(g, d)
+        members = [*_level_generators(pair, j), pair.sample_level(j, rng)]
+        assert all(conjugates_in(g, s, d) for s in members), (g, d, j)
+        if j > d:
+            costly += 1
+            assert not all(conjugates_in(g, s, d) for s in _level_generators(pair, j - 1)), (g, d, j)
+    # only the abelian instances conjugate at no cost
+    assert (costly == 0) == isinstance(pair, IntegerChainPair)
 
 
 @pytest.mark.parametrize("pair", _contract_pairs(), ids=lambda p: p.name)
@@ -1105,7 +1160,7 @@ def test_dropped_model_with_coset_tables_is_freed():
     by reference counting alone."""
     with _cyclic_gc_disabled():
         pair = finite_model_pair(load_model(MODELS / "s5.model"))
-        assert run_model_suite(pair, 20, random.Random(RNG_SEED)).ok
+        assert compare_engine(pair, 20, random.Random(RNG_SEED)).ok
         refs = weakref.ref(pair.model), weakref.ref(pair)
         del pair
         assert [ref() for ref in refs] == [None, None]

@@ -17,7 +17,7 @@ from commensurate import (
     parse_model,
 )
 from commensurate.finitemodel import FiniteModel
-from commensurate.oracle import compare_engine, enumerate_completion, run_model_suite
+from commensurate.oracle import compare_engine, enumerate_completion
 
 SEED = 7
 MODELS = pathlib.Path(__file__).resolve().parent.parent / "models"
@@ -318,7 +318,7 @@ def test_compare_engine_reports_each_broken_claim(s4_pair, monkeypatch, method, 
 
 
 def test_run_model_suite_reports(s4_pair):
-    report = run_model_suite(s4_pair, 50, random.Random(SEED))
+    report = compare_engine(s4_pair, 50, random.Random(SEED))
     assert report.ok
     payload = report.to_json()
     assert '"model": "s4"' in payload and '"mismatches": []' in payload
@@ -333,7 +333,7 @@ def test_suite_enumerates_the_completion_once(s4_d8_pair, monkeypatch):
         return enumerate_once(model)
 
     monkeypatch.setattr(oracle, "enumerate_completion", counted)
-    assert run_model_suite(s4_d8_pair, 20, random.Random(SEED)).ok
+    assert compare_engine(s4_d8_pair, 20, random.Random(SEED)).ok
     assert calls == ["s4_d8"]
 
 
@@ -348,6 +348,6 @@ def test_refinement_subgroup_depends_on_the_left_coset_only(name):
 
 
 def test_suite_deterministic_under_seed(z8_pair):
-    a = run_model_suite(z8_pair, 80, random.Random(SEED)).to_json()
-    b = run_model_suite(z8_pair, 80, random.Random(SEED)).to_json()
+    a = compare_engine(z8_pair, 80, random.Random(SEED)).to_json()
+    b = compare_engine(z8_pair, 80, random.Random(SEED)).to_json()
     assert a == b
