@@ -24,8 +24,9 @@ from __future__ import annotations
 
 import functools
 import re
+import sys
 from dataclasses import dataclass
-from typing import Any, NamedTuple, Optional
+from typing import Any, Optional
 
 from .core import CommensuratedPair, CompletionElement
 
@@ -52,11 +53,8 @@ _TOKENS = (
     r"|(?P<SPACE>\s+)|(?P<BAD>(?s:.))"
 )
 
-
-class Token(NamedTuple):
-    kind: str
-    text: str
-    pos: int
+#: A token: (kind, text, position in the source).
+Token = tuple[str, str, int]
 
 
 @functools.cache  # keyed by the few module-level literal patterns
@@ -67,47 +65,48 @@ def _scanner(literal_pattern: Optional[re.Pattern]) -> re.Pattern:
 
 
 def tokenize(src: str, pair: CommensuratedPair) -> list[Token]:
-    out = []
-    for m in _scanner(pair.literal_pattern).finditer(src):
-        kind = m.lastgroup
-        if kind == "SPACE":
-            continue
+    """The tokens of src without whitespace, ending in an END token."""
+    scan = _scanner(pair.literal_pattern).finditer(src)
+    tokens = [(m.lastgroup, m[0], m.start()) for m in scan]
+    for kind, text, pos in tokens:
         if kind == "BAD":
-            raise ExprError(f"unexpected character {m.group()!r}", m.start())
-        out.append(Token(kind, m.group(), m.start()))
-    out.append(Token("END", "", len(src)))
-    return out
+            raise ExprError(f"unexpected character {text!r}", pos)
+    tokens = [tok for tok in tokens if tok[0] != "SPACE"]
+    tokens.append(("END", "", len(src)))
+    return tokens
 
 
 # AST ------------------------------------------------------------------------
+# Nodes are built once per parse and never hashed or mutated, so they take
+# slots, which build faster than frozen dataclasses.
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class Gen:
     name: str
     pos: int
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class Lit:
     text: str
     pos: int
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class IntLit:
     value: int
     pos: int
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class Pow:
     base: Any
     exp: int
     pos: int
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class Prod:
     factors: tuple
     pos: int
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class Call:
     func: str
     target: Optional[str]
@@ -120,23 +119,33 @@ class Call:
 #: recursion limit.
 MAX_NESTING = 100
 
+# names that open a call rather than name a generator
+_FUNCTIONS = frozenset(("inv", "embed", "psi"))
+
 
 class _Parser:
+    """Recursive descent over the token list and its parallel list of kinds."""
+
     def __init__(self, tokens: list[Token], pair: CommensuratedPair):
         self.tokens = tokens
-        self.pair = pair
+        self.kinds = [tok[0] for tok in tokens]
+        self.generators = pair.generators
         self.i = 0
         self.nesting = 0
 
-    def peek(self) -> Token:
-        return self.tokens[self.i]
-
     def take(self, kind: str, what: str) -> Token:
         tok = self.tokens[self.i]
-        if tok.kind != kind:
-            raise ExprError(f"expected {what}", tok.pos)
+        if tok[0] != kind:
+            raise ExprError(f"expected {what}", tok[2])
         self.i += 1
         return tok
+
+    def integer(self, tok: Token) -> int:
+        try:
+            return int(tok[1])
+        except ValueError:  # longer than Python's int conversion limit
+            limit = sys.get_int_max_str_digits()
+            raise ExprError(f"integer exceeds the limit of {limit} digits", tok[2]) from None
 
     def bracketed(self, pos: int):
         """The expr up to the next ')', after a '(' opened at pos."""
@@ -150,54 +159,50 @@ class _Parser:
 
     def parse(self):
         node = self.expr()
-        tail = self.peek()
-        if tail.kind != "END":
-            raise ExprError(f"unexpected {tail.text!r}", tail.pos)
+        kind, text, pos = self.tokens[self.i]
+        if kind != "END":
+            raise ExprError(f"unexpected {text!r}", pos)
         return node
 
     def expr(self):
-        first = self.term()
-        factors = [first]
-        while self.peek().kind == "STAR":
+        node = self.term()
+        kinds = self.kinds
+        if kinds[self.i] != "STAR":
+            return node
+        factors = [node]
+        while kinds[self.i] == "STAR":
             self.i += 1
             factors.append(self.term())
-        if len(factors) == 1:
-            return first
-        return Prod(tuple(factors), factors[0].pos)
+        return Prod(tuple(factors), node.pos)
 
     def term(self):
         base = self.atom()
-        if self.peek().kind == "CARET":
-            self.i += 1
-            exp = self.take("INT", "an integer exponent")
-            return Pow(base, int(exp.text), base.pos)
-        return base
+        if self.kinds[self.i] != "CARET":
+            return base
+        self.i += 1
+        return Pow(base, self.integer(self.take("INT", "an integer exponent")), base.pos)
 
     def atom(self):
-        tok = self.peek()
-        if tok.kind == "LIT":
-            self.i += 1
-            return Lit(tok.text, tok.pos)
-        if tok.kind == "INT":
-            self.i += 1
-            return IntLit(int(tok.text), tok.pos)
-        if tok.kind == "LPAREN":
-            self.i += 1
-            return self.bracketed(tok.pos)
-        if tok.kind == "NAME":
-            self.i += 1
-            if tok.text in ("inv", "embed"):
-                paren = self.take("LPAREN", "'(' after " + tok.text)
-                return Call(tok.text, None, self.bracketed(paren.pos), tok.pos)
-            if tok.text == "psi":
-                paren = self.take("LPAREN", "'(' after psi")
-                target = self.take("NAME", "a target name")
-                self.take("COMMA", "','")
-                return Call("psi", target.text, self.bracketed(paren.pos), tok.pos)
-            if tok.text in self.pair.generators:
-                return Gen(tok.text, tok.pos)
-            raise ExprError(f"unknown generator {tok.text!r}", tok.pos)
-        raise ExprError("expected a generator, literal or '('", tok.pos)
+        kind, text, pos = tok = self.tokens[self.i]
+        self.i += 1
+        if kind == "NAME":
+            if text not in _FUNCTIONS:
+                if text in self.generators:
+                    return Gen(text, pos)
+                raise ExprError(f"unknown generator {text!r}", pos)
+            paren = self.take("LPAREN", "'(' after " + text)
+            if text != "psi":
+                return Call(text, None, self.bracketed(paren[2]), pos)
+            target = self.take("NAME", "a target name")
+            self.take("COMMA", "','")
+            return Call("psi", target[1], self.bracketed(paren[2]), pos)
+        if kind == "LIT":
+            return Lit(text, pos)
+        if kind == "INT":
+            return IntLit(self.integer(tok), pos)
+        if kind == "LPAREN":
+            return self.bracketed(pos)
+        raise ExprError("expected a generator, literal or '('", pos)
 
 
 def parse_expression(src: str, pair: CommensuratedPair):

@@ -35,10 +35,16 @@ class Mat2(NamedTuple):
     d: Fraction
 
 
-_Q = r"-?\d+(?:\s*/\s*\d+)?"
+# an entry: numerator and optional denominator, each its own group
+_Q = r"(-?\d+)(?:\s*/\s*(\d+))?"
 _LITERAL = re.compile(
-    rf"\[\s*\[\s*({_Q})\s*,\s*({_Q})\s*\]\s*,\s*\[\s*({_Q})\s*,\s*({_Q})\s*\]\s*\]"
+    rf"\[\s*\[\s*{_Q}\s*,\s*{_Q}\s*\]\s*,\s*\[\s*{_Q}\s*,\s*{_Q}\s*\]\s*\]"
 )
+
+
+def _entry(num: str, den) -> Fraction:
+    """A literal entry from its regex groups; den is None for an integer."""
+    return Fraction(int(num), int(den)) if den else Fraction(int(num))
 
 
 def _mat(a, b, c, d) -> Mat2:
@@ -176,8 +182,9 @@ class SL2Pair(CommensuratedPair):
         m = _LITERAL.fullmatch(text.strip())
         if m is None:
             raise ValueError(f"{self.name}: bad matrix literal {text!r}")
+        a, a_den, b, b_den, c, c_den, d, d_den = m.groups()
         try:
-            elt = Mat2(*(Fraction(g.replace(" ", "")) for g in m.groups()))
+            elt = Mat2(_entry(a, a_den), _entry(b, b_den), _entry(c, c_den), _entry(d, d_den))
         except ZeroDivisionError:
             raise ValueError(f"{self.name}: zero denominator in {text!r}") from None
         self.validate(elt)

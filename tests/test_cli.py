@@ -570,6 +570,26 @@ def test_long_bs12_level_rep_is_refused_before_any_output(capsys):
     assert err == "error: level 0: rep exceeds the display limit of 4300 digits\n"
 
 
+@pytest.mark.parametrize("argv, pos", [
+    (["eval", "sl2:2", "u^" + "9" * 4301], 2),
+    (["eval", "z2", "9" * 4301], 0),
+])
+def test_an_integer_past_the_digit_limit_is_refused_with_its_position(argv, pos, capsys):
+    assert entry(argv) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == f"error: integer exceeds the limit of 4300 digits at position {pos}\n"
+
+
+@pytest.mark.parametrize("template", ["[[1{}/ 1, 0], [0, 1]]", "[[2, 0], [0, 1 /{}2]]"])
+def test_sl2_literals_take_any_whitespace_around_the_slash(template, capsys):
+    outputs = []
+    for space in (" ", "\t", "\u3000"):
+        assert entry(["eval", "sl2:2", template.format(space)]) == 0
+        outputs.append(capsys.readouterr())
+    assert outputs[1] == outputs[0] and outputs[2] == outputs[0]
+
+
 def test_psi_refuses_a_modulus_below_one(capsys):
     assert entry(["psi", "z2", "mod:0", "1"]) == 2
     out, err = capsys.readouterr()

@@ -20,7 +20,13 @@ from commensurate import (
 )
 from commensurate.expr import (
     MAX_NESTING,
+    Call,
     ExprError,
+    Gen,
+    IntLit,
+    Lit,
+    Pow,
+    Prod,
     PsiValue,
     evaluate,
     parse_expression,
@@ -181,6 +187,150 @@ _FRAGMENTS = [
 def test_tokenize_matches_reference_scan(instance, src):
     pair = _LITERAL_STYLES[instance]
     assert _token_stream(tokenize, src, pair) == _token_stream(reference_tokenize, src, pair)
+
+
+class _ReferenceParser:
+    """The recursive-descent parser that peeked one token at a time, kept as
+    the reference for parse_expression's trees and errors."""
+
+    def __init__(self, tokens, pair):
+        self.tokens = tokens
+        self.pair = pair
+        self.i = 0
+        self.nesting = 0
+
+    def peek(self):
+        return self.tokens[self.i]
+
+    def take(self, kind, what):
+        tok = self.tokens[self.i]
+        if tok[0] != kind:
+            raise ExprError(f"expected {what}", tok[2])
+        self.i += 1
+        return tok
+
+    def bracketed(self, pos):
+        self.nesting += 1
+        if self.nesting > MAX_NESTING:
+            raise ExprError(f"expression nests deeper than {MAX_NESTING} brackets", pos)
+        node = self.expr()
+        self.take("RPAREN", "')'")
+        self.nesting -= 1
+        return node
+
+    def parse(self):
+        node = self.expr()
+        kind, text, pos = self.peek()
+        if kind != "END":
+            raise ExprError(f"unexpected {text!r}", pos)
+        return node
+
+    def expr(self):
+        first = self.term()
+        factors = [first]
+        while self.peek()[0] == "STAR":
+            self.i += 1
+            factors.append(self.term())
+        if len(factors) == 1:
+            return first
+        return Prod(tuple(factors), factors[0].pos)
+
+    def term(self):
+        base = self.atom()
+        if self.peek()[0] == "CARET":
+            self.i += 1
+            exp = self.take("INT", "an integer exponent")
+            return Pow(base, int(exp[1]), base.pos)
+        return base
+
+    def atom(self):
+        kind, text, pos = self.peek()
+        if kind == "LIT":
+            self.i += 1
+            return Lit(text, pos)
+        if kind == "INT":
+            self.i += 1
+            return IntLit(int(text), pos)
+        if kind == "LPAREN":
+            self.i += 1
+            return self.bracketed(pos)
+        if kind == "NAME":
+            self.i += 1
+            if text in ("inv", "embed"):
+                paren = self.take("LPAREN", "'(' after " + text)
+                return Call(text, None, self.bracketed(paren[2]), pos)
+            if text == "psi":
+                paren = self.take("LPAREN", "'(' after psi")
+                target = self.take("NAME", "a target name")
+                self.take("COMMA", "','")
+                return Call("psi", target[1], self.bracketed(paren[2]), pos)
+            if text in self.pair.generators:
+                return Gen(text, pos)
+            raise ExprError(f"unknown generator {text!r}", pos)
+        raise ExprError("expected a generator, literal or '('", pos)
+
+
+def reference_parse(src, pair):
+    return _ReferenceParser(reference_tokenize(src, pair), pair).parse()
+
+
+def _tree(parse, src, pair):
+    try:
+        return parse(src, pair)
+    except ExprError as err:
+        return str(err)
+
+
+_PARSE_FRAGMENTS = [*_FRAGMENTS, "^-3", "^", "inv(", "psi(texp,"]
+
+
+@pytest.mark.parametrize("instance", list(_LITERAL_STYLES))
+@given(src=st.lists(st.sampled_from(_PARSE_FRAGMENTS), max_size=12).map("".join))
+def test_parse_matches_reference_parser(instance, src):
+    pair = _LITERAL_STYLES[instance]
+    assert _tree(parse_expression, src, pair) == _tree(reference_parse, src, pair)
+
+
+_ATOMS = {
+    "bs12": ["a", "t", "(3/4; -2)"],
+    "sl2:3": ["u", "h", "[[1,0],[1,1]]"],
+    "z2": ["5", "-2"],
+    "s4": ["(1 2)(3 4)", "(1 3)"],
+    "z8": ["#5", "#1"],
+}
+
+
+def _words(atoms):
+    """Well-formed words, so that parses mostly succeed and build deep trees."""
+    return st.recursive(
+        st.sampled_from(atoms),
+        lambda inner: st.one_of(
+            st.lists(inner, min_size=2, max_size=4).map("*".join),
+            st.tuples(inner, st.integers(-3, 3)).map(lambda t: f"({t[0]})^{t[1]}"),
+            st.tuples(st.sampled_from(["(", "inv(", "embed(", "psi(texp, "]), inner).map(
+                lambda t: f"{t[0]}{t[1]})"
+            ),
+        ),
+        max_leaves=12,
+    )
+
+
+@pytest.mark.parametrize("instance", list(_LITERAL_STYLES))
+@given(data=st.data())
+def test_parse_matches_reference_parser_on_words(instance, data):
+    pair = _LITERAL_STYLES[instance]
+    src = data.draw(_words(_ATOMS[instance]))
+    # one spliced fragment turns most words into a syntax error somewhere inside
+    if data.draw(st.booleans()):
+        cut = data.draw(st.integers(0, len(src)))
+        src = src[:cut] + data.draw(st.sampled_from(_PARSE_FRAGMENTS)) + src[cut:]
+    assert _tree(parse_expression, src, pair) == _tree(reference_parse, src, pair)
+
+
+def test_reference_parser_agrees_on_nesting_and_exponents():
+    deepest = "inv(" * MAX_NESTING + "a" + ")" * MAX_NESTING
+    for src in (deepest, "(" + deepest + ")", "(a*t)^-3*inv(t)^2", "psi(texp, a^5*t^3)", "a^"):
+        assert _tree(parse_expression, src, BS) == _tree(reference_parse, src, BS)
 
 
 # --- evaluation semantics -------------------------------------------------------

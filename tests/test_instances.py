@@ -37,6 +37,7 @@ from commensurate.finitemodel import (
     perm_to_cycles,
 )
 from commensurate.oracle import compare_engine
+from commensurate.sl2 import _Q as sl2_entry_pattern, _entry as sl2_entry
 from commensurate.registry import builtin_instances, resolve_instance
 from commensurate.sl2 import is_prime
 
@@ -220,6 +221,27 @@ def test_sl2_format_parse():
         sl2.parse_literal("[[1/3,0],[0,3]]")  # denominator not a 2-power
     with pytest.raises(ValueError):
         sl2.parse_literal("[[1,2],[3]]")
+
+
+_DIGITS = st.text(st.characters(whitelist_categories=("Nd",)), min_size=1, max_size=6)
+_SPACES = st.text(st.sampled_from([chr(c) for c in range(0x3001) if chr(c).isspace()]), max_size=3)
+
+
+def _outcome(read):
+    try:
+        return read()
+    except ZeroDivisionError:
+        return "zero denominator"
+
+
+@given(sign=st.sampled_from(["", "-"]), num=_DIGITS, den=st.none() | _DIGITS,
+       before=_SPACES, after=_SPACES)
+def test_sl2_entry_reader_equals_fraction_of_the_bare_text(sign, num, den, before, after):
+    text = sign + num + ("" if den is None else f"{before}/{after}{den}")
+    m = re.fullmatch(sl2_entry_pattern, text)
+    assert m is not None
+    bare = re.sub(r"\s", "", text)
+    assert _outcome(lambda: sl2_entry(*m.groups())) == _outcome(lambda: Fraction(bare))
 
 
 def test_sl2_rejects_composite_p():
