@@ -20,7 +20,9 @@ import sys
 from fractions import Fraction
 from typing import NamedTuple
 
-from .core import CommensuratedPair, ContractViolation, Depth, DiscreteTarget, check_exact_bits
+from .core import (
+    CommensuratedPair, ContractViolation, Depth, DiscreteTarget, check_exact_bits, read_int,
+)
 
 
 class DyadicAffine(NamedTuple):
@@ -86,11 +88,11 @@ class BS12Pair(CommensuratedPair):
         m = _LITERAL.fullmatch(text.strip())
         if m is None:
             raise ValueError(f"bs12: bad element literal {text!r}")
-        num, den, texp = m.group(1), m.group(2), m.group(3)
-        if den is not None and int(den) == 0:
+        num, den, texp = m.groups()
+        den = read_int(den) if den else 1
+        if den == 0:
             raise ValueError(f"bs12: zero denominator in {text!r}")
-        shift = Fraction(int(num), int(den)) if den else Fraction(int(num))
-        elt = DyadicAffine(shift, int(texp))
+        elt = DyadicAffine(Fraction(read_int(num), den), read_int(texp))
         self.validate(elt)
         return elt
 

@@ -4,6 +4,9 @@ Commands: `instances`, `eval`, `table`, `psi`, `oracle`.  Exit codes:
 0 success, 1 oracle mismatches, 2 parse/usage errors (expressions,
 instance names, model files), 3 precision exhausted, 4 contract
 violations (well-formed element data outside the instance's group).
+Each command returns (exit code, JSON payload, text lines) and prints
+nothing; `entry` prints one of the two forms to stdout once the whole
+result is built, so stdout stays empty on every error.
 Output is deterministic; randomized oracle runs are seeded from the
 COMMENSURATE_SEED environment variable (default 0).
 """
@@ -17,9 +20,9 @@ import os
 import random
 import sys
 
-from .core import CompletionElement, ContractViolation, PrecisionExhausted
+from .core import ContractViolation, PrecisionExhausted
 from .expr import ExprError, PsiValue, evaluate
-from .finitemodel import ModelError, finite_model_pair, load_model
+from .finitemodel import finite_model_pair, load_model
 from .registry import (
     INSTANCE_PATTERNS,
     builtin_instances,
@@ -34,16 +37,12 @@ EXIT_PRECISION = 3
 EXIT_CONTRACT = 4
 
 
-def _print_json(payload) -> None:
-    print(json.dumps(payload, indent=2))
-
-
 def _displayed(what: str, show, *args) -> str:
     """show(*args), or one line naming ``what`` when it is too long to print.
 
     Python caps int-to-str conversion, so an exact value can be too long
-    to show.  Commands pass every value through here before printing any,
-    so a refusal leaves stdout empty.
+    to show.  A refusal raises while the result is still being built, so
+    stdout stays empty.
     """
     try:
         return show(*args)
@@ -52,103 +51,71 @@ def _displayed(what: str, show, *args) -> str:
         raise ValueError(f"{what} exceeds the display limit of {limit} digits") from None
 
 
-def _element_payload(name: str, pair, requested: int, f: CompletionElement) -> dict:
-    levels = []
-    for d in range(f.depth + 1):
-        index = pair.level_index(d)
-        _displayed(f"level {d}: modulus/index", str, index)
-        rep = _displayed(f"level {d}: rep", pair.level_rep, f.rep, d)
-        levels.append({"level": d, "modulus_or_index": index, "rep": rep})
-    return {
-        "instance": name,
-        "requested_depth": requested,
-        "attained_depth": f.depth,
-        "rep": _displayed("rep", pair.format_element, f.rep),
-        "levels": levels,
+def cmd_instances(args):
+    payload = {
+        "instances": [
+            {"name": p.name, "description": p.describe(), "targets": p.target_names}
+            for p in builtin_instances()
+        ],
+        "patterns": [
+            {"pattern": pat, "description": desc} for pat, desc in INSTANCE_PATTERNS
+        ],
     }
+    lines = []
+    for row in payload["instances"]:
+        lines.append(f"{row['name']:<8} {row['description']}")
+        if row["targets"]:
+            lines.append(f"{'':<8} targets: {', '.join(row['targets'])}")
+    lines += ["", "name patterns:", *(f"  {pat:<14} {desc}" for pat, desc in INSTANCE_PATTERNS)]
+    return EXIT_OK, payload, lines
 
 
-def _level_lines(payload: dict) -> list[str]:
-    return [
-        f"level {row['level']}: modulus/index {row['modulus_or_index']}, "
-        f"rep {row['rep']}"
-        for row in payload["levels"]
-    ]
-
-
-def cmd_instances(args) -> int:
-    pairs = builtin_instances()
-    if args.json:
-        _print_json(
-            {
-                "instances": [
-                    {
-                        "name": p.name,
-                        "description": p.describe(),
-                        "targets": p.target_names,
-                    }
-                    for p in pairs
-                ],
-                "patterns": [
-                    {"pattern": pat, "description": desc}
-                    for pat, desc in INSTANCE_PATTERNS
-                ],
-            }
-        )
-        return EXIT_OK
-    for p in pairs:
-        print(f"{p.name:<8} {p.describe()}")
-        if p.target_names:
-            print(f"{'':<8} targets: {', '.join(p.target_names)}")
-    print()
-    print("name patterns:")
-    for pat, desc in INSTANCE_PATTERNS:
-        print(f"  {pat:<14} {desc}")
-    return EXIT_OK
-
-
-def _print_psi(args, target: str, value) -> None:
+def _psi_result(args, target: str, value):
     text = _displayed("psi value", str, value)
-    if args.json:
-        _print_json(
-            {
-                "instance": args.instance,
-                "target": target,
-                "requested_depth": args.depth,
-                "value": text,
-            }
-        )
-    else:
-        print(text)
+    payload = {
+        "instance": args.instance,
+        "target": target,
+        "requested_depth": args.depth,
+        "value": text,
+    }
+    return EXIT_OK, payload, [text]
 
 
-def cmd_eval(args, table_only: bool = False) -> int:
+def cmd_eval(args, table_only: bool = False):
     pair = resolve_instance(args.instance)
     result = evaluate(args.expr, pair, args.depth)
     if isinstance(result, PsiValue):
-        _print_psi(args, result.target, result.value)
-        return EXIT_OK
-    payload = _element_payload(args.instance, pair, args.depth, result)
-    if args.json:
-        _print_json(payload)
-        return EXIT_OK
-    lines = [] if table_only else [
-        f"instance: {payload['instance']}",
-        f"requested depth: {payload['requested_depth']}",
-        f"attained depth: {payload['attained_depth']}",
-        f"rep: {payload['rep']}",
+        return _psi_result(args, result.target, result.value)
+    levels, level_lines = [], []
+    for d in range(result.depth + 1):
+        index = pair.level_index(d)
+        index_text = _displayed(f"level {d}: modulus/index", str, index)
+        rep = _displayed(f"level {d}: rep", pair.level_rep, result.rep, d)
+        levels.append({"level": d, "modulus_or_index": index, "rep": rep})
+        level_lines.append(f"level {d}: modulus/index {index_text}, rep {rep}")
+    rep = _displayed("rep", pair.format_element, result.rep)
+    payload = {
+        "instance": args.instance,
+        "requested_depth": args.depth,
+        "attained_depth": result.depth,
+        "rep": rep,
+        "levels": levels,
+    }
+    head = [] if table_only else [
+        f"instance: {args.instance}",
+        f"requested depth: {args.depth}",
+        f"attained depth: {result.depth}",
+        f"rep: {rep}",
     ]
-    print("\n".join(lines + _level_lines(payload)))
-    return EXIT_OK
+    return EXIT_OK, payload, head + level_lines
 
 
-def cmd_psi(args) -> int:
+def cmd_psi(args):
     pair = resolve_instance(args.instance)
     result = evaluate(args.expr, pair, args.depth)
     if isinstance(result, PsiValue):
         raise ExprError("psi(...) cannot be passed to psi", 0)
-    _print_psi(args, args.target, resolve_target(pair, args.target).evaluate(result))
-    return EXIT_OK
+    return _psi_result(args, args.target, resolve_target(pair, args.target).evaluate(result))
 
 
 def run_model_suite(pair, trials: int, rng):
@@ -158,7 +125,7 @@ def run_model_suite(pair, trials: int, rng):
     return compare_engine(pair, trials, rng)
 
 
-def cmd_oracle(args) -> int:
+def cmd_oracle(args):
     if args.trials < 0:
         raise ValueError(f"trials must be >= 0, got {args.trials}")
     seed = os.environ.get("COMMENSURATE_SEED", "0")
@@ -168,18 +135,15 @@ def cmd_oracle(args) -> int:
         raise ValueError(f"COMMENSURATE_SEED must be an integer, got {seed!r}") from None
     pair = finite_model_pair(load_model(args.model))
     report = run_model_suite(pair, args.trials, random.Random(seed))
-    if args.json:
-        print(report.to_json())
-    else:
-        print(f"model: {report.model}")
-        print(f"trials: {report.trials}")
-        print(f"mismatches: {len(report.mismatches)}")
-        for entry_ in report.mismatches:
-            print(
-                f"  {entry_['op']}: inputs {entry_['inputs']}; "
-                f"expected {entry_['expected']}; got {entry_['got']}"
-            )
-    return EXIT_OK if report.ok else EXIT_MISMATCH
+    payload = {"model": report.model, "trials": report.trials, "mismatches": report.mismatches}
+    lines = [
+        f"model: {report.model}",
+        f"trials: {report.trials}",
+        f"mismatches: {len(report.mismatches)}",
+        *(f"  {m['op']}: inputs {m['inputs']}; expected {m['expected']}; got {m['got']}"
+          for m in report.mismatches),
+    ]
+    return (EXIT_OK if report.ok else EXIT_MISMATCH), payload, lines
 
 
 @functools.cache  # built on the first entry() call, then shared by every call
@@ -233,7 +197,9 @@ def entry(argv=None) -> int:
         print("error: '--' is not a valid argument", file=sys.stderr)
         return EXIT_USAGE
     try:
-        return args.run(args)
+        code, payload, lines = args.run(args)
+        print(json.dumps(payload, indent=2) if args.json else "\n".join(lines))
+        return code
     except ContractViolation as err:
         print(f"error: {err}", file=sys.stderr)
         return EXIT_CONTRACT
@@ -242,11 +208,7 @@ def entry(argv=None) -> int:
             f"error: {err} (required depth {err.required_depth})", file=sys.stderr
         )
         return EXIT_PRECISION
-    except KeyError as err:
-        detail = err.args[0] if err.args else err
-        print(f"error: {detail}", file=sys.stderr)
-        return EXIT_USAGE
-    except (ExprError, ModelError, OSError, ValueError) as err:
+    except (OSError, ValueError) as err:
         print(f"error: {err}", file=sys.stderr)
         return EXIT_USAGE
 

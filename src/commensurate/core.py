@@ -18,6 +18,7 @@ everything here is safe for unrestricted concurrent use.
 from __future__ import annotations
 
 import re
+import sys
 from abc import ABC, abstractmethod
 from dataclasses import dataclass
 from typing import Any, Callable, Optional
@@ -35,6 +36,21 @@ def check_exact_bits(bits: int) -> None:
     """Refuse, before it is built, an exact product of more than MAX_EXACT_BITS bits."""
     if bits > MAX_EXACT_BITS:
         raise ValueError(f"exact product exceeds the bound of {MAX_EXACT_BITS} bits")
+
+
+def read_int(text: str, where: str = "") -> int:
+    """The integer a run of decimal digits (with an optional sign) spells.
+
+    Python refuses to convert more digits than its int conversion limit
+    allows; that refusal is a ValueError naming the limit, prefixed by
+    ``where`` (what was read) when given.
+    """
+    try:
+        return int(text)
+    except ValueError:
+        limit = sys.get_int_max_str_digits()
+        prefix = f"{where}: " if where else ""
+        raise ValueError(f"{prefix}integer exceeds the limit of {limit} digits") from None
 
 
 class CompletionError(Exception):
@@ -167,8 +183,8 @@ class CommensuratedPair(ABC):
         return self.name
 
     def target(self, name: str) -> "DiscreteTarget":
-        """The discrete target called ``name``; KeyError with a reason otherwise."""
-        raise KeyError(f"unknown target {name!r} for instance {self.name}")
+        """The discrete target called ``name``; ValueError with a reason otherwise."""
+        raise ValueError(f"unknown target {name!r} for instance {self.name}")
 
     def sample(self, rng) -> Any:
         """A random element of G, for randomized test suites."""

@@ -24,11 +24,10 @@ from __future__ import annotations
 
 import functools
 import re
-import sys
 from dataclasses import dataclass
 from typing import Any, Optional
 
-from .core import CommensuratedPair, CompletionElement
+from .core import CommensuratedPair, CompletionElement, read_int
 
 __all__ = [
     "ExprError",
@@ -142,10 +141,9 @@ class _Parser:
 
     def integer(self, tok: Token) -> int:
         try:
-            return int(tok[1])
-        except ValueError:  # longer than Python's int conversion limit
-            limit = sys.get_int_max_str_digits()
-            raise ExprError(f"integer exceeds the limit of {limit} digits", tok[2]) from None
+            return read_int(tok[1])
+        except ValueError as err:
+            raise ExprError(str(err), tok[2]) from None
 
     def bracketed(self, pos: int):
         """The expr up to the next ')', after a '(' opened at pos."""
@@ -293,9 +291,8 @@ def evaluate(src: str, pair: CommensuratedPair, depth: int):
             return truncated(value)  # a truncated value has nothing to refine
         try:
             target = pair.target(node.target)
-        except KeyError as err:
-            detail = err.args[0] if err.args else f"unknown target {node.target!r}"
-            raise ExprError(str(detail), node.pos) from None
+        except ValueError as err:
+            raise ExprError(str(err), node.pos) from None
         return PsiValue(node.target, target.evaluate(truncated(value)))
 
     def times(left, right, pos):

@@ -44,7 +44,7 @@ import re
 import stat
 from dataclasses import dataclass
 
-from .core import CommensuratedPair, ContractViolation, Depth
+from .core import CommensuratedPair, ContractViolation, Depth, read_int
 
 MAX_POINTS = 16
 MAX_ORDER = 200
@@ -73,14 +73,15 @@ def perm_compose(p: tuple, q: tuple) -> tuple:
 _PERM_LITERAL = re.compile(r"\(\s*(?:\d+(?:\s+\d+)*)?\s*\)(?:\s*\(\s*(?:\d+(?:\s+\d+)*)?\s*\))*")
 _TABLE_LITERAL = re.compile(r"#\d+")
 
-def perm_from_cycles(text: str, points: int) -> tuple:
-    """Parse "(1 2)(3 4)" or "(1 2) (3 4)" (1-based points, "()" = identity)."""
+def perm_from_cycles(text: str, points: int, where: str = "") -> tuple:
+    """Parse "(1 2)(3 4)" or "(1 2) (3 4)" (1-based points, "()" = identity);
+    ``where`` names the source in the message for a point past the digit limit."""
     body = text.strip()
     if not _PERM_LITERAL.fullmatch(body):
         raise ModelError(f"bad permutation literal {text!r}")
     result = perm_identity(points)
     for cycle_text in re.findall(r"\(([^()]*)\)", body):
-        entries = [int(tok) for tok in cycle_text.split()]
+        entries = [read_int(tok, where) for tok in cycle_text.split()]
         if any(not 1 <= v <= points for v in entries):
             raise ModelError(f"point out of range 1..{points} in {text!r}")
         if len(set(entries)) != len(entries):
@@ -354,7 +355,7 @@ def parse_model(text: str) -> FiniteModel:
             raise ModelError(f"line {lineno}: unknown key {key!r}")
         first_line.setdefault(key, lineno)
         if key in ("level", "row"):
-            fields[key].append(value)
+            fields[key].append((value, lineno))
         elif key in fields:
             raise ModelError(f"line {lineno}: duplicate key {key!r}")
         else:
@@ -386,10 +387,10 @@ def parse_model(text: str) -> FiniteModel:
         if "gens" not in fields:
             raise ModelError("perm models need a 'gens' line")
 
-        def read(item):
-            return perm_from_cycles(item, points)
+        def read(item, lineno):
+            return perm_from_cycles(item, points, f"line {lineno}")
 
-        gens = [read(item) for item in _split_items(fields["gens"])]
+        gens = [read(item, first_line["gens"]) for item in _split_items(fields["gens"])]
         elements = sorted(_closure(perm_identity(points), gens, perm_compose, MAX_ORDER))
         perm_index = {p: i for i, p in enumerate(elements)}
         table = perm_mul_table(elements, perm_index, gens)
@@ -402,7 +403,7 @@ def parse_model(text: str) -> FiniteModel:
 
     elif kind == "table":
         table = []
-        for value in fields["row"]:
+        for value, _ in fields["row"]:
             try:
                 table.append([int(tok) for tok in value.split()])
             except ValueError:
@@ -418,10 +419,13 @@ def parse_model(text: str) -> FiniteModel:
         names = [f"#{i}" for i in range(order)]
         points = perm_index = None
 
-        def read(item):
-            if not _TABLE_LITERAL.fullmatch(item) or int(item[1:]) >= order:
+        def read(item, lineno):
+            if not _TABLE_LITERAL.fullmatch(item):
                 raise ModelError(f"bad table element {item!r}")
-            return int(item[1:])
+            index = read_int(item[1:], f"line {lineno}")
+            if index >= order:
+                raise ModelError(f"bad table element {item!r}")
+            return index
 
         def element(i):
             return i
@@ -429,13 +433,15 @@ def parse_model(text: str) -> FiniteModel:
     else:
         raise ModelError(f"unknown model kind {kind!r}")
 
-    def indices(value):
+    def indices(value, lineno):
         # every item is read before any is looked up, so a malformed item
         # is named ahead of one outside the group
-        return [element(x) for x in [read(item) for item in _split_items(value)]]
+        return [element(x) for x in [read(item, lineno) for item in _split_items(value)]]
 
+    k = indices(fields["k"], first_line["k"])
+    levels = [indices(value, lineno) for value, lineno in fields["level"]]
     return FiniteModel(
-        name, kind, names, table, indices(fields["k"]), [indices(v) for v in fields["level"]],
+        name, kind, names, table, k, levels,
         corrupt=corrupt, points=points, perm_index=perm_index,
     )
 
@@ -507,7 +513,7 @@ class FiniteModelPair(CommensuratedPair):
         m = _TABLE_LITERAL.fullmatch(text.strip())
         if m is None:
             raise ValueError(f"{self.name}: bad element literal {text!r}")
-        idx = int(text.strip()[1:])
+        idx = read_int(text.strip()[1:])
         if idx >= model.n:
             raise ContractViolation(
                 f"{self.name}: no element {text.strip()} (order is {model.n})"

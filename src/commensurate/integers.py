@@ -17,7 +17,7 @@ from __future__ import annotations
 import math
 import re
 
-from .core import CommensuratedPair, ContractViolation, Depth, DiscreteTarget
+from .core import CommensuratedPair, ContractViolation, Depth, DiscreteTarget, read_int
 from .sl2 import PRIME_LIMIT, is_prime
 
 FACTORIAL = "factorial"
@@ -29,7 +29,7 @@ _TRIAL_LIMIT = 1 << 16
 
 
 def _factorise(m: int) -> dict[int, int]:
-    """{p: a} with m the product of the p**a; KeyError when it cannot tell.
+    """{p: a} with m the product of the p**a; ValueError when it cannot tell.
 
     Trial division runs up to _TRIAL_LIMIT.  A cofactor left over has no
     prime factor below that bound, so it is prime when it is below the
@@ -44,7 +44,7 @@ def _factorise(m: int) -> dict[int, int]:
         p += 1 if p == 2 else 2
     if rest > 1:
         if rest >= _TRIAL_LIMIT**2 and not (rest < PRIME_LIMIT and is_prime(rest)):
-            raise KeyError(
+            raise ValueError(
                 f"cannot factor the modulus {m}: {rest} has no prime factor "
                 f"below {_TRIAL_LIMIT} and is not provably prime"
             )
@@ -133,12 +133,12 @@ class IntegerChainPair(CommensuratedPair):
         m = _MOD_TARGET.fullmatch(name)
         if m is None:
             return super().target(name)
-        modulus = int(m.group(1))
+        modulus = read_int(m.group(1), "target name")
         if modulus < 1:
-            raise KeyError(f"target {name!r}: modulus must be >= 1")
+            raise ValueError(f"target {name!r}: modulus must be >= 1")
         kill = self._kill_level(modulus)
         if kill is None:
-            raise KeyError(
+            raise ValueError(
                 f"target {name!r} is unavailable on {self.name}: no chain "
                 f"level has a modulus divisible by {modulus}"
             )

@@ -20,7 +20,6 @@ exhaustively on the shipped models and on fuzzed chains.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 
 from .core import PrecisionExhausted
@@ -69,14 +68,6 @@ class OracleReport:
     @property
     def ok(self) -> bool:
         return not self.mismatches
-
-    def to_json(self) -> str:
-        payload = {
-            "model": self.model,
-            "trials": self.trials,
-            "mismatches": self.mismatches,
-        }
-        return json.dumps(payload, indent=2)
 
 
 def _mismatch(op: str, inputs: str, expected, got) -> dict:

@@ -13,7 +13,7 @@ import re
 from typing import Callable, NamedTuple
 
 from .bs12 import BS12Pair
-from .core import CommensuratedPair, DiscreteTarget
+from .core import CommensuratedPair, DiscreteTarget, read_int
 from .finitemodel import finite_model_pair, load_model
 from .integers import FACTORIAL, IntegerChainPair
 from .sl2 import SL2Pair
@@ -28,9 +28,9 @@ class _Instance(NamedTuple):
 
 
 def _power_chain(m: re.Match) -> IntegerChainPair:
-    base = int(m.group(1))
+    base = read_int(m.group(1), "instance name")
     if base < 2:
-        raise KeyError(f"instance {m.string!r}: base must be >= 2")
+        raise ValueError(f"instance {m.string!r}: base must be >= 2")
     return IntegerChainPair(base)
 
 
@@ -41,7 +41,8 @@ _INSTANCES = (
               "zfact", "integers with the factorial chain", ("zfact",)),
     _Instance(re.compile(r"bs12"), lambda m: BS12Pair(),
               "bs12", "Baumslag-Solitar group BS(1,2)", ("bs12",)),
-    _Instance(re.compile(r"sl2(?::(\d+))?"), lambda m: SL2Pair(int(m.group(1) or 2)),
+    _Instance(re.compile(r"sl2(?::(\d+))?"),
+              lambda m: SL2Pair(read_int(m.group(1) or "2", "instance name")),
               "sl2:<p>", "SL2(Z[1/p]) with the congruence chain", ("sl2:2", "sl2:3")),
     # a lambda body looks both names up per call, where bench/tracing.py wraps them
     _Instance(re.compile(r"model:(.*)", re.DOTALL),
@@ -51,16 +52,16 @@ _INSTANCES = (
 
 
 def resolve_instance(name: str) -> CommensuratedPair:
-    """Pair for an instance name; KeyError when the name matches nothing."""
+    """Pair for an instance name; ValueError when the name matches nothing."""
     for row in _INSTANCES:
         m = row.name.fullmatch(name)
         if m is not None:
             return row.build(m)
-    raise KeyError(f"unknown instance {name!r}")
+    raise ValueError(f"unknown instance {name!r}")
 
 
 def resolve_target(pair: CommensuratedPair, name: str) -> DiscreteTarget:
-    """Target for a name on this pair; KeyError with a reason otherwise."""
+    """Target for a name on this pair; ValueError with a reason otherwise."""
     # a function of its own so that bench/tracing.py can time target lookup
     return pair.target(name)
 

@@ -25,7 +25,7 @@ import re
 from fractions import Fraction
 from typing import NamedTuple
 
-from .core import CommensuratedPair, ContractViolation, Depth, check_exact_bits
+from .core import CommensuratedPair, ContractViolation, Depth, check_exact_bits, read_int
 
 
 class Mat2(NamedTuple):
@@ -44,7 +44,7 @@ _LITERAL = re.compile(
 
 def _entry(num: str, den) -> Fraction:
     """A literal entry from its regex groups; den is None for an integer."""
-    return Fraction(int(num), int(den)) if den else Fraction(int(num))
+    return Fraction(read_int(num), read_int(den)) if den else Fraction(read_int(num))
 
 
 def _mat(a, b, c, d) -> Mat2:

@@ -26,6 +26,8 @@ from commensurate.cli import entry
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 GOLDEN = pathlib.Path(__file__).resolve().parent / "golden"
+# one digit past Python's default int conversion limit of 4300 digits
+BIG = "9" * 4301
 
 CASES = [
     ("eval_z2_embed", ["eval", "z2", "--depth", "4", "embed(5)*embed(6)"]),
@@ -477,13 +479,14 @@ _INSTANCE_NAMES = st.one_of(
     st.sampled_from(_NAMED_INSTANCES),
     st.integers(0, 10**30).map(lambda n: f"z{n}"),
     st.integers(0, 10**12).map(lambda n: f"sl2:{n}"),
+    st.just(f"z{BIG}"),
     st.text(max_size=12).filter(lambda name: not name.startswith("model:")),
 )
 _EXPRESSION_PIECES = [
     "a", "t", "u", "h", "x", "embed(", "inv(", "psi(", "texp", "mod:4", "mod:0", "(", ")",
     "^", "^-", "*", ",", " ", "-", "0", "1", "7", "99999999999999999999", "(1 2)",
     "(1 2 3 4)", "#3", "#99", "(3/4; -2)", "[[1,0],[1,1]]", "[[2,0],[0,1/2]]", "/", ";",
-    "[", "]",
+    "[", "]", BIG,
 ]
 _EXPRESSIONS = st.one_of(
     st.text(max_size=30),
@@ -491,7 +494,7 @@ _EXPRESSIONS = st.one_of(
 )
 _TARGET_NAMES = st.one_of(
     st.sampled_from(["texp", "mod:2", "mod:8", "mod:0", "mod:-4", "mod:99999999999999999999",
-                     "mod:x", "mod:"]),
+                     "mod:x", "mod:", f"mod:{BIG}"]),
     st.text(max_size=10),
 )
 
@@ -519,6 +522,7 @@ def test_fuzzed_expressions_and_instance_names_end_cleanly(
     assert code in {0, 2, 3, 4}, (argv, code, err.getvalue())
     assert err.getvalue().count("\n") <= 1, (argv, err.getvalue())
     assert "Traceback" not in out.getvalue() + err.getvalue()
+    assert "set_int_max_str_digits" not in err.getvalue(), argv
 
 
 @pytest.mark.parametrize(
@@ -579,6 +583,62 @@ def test_an_integer_past_the_digit_limit_is_refused_with_its_position(argv, pos,
     out, err = capsys.readouterr()
     assert out == ""
     assert err == f"error: integer exceeds the limit of 4300 digits at position {pos}\n"
+
+
+_LIMIT = "integer exceeds the limit of 4300 digits"
+_BIG_MODELS = {
+    "table": f"kind: table\nrow: 0 1\nrow: 1 0\nK: #{BIG}\nlevel: #0\n",
+    "perm": f"points: 2\ngens: (1 2)\nK: (1 2)\nlevel: ({BIG} 1)\n",
+}
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["eval", "bs12", f"({BIG}; 0)"], f"{_LIMIT} at position 0"),
+    (["eval", "bs12", f"a*(1/{BIG}; 0)"], f"{_LIMIT} at position 2"),
+    (["eval", "sl2:2", f"[[1,{BIG}],[0,1]]"], f"{_LIMIT} at position 0"),
+    (["eval", f"model:{ROOT / 'models' / 'z8.model'}", "--depth", "2", f"#{BIG}"],
+     f"{_LIMIT} at position 0"),
+    (["eval", f"model:{ROOT / 'models' / 's4.model'}", "--depth", "2", f"({BIG} 1)"],
+     f"{_LIMIT} at position 0"),
+    (["eval", f"z{BIG}", "1"], f"instance name: {_LIMIT}"),
+    (["eval", f"sl2:{BIG}", "u"], f"instance name: {_LIMIT}"),
+    (["psi", "z2", f"mod:{BIG}", "1"], f"target name: {_LIMIT}"),
+    (["eval", "z2", f"psi(mod:{BIG}, 1)"], f"target name: {_LIMIT} at position 0"),
+    (["oracle", "table"], f"line 4: {_LIMIT}"),
+    (["oracle", "perm"], f"line 4: {_LIMIT}"),
+], ids=["bs12", "bs12-denominator", "sl2", "table-literal", "perm-literal", "z-base", "sl2-prime",
+        "psi-target", "psi-call", "table-model", "perm-model"])
+def test_an_oversized_integer_anywhere_names_the_digit_limit(argv, message, tmp_path, capsys):
+    """Literals, instance and target names and model lines all read their
+    integers through one reader, whose message names the limit."""
+    if argv[0] == "oracle":
+        path = tmp_path / "big.model"
+        path.write_text(_BIG_MODELS[argv[1]], encoding="utf-8")
+        argv = ["oracle", str(path)]
+    assert entry(argv) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == f"error: {message}\n"
+    assert "set_int_max_str_digits" not in err
+
+
+class _BrokenPipe(io.StringIO):
+    def write(self, text):
+        raise BrokenPipeError(32, "Broken pipe")
+
+
+@pytest.mark.parametrize("argv", [
+    ["eval", "z2", "1"],
+    ["table", "bs12", "a", "--json"],
+    ["instances"],
+    ["oracle", str(ROOT / "models" / "z8.model"), "--trials", "5", "--json"],
+])
+def test_a_broken_pipe_on_stdout_exits_2(argv):
+    """The one write to stdout sits inside entry's error handling."""
+    err = io.StringIO()
+    with redirect_stdout(_BrokenPipe()), redirect_stderr(err):
+        assert entry(argv) == 2
+    assert err.getvalue() == "error: [Errno 32] Broken pipe\n"
 
 
 @pytest.mark.parametrize("template", ["[[1{}/ 1, 0], [0, 1]]", "[[2, 0], [0, 1 /{}2]]"])

@@ -1,6 +1,7 @@
 """The brute-force oracle against the engine, and the paper's coset
 identities checked literally."""
 
+import json
 import pathlib
 import random
 
@@ -16,6 +17,7 @@ from commensurate import (
     oracle,
     parse_model,
 )
+from commensurate.cli import entry
 from commensurate.finitemodel import FiniteModel
 from commensurate.oracle import compare_engine, enumerate_completion
 
@@ -317,11 +319,22 @@ def test_compare_engine_reports_each_broken_claim(s4_pair, monkeypatch, method, 
     assert {m["op"] for m in report.mismatches} == kinds
 
 
-def test_run_model_suite_reports(s4_pair):
+def test_run_model_suite_reports(s4_pair, capsys, monkeypatch):
     report = compare_engine(s4_pair, 50, random.Random(SEED))
     assert report.ok
-    payload = report.to_json()
-    assert '"model": "s4"' in payload and '"mismatches": []' in payload
+    assert (report.model, report.trials, report.mismatches) == ("s4", 50, [])
+    # oracle --json writes the report's three fields, mismatches included
+    corrupt = finite_model_pair(load_model(MODELS / "s4_corrupt.model"))
+    report = compare_engine(corrupt, 50, random.Random(SEED))
+    assert report.mismatches
+    monkeypatch.setenv("COMMENSURATE_SEED", str(SEED))
+    argv = ["oracle", str(MODELS / "s4_corrupt.model"), "--trials", "50", "--json"]
+    assert entry(argv) == 1
+    out, err = capsys.readouterr()
+    assert err == ""
+    assert json.loads(out) == {
+        "model": report.model, "trials": report.trials, "mismatches": report.mismatches,
+    }
 
 
 def test_suite_enumerates_the_completion_once(s4_d8_pair, monkeypatch):
@@ -348,6 +361,6 @@ def test_refinement_subgroup_depends_on_the_left_coset_only(name):
 
 
 def test_suite_deterministic_under_seed(z8_pair):
-    a = compare_engine(z8_pair, 80, random.Random(SEED)).to_json()
-    b = compare_engine(z8_pair, 80, random.Random(SEED)).to_json()
-    assert a == b
+    a = compare_engine(z8_pair, 80, random.Random(SEED))
+    b = compare_engine(z8_pair, 80, random.Random(SEED))
+    assert (a.model, a.trials, a.mismatches) == (b.model, b.trials, b.mismatches)
