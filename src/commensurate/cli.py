@@ -192,25 +192,40 @@ def build_parser() -> argparse.ArgumentParser:
 
 def entry(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    if [] in vars(args).values():
-        # argparse before Python 3.13 reads a "--" after the "--" separator as []
-        print("error: '--' is not a valid argument", file=sys.stderr)
-        return EXIT_USAGE
     try:
+        if [] in vars(args).values():
+            # argparse before Python 3.13 reads a "--" after the "--" separator as []
+            raise ValueError("'--' is not a valid argument")
         code, payload, lines = args.run(args)
-        print(json.dumps(payload, indent=2) if args.json else "\n".join(lines))
+        # the flush makes a closed pipe fail here, not at interpreter exit
+        print(json.dumps(payload, indent=2) if args.json else "\n".join(lines), flush=True)
         return code
     except ContractViolation as err:
-        print(f"error: {err}", file=sys.stderr)
-        return EXIT_CONTRACT
+        code, message = EXIT_CONTRACT, err
     except PrecisionExhausted as err:
-        print(
-            f"error: {err} (required depth {err.required_depth})", file=sys.stderr
-        )
-        return EXIT_PRECISION
+        code, message = EXIT_PRECISION, f"{err} (required depth {err.required_depth})"
     except (OSError, ValueError) as err:
-        print(f"error: {err}", file=sys.stderr)
-        return EXIT_USAGE
+        code, message = EXIT_USAGE, err
+        if isinstance(err, BrokenPipeError):
+            _discard(sys.stdout)
+    try:
+        print(f"error: {message}", file=sys.stderr, flush=True)
+    except OSError:
+        _discard(sys.stderr)  # the exit code is all that can still be reported
+    return code
+
+
+def _discard(stream) -> None:
+    """Point a stream whose reader has gone at os.devnull, so that the
+    interpreter's flush at exit drops what is still buffered instead of
+    failing with exit code 120."""
+    try:
+        fd = stream.fileno()
+    except (OSError, ValueError):
+        return  # no file descriptor, so nothing is flushed at exit
+    devnull = os.open(os.devnull, os.O_WRONLY)
+    os.dup2(devnull, fd)
+    os.close(devnull)
 
 
 if __name__ == "__main__":

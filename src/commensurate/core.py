@@ -20,8 +20,7 @@ from __future__ import annotations
 import re
 import sys
 from abc import ABC, abstractmethod
-from dataclasses import dataclass
-from typing import Any, Callable, Optional
+from typing import Any, Callable, NamedTuple, Optional
 
 #: Chain index: 0 is the coarsest level (the subgroup K itself), larger is finer.
 Depth = int
@@ -216,8 +215,7 @@ class CommensuratedPair(ABC):
         return CompletionElement(self, g, depth)
 
 
-@dataclass(frozen=True)
-class Valuation:
+class Valuation(NamedTuple):
     """How far apart two completion elements are, as seen through the chain.
 
     ``depth`` is the largest level at which the cosets agree (-1 when they
@@ -293,19 +291,22 @@ def _attainable_depth(pair: CommensuratedPair, g: Any, cap: Depth, budget: Depth
     return d
 
 
-@dataclass(frozen=True, eq=False)
 class CompletionElement:
     """A group element known up to right multiplication by N_depth.
 
     Denotes the left coset rep.N_depth together with every coarser coset
     rep.N_d, d <= depth, that the chain nesting implies.  Two elements
     describe the same coset at level d exactly when rep1^-1.rep2 is in
-    N_d; use :meth:`eq_at_depth`, not ``==``.
+    N_d; use :meth:`eq_at_depth`, since ``==`` and ``hash`` go by identity.
+    No method assigns to an element after ``__init__``.
     """
 
-    pair: CommensuratedPair
-    rep: Any
-    depth: Depth
+    __slots__ = ("pair", "rep", "depth")
+
+    def __init__(self, pair: CommensuratedPair, rep: Any, depth: Depth):
+        self.pair = pair
+        self.rep = rep
+        self.depth = depth
 
     def __repr__(self) -> str:
         return f"<{self.pair.format_element(self.rep)} @ depth {self.depth}>"
@@ -431,8 +432,7 @@ class CompletionElement:
         return self.rep
 
 
-@dataclass(frozen=True)
-class DiscreteTarget:
+class DiscreteTarget(NamedTuple):
     """A homomorphism to a group with decidable equality, evaluable at
     finite precision because the chain level ``kill_level`` lands on the
     target's identity.

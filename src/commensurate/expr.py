@@ -24,8 +24,7 @@ from __future__ import annotations
 
 import functools
 import re
-from dataclasses import dataclass
-from typing import Any, Optional
+from typing import Any, NamedTuple, Optional
 
 from .core import CommensuratedPair, CompletionElement, read_int
 
@@ -76,41 +75,63 @@ def tokenize(src: str, pair: CommensuratedPair) -> list[Token]:
 
 
 # AST ------------------------------------------------------------------------
-# Nodes are built once per parse and never hashed or mutated, so they take
-# slots, which build faster than frozen dataclasses.
+# Nodes are built once per parse and never hashed or mutated.  They are plain
+# slotted classes, equal when their class and every field match, so that
+# Gen("a", 0) != Lit("a", 0).
 
-@dataclass(slots=True)
-class Gen:
-    name: str
-    pos: int
+class _Node:
+    __slots__ = ()
 
-@dataclass(slots=True)
-class Lit:
-    text: str
-    pos: int
+    def __eq__(self, other):
+        return type(other) is type(self) and all(
+            getattr(self, name) == getattr(other, name) for name in self.__slots__
+        )
 
-@dataclass(slots=True)
-class IntLit:
-    value: int
-    pos: int
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__slots__)
+        return f"{type(self).__name__}({fields})"
 
-@dataclass(slots=True)
-class Pow:
-    base: Any
-    exp: int
-    pos: int
 
-@dataclass(slots=True)
-class Prod:
-    factors: tuple
-    pos: int
+class Gen(_Node):
+    __slots__ = ("name", "pos")
 
-@dataclass(slots=True)
-class Call:
-    func: str
-    target: Optional[str]
-    arg: Any
-    pos: int
+    def __init__(self, name: str, pos: int):
+        self.name, self.pos = name, pos
+
+
+class Lit(_Node):
+    __slots__ = ("text", "pos")
+
+    def __init__(self, text: str, pos: int):
+        self.text, self.pos = text, pos
+
+
+class IntLit(_Node):
+    __slots__ = ("value", "pos")
+
+    def __init__(self, value: int, pos: int):
+        self.value, self.pos = value, pos
+
+
+class Pow(_Node):
+    __slots__ = ("base", "exp", "pos")
+
+    def __init__(self, base: _Node, exp: int, pos: int):
+        self.base, self.exp, self.pos = base, exp, pos
+
+
+class Prod(_Node):
+    __slots__ = ("factors", "pos")
+
+    def __init__(self, factors: tuple, pos: int):
+        self.factors, self.pos = factors, pos
+
+
+class Call(_Node):
+    __slots__ = ("func", "target", "arg", "pos")
+
+    def __init__(self, func: str, target: Optional[str], arg: _Node, pos: int):
+        self.func, self.target, self.arg, self.pos = func, target, arg, pos
 
 
 #: Deepest bracket nesting the parser accepts.  Parsing and evaluation
@@ -236,8 +257,7 @@ def render(node) -> str:
 
 # evaluation -------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class PsiValue:
+class PsiValue(NamedTuple):
     """Result of a psi(...) expression: a target-group value."""
 
     target: str

@@ -42,7 +42,7 @@ from __future__ import annotations
 import os
 import re
 import stat
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .core import CommensuratedPair, ContractViolation, Depth, read_int
 
@@ -154,8 +154,7 @@ def perm_mul_table(elements, index, gens) -> list:
 
 # --- the model ---------------------------------------------------------------
 
-@dataclass(frozen=True)
-class CosetTable:
+class CosetTable(NamedTuple):
     """The cosets of one chain level on one side, each a literal set.
 
     ``ids[x]`` numbers the coset holding element x, ``sets[i]`` is the

@@ -20,14 +20,13 @@ exhaustively on the shipped models and on fuzzed chains.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .core import PrecisionExhausted
 from .finitemodel import FiniteModel, FiniteModelPair
 
 
-@dataclass(frozen=True)
-class CompletionTable:
+class CompletionTable(NamedTuple):
     """The completion of a finite model, the quotient by the chain bottom.
 
     ``reps[i]`` is the canonical representative (smallest index) of the
@@ -59,8 +58,7 @@ def enumerate_completion(model: FiniteModel) -> CompletionTable:
     return CompletionTable(reps, table, coset_of)
 
 
-@dataclass
-class OracleReport:
+class OracleReport(NamedTuple):
     model: str
     trials: int
     mismatches: list

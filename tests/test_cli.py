@@ -723,6 +723,53 @@ def test_cli_import_leaves_the_oracle_unloaded():
     assert (proc.returncode, proc.stdout, proc.stderr) == (0, "False\n", "")
 
 
+def test_the_package_never_imports_dataclasses_or_inspect():
+    """Both cost a fresh interpreter about 11-15 ms; no CLI command needs them."""
+    script = (
+        "import sys, commensurate.cli\n"
+        "loaded = lambda: [m for m in ('dataclasses', 'inspect') if m in sys.modules]\n"
+        "print(loaded())\n"
+        "commensurate.cli.entry(['oracle', 'models/z8.model', '--trials', '1'])\n"
+        "print(loaded())\n"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", script],
+        capture_output=True,
+        text=True,
+        timeout=60,
+        cwd=ROOT,
+        env=_child_env(),
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines() == ["[]", "model: z8", "trials: 1", "mismatches: 0", "[]"]
+
+
+@pytest.mark.parametrize("unbuffered", [False, True], ids=["buffered", "unbuffered"])
+def test_a_closed_pipe_exits_2(unbuffered):
+    """stdout is a pipe whose reader has closed.  Buffered, the write only
+    fails at a flush, which must not be left to interpreter exit (exit 120).
+    Unbuffered, with stderr on the same closed pipe, the error line cannot
+    be written either, and the exit code is all that is left (not 1)."""
+    env = {k: v for k, v in _child_env().items() if k != "PYTHONUNBUFFERED"}
+    if unbuffered:
+        env["PYTHONUNBUFFERED"] = "1"
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        proc = subprocess.run(
+            [sys.executable, "-m", "commensurate.cli", "eval", "z2", "5"],
+            stdout=write_end,
+            stderr=write_end if unbuffered else subprocess.PIPE,
+            timeout=60,
+            env=env,
+        )
+    finally:
+        os.close(write_end)
+    assert proc.returncode == 2
+    if not unbuffered:
+        assert proc.stderr == b"error: [Errno 32] Broken pipe\n"
+
+
 def test_model_instances_load_through_the_traced_names(monkeypatch):
     """bench/tracing.py times model loads by wrapping registry.load_model
     and registry.finite_model_pair, so resolving a model: name must look

@@ -190,6 +190,16 @@ def test_eq_at_depth_examples():
     assert eight.eq_at_depth(eight, 6)
 
 
+def test_completion_elements_compare_by_identity():
+    """Equal cosets are compared with eq_at_depth; == and hash see the object."""
+    f, g = Z2.embed(5, 4), Z2.embed(5, 4)
+    assert f is not g and f != g and f == f
+    assert f.eq_at_depth(g, 4)
+    assert len({f, g, f}) == 2 and hash(f) == hash(f)
+    assert repr(f) == "<5 @ depth 4>"
+    assert repr(BS.embed(BS.generators["t"], 2)) == "<(0; 1) @ depth 2>"
+
+
 def test_eq_at_depth_needs_depth():
     with pytest.raises(PrecisionExhausted):
         Z2.embed(1, 2).eq_at_depth(Z2.embed(1, 8), 5)
@@ -247,6 +257,15 @@ def test_right_rep_exhausted():
 MOD8 = DiscreteTarget(
     name="mod:8", phi=lambda x: x % 8, kill_level=3, combine=lambda u, v: (u + v) % 8
 )
+
+
+def test_valuations_and_targets_compare_by_value():
+    assert Z2.embed(8, 6).valuation(Z2.embed(0, 6)) == Valuation(depth=3, indistinguishable=False)
+    assert Valuation(3, False) != Valuation(3, True)
+    assert hash(Valuation(3, False)) == hash(Valuation(3, False))
+    same = DiscreteTarget(MOD8.name, MOD8.phi, MOD8.kill_level, MOD8.combine)
+    assert same == MOD8 and hash(same) == hash(MOD8)
+    assert DiscreteTarget(MOD8.name, MOD8.phi, 4, MOD8.combine) != MOD8
 
 
 def test_target_factorization():

@@ -327,6 +327,21 @@ def test_parse_matches_reference_parser_on_words(instance, data):
     assert _tree(parse_expression, src, pair) == _tree(reference_parse, src, pair)
 
 
+def test_ast_nodes_compare_by_class_and_fields():
+    assert Gen("a", 0) != Lit("a", 0) and Lit("5", 0) != IntLit(5, 0)
+    assert Gen("a", 0) == Gen("a", 0) and Gen("a", 0) != Gen("a", 1)
+    src = "psi(texp, inv(a*(3/4; -2))^-2)*t"
+    tree = parse_expression(src, BS)
+    assert tree == parse_expression(src, BS)
+    assert tree == Prod((
+        Call("psi", "texp", Pow(Call("inv", None, Prod((Gen("a", 14), Lit("(3/4; -2)", 16)), 14), 10),
+                                -2, 10), 0),
+        Gen("t", 31),
+    ), 0)
+    assert tree != parse_expression(src.replace("*t", "*a"), BS)
+    assert repr(Pow(Gen("t", 0), 3, 0)) == "Pow(base=Gen(name='t', pos=0), exp=3, pos=0)"
+
+
 def test_reference_parser_agrees_on_nesting_and_exponents():
     deepest = "inv(" * MAX_NESTING + "a" + ")" * MAX_NESTING
     for src in (deepest, "(" + deepest + ")", "(a*t)^-3*inv(t)^2", "psi(texp, a^5*t^3)", "a^"):
@@ -392,6 +407,12 @@ def test_contract_violation_propagates():
 def test_psi_expression():
     value = ev("psi(mod:8, embed(13))", Z2, 5)
     assert value == PsiValue("mod:8", 5)
+
+
+def test_psi_values_compare_by_value():
+    assert PsiValue("mod:8", 5) == PsiValue(target="mod:8", value=5)
+    assert PsiValue("mod:8", 5) != PsiValue("mod:4", 5)
+    assert repr(PsiValue("texp", 3)) == "PsiValue(target='texp', value=3)"
 
 
 def test_psi_exact_operand_uses_requested_depth():

@@ -887,6 +887,17 @@ def test_finite_pair_validate(s4_pair):
         c4.parse_literal("(1 2)")
 
 
+def test_coset_tables_compare_by_value():
+    """Loading compares the bottom level's left and right coset tables."""
+    z8 = load_model(MODELS / "z8.model")
+    s4 = load_model(MODELS / "s4.model")
+    for d in range(len(z8.levels)):  # abelian: left and right cosets agree
+        assert z8.lefts[d] == z8.rights[d] and z8.lefts[d] is not z8.rights[d]
+    assert s4.lefts[-1] == s4.rights[-1]
+    assert s4.lefts[0] != s4.lefts[1]
+    assert hash(z8.lefts[0]) == hash(z8.rights[0])
+
+
 @pytest.mark.parametrize("name", ["s4", "s4_d8", "s4_corrupt", "z8", "s5"])
 def test_coset_tables_are_the_literal_cosets(name):
     model = load_model(MODELS / f"{name}.model")
