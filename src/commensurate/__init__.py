@@ -1,7 +1,12 @@
 """Exact finite-precision arithmetic in group completions along
-commensurated subgroup chains, with brute-force oracles and a CLI."""
+commensurated subgroup chains, with brute-force oracles and a CLI.
 
-from .bs12 import BS12Pair, DyadicAffine
+The instance modules load when one of their names is first looked up
+(PEP 562), so a start that needs one instance compiles only that one.
+"""
+
+from importlib import import_module
+
 from .core import (
     CommensuratedPair,
     CompletionElement,
@@ -11,35 +16,37 @@ from .core import (
     PrecisionExhausted,
     Valuation,
 )
-from .finitemodel import (
-    FiniteModel,
-    FiniteModelPair,
-    ModelError,
-    finite_model_pair,
-    load_model,
-    parse_model,
-)
-from .integers import FACTORIAL, IntegerChainPair
-from .sl2 import Mat2, SL2Pair
 
-__all__ = [
-    "BS12Pair",
+_LAZY = {
+    "BS12Pair": "bs12",
+    "DyadicAffine": "bs12",
+    "FACTORIAL": "integers",
+    "IntegerChainPair": "integers",
+    "Mat2": "sl2",
+    "SL2Pair": "sl2",
+    "FiniteModel": "finitemodel",
+    "FiniteModelPair": "finitemodel",
+    "ModelError": "finitemodel",
+    "finite_model_pair": "finitemodel",
+    "load_model": "finitemodel",
+    "parse_model": "finitemodel",
+}
+
+
+def __getattr__(name: str):
+    # any other name, a submodule's included, is left to the import system
+    if name not in _LAZY:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    return getattr(import_module(f".{_LAZY[name]}", __name__), name)
+
+
+__all__ = sorted([
     "CommensuratedPair",
     "CompletionElement",
     "CompletionError",
     "ContractViolation",
     "DiscreteTarget",
-    "DyadicAffine",
-    "FACTORIAL",
-    "FiniteModel",
-    "FiniteModelPair",
-    "IntegerChainPair",
-    "Mat2",
-    "ModelError",
     "PrecisionExhausted",
-    "SL2Pair",
     "Valuation",
-    "finite_model_pair",
-    "load_model",
-    "parse_model",
-]
+    *_LAZY,
+])

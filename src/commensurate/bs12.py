@@ -37,10 +37,16 @@ def _is_power_of_two(n: int) -> bool:
     return n >= 1 and (n & (n - 1)) == 0
 
 
-def _scaled(shift: Fraction, texp: int) -> Fraction:
-    """2**texp · shift, refused before it is built when too large."""
-    check_exact_bits(abs(texp) + max(shift.numerator.bit_length(), shift.denominator.bit_length()))
-    return Fraction(2) ** texp * shift
+def _shifted(base: Fraction | int, num: int, den: int, texp: int) -> Fraction:
+    """base + 2**texp · num/den, refused before it is built when too large.
+
+    Both denominators are powers of two, 2**i and 2**j say, so 2**s with
+    s = max(i, j - texp) is a common one, and one Fraction is built.
+    """
+    check_exact_bits(abs(texp) + max(num.bit_length(), den.bit_length()))
+    i, e = base.denominator.bit_length() - 1, texp - den.bit_length() + 1
+    s = max(i, -e)
+    return Fraction((base.numerator << (s - i)) + (num << (s + e)), 1 << s)
 
 
 class BS12Pair(CommensuratedPair):
@@ -60,11 +66,13 @@ class BS12Pair(CommensuratedPair):
 
     def mul(self, x: DyadicAffine, y: DyadicAffine) -> DyadicAffine:
         # first y, then x; a zero shift needs no 2**texp, which may be huge
-        shift = x.shift + _scaled(y.shift, x.texp) if y.shift else x.shift
+        s = y.shift
+        shift = _shifted(x.shift, s.numerator, s.denominator, x.texp) if s else x.shift
         return DyadicAffine(shift, x.texp + y.texp)
 
     def inv(self, x: DyadicAffine) -> DyadicAffine:
-        shift = -_scaled(x.shift, -x.texp) if x.shift else x.shift
+        s = x.shift
+        shift = _shifted(0, -s.numerator, s.denominator, -x.texp) if s else s
         return DyadicAffine(shift, -x.texp)
 
     def in_level(self, x: DyadicAffine, depth: Depth) -> bool:

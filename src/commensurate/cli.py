@@ -22,10 +22,11 @@ import sys
 
 from .core import ContractViolation, PrecisionExhausted
 from .expr import ExprError, PsiValue, evaluate
-from .finitemodel import finite_model_pair, load_model
 from .registry import (
     INSTANCE_PATTERNS,
     builtin_instances,
+    finite_model_pair,
+    load_model,
     resolve_instance,
     resolve_target,
 )
@@ -191,8 +192,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def entry(argv=None) -> int:
-    args = build_parser().parse_args(argv)
     try:
+        try:
+            args = build_parser().parse_args(argv)
+        finally:
+            sys.stdout.flush()  # --help prints in parse_args; a closed pipe fails here
         if [] in vars(args).values():
             # argparse before Python 3.13 reads a "--" after the "--" separator as []
             raise ValueError("'--' is not a valid argument")

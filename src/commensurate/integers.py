@@ -18,7 +18,6 @@ import math
 import re
 
 from .core import CommensuratedPair, ContractViolation, Depth, DiscreteTarget, read_int
-from .sl2 import PRIME_LIMIT, is_prime
 
 FACTORIAL = "factorial"
 
@@ -26,6 +25,32 @@ _MOD_TARGET = re.compile(r"mod:(\d+)")
 
 #: Trial division bound for factoring ``mod:<m>`` moduli on the d! chain.
 _TRIAL_LIMIT = 1 << 16
+
+
+# Miller-Rabin with the first 13 primes as bases is exact below this bound.
+_PRIME_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+PRIME_LIMIT = 3317044064679887385961981
+
+
+def is_prime(p: int) -> bool:
+    """Deterministic primality for 2 <= p < PRIME_LIMIT."""
+    for a in _PRIME_BASES:
+        if p % a == 0:
+            return p == a
+    d, s = p - 1, 0
+    while d % 2 == 0:
+        d, s = d // 2, s + 1
+    for a in _PRIME_BASES:
+        x = pow(a, d, p)
+        if x in (1, p - 1):
+            continue
+        for _ in range(s - 1):
+            x = x * x % p
+            if x == p - 1:
+                break
+        else:
+            return False
+    return True
 
 
 def _factorise(m: int) -> dict[int, int]:

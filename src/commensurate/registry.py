@@ -10,43 +10,57 @@ instance is one pair class plus one row of ``_INSTANCES``.
 from __future__ import annotations
 
 import re
+from importlib import import_module
+from types import ModuleType
 from typing import Callable, NamedTuple
 
-from .bs12 import BS12Pair
 from .core import CommensuratedPair, DiscreteTarget, read_int
-from .finitemodel import finite_model_pair, load_model
-from .integers import FACTORIAL, IntegerChainPair
-from .sl2 import SL2Pair
 
 
 class _Instance(NamedTuple):
     name: re.Pattern  # matched in full against the requested name
-    build: Callable[[re.Match], CommensuratedPair]
+    module: str  # defines the pair; imported when the row first builds one
+    build: Callable[[ModuleType, re.Match], CommensuratedPair]
     pattern: str  # what `instances` prints for the name ...
     description: str  # ... and beside it
     listed: tuple[str, ...]  # the names `instances` lists
 
 
-def _power_chain(m: re.Match) -> IntegerChainPair:
+def load_model(path):
+    """``finitemodel.load_model``; the module loads on the first call."""
+    from .finitemodel import load_model
+
+    return load_model(path)
+
+
+def finite_model_pair(model):
+    """``finitemodel.finite_model_pair``; the module loads on the first call."""
+    from .finitemodel import finite_model_pair
+
+    return finite_model_pair(model)
+
+
+def _power_chain(integers: ModuleType, m: re.Match):
     base = read_int(m.group(1), "instance name")
     if base < 2:
         raise ValueError(f"instance {m.string!r}: base must be >= 2")
-    return IntegerChainPair(base)
+    return integers.IntegerChainPair(base)
 
 
 _INSTANCES = (
-    _Instance(re.compile(r"z(\d+)"), _power_chain,
+    _Instance(re.compile(r"z(\d+)"), "integers", _power_chain,
               "z<base>", "integers with the base**d chain", ("z2", "z3")),
-    _Instance(re.compile(r"zfact(?:orial)?"), lambda m: IntegerChainPair(FACTORIAL),
+    _Instance(re.compile(r"zfact(?:orial)?"), "integers",
+              lambda mod, m: mod.IntegerChainPair(mod.FACTORIAL),
               "zfact", "integers with the factorial chain", ("zfact",)),
-    _Instance(re.compile(r"bs12"), lambda m: BS12Pair(),
+    _Instance(re.compile(r"bs12"), "bs12", lambda mod, m: mod.BS12Pair(),
               "bs12", "Baumslag-Solitar group BS(1,2)", ("bs12",)),
-    _Instance(re.compile(r"sl2(?::(\d+))?"),
-              lambda m: SL2Pair(read_int(m.group(1) or "2", "instance name")),
+    _Instance(re.compile(r"sl2(?::(\d+))?"), "sl2",
+              lambda mod, m: mod.SL2Pair(read_int(m.group(1) or "2", "instance name")),
               "sl2:<p>", "SL2(Z[1/p]) with the congruence chain", ("sl2:2", "sl2:3")),
-    # a lambda body looks both names up per call, where bench/tracing.py wraps them
-    _Instance(re.compile(r"model:(.*)", re.DOTALL),
-              lambda m: finite_model_pair(load_model(m.group(1))),
+    # the body looks both names up per call, where bench/tracing.py wraps them
+    _Instance(re.compile(r"model:(.*)", re.DOTALL), "finitemodel",
+              lambda mod, m: finite_model_pair(load_model(m.group(1))),
               "model:<path>", "finite model loaded from a model file", ()),
 )
 
@@ -56,7 +70,7 @@ def resolve_instance(name: str) -> CommensuratedPair:
     for row in _INSTANCES:
         m = row.name.fullmatch(name)
         if m is not None:
-            return row.build(m)
+            return row.build(import_module(f".{row.module}", __package__), m)
     raise ValueError(f"unknown instance {name!r}")
 
 

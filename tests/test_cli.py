@@ -744,20 +744,17 @@ def test_the_package_never_imports_dataclasses_or_inspect():
     assert proc.stdout.splitlines() == ["[]", "model: z8", "trials: 1", "mismatches: 0", "[]"]
 
 
-@pytest.mark.parametrize("unbuffered", [False, True], ids=["buffered", "unbuffered"])
-def test_a_closed_pipe_exits_2(unbuffered):
-    """stdout is a pipe whose reader has closed.  Buffered, the write only
-    fails at a flush, which must not be left to interpreter exit (exit 120).
-    Unbuffered, with stderr on the same closed pipe, the error line cannot
-    be written either, and the exit code is all that is left (not 1)."""
+def _into_a_closed_pipe(argv, unbuffered=False):
+    """The CLI on argv in a child process whose stdout is a pipe with its
+    reader closed; stderr is captured, or unbuffered on the same pipe."""
     env = {k: v for k, v in _child_env().items() if k != "PYTHONUNBUFFERED"}
     if unbuffered:
         env["PYTHONUNBUFFERED"] = "1"
     read_end, write_end = os.pipe()
     os.close(read_end)
     try:
-        proc = subprocess.run(
-            [sys.executable, "-m", "commensurate.cli", "eval", "z2", "5"],
+        return subprocess.run(
+            [sys.executable, "-m", "commensurate.cli", *argv],
             stdout=write_end,
             stderr=write_end if unbuffered else subprocess.PIPE,
             timeout=60,
@@ -765,9 +762,79 @@ def test_a_closed_pipe_exits_2(unbuffered):
         )
     finally:
         os.close(write_end)
+
+
+@pytest.mark.parametrize("unbuffered", [False, True], ids=["buffered", "unbuffered"])
+def test_a_closed_pipe_exits_2(unbuffered):
+    """stdout is a pipe whose reader has closed.  Buffered, the write only
+    fails at a flush, which must not be left to interpreter exit (exit 120).
+    Unbuffered, with stderr on the same closed pipe, the error line cannot
+    be written either, and the exit code is all that is left (not 1)."""
+    proc = _into_a_closed_pipe(["eval", "z2", "5"], unbuffered)
     assert proc.returncode == 2
     if not unbuffered:
         assert proc.stderr == b"error: [Errno 32] Broken pipe\n"
+
+
+@pytest.mark.parametrize("argv", [["--help"], ["eval", "--help"]], ids=["help", "eval-help"])
+def test_help_into_a_closed_pipe_exits_2(argv):
+    """argparse prints the help inside parse_args and exits 0 there; the
+    buffered write must fail in entry, not at interpreter exit (exit 120)."""
+    proc = _into_a_closed_pipe(argv)
+    assert (proc.returncode, proc.stderr) == (2, b"error: [Errno 32] Broken pipe\n")
+
+
+_INSTANCE_MODULES = (
+    "commensurate.finitemodel",
+    "commensurate.bs12",
+    "commensurate.sl2",
+    "commensurate.integers",
+    "fractions",
+)
+
+
+@pytest.mark.parametrize("argv, loaded", [
+    ([], []),
+    (["eval", "z2", "5"], ["commensurate.integers"]),
+    (["eval", "bs12", "a"], ["commensurate.bs12", "fractions"]),
+    (["eval", "sl2:3", "u"], ["commensurate.sl2", "commensurate.integers", "fractions"]),
+    (["oracle", "models/z8.model", "--trials", "1"], ["commensurate.finitemodel"]),
+], ids=["import", "eval-z2", "eval-bs12", "eval-sl2", "oracle"])
+def test_a_run_loads_only_the_instance_module_it_resolves(argv, loaded):
+    """A fresh start compiles the package from source when no bytecode is
+    cached, so each instance module loads only when a run resolves it."""
+    script = (
+        "import sys, commensurate.cli\n"
+        f"if {argv!r}:\n"
+        f"    assert commensurate.cli.entry({argv!r}) == 0\n"
+        f"print([m for m in {_INSTANCE_MODULES!r} if m in sys.modules])\n"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", script],
+        capture_output=True,
+        text=True,
+        timeout=60,
+        cwd=ROOT,
+        env=_child_env(),
+    )
+    assert (proc.returncode, proc.stderr) == (0, ""), proc.stderr
+    assert proc.stdout.splitlines()[-1] == repr(loaded)
+
+
+def test_public_names_load_on_first_lookup():
+    """The package's __getattr__ (PEP 562) serves every name in __all__
+    from its module, and leaves any other name to the import system."""
+    import commensurate
+
+    namespace = {}
+    exec("from commensurate import *", namespace)
+    assert sorted(set(namespace) - {"__builtins__"}) == sorted(commensurate.__all__)
+    for name in commensurate.__all__:
+        assert getattr(commensurate, name) is namespace[name]
+    assert commensurate.load_model is finitemodel.load_model
+    assert commensurate.SL2Pair is sl2.SL2Pair and commensurate.FACTORIAL is integers.FACTORIAL
+    with pytest.raises(AttributeError, match="no attribute 'no_such_name'"):
+        commensurate.no_such_name  # noqa: B018
 
 
 def test_model_instances_load_through_the_traced_names(monkeypatch):
