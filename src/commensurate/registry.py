@@ -40,7 +40,7 @@ def finite_model_pair(model):
     return finite_model_pair(model)
 
 
-def _power_chain(integers: ModuleType, m: re.Match):
+def _power_chain(integers: ModuleType, m: re.Match) -> CommensuratedPair:
     base = read_int(m.group(1), "instance name")
     if base < 2:
         raise ValueError(f"instance {m.string!r}: base must be >= 2")
@@ -58,7 +58,7 @@ _INSTANCES = (
     _Instance(re.compile(r"sl2(?::(\d+))?"), "sl2",
               lambda mod, m: mod.SL2Pair(read_int(m.group(1) or "2", "instance name")),
               "sl2:<p>", "SL2(Z[1/p]) with the congruence chain", ("sl2:2", "sl2:3")),
-    # the body looks both names up per call, where bench/tracing.py wraps them
+    # a lambda body looks both names up per call, where bench/tracing.py wraps them
     _Instance(re.compile(r"model:(.*)", re.DOTALL), "finitemodel",
               lambda mod, m: finite_model_pair(load_model(m.group(1))),
               "model:<path>", "finite model loaded from a model file", ()),
