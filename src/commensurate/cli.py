@@ -6,7 +6,10 @@ instance names, model files), 3 precision exhausted, 4 contract
 violations (well-formed element data outside the instance's group).
 Each command returns (exit code, JSON payload, text lines) and prints
 nothing; `entry` prints one of the two forms to stdout once the whole
-result is built, so stdout stays empty on every error.
+result is built, so stdout stays empty on every error.  `entry(argv)`
+returns the exit code for every argv, `--help` included, and never raises
+SystemExit: an argument error is one `error: commensurate <cmd>: ...`
+line on stderr with exit 2, like every other error.
 Output is deterministic; randomized oracle runs are seeded from the
 COMMENSURATE_SEED environment variable (default 0).
 """
@@ -20,7 +23,7 @@ import os
 import random
 import sys
 
-from .core import ContractViolation, PrecisionExhausted
+from .core import ContractViolation, PrecisionExhausted, read_int
 from .expr import ExprError, PsiValue, evaluate
 from .registry import (
     INSTANCE_PATTERNS,
@@ -82,7 +85,7 @@ def _psi_result(args, target: str, value):
     return EXIT_OK, payload, [text]
 
 
-def cmd_eval(args, table_only: bool = False):
+def cmd_eval(args):
     pair = resolve_instance(args.instance)
     result = evaluate(args.expr, pair, args.depth)
     if isinstance(result, PsiValue):
@@ -102,7 +105,7 @@ def cmd_eval(args, table_only: bool = False):
         "rep": rep,
         "levels": levels,
     }
-    head = [] if table_only else [
+    head = [] if args.command == "table" else [
         f"instance: {args.instance}",
         f"requested depth: {args.depth}",
         f"attained depth: {result.depth}",
@@ -129,11 +132,16 @@ def run_model_suite(pair, trials: int, rng):
 def cmd_oracle(args):
     if args.trials < 0:
         raise ValueError(f"trials must be >= 0, got {args.trials}")
-    seed = os.environ.get("COMMENSURATE_SEED", "0")
+    text = os.environ.get("COMMENSURATE_SEED", "0")
     try:
-        seed = int(seed)
+        seed = int(text)
     except ValueError:
-        raise ValueError(f"COMMENSURATE_SEED must be an integer, got {seed!r}") from None
+        digits = text.strip()
+        if digits[:1] in ("+", "-"):
+            digits = digits[1:]
+        if not digits.isdecimal():
+            raise ValueError(f"COMMENSURATE_SEED must be an integer, got {text!r}") from None
+        seed = read_int(text, "COMMENSURATE_SEED")  # refused for its length alone
     pair = finite_model_pair(load_model(args.model))
     report = run_model_suite(pair, args.trials, random.Random(seed))
     payload = {"model": report.model, "trials": report.trials, "mismatches": report.mismatches}
@@ -147,56 +155,53 @@ def cmd_oracle(args):
     return (EXIT_OK if report.ok else EXIT_MISMATCH), payload, lines
 
 
+class _Parser(argparse.ArgumentParser):
+    """An argument parser whose two exits go through entry's handlers: a
+    usage error raises ValueError, and the help is written by a plain print,
+    so a failed write raises OSError instead of being swallowed."""
+
+    def error(self, message):
+        # argparse echoes some arguments as given; escape them to keep one line
+        message = "".join(c if c.isprintable() else repr(c)[1:-1] for c in message)
+        raise ValueError(f"{self.prog}: {message}")
+
+    def print_help(self, file=None):
+        print(self.format_help(), end="", file=file, flush=True)
+
+
 @functools.cache  # built on the first entry() call, then shared by every call
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="commensurate",
         description=(
             "Finite-precision arithmetic in group completions along "
             "commensurated subgroup chains."
         ),
     )
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("instances", help="list available instances and targets")
-    p.set_defaults(run=cmd_instances)
-    p.add_argument("--json", action="store_true")
-
-    for cmd, help_text, run in (
-        ("eval", "evaluate an expression at a depth", cmd_eval),
-        ("table", "per-level coset table of an expression",
-         functools.partial(cmd_eval, table_only=True)),
+    sub = parser.add_subparsers(dest="command", required=True)  # subparsers are _Parsers too
+    depth = ("--depth", 8)
+    for name, help_text, run, positionals, int_option in (
+        ("instances", "list available instances and targets", cmd_instances, (), None),
+        ("eval", "evaluate an expression at a depth", cmd_eval, ("instance", "expr"), depth),
+        ("table", "per-level coset table of an expression", cmd_eval, ("instance", "expr"), depth),
+        ("psi", "evaluate an expression through a target", cmd_psi,
+         ("instance", "target", "expr"), depth),
+        ("oracle", "run the brute-force suites on a model file", cmd_oracle, ("model",),
+         ("--trials", 200)),
     ):
-        p = sub.add_parser(cmd, help=help_text)
+        p = sub.add_parser(name, help=help_text)
         p.set_defaults(run=run)
-        p.add_argument("instance")
-        p.add_argument("expr")
-        p.add_argument("--depth", type=int, default=8)
+        for positional in positionals:
+            p.add_argument(positional)
+        if int_option:
+            p.add_argument(int_option[0], type=int, default=int_option[1])
         p.add_argument("--json", action="store_true")
-
-    p = sub.add_parser("psi", help="evaluate an expression through a target")
-    p.set_defaults(run=cmd_psi)
-    p.add_argument("instance")
-    p.add_argument("target")
-    p.add_argument("expr")
-    p.add_argument("--depth", type=int, default=8)
-    p.add_argument("--json", action="store_true")
-
-    p = sub.add_parser("oracle", help="run the brute-force suites on a model file")
-    p.set_defaults(run=cmd_oracle)
-    p.add_argument("model")
-    p.add_argument("--trials", type=int, default=200)
-    p.add_argument("--json", action="store_true")
-
     return parser
 
 
 def entry(argv=None) -> int:
     try:
-        try:
-            args = build_parser().parse_args(argv)
-        finally:
-            sys.stdout.flush()  # --help prints in parse_args; a closed pipe fails here
+        args = build_parser().parse_args(argv)
         if [] in vars(args).values():
             # argparse before Python 3.13 reads a "--" after the "--" separator as []
             raise ValueError("'--' is not a valid argument")
@@ -204,6 +209,8 @@ def entry(argv=None) -> int:
         # the flush makes a closed pipe fail here, not at interpreter exit
         print(json.dumps(payload, indent=2) if args.json else "\n".join(lines), flush=True)
         return code
+    except SystemExit as done:  # only argparse's help action, once the help is written
+        return done.code
     except ContractViolation as err:
         code, message = EXIT_CONTRACT, err
     except PrecisionExhausted as err:

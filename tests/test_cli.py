@@ -1,7 +1,9 @@
 """Command-line contract: output bytes and exit codes, pinned by golden files.
 
 Regenerate the golden files with UPDATE_GOLDEN=1 after an intentional
-output change, and review the diff before committing it.
+output change, and review the diff before committing it.  Every case runs
+with COLUMNS=80, so argparse wraps the help goldens the same way in any
+terminal.
 """
 
 import contextlib
@@ -64,6 +66,11 @@ CASES = [
     ("oracle_negative_trials", ["oracle", "models/s4.model", "--trials", "-3"]),
     ("instances", ["instances"]),
     ("instances_json", ["instances", "--json"]),
+    ("help", ["--help"]),
+    *((f"help_{cmd}", [cmd, "--help"]) for cmd in ("instances", "eval", "table", "psi", "oracle")),
+    ("usage_missing_args", ["eval"]),
+    ("usage_bad_command", ["nosuch"]),
+    ("usage_bad_depth", ["eval", "z2", "5", "--depth", "x"]),
 ]
 
 EXPECTED_EXITS = {
@@ -82,6 +89,9 @@ EXPECTED_EXITS = {
     "oracle_corrupt": 1,
     "oracle_missing": 2,
     "oracle_negative_trials": 2,
+    "usage_missing_args": 2,
+    "usage_bad_command": 2,
+    "usage_bad_depth": 2,
 }
 
 
@@ -120,6 +130,7 @@ def time_limit(seconds):
 def run_case(argv, capsys, monkeypatch):
     monkeypatch.chdir(ROOT)
     monkeypatch.setenv("COMMENSURATE_SEED", "0")
+    monkeypatch.setenv("COLUMNS", "80")  # argparse wraps the help to the terminal width
     with time_limit(CASE_SECONDS):
         code = entry(argv)
     captured = capsys.readouterr()
@@ -163,9 +174,7 @@ def test_reused_parser_keeps_no_state(capsys, monkeypatch):
     random.Random(9).shuffle(replay)
     for i, (name, argv) in enumerate(replay):
         if i % 2:
-            with pytest.raises(SystemExit) as err:
-                entry(["eval"])
-            assert err.value.code == 2
+            assert entry(["eval"]) == 2
         else:
             assert entry(["eval", "z2", "--depth", "3", "7", "--json"]) == 0
             assert entry(["eval", "z2", "--depth", "3", "7"]) == 0
@@ -525,6 +534,37 @@ def test_fuzzed_expressions_and_instance_names_end_cleanly(
     assert "set_int_max_str_digits" not in err.getvalue(), argv
 
 
+_ARGV_TOKENS = st.one_of(
+    st.sampled_from(["instances", "eval", "table", "psi", "oracle"]),
+    st.sampled_from(["--depth", "--de", "--trials", "--tr", "--json", "--j", "-h", "--help", "--",
+                     "--bogus", "--depth=x"]),
+    st.integers(0, 20).map(str),
+    st.sampled_from(["z2", "z3", "zfact", "bs12", "sl2:2", "sl2:3", "model:nope.model",
+                     "nope.model", "texp", "mod:8", "mod:0"]),
+    st.sampled_from(["a", "t*a^-1", "embed(5)", "u^2*h", "inv(a)", "1", "#3", "(1 2)",
+                     "psi(mod:8, embed(13))", "t**a", "(1/3; 0)", "a\nb"]),
+    # no digits, so no depth or trial count comes from outside the 0-20 pool
+    st.text(st.characters(blacklist_categories=("Nd", "Cs")), max_size=8),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(_ARGV_TOKENS, max_size=6))
+def test_fuzzed_argv_ends_cleanly(argv):
+    """Any argv, argparse's refusals and --help included, returns a
+    documented exit code with at most a one-line message, and writes
+    stdout only on success.  It runs in an empty directory, so no token
+    names a model file."""
+    out, err = io.StringIO(), io.StringIO()
+    with tempfile.TemporaryDirectory() as empty, contextlib.chdir(empty):
+        with time_limit(CASE_SECONDS), redirect_stdout(out), redirect_stderr(err):
+            code = entry(argv)
+    assert code in {0, 2, 3, 4}, (argv, code, err.getvalue())
+    assert err.getvalue().count("\n") <= 1, (argv, err.getvalue())
+    assert code == 0 or out.getvalue() == "", (argv, code)
+    assert "Traceback" not in out.getvalue() + err.getvalue()
+
+
 @pytest.mark.parametrize(
     "argv", [["eval", "z2", "--", "--"], ["table", "--", "z2", "--"], ["psi", "--", "z2", "--", "1"]]
 )
@@ -543,6 +583,34 @@ def test_oracle_names_a_bad_seed(capsys, monkeypatch):
     out, err = capsys.readouterr()
     assert out == ""
     assert err == "error: COMMENSURATE_SEED must be an integer, got 'x'\n"
+
+
+@pytest.mark.parametrize("seed, message", [
+    (BIG, "COMMENSURATE_SEED: integer exceeds the limit of 4300 digits"),
+    (f" -{BIG}\n", "COMMENSURATE_SEED: integer exceeds the limit of 4300 digits"),
+    ("+-7", "COMMENSURATE_SEED must be an integer, got '+-7'"),
+    ("1__0", "COMMENSURATE_SEED must be an integer, got '1__0'"),
+], ids=["long", "long-signed", "two-signs", "double-underscore"])
+def test_oracle_names_the_digit_limit_only_for_a_long_seed(seed, message, capsys, monkeypatch):
+    """A seed that int() refuses for its length alone names the limit and
+    does not echo the value; any other bad seed keeps its own message."""
+    monkeypatch.chdir(ROOT)
+    monkeypatch.setenv("COMMENSURATE_SEED", seed)
+    assert entry(["oracle", "models/z8.model"]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == f"error: {message}\n"
+
+
+def test_a_seed_is_read_the_way_int_reads_it(capsys, monkeypatch):
+    """Space, a sign and single underscores are all part of a seed."""
+    monkeypatch.chdir(ROOT)
+    outputs = []
+    for seed in (" +1_0\t", "10"):
+        monkeypatch.setenv("COMMENSURATE_SEED", seed)
+        assert entry(["oracle", "models/s4.model", "--trials", "3", "--json"]) == 0
+        outputs.append(capsys.readouterr())
+    assert outputs[0] == outputs[1]
 
 
 @pytest.mark.parametrize("extra", [[], ["--json"]])
@@ -658,9 +726,21 @@ def test_psi_refuses_a_modulus_below_one(capsys):
 
 
 def test_usage_error_exits_2(capsys):
-    with pytest.raises(SystemExit) as err:
-        entry(["eval"])  # missing required positionals
-    assert err.value.code == 2
+    assert entry(["eval"]) == 2  # missing required positionals
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == (
+        "error: commensurate eval: the following arguments are required: instance, expr\n"
+    )
+
+
+def test_an_argument_error_stays_on_one_line(capsys):
+    """argparse echoes unrecognized arguments as given; the message escapes
+    what would break the line."""
+    assert entry(["instances", "a\nb\x00c\u2028é"]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == "error: commensurate: unrecognized arguments: a\\nb\\x00c\\u2028é\n"
 
 
 def test_depth_must_fit_finite_chain(capsys, monkeypatch):
@@ -776,12 +856,22 @@ def test_a_closed_pipe_exits_2(unbuffered):
         assert proc.stderr == b"error: [Errno 32] Broken pipe\n"
 
 
-@pytest.mark.parametrize("argv", [["--help"], ["eval", "--help"]], ids=["help", "eval-help"])
-def test_help_into_a_closed_pipe_exits_2(argv):
-    """argparse prints the help inside parse_args and exits 0 there; the
-    buffered write must fail in entry, not at interpreter exit (exit 120)."""
-    proc = _into_a_closed_pipe(argv)
-    assert (proc.returncode, proc.stderr) == (2, b"error: [Errno 32] Broken pipe\n")
+@pytest.mark.parametrize("argv, unbuffered", [
+    (["--help"], False),
+    (["eval", "--help"], False),
+    (["--help"], True),
+    (["eval", "--help"], True),
+], ids=["help", "eval-help", "help-unbuffered", "eval-help-unbuffered"])
+def test_help_into_a_closed_pipe_exits_2(argv, unbuffered):
+    """The help is written by a plain print inside entry's error handling,
+    so a failed write exits 2 like a failed result write: buffered, not at
+    interpreter exit (exit 120); unbuffered, not swallowed by argparse
+    (exit 0).  Unbuffered, stderr is the same closed pipe, so only the
+    exit code is left to check."""
+    proc = _into_a_closed_pipe(argv, unbuffered)
+    assert proc.returncode == 2
+    if not unbuffered:
+        assert proc.stderr == b"error: [Errno 32] Broken pipe\n"
 
 
 _INSTANCE_MODULES = (
