@@ -133,15 +133,8 @@ def cmd_oracle(args):
     if args.trials < 0:
         raise ValueError(f"trials must be >= 0, got {args.trials}")
     text = os.environ.get("COMMENSURATE_SEED", "0")
-    try:
-        seed = int(text)
-    except ValueError:
-        digits = text.strip()
-        if digits[:1] in ("+", "-"):
-            digits = digits[1:]
-        if not digits.isdecimal():
-            raise ValueError(f"COMMENSURATE_SEED must be an integer, got {text!r}") from None
-        seed = read_int(text, "COMMENSURATE_SEED")  # refused for its length alone
+    seed = read_int(text, "COMMENSURATE_SEED",
+                    f"COMMENSURATE_SEED must be an integer, got {text[:60]!r}")
     pair = finite_model_pair(load_model(args.model))
     report = run_model_suite(pair, args.trials, random.Random(seed))
     payload = {"model": report.model, "trials": report.trials, "mismatches": report.mismatches}
@@ -153,6 +146,12 @@ def cmd_oracle(args):
           for m in report.mismatches),
     ]
     return (EXIT_OK if report.ok else EXIT_MISMATCH), payload, lines
+
+
+def _int_argument(text: str) -> int:
+    """An --depth or --trials value; argparse prefixes the option's name."""
+    return read_int(text, malformed=f"invalid int value: {text[:60]!r}",
+                    error=argparse.ArgumentTypeError)
 
 
 class _Parser(argparse.ArgumentParser):
@@ -194,7 +193,7 @@ def build_parser() -> argparse.ArgumentParser:
         for positional in positionals:
             p.add_argument(positional)
         if int_option:
-            p.add_argument(int_option[0], type=int, default=int_option[1])
+            p.add_argument(int_option[0], type=_int_argument, default=int_option[1])
         p.add_argument("--json", action="store_true")
     return parser
 

@@ -37,19 +37,24 @@ def check_exact_bits(bits: int) -> None:
         raise ValueError(f"exact product exceeds the bound of {MAX_EXACT_BITS} bits")
 
 
-def read_int(text: str, where: str = "") -> int:
-    """The integer a run of decimal digits (with an optional sign) spells.
+def read_int(text: str, where: str = "", malformed: str = "", error=ValueError) -> int:
+    """The integer ``text`` spells, read as ``int()`` reads it.
 
-    Python refuses to convert more digits than its int conversion limit
-    allows; that refusal is a ValueError naming the limit, prefixed by
-    ``where`` (what was read) when given.
+    Both refusals raise the caller's exception class ``error``.  Text that
+    ``int()`` reads once Python's int conversion limit is lifted is refused
+    for its length: ``{where}: integer exceeds the limit of N digits``.
+    Any other text raises the caller's ``malformed`` message.
     """
     try:
         return int(text)
     except ValueError:
-        limit = sys.get_int_max_str_digits()
-        prefix = f"{where}: " if where else ""
-        raise ValueError(f"{prefix}integer exceeds the limit of {limit} digits") from None
+        try:  # with each number cut to one digit, int() judges its form alone
+            int(re.sub(r"\d+(?:_\d+)*", "0", text))
+        except ValueError:
+            raise error(malformed) from None
+    limit = sys.get_int_max_str_digits()
+    prefix = f"{where}: " if where else ""
+    raise error(f"{prefix}integer exceeds the limit of {limit} digits") from None
 
 
 class CompletionError(Exception):

@@ -377,10 +377,8 @@ def parse_model(text: str) -> FiniteModel:
         raise ModelError(f"line {lineno}: key {key!r} does not apply to {kind} models")
 
     if kind == "perm":
-        try:
-            points = int(fields["points"])
-        except (KeyError, ValueError):
-            raise ModelError("perm models need an integer 'points' line") from None
+        points = read_int(fields.get("points", ""), f"line {first_line.get('points')}",
+                          "perm models need an integer 'points' line", ModelError)
         if not 1 <= points <= MAX_POINTS:
             raise ModelError(f"points must be 1..{MAX_POINTS}")
         if "gens" not in fields:
@@ -402,17 +400,17 @@ def parse_model(text: str) -> FiniteModel:
 
     elif kind == "table":
         table = []
-        for value, _ in fields["row"]:
-            try:
+        for value, lineno in fields["row"]:
+            try:  # one int() per entry keeps a good row fast; read_int names a bad one
                 table.append([int(tok) for tok in value.split()])
             except ValueError:
-                raise ModelError(f"bad table row {value!r}") from None
+                for tok in value.split():
+                    read_int(tok, f"line {lineno}", f"bad table row {value[:60]!r}", ModelError)
         if not table:
             raise ModelError("table models need 'row' lines")
-        try:
-            order = int(fields.get("order", len(table)))
-        except ValueError:
-            raise ModelError(f"'order' must be an integer, got {fields['order']!r}") from None
+        stated = fields.get("order", str(len(table)))
+        order = read_int(stated, f"line {first_line.get('order')}",
+                         f"'order' must be an integer, got {stated[:60]!r}", ModelError)
         if order != len(table):
             raise ModelError("stated order does not match the number of rows")
         names = [f"#{i}" for i in range(order)]

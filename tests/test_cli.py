@@ -12,6 +12,7 @@ import json
 import os
 import pathlib
 import random
+import re
 import resource
 import signal
 import subprocess
@@ -325,9 +326,13 @@ def _cyclic_rows(n):
         ("kind: table\nrow: 0 x\nK: #0\n", "bad table row '0 x'"),
         ("kind: table\nK: #0\n", "table models need 'row' lines"),
         ("kind: table\nrow: 0 1\nrow: 1 1\nK: #0\n", "element #1 has no inverse"),
+        # a long malformed value is quoted in part
+        (f"kind: table\norder: {BIG}x\nrow: 0\nK: #0\n",
+         f"'order' must be an integer, got {BIG[:60]!r}"),
+        (f"kind: table\nrow: 0 {BIG}x\nK: #0\n", f"bad table row {('0 ' + BIG)[:60]!r}"),
     ],
     ids=["order-cap", "points-cap", "table-cap", "unknown-key", "duplicate-key",
-         "no-points", "no-gens", "bad-row", "no-rows", "no-inverse"],
+         "no-points", "no-gens", "bad-row", "no-rows", "no-inverse", "long-order", "long-row"],
 )
 def test_oracle_refuses_an_oversized_or_misspelt_model(text, message, tmp_path, capsys):
     with pytest.raises(finitemodel.ModelError) as err:
@@ -339,6 +344,7 @@ def test_oracle_refuses_an_oversized_or_misspelt_model(text, message, tmp_path, 
     out, err = capsys.readouterr()
     assert out == ""
     assert err == f"error: {message}\n"
+    assert len(err.encode()) < 200
 
 
 def _refused_model_file(kind, tmp_path):
@@ -387,11 +393,50 @@ def test_a_model_file_at_the_byte_cap_loads(tmp_path, capsys):
     assert capsys.readouterr().err == ""
 
 
+_FUZZ_CHILD = "COMMENSURATE_TEST_FUZZ_CHILD"
+_FUZZES = []
+
+
+def _in_capped_child(fuzz):
+    """Run the hypothesis fuzz ``fuzz`` in the one child process that runs
+    every such fuzz under _limit_memory's cap, so a fuzzed input that
+    exhausts memory fails a test instead of the whole run.  In this
+    session the test stands for the child's run of it."""
+    _FUZZES.append(fuzz.__name__)
+    if os.environ.get(_FUZZ_CHILD):
+        return fuzz
+
+    def child_outcome(capped_fuzzes):
+        outcomes, report = capped_fuzzes
+        assert outcomes.get(fuzz.__name__) == "PASSED", report
+
+    child_outcome.__doc__ = fuzz.__doc__
+    return child_outcome
+
+
+@pytest.fixture(scope="session")
+def capped_fuzzes():
+    """Each fuzz's outcome, by name, from one child pytest capped at 1 GB
+    of address space, and the end of the child's output."""
+    proc = subprocess.run(
+        [sys.executable, "-m", "pytest", "-p", "no:cacheprovider", "-v",
+         *(f"{__file__}::{name}" for name in _FUZZES)],
+        cwd=ROOT,
+        capture_output=True,
+        text=True,
+        timeout=600,
+        env=dict(_child_env(), **{_FUZZ_CHILD: "1"}),
+        preexec_fn=_limit_memory,
+    )
+    outcomes = dict(re.findall(r"::(\w+) (PASSED|FAILED|ERROR)", proc.stdout))
+    return outcomes, proc.stdout[-6000:] + proc.stderr[-2000:]
+
+
 @st.composite
 def _perm_model_text(draw):
     """A perm model on at most 6 points; its generators, K and levels are
-    drawn freely, so many break a precondition, and one line may hold a
-    malformed cycle."""
+    drawn freely, so many break a precondition, one line may hold a
+    malformed cycle, and the points line may be past the digit limit."""
     points = draw(st.integers(1, 6))
     items = st.one_of(
         st.permutations(range(points)).map(lambda p: finitemodel.perm_to_cycles(tuple(p))),
@@ -401,8 +446,8 @@ def _perm_model_text(draw):
     def generator_line():
         return ", ".join(draw(st.lists(items, max_size=3))) or "-"
 
-    lines = ["kind: perm", f"points: {points}", f"gens: {generator_line()}",
-             f"K: {generator_line()}"]
+    lines = ["kind: perm", f"points: {draw(st.sampled_from([points] * 7 + [BIG]))}",
+             f"gens: {generator_line()}", f"K: {generator_line()}"]
     lines += [f"level: {generator_line()}" for _ in range(draw(st.integers(0, 3)))]
     bad = draw(st.sampled_from([None, None, None, "(0 1)", "(1 1)", "(1 2", "x"]))
     if bad is not None:
@@ -424,7 +469,8 @@ def _dihedral_rows(n):
 def _table_model_text(draw):
     """A table model of order at most 12: a cyclic or dihedral table, or
     random rows, with a few entries overwritten, so many tables are not
-    closed, not associative, or lack an identity or inverses."""
+    closed, not associative, or lack an identity or inverses.  An entry
+    or the order line may be past the digit limit."""
     n = draw(st.integers(1, 12))
     shape = draw(st.sampled_from(["cyclic", "dihedral", "random"]))
     if shape == "cyclic":
@@ -435,7 +481,7 @@ def _table_model_text(draw):
         rows = draw(st.lists(st.lists(st.integers(0, n - 1), min_size=n, max_size=n),
                              min_size=n, max_size=n))
     for i, j, v in draw(st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1),
-                                           st.integers(-1, n)), max_size=2)):
+                                           st.integers(-1, n) | st.just(BIG)), max_size=2)):
         rows[i][j] = v
     items = st.integers(0, n).map(lambda k: f"#{k}")
 
@@ -444,13 +490,14 @@ def _table_model_text(draw):
 
     lines = ["kind: table"]
     if draw(st.booleans()):
-        lines.append(f"order: {draw(st.sampled_from([n, n, n + 1]))}")
+        lines.append(f"order: {draw(st.sampled_from([n, n, n + 1, BIG]))}")
     lines += [f"row: {' '.join(map(str, row))}" for row in rows]
     lines.append(f"K: {element_line()}")
     lines += [f"level: {element_line()}" for _ in range(draw(st.integers(0, 3)))]
     return lines
 
 
+@_in_capped_child
 @settings(max_examples=200, deadline=None)
 @given(
     st.one_of(_perm_model_text(), _table_model_text()),
@@ -508,6 +555,7 @@ _TARGET_NAMES = st.one_of(
 )
 
 
+@_in_capped_child
 @settings(max_examples=200, deadline=None)
 @given(
     st.sampled_from(["eval", "table", "psi"]),
@@ -539,15 +587,18 @@ _ARGV_TOKENS = st.one_of(
     st.sampled_from(["--depth", "--de", "--trials", "--tr", "--json", "--j", "-h", "--help", "--",
                      "--bogus", "--depth=x"]),
     st.integers(0, 20).map(str),
+    st.just(BIG),  # past the digit limit, so refused before any work is done
     st.sampled_from(["z2", "z3", "zfact", "bs12", "sl2:2", "sl2:3", "model:nope.model",
                      "nope.model", "texp", "mod:8", "mod:0"]),
     st.sampled_from(["a", "t*a^-1", "embed(5)", "u^2*h", "inv(a)", "1", "#3", "(1 2)",
                      "psi(mod:8, embed(13))", "t**a", "(1/3; 0)", "a\nb"]),
-    # no digits, so no depth or trial count comes from outside the 0-20 pool
+    # no digits, so no depth or trial count comes from outside the 0-20
+    # pool and BIG
     st.text(st.characters(blacklist_categories=("Nd", "Cs")), max_size=8),
 )
 
 
+@_in_capped_child
 @settings(max_examples=300, deadline=None)
 @given(st.lists(_ARGV_TOKENS, max_size=6))
 def test_fuzzed_argv_ends_cleanly(argv):
@@ -590,16 +641,31 @@ def test_oracle_names_a_bad_seed(capsys, monkeypatch):
     (f" -{BIG}\n", "COMMENSURATE_SEED: integer exceeds the limit of 4300 digits"),
     ("+-7", "COMMENSURATE_SEED must be an integer, got '+-7'"),
     ("1__0", "COMMENSURATE_SEED must be an integer, got '1__0'"),
-], ids=["long", "long-signed", "two-signs", "double-underscore"])
+    (BIG + "x", f"COMMENSURATE_SEED must be an integer, got {BIG[:60]!r}"),
+], ids=["long", "long-signed", "two-signs", "double-underscore", "long-malformed"])
 def test_oracle_names_the_digit_limit_only_for_a_long_seed(seed, message, capsys, monkeypatch):
     """A seed that int() refuses for its length alone names the limit and
-    does not echo the value; any other bad seed keeps its own message."""
+    does not echo the value; any other bad seed keeps its own message,
+    which quotes at most the seed's first 60 characters."""
     monkeypatch.chdir(ROOT)
     monkeypatch.setenv("COMMENSURATE_SEED", seed)
     assert entry(["oracle", "models/z8.model"]) == 2
     out, err = capsys.readouterr()
     assert out == ""
     assert err == f"error: {message}\n"
+    assert len(err.encode()) < 200
+
+
+@pytest.mark.parametrize("argv", [
+    ["eval", "z2", "1", "--depth", BIG + "x"],
+    ["oracle", str(ROOT / "models" / "z8.model"), "--trials", BIG + "x"],
+], ids=["depth", "trials"])
+def test_a_long_malformed_count_is_quoted_in_part(argv, capsys):
+    assert entry(argv) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == (f"error: commensurate {argv[0]}: argument {argv[-2]}: "
+                   f"invalid int value: {BIG[:60]!r}\n")
 
 
 def test_a_seed_is_read_the_way_int_reads_it(capsys, monkeypatch):
@@ -657,6 +723,9 @@ _LIMIT = "integer exceeds the limit of 4300 digits"
 _BIG_MODELS = {
     "table": f"kind: table\nrow: 0 1\nrow: 1 0\nK: #{BIG}\nlevel: #0\n",
     "perm": f"points: 2\ngens: (1 2)\nK: (1 2)\nlevel: ({BIG} 1)\n",
+    "points": f"kind: perm\npoints: {BIG}\ngens: (1 2)\nK: (1 2)\n",
+    "order": f"kind: table\norder: {BIG}\nrow: 0\nK: #0\n",
+    "row": f"kind: table\nrow: 0 1\nrow: 0 {BIG}\nK: #1\n",
 }
 
 
@@ -674,12 +743,20 @@ _BIG_MODELS = {
     (["eval", "z2", f"psi(mod:{BIG}, 1)"], f"target name: {_LIMIT} at position 0"),
     (["oracle", "table"], f"line 4: {_LIMIT}"),
     (["oracle", "perm"], f"line 4: {_LIMIT}"),
+    (["oracle", "points"], f"line 2: {_LIMIT}"),
+    (["oracle", "order"], f"line 2: {_LIMIT}"),
+    (["oracle", "row"], f"line 3: {_LIMIT}"),
+    (["eval", "z2", "1", "--depth", BIG], f"commensurate eval: argument --depth: {_LIMIT}"),
+    (["oracle", str(ROOT / "models" / "z8.model"), "--trials", BIG],
+     f"commensurate oracle: argument --trials: {_LIMIT}"),
 ], ids=["bs12", "bs12-denominator", "sl2", "table-literal", "perm-literal", "z-base", "sl2-prime",
-        "psi-target", "psi-call", "table-model", "perm-model"])
+        "psi-target", "psi-call", "table-model", "perm-model", "points-line", "order-line",
+        "row-line", "depth-option", "trials-option"])
 def test_an_oversized_integer_anywhere_names_the_digit_limit(argv, message, tmp_path, capsys):
-    """Literals, instance and target names and model lines all read their
-    integers through one reader, whose message names the limit."""
-    if argv[0] == "oracle":
+    """Literals, instance and target names, model lines and the --depth and
+    --trials options all read their integers through one reader, whose
+    message names the limit."""
+    if argv[0] == "oracle" and argv[1] in _BIG_MODELS:
         path = tmp_path / "big.model"
         path.write_text(_BIG_MODELS[argv[1]], encoding="utf-8")
         argv = ["oracle", str(path)]

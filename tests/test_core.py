@@ -5,6 +5,7 @@ import io
 import math
 import pathlib
 import random
+import sys
 from collections import Counter
 from fractions import Fraction
 
@@ -633,3 +634,52 @@ def test_readme_python_api_example_prints_what_it_says():
     with contextlib.redirect_stdout(out):
         exec(block, {})
     assert out.getvalue().splitlines() == ["5 (1; 2)", "3", "6 (1000000000000; 0)"]
+
+
+class _Refused(Exception):
+    pass
+
+
+_BIG = "9" * 4301
+# signs, single and double underscores, ASCII, Unicode and non-space
+# separators, Unicode digits and digit runs past the conversion limit
+_INT_PIECES = ["1", "0", "7", "_", "__", "+", "-", " ", "\t", "\n", "\x1c", "\x85", "\u3000",
+               "\u0661", "\U0001d7ce", "x", "\u00e9", "\x00", _BIG]
+
+
+@example(" +1_0\t")
+@example("1__0")
+@example("+-7")
+@example(_BIG)
+@example(_BIG + "x")
+@example(f" -{_BIG}_1\n")
+@example("1_" * 4400 + "1")
+@example("1_" * 4400 + "x")
+@given(st.one_of(st.text(), st.lists(st.sampled_from(_INT_PIECES), max_size=8).map("".join)))
+def test_read_int_reads_what_int_reads(text):
+    """read_int returns what int() returns; when int() refuses the text,
+    read_int names the digit limit exactly when int() reads the text once
+    the limit is lifted, and raises the caller's message and class
+    otherwise.  (int()'s own refusal names the limit for a long run of
+    digits with trailing junk too, so it cannot tell the two apart.)"""
+    try:
+        expected = int(text)
+    except ValueError:
+        expected = None
+    if expected is not None:
+        assert core.read_int(text, "seed", "bad", _Refused) == expected
+        return
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    try:
+        int(text)
+        well_formed = True
+    except ValueError:
+        well_formed = False
+    finally:
+        sys.set_int_max_str_digits(limit)
+    with pytest.raises(_Refused) as err:
+        core.read_int(text, "seed", "bad", _Refused)
+    assert str(err.value) == (
+        f"seed: integer exceeds the limit of {limit} digits" if well_formed else "bad"
+    )
