@@ -21,7 +21,8 @@ from fractions import Fraction
 from typing import NamedTuple
 
 from .core import (
-    CommensuratedPair, ContractViolation, Depth, DiscreteTarget, check_exact_bits, read_int,
+    CommensuratedPair, ContractViolation, Depth, DiscreteTarget, check_exact_bits, quoted, read_int,
+    two_adic_level,
 )
 
 
@@ -83,8 +84,16 @@ class BS12Pair(CommensuratedPair):
         )
 
     def conj_depth(self, g: DyadicAffine, depth: Depth) -> Depth:
+        return depth + self.conj_cost(g)
+
+    def conj_cost(self, g: DyadicAffine) -> Depth:
         # every member of the coset g·N_d has the same doubling exponent
-        return depth + abs(g.texp)
+        return abs(g.texp)
+
+    def level_of(self, x: DyadicAffine, cap: Depth) -> Depth:
+        if x.texp or x.shift.denominator != 1:
+            return -1
+        return two_adic_level(x.shift.numerator, cap)
 
     def level_index(self, depth: Depth) -> int:
         return 1 << depth
@@ -95,11 +104,11 @@ class BS12Pair(CommensuratedPair):
     def parse_literal(self, text: str) -> DyadicAffine:
         m = _LITERAL.fullmatch(text.strip())
         if m is None:
-            raise ValueError(f"bs12: bad element literal {text!r}")
+            raise ValueError(f"bs12: bad element literal {quoted(text)}")
         num, den, texp = m.groups()
         den = read_int(den) if den else 1
         if den == 0:
-            raise ValueError(f"bs12: zero denominator in {text!r}")
+            raise ValueError(f"bs12: zero denominator in {quoted(text)}")
         elt = DyadicAffine(Fraction(read_int(num), den), read_int(texp))
         self.validate(elt)
         return elt

@@ -23,7 +23,7 @@ import os
 import random
 import sys
 
-from .core import ContractViolation, PrecisionExhausted, read_int
+from .core import ContractViolation, PrecisionExhausted, quoted, read_int
 from .expr import ExprError, PsiValue, evaluate
 from .registry import (
     INSTANCE_PATTERNS,
@@ -134,7 +134,7 @@ def cmd_oracle(args):
         raise ValueError(f"trials must be >= 0, got {args.trials}")
     text = os.environ.get("COMMENSURATE_SEED", "0")
     seed = read_int(text, "COMMENSURATE_SEED",
-                    f"COMMENSURATE_SEED must be an integer, got {text[:60]!r}")
+                    f"COMMENSURATE_SEED must be an integer, got {quoted(text)}")
     pair = finite_model_pair(load_model(args.model))
     report = run_model_suite(pair, args.trials, random.Random(seed))
     payload = {"model": report.model, "trials": report.trials, "mismatches": report.mismatches}
@@ -150,7 +150,7 @@ def cmd_oracle(args):
 
 def _int_argument(text: str) -> int:
     """An --depth or --trials value; argparse prefixes the option's name."""
-    return read_int(text, malformed=f"invalid int value: {text[:60]!r}",
+    return read_int(text, malformed=f"invalid int value: {quoted(text)}",
                     error=argparse.ArgumentTypeError)
 
 

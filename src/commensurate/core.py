@@ -37,6 +37,11 @@ def check_exact_bits(bits: int) -> None:
         raise ValueError(f"exact product exceeds the bound of {MAX_EXACT_BITS} bits")
 
 
+def quoted(text: str) -> str:
+    """An error message's quote of user text: the repr of its first 60 characters."""
+    return repr(text[:60])
+
+
 def read_int(text: str, where: str = "", malformed: str = "", error=ValueError) -> int:
     """The integer ``text`` spells, read as ``int()`` reads it.
 
@@ -95,6 +100,14 @@ class CommensuratedPair(ABC):
     methods are optional: :meth:`level_index` for level displays, the text
     formats, :meth:`validate`, the samplers, and the discrete targets that
     :attr:`target_names` lists and :meth:`target` builds.
+
+    Two optional methods answer the engine's depth questions in closed
+    form.  :meth:`conj_cost` gives the c with conj_depth(g, d) = d + c at
+    every d; the default, None, makes products and inverses search
+    conj_depth in O(log depth) calls, and a cost answers them in O(1).
+    :meth:`level_of` gives the deepest chain level containing an element;
+    the default searches in_level in O(log depth) calls.  An override must
+    agree with the default exactly.
 
     Pairs are immutable after construction.
     """
@@ -160,6 +173,22 @@ class CommensuratedPair(ABC):
         sound.
         """
 
+    def conj_cost(self, g: Any) -> Optional[Depth]:
+        """The c with conj_depth(g, d) == d + c at every d, or None.
+
+        None, the default, says there is no such c, and the engine
+        searches conj_depth instead.
+        """
+        return None
+
+    def level_of(self, x: Any, cap: Depth) -> Depth:
+        """The deepest d <= cap with x in N_d, or -1 when x is outside K = N_0.
+
+        The default gallops on :meth:`in_level` up from level 0, in
+        O(log cap) calls.
+        """
+        return deepest_level(lambda d: self.in_level(x, d), cap)
+
     def level_index(self, depth: Depth) -> int:
         """The index [K : N_depth], shown for each level by the CLI."""
         raise NotImplementedError
@@ -170,7 +199,7 @@ class CommensuratedPair(ABC):
         return str(x)
 
     def parse_literal(self, text: str) -> Any:
-        raise ValueError(f"{self.name}: unsupported literal {text!r}")
+        raise ValueError(f"{self.name}: unsupported literal {quoted(text)}")
 
     def int_literal(self, value: int) -> Any:
         """Element denoted by a bare integer literal, if the instance has one."""
@@ -188,7 +217,7 @@ class CommensuratedPair(ABC):
 
     def target(self, name: str) -> "DiscreteTarget":
         """The discrete target called ``name``; ValueError with a reason otherwise."""
-        raise ValueError(f"unknown target {name!r} for instance {self.name}")
+        raise ValueError(f"unknown target {quoted(name)} for instance {self.name}")
 
     def sample(self, rng) -> Any:
         """A random element of G, for randomized test suites."""
@@ -265,6 +294,21 @@ def _gallop(hit: Callable[[Depth], bool], start: Depth, stop: Depth) -> Optional
     return start + step * reach
 
 
+def deepest_level(member: Callable[[Depth], bool], cap: Depth) -> Depth:
+    """The deepest d <= cap with member(d), or -1 when member(0) fails.
+
+    ``member`` must hold on an initial run of levels, as chain membership
+    does; :func:`_gallop` finds where that run ends.
+    """
+    split = _gallop(lambda d: not member(d), 0, cap)
+    return cap if split is None else split - 1
+
+
+def two_adic_level(n: int, cap: Depth) -> Depth:
+    """The deepest d <= cap with 2**d dividing n: its lowest set bit, capped."""
+    return cap if n == 0 else min(cap, (n & -n).bit_length() - 1)
+
+
 _PRODUCT_NEEDS = "product needs a left factor of depth"
 
 
@@ -276,13 +320,20 @@ def _exhausted(need: str, required: Depth, have: Depth) -> PrecisionExhausted:
 def _attainable_depth(pair: CommensuratedPair, g: Any, cap: Depth, budget: Depth, need: str):
     """Largest d <= cap with conj_depth(g, d) <= budget.
 
-    conj_depth(g, d) >= d, so no d above budget qualifies and the walk
-    starts at min(cap, budget).  conj_depth is monotone in d, so the
-    first success walking down from there is the maximum; :func:`_gallop`
-    finds it in O(log min(cap, budget)) calls.  When no d qualifies,
-    PrecisionExhausted names ``need`` and the least budget that would
-    have sufficed, conj_depth(g, 0): the walk's last probe.
+    When the pair gives a conjugation cost c, conj_depth(g, d) = d + c and
+    the answer is min(cap, budget - c), with no call to conj_depth.
+    Otherwise conj_depth(g, d) >= d, so no d above budget qualifies and
+    the walk starts at min(cap, budget).  conj_depth is monotone in d, so
+    the first success walking down from there is the maximum;
+    :func:`_gallop` finds it in O(log min(cap, budget)) calls.  When no d
+    qualifies, PrecisionExhausted names ``need`` and the least budget that
+    would have sufficed, conj_depth(g, 0): c, or the walk's last probe.
     """
+    cost = pair.conj_cost(g)
+    if cost is not None:
+        if cost > budget:
+            raise _exhausted(need, cost, budget)
+        return min(cap, budget - cost)
     required = None
 
     def fits(d: Depth) -> bool:
@@ -411,18 +462,16 @@ class CompletionElement:
 
         The cosets agree at level d exactly when the one quotient
         rep1^-1.rep2 lies in N_d, so that quotient is computed once and
-        scanned.  Agreement at a level implies agreement at every coarser
-        one, so a galloping search up from level 0 finds the first
-        disagreement in O(log depth) membership tests.
+        :meth:`CommensuratedPair.level_of` reads its level, capped at the
+        depth both inputs carry: in closed form where the pair has one,
+        else in O(log depth) membership tests.  The cosets are
+        indistinguishable exactly when that level is the cap.
         """
         self._same_pair(other)
         pair = self.pair
         cap = min(self.depth, other.depth)
-        quotient = pair.mul(pair.inv(self.rep), other.rep)
-        split = _gallop(lambda d: not pair.in_level(quotient, d), 0, cap)
-        if split is None:
-            return Valuation(depth=cap, indistinguishable=True)
-        return Valuation(depth=split - 1, indistinguishable=False)
+        level = pair.level_of(pair.mul(pair.inv(self.rep), other.rep), cap)
+        return Valuation(depth=level, indistinguishable=level == cap)
 
     def right_rep(self, depth: Depth) -> Any:
         """A representative h with N_depth.h in the denoted filter.
@@ -454,5 +503,5 @@ class DiscreteTarget(NamedTuple):
     def evaluate(self, f: CompletionElement) -> Any:
         """Value of the induced map on f; constant on f's coset at kill_level."""
         if f.depth < self.kill_level:
-            raise _exhausted(f"target {self.name!r} needs depth", self.kill_level, f.depth)
+            raise _exhausted(f"target {quoted(self.name)} needs depth", self.kill_level, f.depth)
         return self.phi(f.rep)

@@ -26,7 +26,7 @@ import functools
 import re
 from typing import Any, NamedTuple, Optional
 
-from .core import CommensuratedPair, CompletionElement, read_int
+from .core import CommensuratedPair, CompletionElement, quoted, read_int
 
 __all__ = [
     "ExprError",
@@ -180,7 +180,7 @@ class _Parser:
         node = self.expr()
         kind, text, pos = self.tokens[self.i]
         if kind != "END":
-            raise ExprError(f"unexpected {text!r}", pos)
+            raise ExprError(f"unexpected {quoted(text)}", pos)
         return node
 
     def expr(self):
@@ -208,7 +208,7 @@ class _Parser:
             if text not in _FUNCTIONS:
                 if text in self.generators:
                     return Gen(text, pos)
-                raise ExprError(f"unknown generator {text!r}", pos)
+                raise ExprError(f"unknown generator {quoted(text)}", pos)
             paren = self.take("LPAREN", "'(' after " + text)
             if text != "psi":
                 return Call(text, None, self.bracketed(paren[2]), pos)

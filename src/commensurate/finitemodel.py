@@ -44,7 +44,7 @@ import re
 import stat
 from typing import NamedTuple
 
-from .core import CommensuratedPair, ContractViolation, Depth, read_int
+from .core import CommensuratedPair, ContractViolation, Depth, quoted, read_int
 
 MAX_POINTS = 16
 MAX_ORDER = 200
@@ -78,14 +78,14 @@ def perm_from_cycles(text: str, points: int, where: str = "") -> tuple:
     ``where`` names the source in the message for a point past the digit limit."""
     body = text.strip()
     if not _PERM_LITERAL.fullmatch(body):
-        raise ModelError(f"bad permutation literal {text!r}")
+        raise ModelError(f"bad permutation literal {quoted(text)}")
     result = perm_identity(points)
     for cycle_text in re.findall(r"\(([^()]*)\)", body):
         entries = [read_int(tok, where) for tok in cycle_text.split()]
         if any(not 1 <= v <= points for v in entries):
-            raise ModelError(f"point out of range 1..{points} in {text!r}")
+            raise ModelError(f"point out of range 1..{points} in {quoted(text)}")
         if len(set(entries)) != len(entries):
-            raise ModelError(f"repeated point in cycle in {text!r}")
+            raise ModelError(f"repeated point in cycle in {quoted(text)}")
         cyc = list(range(points))
         for i, v in enumerate(entries):
             cyc[v - 1] = entries[(i + 1) % len(entries)] - 1
@@ -340,7 +340,7 @@ def _parse_lines(text: str):
         if not line or line.startswith("#"):
             continue
         if ":" not in line:
-            raise ModelError(f"line {lineno}: expected 'key: value', got {line!r}")
+            raise ModelError(f"line {lineno}: expected 'key: value', got {quoted(line)}")
         key, _, value = line.partition(":")
         pairs.append((key.strip().lower(), value.strip(), lineno))
     return pairs
@@ -351,7 +351,7 @@ def parse_model(text: str) -> FiniteModel:
     first_line: dict = {}  # key -> the line it first appears on
     for key, value, lineno in _parse_lines(text):
         if key not in _KEYS:
-            raise ModelError(f"line {lineno}: unknown key {key!r}")
+            raise ModelError(f"line {lineno}: unknown key {quoted(key)}")
         first_line.setdefault(key, lineno)
         if key in ("level", "row"):
             fields[key].append((value, lineno))
@@ -366,7 +366,7 @@ def parse_model(text: str) -> FiniteModel:
     if flag.lower() not in ("true", "false"):
         raise ModelError(
             f"line {first_line['corrupt_conj_depth']}: corrupt_conj_depth must be "
-            f"true or false, got {flag!r}"
+            f"true or false, got {quoted(flag)}"
         )
     corrupt = flag.lower() == "true"
     if "k" not in fields:
@@ -405,12 +405,12 @@ def parse_model(text: str) -> FiniteModel:
                 table.append([int(tok) for tok in value.split()])
             except ValueError:
                 for tok in value.split():
-                    read_int(tok, f"line {lineno}", f"bad table row {value[:60]!r}", ModelError)
+                    read_int(tok, f"line {lineno}", f"bad table row {quoted(value)}", ModelError)
         if not table:
             raise ModelError("table models need 'row' lines")
         stated = fields.get("order", str(len(table)))
         order = read_int(stated, f"line {first_line.get('order')}",
-                         f"'order' must be an integer, got {stated[:60]!r}", ModelError)
+                         f"'order' must be an integer, got {quoted(stated)}", ModelError)
         if order != len(table):
             raise ModelError("stated order does not match the number of rows")
         names = [f"#{i}" for i in range(order)]
@@ -418,17 +418,17 @@ def parse_model(text: str) -> FiniteModel:
 
         def read(item, lineno):
             if not _TABLE_LITERAL.fullmatch(item):
-                raise ModelError(f"bad table element {item!r}")
+                raise ModelError(f"bad table element {quoted(item)}")
             index = read_int(item[1:], f"line {lineno}")
             if index >= order:
-                raise ModelError(f"bad table element {item!r}")
+                raise ModelError(f"bad table element {quoted(item)}")
             return index
 
         def element(i):
             return i
 
     else:
-        raise ModelError(f"unknown model kind {kind!r}")
+        raise ModelError(f"unknown model kind {quoted(kind)}")
 
     def indices(value, lineno):
         # every item is read before any is looked up, so a malformed item
@@ -509,7 +509,7 @@ class FiniteModelPair(CommensuratedPair):
             return idx
         m = _TABLE_LITERAL.fullmatch(text.strip())
         if m is None:
-            raise ValueError(f"{self.name}: bad element literal {text!r}")
+            raise ValueError(f"{self.name}: bad element literal {quoted(text)}")
         idx = read_int(text.strip()[1:])
         if idx >= model.n:
             raise ContractViolation(

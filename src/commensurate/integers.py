@@ -17,7 +17,9 @@ from __future__ import annotations
 import math
 import re
 
-from .core import CommensuratedPair, ContractViolation, Depth, DiscreteTarget, read_int
+from .core import (
+    CommensuratedPair, ContractViolation, Depth, DiscreteTarget, quoted, read_int, two_adic_level,
+)
 
 FACTORIAL = "factorial"
 
@@ -124,8 +126,16 @@ class IntegerChainPair(CommensuratedPair):
         return x % self.modulus(depth) == 0
 
     def conj_depth(self, g: int, depth: Depth) -> Depth:
+        return depth + self.conj_cost(g)
+
+    def conj_cost(self, g: int) -> Depth:
         # abelian: conjugation fixes every subgroup
-        return depth
+        return 0
+
+    def level_of(self, x: int, cap: Depth) -> Depth:
+        if self.base == 2:
+            return two_adic_level(x, cap)
+        return super().level_of(x, cap)
 
     def level_index(self, depth: Depth):
         return self.modulus(depth)
@@ -160,11 +170,11 @@ class IntegerChainPair(CommensuratedPair):
             return super().target(name)
         modulus = read_int(m.group(1), "target name")
         if modulus < 1:
-            raise ValueError(f"target {name!r}: modulus must be >= 1")
+            raise ValueError(f"target {quoted(name)}: modulus must be >= 1")
         kill = self._kill_level(modulus)
         if kill is None:
             raise ValueError(
-                f"target {name!r} is unavailable on {self.name}: no chain "
+                f"target {quoted(name)} is unavailable on {self.name}: no chain "
                 f"level has a modulus divisible by {modulus}"
             )
         return DiscreteTarget(

@@ -14,7 +14,7 @@ from importlib import import_module
 from types import ModuleType
 from typing import Callable, NamedTuple
 
-from .core import CommensuratedPair, DiscreteTarget, read_int
+from .core import CommensuratedPair, DiscreteTarget, quoted, read_int
 
 
 class _Instance(NamedTuple):
@@ -43,7 +43,7 @@ def finite_model_pair(model):
 def _power_chain(integers: ModuleType, m: re.Match) -> CommensuratedPair:
     base = read_int(m.group(1), "instance name")
     if base < 2:
-        raise ValueError(f"instance {m.string!r}: base must be >= 2")
+        raise ValueError(f"instance {quoted(m.string)}: base must be >= 2")
     return integers.IntegerChainPair(base)
 
 
@@ -71,7 +71,7 @@ def resolve_instance(name: str) -> CommensuratedPair:
         m = row.name.fullmatch(name)
         if m is not None:
             return row.build(import_module(f".{row.module}", __package__), m)
-    raise ValueError(f"unknown instance {name!r}")
+    raise ValueError(f"unknown instance {quoted(name)}")
 
 
 def resolve_target(pair: CommensuratedPair, name: str) -> DiscreteTarget:

@@ -25,7 +25,10 @@ import re
 from fractions import Fraction
 from typing import NamedTuple
 
-from .core import CommensuratedPair, ContractViolation, Depth, check_exact_bits, read_int
+from .core import (
+    CommensuratedPair, ContractViolation, Depth, check_exact_bits, deepest_level, quoted, read_int,
+    two_adic_level,
+)
 from .integers import PRIME_LIMIT, is_prime
 
 
@@ -142,7 +145,20 @@ class SL2Pair(CommensuratedPair):
         )
 
     def conj_depth(self, g: Mat2, depth: Depth) -> Depth:
-        return depth + 2 * self.denominator_exponent(g)
+        return depth + self.conj_cost(g)
+
+    def conj_cost(self, g: Mat2) -> Depth:
+        return 2 * self.denominator_exponent(g)
+
+    def level_of(self, x: Mat2, cap: Depth) -> Depth:
+        # x is in N_k exactly when p**k divides a - 1, b, c and d - 1
+        a, b, c, d = x
+        if a.denominator != 1 or b.denominator != 1 or c.denominator != 1 or d.denominator != 1:
+            return -1
+        n = math.gcd(a.numerator - 1, b.numerator, c.numerator, d.numerator - 1)
+        if self.p == 2 or n == 0:
+            return two_adic_level(n, cap)
+        return deepest_level(lambda k: n % self.p**k == 0, cap)
 
     def level_index(self, depth: Depth) -> int:
         # order of SL2(Z/p^d)
@@ -156,12 +172,12 @@ class SL2Pair(CommensuratedPair):
     def parse_literal(self, text: str) -> Mat2:
         m = _LITERAL.fullmatch(text.strip())
         if m is None:
-            raise ValueError(f"{self.name}: bad matrix literal {text!r}")
+            raise ValueError(f"{self.name}: bad matrix literal {quoted(text)}")
         a, a_den, b, b_den, c, c_den, d, d_den = m.groups()
         try:
             elt = Mat2(_entry(a, a_den), _entry(b, b_den), _entry(c, c_den), _entry(d, d_den))
         except ZeroDivisionError:
-            raise ValueError(f"{self.name}: zero denominator in {text!r}") from None
+            raise ValueError(f"{self.name}: zero denominator in {quoted(text)}") from None
         self.validate(elt)
         return elt
 

@@ -347,6 +347,64 @@ def test_oracle_refuses_an_oversized_or_misspelt_model(text, message, tmp_path, 
     assert len(err.encode()) < 200
 
 
+LONG = "x" * 5000
+# the longest runs of zeros that still read as integers under the digit limit
+ZEROS = "0" * 4200
+
+_LONG_ARGV = {
+    "unknown-instance": (["eval", LONG, "a"], 2),
+    "instance-base": (["eval", f"z{ZEROS}1", "1"], 2),
+    "unknown-generator": (["eval", "bs12", LONG], 2),
+    "unexpected-token": (["eval", "bs12", f"a {LONG}"], 2),
+    "unknown-target": (["psi", "bs12", LONG, "a"], 2),
+    "zero-modulus": (["psi", "z2", f"mod:{ZEROS}", "1"], 2),
+    "target-depth": (["psi", "z2", f"mod:{ZEROS}8", "--depth", "2", "embed(13)"], 3),
+    "bs12-zero-denominator": (["eval", "bs12", f"({'7' * 4000}/0; 0)"], 2),
+    "sl2-zero-denominator": (["eval", "sl2:3", f"[[{'7' * 4000}/0,0],[0,1]]"], 2),
+}
+_LONG_MODELS = {
+    "no-colon": LONG,
+    "unknown-key": f"{LONG}: 1",
+    "corrupt-flag": f"kind: table\nrow: 0\nK: #0\ncorrupt_conj_depth: {LONG}",
+    "model-kind": f"kind: {LONG}\nK: #0",
+    "table-element": f"kind: table\nrow: 0\nK: #{LONG}",
+    "perm-literal": f"kind: perm\npoints: 4\ngens: ({LONG})\nK: (1 2)",
+    "perm-point": f"kind: perm\npoints: 4\ngens: ({' 9' * 2500})\nK: (1 2)",
+    "perm-repeat": f"kind: perm\npoints: 4\ngens: ({' 1' * 2500})\nK: (1 2)",
+}
+
+
+@pytest.mark.parametrize("case", [*_LONG_ARGV, *_LONG_MODELS])
+def test_long_user_text_is_quoted_in_part(case, tmp_path, capsys):
+    """An error that quotes user text quotes at most 60 characters of it."""
+    if case in _LONG_ARGV:
+        argv, code = _LONG_ARGV[case]
+    else:
+        model = tmp_path / "long.model"
+        model.write_text(_LONG_MODELS[case] + "\n", encoding="utf-8")
+        argv, code = ["oracle", str(model)], 2
+    with time_limit(CASE_SECONDS):
+        assert entry(argv) == code
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1, err[:300]
+    assert len(err.encode()) < 200, err
+
+
+@pytest.mark.parametrize("pair, literal", [
+    (bs12.BS12Pair(), LONG),
+    (sl2.SL2Pair(3), LONG),
+    (integers.IntegerChainPair(2), LONG),
+    (finitemodel.finite_model_pair(finitemodel.load_model(ROOT / "models" / "z8.model")), LONG),
+], ids=["bs12", "sl2", "default", "model"])
+def test_long_bad_literal_is_quoted_in_part(pair, literal):
+    """A literal the expression scanner would not pass, handed to the pair
+    directly, is refused with a bounded quote."""
+    with pytest.raises(ValueError) as err:
+        pair.parse_literal(literal)
+    assert len(str(err.value)) < 200
+
+
 def _refused_model_file(kind, tmp_path):
     """A path that is not a small regular file, and the refusal it gets."""
     if kind == "device":
@@ -587,7 +645,9 @@ _ARGV_TOKENS = st.one_of(
     st.sampled_from(["--depth", "--de", "--trials", "--tr", "--json", "--j", "-h", "--help", "--",
                      "--bogus", "--depth=x"]),
     st.integers(0, 20).map(str),
-    st.just(BIG),  # past the digit limit, so refused before any work is done
+    # past the digit limit, so refused before any work is done
+    st.just(BIG),
+    st.sampled_from([f"--depth={BIG}", f"--trials={BIG}"]),
     st.sampled_from(["z2", "z3", "zfact", "bs12", "sl2:2", "sl2:3", "model:nope.model",
                      "nope.model", "texp", "mod:8", "mod:0"]),
     st.sampled_from(["a", "t*a^-1", "embed(5)", "u^2*h", "inv(a)", "1", "#3", "(1 2)",

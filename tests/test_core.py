@@ -29,7 +29,7 @@ from commensurate import (
 from commensurate import core
 from commensurate.core import _gallop
 from commensurate.expr import evaluate
-from commensurate.registry import builtin_instances
+from commensurate.registry import builtin_instances, resolve_instance
 
 Z2 = IntegerChainPair(2)
 BS = BS12Pair()
@@ -566,6 +566,83 @@ def test_power_search_count_on_models(monkeypatch, pair):
         except PrecisionExhausted:
             pass
         assert len(searches) <= f.depth + 1, pair.format_element(g)
+
+
+# --- closed forms against the default searches ----------------------------------
+
+CLOSED_FORM_PAIRS = [resolve_instance(name) for name in
+                     ("z2", "z3", "zfact", "bs12", "sl2:2", "sl2:3", "sl2:5")]
+DEFAULT_PAIRS = [finite_model_pair(load_model(path)) for path in sorted(MODELS.glob("*.model"))]
+
+
+def _outside_k(pair):
+    """Elements outside K = N_0 that the samplers may miss."""
+    if pair.name == "bs12":
+        return [DyadicAffine(Fraction(1, 2), 0), DyadicAffine(Fraction(8), -3)]
+    if pair.name.startswith("sl2"):
+        return [pair.inv(pair.generators["h"])]
+    return []
+
+
+def _max_cap(pair):
+    return 40 if pair.max_depth is None else min(40, pair.max_depth)
+
+
+def _elements(pair, rng, count):
+    """Samples, chain members, the identity, their products and elements
+    outside K, in random order."""
+    top = _max_cap(pair)
+    pool = [pair.identity, *pair.generators.values(), *_outside_k(pair)]
+    for _ in range(count):
+        member = pair.sample_level(rng.randint(0, top), rng)
+        pool += [pair.sample(rng), member, pair.mul(pair.sample(rng), member),
+                 pair.mul(member, pair.sample_level(rng.randint(0, top), rng))]
+    rng.shuffle(pool)
+    return pool
+
+
+@pytest.mark.parametrize("pair", CLOSED_FORM_PAIRS + DEFAULT_PAIRS, ids=lambda p: p.name)
+def test_conj_cost_is_the_conj_depth_offset(pair):
+    """conj_depth(g, d) == d + conj_cost(g) at every d whenever a cost is
+    given; the shipped closed-form instances give one, finite models none."""
+    rng = random.Random(7)
+    for g in _elements(pair, rng, 30):
+        cost = pair.conj_cost(g)
+        assert (cost is not None) == (pair in CLOSED_FORM_PAIRS), pair.format_element(g)
+        if cost is not None:
+            for d in range(_max_cap(pair) + 1):
+                assert pair.conj_depth(g, d) == d + cost, (pair.format_element(g), d)
+
+
+@pytest.mark.parametrize("pair", CLOSED_FORM_PAIRS + DEFAULT_PAIRS, ids=lambda p: p.name)
+def test_level_of_matches_the_default_search(pair):
+    rng = random.Random(7)
+    for x in _elements(pair, rng, 30):
+        for cap in range(_max_cap(pair) + 1):
+            expect = CommensuratedPair.level_of(pair, x, cap)
+            assert pair.level_of(x, cap) == expect, (pair.format_element(x), cap)
+
+
+@pytest.mark.parametrize("pair", CLOSED_FORM_PAIRS + DEFAULT_PAIRS, ids=lambda p: p.name)
+def test_engine_agrees_with_its_default_searches(pair):
+    """Products, inverses, powers and valuations come out the same through a
+    wrapper that exposes only the abstract seam, so that every depth is
+    searched: the same rep and depth, or the same PrecisionExhausted."""
+    seam = _CountingPair(pair)
+    rng = random.Random(7)
+    top = _max_cap(pair)
+    elements = _elements(pair, rng, 25)
+    for x, y in zip(elements, elements[1:]):
+        if rng.randrange(2):  # y close to x, so that the valuation is deep
+            y = pair.mul(x, pair.sample_level(rng.randint(0, top), rng))
+        d1, d2, k = rng.randint(0, top), rng.randint(0, top), rng.randint(-5, 5)
+        fast = pair.embed(x, d1), pair.embed(y, d2)
+        slow = seam.embed(x, d1), seam.embed(y, d2)
+        for op in (lambda f, g: f * g, lambda f, g: g * f, lambda f, g: f.inverse(),
+                   lambda f, g: f ** k):
+            assert _outcome(lambda: op(*fast)) == _outcome(lambda: op(*slow)), (
+                pair.format_element(x), pair.format_element(y), d1, d2, k)
+        assert fast[0].valuation(fast[1]) == slow[0].valuation(slow[1])
 
 
 # --- exact left factors --------------------------------------------------------
