@@ -17,6 +17,7 @@ everything here is safe for unrestricted concurrent use.
 
 from __future__ import annotations
 
+import math
 import re
 import sys
 from abc import ABC, abstractmethod
@@ -307,6 +308,19 @@ def deepest_level(member: Callable[[Depth], bool], cap: Depth) -> Depth:
 def two_adic_level(n: int, cap: Depth) -> Depth:
     """The deepest d <= cap with 2**d dividing n: its lowest set bit, capped."""
     return cap if n == 0 else min(cap, (n & -n).bit_length() - 1)
+
+
+def p_adic_level(n: int, p: int, cap: Depth) -> Depth:
+    """The deepest d <= cap with p**d dividing n, for a prime p.
+
+    For n != 0, p**d divides n only if p**d <= |n|, so d <= n.bit_length();
+    then gcd(n, p**m) is p**d with d the answer, for m the smaller of cap
+    and that bound.  d is read off its logarithm, whose relative error of
+    a few units in the last place rounds away for any d below 10**14.
+    """
+    if p == 2 or n == 0:
+        return two_adic_level(n, cap)
+    return round(math.log(math.gcd(n, p ** min(cap, n.bit_length())), p))
 
 
 _PRODUCT_NEEDS = "product needs a left factor of depth"

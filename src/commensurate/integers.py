@@ -18,7 +18,8 @@ import math
 import re
 
 from .core import (
-    CommensuratedPair, ContractViolation, Depth, DiscreteTarget, quoted, read_int, two_adic_level,
+    CommensuratedPair, ContractViolation, Depth, DiscreteTarget, _gallop, p_adic_level, quoted,
+    read_int,
 )
 
 FACTORIAL = "factorial"
@@ -88,6 +89,28 @@ def _legendre(d: int, p: int) -> int:
     return v
 
 
+def _factorial_level(x: int, cap: Depth) -> Depth:
+    """The deepest d <= cap with d! dividing x.
+
+    d! divides x only while every prime up to d divides x, and while d!
+    has at most as many factors of 2 as x; that count never falls as d
+    grows.  Both bound d from above.  The walk goes down from the bound
+    (or from cap), and the first d on it with d! dividing x is the answer;
+    0! = 1 divides every x.
+    """
+    if x == 0:
+        return cap
+    twos = (x & -x).bit_length() - 1
+    top = twos  # d! has d - popcount(d) factors of 2 (Legendre's formula)
+    while top < cap and top + 1 - (top + 1).bit_count() <= twos:
+        top += 1
+    for q in (3, 5, 7, 11, 13):
+        if x % q:
+            top = min(top, q - 1)
+            break
+    return _gallop(lambda d: x % math.factorial(d) == 0, min(cap, top), 0)
+
+
 class IntegerChainPair(CommensuratedPair):
     """Z with chain level d = modulus(d)·Z."""
 
@@ -102,6 +125,8 @@ class IntegerChainPair(CommensuratedPair):
                 raise ValueError(f"base must be an integer >= 2, got {base!r}")
             self.base = base
             self.name = f"z{base}"
+        # a prime base's levels are read off the p-adic valuation
+        self._prime = self.base != FACTORIAL and self.base < PRIME_LIMIT and is_prime(self.base)
 
     def modulus(self, depth: Depth) -> int:
         if self.base == FACTORIAL:
@@ -133,8 +158,10 @@ class IntegerChainPair(CommensuratedPair):
         return 0
 
     def level_of(self, x: int, cap: Depth) -> Depth:
-        if self.base == 2:
-            return two_adic_level(x, cap)
+        if self._prime:
+            return p_adic_level(x, self.base, cap)
+        if self.base == FACTORIAL:
+            return _factorial_level(x, cap)
         return super().level_of(x, cap)
 
     def level_index(self, depth: Depth):

@@ -13,9 +13,12 @@ SL2(Z) (there are non-congruence ones); the computed completion is the
 p-congruence completion, a dense subgroup image in SL2(Q_p).
 
 Elements are kept as four reduced Fraction entries, but the pair computes
-on integers: every denominator is a power of p, so the largest one is a
-common denominator.  Products multiply the integer matrices over it and
-reduce once per entry, and the chain test reads numerators directly.
+on integers: every denominator is a power of p, so the largest, p**e, is a
+common denominator.  Each method reads an element once, through
+``SL2Pair._read``: four integer numerators over p**e, then p**e and e.
+Validation checks that reading and v(g) is its e; products multiply the
+integer matrices and reduce once per entry; the chain tests read the
+numerators of an integral element.
 """
 
 from __future__ import annotations
@@ -23,11 +26,10 @@ from __future__ import annotations
 import math
 import re
 from fractions import Fraction
-from typing import NamedTuple
+from typing import NamedTuple, Optional
 
 from .core import (
-    CommensuratedPair, ContractViolation, Depth, check_exact_bits, deepest_level, quoted, read_int,
-    two_adic_level,
+    CommensuratedPair, ContractViolation, Depth, check_exact_bits, p_adic_level, quoted, read_int,
 )
 from .integers import PRIME_LIMIT, is_prime
 
@@ -55,24 +57,6 @@ def _mat(a, b, c, d) -> Mat2:
     return Mat2(Fraction(a), Fraction(b), Fraction(c), Fraction(d))
 
 
-def _integral(x: Mat2) -> tuple[int, int, int, int, int]:
-    """x as integers (a, b, c, d) over its largest denominator, and that denominator.
-
-    Every denominator is a power of p, so the largest is a multiple of
-    the others.
-    """
-    a, b, c, d = x
-    da, db, dc, dd = a.denominator, b.denominator, c.denominator, d.denominator
-    den = max(da, db, dc, dd)
-    return (
-        a.numerator * (den // da),
-        b.numerator * (den // db),
-        c.numerator * (den // dc),
-        d.numerator * (den // dd),
-        den,
-    )
-
-
 class SL2Pair(CommensuratedPair):
     def __init__(self, p: int):
         if not isinstance(p, int) or not 2 <= p < PRIME_LIMIT or not is_prime(p):
@@ -90,23 +74,6 @@ class SL2Pair(CommensuratedPair):
     def identity(self) -> Mat2:
         return _mat(1, 0, 0, 1)
 
-    def mul(self, x: Mat2, y: Mat2) -> Mat2:
-        # (A/m)(B/n) = AB/(mn) for integer matrices A, B
-        a, b, c, d, m = _integral(x)
-        e, f, g, h, n = _integral(y)
-        check_exact_bits(
-            max(map(int.bit_length, (a, b, c, d, m))) + max(map(int.bit_length, (e, f, g, h, n)))
-        )
-        entries = (a * e + b * g, a * f + b * h, c * e + d * g, c * f + d * h)
-        den = m * n
-        if den == 1:
-            return Mat2(*map(Fraction, entries))
-        return Mat2(*(Fraction(k, den) for k in entries))
-
-    def inv(self, x: Mat2) -> Mat2:
-        # determinant is 1, so the adjugate is the inverse
-        return Mat2(x.d, -x.b, -x.c, x.a)
-
     def _den_exponent(self, q: Fraction) -> int:
         den, e = q.denominator, 0
         while den % self.p == 0:
@@ -118,31 +85,58 @@ class SL2Pair(CommensuratedPair):
             )
         return e
 
-    def denominator_exponent(self, g: Mat2) -> int:
-        """Largest p-exponent among entry denominators (same for g and g^-1).
+    def _read(self, x: Mat2, check: bool = True) -> tuple[int, int, int, int, int, Optional[int]]:
+        """x as integers (a, b, c, d) over its common denominator p**e, then p**e and e.
 
-        The largest denominator is matched against p**e for e read off
-        its logarithm; every smaller p-power divides it.  When either
-        check fails, each entry is factored in turn, which reports the
-        first one whose denominator is not a p-power.
+        Every denominator is a power of p, so the largest, p**e, is a
+        multiple of the others.  With ``check``, e is read off its
+        logarithm, and the largest is matched against p**e and the others
+        against it.  A mismatch means some entry's denominator is not a
+        p-power, and each entry is factored in turn to name the first such
+        one.  Products and chain tests read elements that were validated
+        when embedded, or built from such; they skip the check, and e is
+        None unless x is integral.
         """
-        top = max(q.denominator for q in g)
-        e = round(math.log(top, self.p))
-        if self.p ** e == top and not any(top % q.denominator for q in g):
-            return e
-        return max(self._den_exponent(q) for q in g)
+        a, b, c, d = x
+        (na, da), (nb, db) = a.as_integer_ratio(), b.as_integer_ratio()
+        (nc, dc), (nd, dd) = c.as_integer_ratio(), d.as_integer_ratio()
+        den = max(da, db, dc, dd)
+        if den == 1:
+            return na, nb, nc, nd, 1, 0
+        e = None
+        if check:
+            e = round(math.log(den, self.p))
+            if self.p ** e != den or den % da or den % db or den % dc or den % dd:
+                e = max(self._den_exponent(q) for q in x)
+        return na * (den // da), nb * (den // db), nc * (den // dc), nd * (den // dd), den, e
+
+    def mul(self, x: Mat2, y: Mat2) -> Mat2:
+        # (A/m)(B/n) = AB/(mn) for integer matrices A, B
+        a, b, c, d, m, _ = self._read(x, check=False)
+        e, f, g, h, n, _ = self._read(y, check=False)
+        check_exact_bits(
+            max(map(int.bit_length, (a, b, c, d, m))) + max(map(int.bit_length, (e, f, g, h, n)))
+        )
+        den = m * n
+        k, l, r, s = a * e + b * g, a * f + b * h, c * e + d * g, c * f + d * h
+        if den == 1:
+            return Mat2(Fraction(k), Fraction(l), Fraction(r), Fraction(s))
+        return Mat2(Fraction(k, den), Fraction(l, den), Fraction(r, den), Fraction(s, den))
+
+    def inv(self, x: Mat2) -> Mat2:
+        # determinant is 1, so the adjugate is the inverse
+        return Mat2(x.d, -x.b, -x.c, x.a)
+
+    def denominator_exponent(self, g: Mat2) -> int:
+        """Largest p-exponent among entry denominators (same for g and g^-1)."""
+        return self._read(g)[5]
 
     def in_level(self, x: Mat2, depth: Depth) -> bool:
-        a, b, c, d = x
-        if a.denominator != 1 or b.denominator != 1 or c.denominator != 1 or d.denominator != 1:
+        a, b, c, d, den, _ = self._read(x, check=False)
+        if den != 1:
             return False
         q = self.p ** depth
-        return (
-            (a.numerator - 1) % q == 0
-            and b.numerator % q == 0
-            and c.numerator % q == 0
-            and (d.numerator - 1) % q == 0
-        )
+        return (a - 1) % q == 0 and b % q == 0 and c % q == 0 and (d - 1) % q == 0
 
     def conj_depth(self, g: Mat2, depth: Depth) -> Depth:
         return depth + self.conj_cost(g)
@@ -152,13 +146,10 @@ class SL2Pair(CommensuratedPair):
 
     def level_of(self, x: Mat2, cap: Depth) -> Depth:
         # x is in N_k exactly when p**k divides a - 1, b, c and d - 1
-        a, b, c, d = x
-        if a.denominator != 1 or b.denominator != 1 or c.denominator != 1 or d.denominator != 1:
+        a, b, c, d, den, _ = self._read(x, check=False)
+        if den != 1:
             return -1
-        n = math.gcd(a.numerator - 1, b.numerator, c.numerator, d.numerator - 1)
-        if self.p == 2 or n == 0:
-            return two_adic_level(n, cap)
-        return deepest_level(lambda k: n % self.p**k == 0, cap)
+        return p_adic_level(math.gcd(a - 1, b, c, d - 1), self.p, cap)
 
     def level_index(self, depth: Depth) -> int:
         # order of SL2(Z/p^d)
@@ -182,17 +173,19 @@ class SL2Pair(CommensuratedPair):
         return elt
 
     def level_rep(self, x: Mat2, depth: Depth) -> str:
-        if depth == 0 or any(q.denominator != 1 for q in x):
+        a, b, c, d, den, _ = self._read(x, check=False)
+        if depth == 0 or den != 1:
             return self.format_element(x)
         q = self.p ** depth
-        a, b, c, d = (entry.numerator % q for entry in x)
-        return f"[[{a},{b}],[{c},{d}]]"
+        return f"[[{a % q},{b % q}],[{c % q},{d % q}]]"
 
     def validate(self, x) -> None:
-        if not isinstance(x, Mat2) or not all(isinstance(q, Fraction) for q in x):
+        if not (
+            isinstance(x, Mat2) and isinstance(x.a, Fraction) and isinstance(x.b, Fraction)
+            and isinstance(x.c, Fraction) and isinstance(x.d, Fraction)
+        ):
             raise ContractViolation(f"{self.name}: not a matrix element: {x!r}")
-        self.denominator_exponent(x)
-        a, b, c, d, den = _integral(x)
+        a, b, c, d, den, _ = self._read(x)
         if a * d - b * c != den * den:
             raise ContractViolation(f"{self.name}: determinant of {self.format_element(x)} is not 1")
 

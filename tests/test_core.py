@@ -614,13 +614,101 @@ def test_conj_cost_is_the_conj_depth_offset(pair):
                 assert pair.conj_depth(g, d) == d + cost, (pair.format_element(g), d)
 
 
+#: Caps past _max_cap for the unbounded chains: around powers of 2 and the
+#: deepest sampled level.
+_DEEP_CAPS = (41, 63, 64, 100, 255, 256, 300, 399, 400, 401, 1000)
+
+
 @pytest.mark.parametrize("pair", CLOSED_FORM_PAIRS + DEFAULT_PAIRS, ids=lambda p: p.name)
 def test_level_of_matches_the_default_search(pair):
+    """At every cap up to 40; on the unbounded chains also at the deep caps,
+    with members of levels 41 to 400 and their products among the elements."""
     rng = random.Random(7)
-    for x in _elements(pair, rng, 30):
-        for cap in range(_max_cap(pair) + 1):
+    elements = _elements(pair, rng, 30)
+    caps = range(_max_cap(pair) + 1)
+    if pair.max_depth is None:
+        deep = [pair.sample_level(rng.randint(41, 400), rng) for _ in range(10)]
+        elements += deep + [pair.mul(x, n) for x, n in zip(elements, deep)]
+        caps = [*caps, *_DEEP_CAPS]
+    for x in elements:
+        for cap in caps:
             expect = CommensuratedPair.level_of(pair, x, cap)
             assert pair.level_of(x, cap) == expect, (pair.format_element(x), cap)
+
+
+def _factorial_level_by_walk(x, cap):
+    """The deepest d <= cap with d! dividing x, walking up from level 0."""
+    d, f = 0, 1
+    while d < cap and x % (f * (d + 1)) == 0:
+        d += 1
+        f *= d
+    return d
+
+
+def test_zfact_level_of_at_deep_levels():
+    """x = ±w!·k with w <= 250 and extra factors of 2 and 3 in k, small x
+    and 0, at caps up to 300, against a walk up from level 0."""
+    zfact = resolve_instance("zfact")
+    rng = random.Random(11)
+    cases = [(x, cap) for x in (0, 1, -1, 2, -6, 2**40, 3**30) for cap in (0, 1, 5, 300)]
+    for _ in range(300):
+        w = rng.randint(0, 250)
+        k = rng.randrange(1, 1 << 20) * 2 ** rng.randint(0, 12) * 3 ** rng.randint(0, 6)
+        x = math.factorial(w) * k * rng.choice((-1, 1))
+        caps = {0, 1, w, w + 1, w + 13, rng.randint(0, 300), 300} | ({w - 1} if w else set())
+        cases += [(x, cap) for cap in caps]
+    for x, cap in cases:
+        assert zfact.level_of(x, cap) == _factorial_level_by_walk(x, cap), (x, cap)
+
+
+@pytest.mark.parametrize("name", ["z3", "sl2:3", "sl2:5"])
+def test_p_adic_level_of_members_at_deep_levels(name):
+    """A member of N_k outside N_(k+1), for k up to 400, has level min(k, cap):
+    ±p^k·m on z3, and an upper times a lower unipotent with off-diagonal
+    entries of p-adic valuation k and k + j on sl2."""
+    pair = resolve_instance(name)
+    p = pair.base if name == "z3" else pair.p
+    rng = random.Random(13)
+    for k in [*range(0, 400, 7), 399, 400]:
+        m = rng.randrange(1, 1 << 30)
+        unit = p**k * (m + (m % p == 0)) * rng.choice((-1, 1))
+        if name == "z3":
+            x = unit
+        else:
+            lower = p ** (k + rng.randint(0, 5)) * rng.randrange(1 << 30)
+            upper = Mat2(*map(Fraction, (1, unit, 0, 1)))
+            x = pair.mul(upper, Mat2(*map(Fraction, (1, 0, lower, 1))))
+        for cap in {0, max(k - 1, 0), k, k + 1, 400, 1000}:
+            assert pair.level_of(x, cap) == min(k, cap), (k, cap)
+
+
+def test_factorial_walk_down_takes_few_probes(monkeypatch):
+    """zfact's level_of walks down from the bound that x's factors of 2
+    set, so x = w!·k takes a few factorials where the search up from
+    level 0 takes about 2·log2(w); an x with no factor of 3 is bounded at
+    level 2 however many factors of 2 it has."""
+    zfact = resolve_instance("zfact")
+    factorial, probes = math.factorial, Counter()
+
+    def counted(d):
+        probes["factorial"] += 1
+        return factorial(d)
+
+    monkeypatch.setattr(math, "factorial", counted)
+    rng = random.Random(5)
+    for w in (20, 64, 100, 200, 250):
+        for twos in range(4):
+            x = factorial(w) * (2 * rng.randrange(1 << 16) + 1) * 2**twos
+            probes.clear()
+            level = zfact.level_of(x, 300)
+            walk = probes["factorial"]
+            probes.clear()
+            assert CommensuratedPair.level_of(zfact, x, 300) == level >= w
+            assert walk <= _log_bound(twos + w.bit_length() + 2), (w, twos, walk)
+            assert walk < probes["factorial"], (w, twos)
+    probes.clear()
+    assert zfact.level_of(2**14000, 10**6) == 2
+    assert probes["factorial"] == 1
 
 
 @pytest.mark.parametrize("pair", CLOSED_FORM_PAIRS + DEFAULT_PAIRS, ids=lambda p: p.name)

@@ -443,6 +443,56 @@ def test_sl2_foreign_denominators_raise_the_same_message(p, data):
     assert _violation(lambda: pair.denominator_exponent(bad)) == expect
 
 
+@pytest.mark.parametrize("p", sorted(_SL2_BY_P))
+def test_sl2_reader_matches_the_reference_exponent(p):
+    """The one integer reading of a matrix: numerators over p**e, p**e and e,
+    with e the reference exponent and the same numerators without the
+    check, on sampled matrices and on their conjugates and products by h^v
+    with v >= 1000."""
+    pair = _SL2_BY_P[p]
+    rng = random.Random(RNG_SEED)
+    zero = Fraction(0)
+    elements = [pair.sample(rng) for _ in range(40)]
+    for v in (1000, 1001, 1777):
+        h = Mat2(Fraction(p) ** v, zero, zero, Fraction(p) ** -v)
+        for x in elements[:10]:
+            elements += [_ref_mul(x, h), _ref_mul(h, x), _ref_mul(_ref_mul(h, x), pair.inv(h))]
+    for x in elements:
+        a, b, c, d, den, e = pair._read(x)
+        assert e == _ref_denominator_exponent(pair, x) and den == p**e
+        assert pair._read(x, check=False)[:5] == (a, b, c, d, den)
+        assert Mat2(Fraction(a, den), Fraction(b, den), Fraction(c, den), Fraction(d, den)) == x
+        assert pair.denominator_exponent(x) == e and pair.conj_cost(x) == 2 * e
+        assert _violation(lambda: pair.validate(x)) == ("ok", None)
+    assert max(pair.denominator_exponent(x) for x in elements) >= 1000
+
+
+def test_sl2_contract_violations_keep_their_text():
+    """validate and embed name the first entry whose denominator is not a
+    3-power, whether or not the largest denominator is one, and print a
+    matrix whose determinant is not 1."""
+    sl2 = SL2Pair(3)
+    q = Fraction
+    cases = [
+        (Mat2(q(1, 2), q(0), q(0), q(2)), "sl2:3: entry 1/2 has a denominator outside p-powers"),
+        (Mat2(q(1, 27), q(1, 2), q(0), q(27)),
+         "sl2:3: entry 1/2 has a denominator outside p-powers"),
+        (Mat2(q(1), q(1, 9), q(1, 6), q(1, 5)),
+         "sl2:3: entry 1/6 has a denominator outside p-powers"),
+        (Mat2(q(2, 3**1000 * 7), q(0), q(0), q(1)),
+         f"sl2:3: entry {q(2, 3**1000 * 7)} has a denominator outside p-powers"),
+        (Mat2(q(1), q(1), q(0), q(2)), "sl2:3: determinant of [[1,1],[0,2]] is not 1"),
+        (Mat2(q(1, 9), q(0), q(0), q(1)), "sl2:3: determinant of [[1/9,0],[0,1]] is not 1"),
+    ]
+    for x, message in cases:
+        for call in (lambda: sl2.validate(x), lambda: sl2.embed(x, 4)):
+            with pytest.raises(ContractViolation) as err:
+                call()
+            assert str(err.value) == message
+        if "denominator" in message:
+            assert _violation(lambda: sl2.conj_cost(x)) == ("violation", message)
+
+
 # --- shared contract fuzz --------------------------------------------------------
 
 def _contract_pairs():
