@@ -21,8 +21,8 @@ from fractions import Fraction
 from typing import NamedTuple
 
 from .core import (
-    CommensuratedPair, ContractViolation, Depth, DiscreteTarget, check_exact_bits, quoted, read_int,
-    two_adic_level,
+    CommensuratedPair, ContractViolation, Depth, DiscreteTarget, check_exact_bits, p_adic_level,
+    quoted, read_int,
 )
 
 
@@ -53,6 +53,7 @@ def _shifted(base: Fraction | int, num: int, den: int, texp: int) -> Fraction:
 class BS12Pair(CommensuratedPair):
     name = "bs12"
     target_names = ("texp",)
+    constant_conj_cost = True
 
     def __init__(self):
         self.generators = {
@@ -84,16 +85,13 @@ class BS12Pair(CommensuratedPair):
         )
 
     def conj_depth(self, g: DyadicAffine, depth: Depth) -> Depth:
-        return depth + self.conj_cost(g)
-
-    def conj_cost(self, g: DyadicAffine) -> Depth:
         # every member of the coset g·N_d has the same doubling exponent
-        return abs(g.texp)
+        return depth + abs(g.texp)
 
     def level_of(self, x: DyadicAffine, cap: Depth) -> Depth:
         if x.texp or x.shift.denominator != 1:
             return -1
-        return two_adic_level(x.shift.numerator, cap)
+        return p_adic_level(x.shift.numerator, 2, cap)
 
     def level_index(self, depth: Depth) -> int:
         return 1 << depth

@@ -102,13 +102,13 @@ class CommensuratedPair(ABC):
     formats, :meth:`validate`, the samplers, and the discrete targets that
     :attr:`target_names` lists and :meth:`target` builds.
 
-    Two optional methods answer the engine's depth questions in closed
-    form.  :meth:`conj_cost` gives the c with conj_depth(g, d) = d + c at
-    every d; the default, None, makes products and inverses search
-    conj_depth in O(log depth) calls, and a cost answers them in O(1).
-    :meth:`level_of` gives the deepest chain level containing an element;
-    the default searches in_level in O(log depth) calls.  An override must
-    agree with the default exactly.
+    Two optional parts answer the engine's depth questions in closed
+    form.  :attr:`constant_conj_cost` says that conj_depth(g, d) =
+    d + conj_depth(g, 0) at every d; then products and inverses read the
+    cost with one conj_depth call, and otherwise they search conj_depth in
+    O(log depth) calls.  :meth:`level_of` gives the deepest chain level
+    containing an element; the default searches in_level in O(log depth)
+    calls, and an override must agree with it exactly.
 
     Pairs are immutable after construction.
     """
@@ -123,6 +123,8 @@ class CommensuratedPair(ABC):
     literal_pattern: Optional[re.Pattern] = None
     #: Display names of the discrete targets :meth:`target` can build.
     target_names: tuple[str, ...] = ()
+    #: Whether conj_depth(g, d) == d + conj_depth(g, 0) at every g and d.
+    constant_conj_cost: bool = False
 
     # --- group arithmetic -------------------------------------------------
 
@@ -174,21 +176,14 @@ class CommensuratedPair(ABC):
         sound.
         """
 
-    def conj_cost(self, g: Any) -> Optional[Depth]:
-        """The c with conj_depth(g, d) == d + c at every d, or None.
-
-        None, the default, says there is no such c, and the engine
-        searches conj_depth instead.
-        """
-        return None
-
     def level_of(self, x: Any, cap: Depth) -> Depth:
         """The deepest d <= cap with x in N_d, or -1 when x is outside K = N_0.
 
-        The default gallops on :meth:`in_level` up from level 0, in
-        O(log cap) calls.
+        The default gallops on :meth:`in_level` up from level 0 to the end
+        of the run of levels that hold x, in O(log cap) calls.
         """
-        return deepest_level(lambda d: self.in_level(x, d), cap)
+        split = _gallop(lambda d: not self.in_level(x, d), 0, cap)
+        return cap if split is None else split - 1
 
     def level_index(self, depth: Depth) -> int:
         """The index [K : N_depth], shown for each level by the CLI."""
@@ -295,31 +290,19 @@ def _gallop(hit: Callable[[Depth], bool], start: Depth, stop: Depth) -> Optional
     return start + step * reach
 
 
-def deepest_level(member: Callable[[Depth], bool], cap: Depth) -> Depth:
-    """The deepest d <= cap with member(d), or -1 when member(0) fails.
-
-    ``member`` must hold on an initial run of levels, as chain membership
-    does; :func:`_gallop` finds where that run ends.
-    """
-    split = _gallop(lambda d: not member(d), 0, cap)
-    return cap if split is None else split - 1
-
-
-def two_adic_level(n: int, cap: Depth) -> Depth:
-    """The deepest d <= cap with 2**d dividing n: its lowest set bit, capped."""
-    return cap if n == 0 else min(cap, (n & -n).bit_length() - 1)
-
-
 def p_adic_level(n: int, p: int, cap: Depth) -> Depth:
     """The deepest d <= cap with p**d dividing n, for a prime p.
 
-    For n != 0, p**d divides n only if p**d <= |n|, so d <= n.bit_length();
-    then gcd(n, p**m) is p**d with d the answer, for m the smaller of cap
-    and that bound.  d is read off its logarithm, whose relative error of
-    a few units in the last place rounds away for any d below 10**14.
+    n = 0 gives cap, and p = 2 the lowest set bit of n, capped.  Otherwise
+    p**d divides n only if p**d <= |n|, so d <= n.bit_length(); then
+    gcd(n, p**m) is p**d with d the answer, for m the smaller of cap and
+    that bound.  d is read off its logarithm, whose relative error of a
+    few units in the last place rounds away for any d below 10**14.
     """
-    if p == 2 or n == 0:
-        return two_adic_level(n, cap)
+    if n == 0:
+        return cap
+    if p == 2:
+        return min(cap, (n & -n).bit_length() - 1)
     return round(math.log(math.gcd(n, p ** min(cap, n.bit_length())), p))
 
 
@@ -334,8 +317,8 @@ def _exhausted(need: str, required: Depth, have: Depth) -> PrecisionExhausted:
 def _attainable_depth(pair: CommensuratedPair, g: Any, cap: Depth, budget: Depth, need: str):
     """Largest d <= cap with conj_depth(g, d) <= budget.
 
-    When the pair gives a conjugation cost c, conj_depth(g, d) = d + c and
-    the answer is min(cap, budget - c), with no call to conj_depth.
+    When the pair declares a constant conjugation cost, one call reads
+    c = conj_depth(g, 0), and the answer is min(cap, budget - c).
     Otherwise conj_depth(g, d) >= d, so no d above budget qualifies and
     the walk starts at min(cap, budget).  conj_depth is monotone in d, so
     the first success walking down from there is the maximum;
@@ -343,8 +326,8 @@ def _attainable_depth(pair: CommensuratedPair, g: Any, cap: Depth, budget: Depth
     qualifies, PrecisionExhausted names ``need`` and the least budget that
     would have sufficed, conj_depth(g, 0): c, or the walk's last probe.
     """
-    cost = pair.conj_cost(g)
-    if cost is not None:
+    if pair.constant_conj_cost:
+        cost = pair.conj_depth(g, 0)
         if cost > budget:
             raise _exhausted(need, cost, budget)
         return min(cap, budget - cost)

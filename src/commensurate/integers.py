@@ -89,14 +89,20 @@ def _legendre(d: int, p: int) -> int:
     return v
 
 
+#: The odd primes below 64, and their product.
+_ODD_PRIMES = tuple(q for q in range(3, 64, 2) if is_prime(q))
+_ODD_PRIMORIAL = math.prod(_ODD_PRIMES)
+
+
 def _factorial_level(x: int, cap: Depth) -> Depth:
     """The deepest d <= cap with d! dividing x.
 
-    d! divides x only while every prime up to d divides x, and while d!
-    has at most as many factors of 2 as x; that count never falls as d
-    grows.  Both bound d from above.  The walk goes down from the bound
-    (or from cap), and the first d on it with d! dividing x is the answer;
-    0! = 1 divides every x.
+    d! divides x only while every prime up to d divides x, so the first
+    odd prime q below 64 that x lacks bounds d by q - 1; one division by
+    their product tells whether x lacks any.  d! also has at most as many
+    factors of 2 as x, a count that never falls as d grows, which bounds d
+    too.  The walk goes down from the lower bound (or from cap), and the
+    first d on it with d! dividing x is the answer; 0! = 1 divides every x.
     """
     if x == 0:
         return cap
@@ -104,10 +110,11 @@ def _factorial_level(x: int, cap: Depth) -> Depth:
     top = twos  # d! has d - popcount(d) factors of 2 (Legendre's formula)
     while top < cap and top + 1 - (top + 1).bit_count() <= twos:
         top += 1
-    for q in (3, 5, 7, 11, 13):
-        if x % q:
-            top = min(top, q - 1)
-            break
+    if x % _ODD_PRIMORIAL:
+        for q in _ODD_PRIMES:
+            if x % q:
+                top = min(top, q - 1)
+                break
     return _gallop(lambda d: x % math.factorial(d) == 0, min(cap, top), 0)
 
 
@@ -115,6 +122,7 @@ class IntegerChainPair(CommensuratedPair):
     """Z with chain level d = modulus(d)·Z."""
 
     target_names = ("mod:<m>",)
+    constant_conj_cost = True
 
     def __init__(self, base):
         if base == FACTORIAL:
@@ -151,11 +159,8 @@ class IntegerChainPair(CommensuratedPair):
         return x % self.modulus(depth) == 0
 
     def conj_depth(self, g: int, depth: Depth) -> Depth:
-        return depth + self.conj_cost(g)
-
-    def conj_cost(self, g: int) -> Depth:
         # abelian: conjugation fixes every subgroup
-        return 0
+        return depth
 
     def level_of(self, x: int, cap: Depth) -> Depth:
         if self._prime:

@@ -58,6 +58,8 @@ def _mat(a, b, c, d) -> Mat2:
 
 
 class SL2Pair(CommensuratedPair):
+    constant_conj_cost = True
+
     def __init__(self, p: int):
         if not isinstance(p, int) or not 2 <= p < PRIME_LIMIT or not is_prime(p):
             raise ValueError(f"p must be a prime below {PRIME_LIMIT}, got {p!r}")
@@ -139,10 +141,7 @@ class SL2Pair(CommensuratedPair):
         return (a - 1) % q == 0 and b % q == 0 and c % q == 0 and (d - 1) % q == 0
 
     def conj_depth(self, g: Mat2, depth: Depth) -> Depth:
-        return depth + self.conj_cost(g)
-
-    def conj_cost(self, g: Mat2) -> Depth:
-        return 2 * self.denominator_exponent(g)
+        return depth + 2 * self.denominator_exponent(g)
 
     def level_of(self, x: Mat2, cap: Depth) -> Depth:
         # x is in N_k exactly when p**k divides a - 1, b, c and d - 1

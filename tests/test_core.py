@@ -568,6 +568,34 @@ def test_power_search_count_on_models(monkeypatch, pair):
         assert len(searches) <= f.depth + 1, pair.format_element(g)
 
 
+class _DeclaredCostPair(_CountingPair):
+    """A counting pair that declares its inner pair's constant conjugation cost."""
+
+    constant_conj_cost = True
+
+
+@pytest.mark.parametrize("inner", [SL2Pair(3), BS, Z2], ids=lambda p: p.name)
+def test_declared_cost_answers_in_one_call(monkeypatch, inner):
+    """A pair that declares a constant conjugation cost makes exactly one
+    conj_depth call per product, per inverse and per step of a power, and
+    gets the inner pair's reps, depths and PrecisionExhausted."""
+    pair = _DeclaredCostPair(inner)
+    searches = _count_searches(monkeypatch)
+    rng = random.Random(7)
+    for _ in range(40):
+        x, y = inner.sample(rng), inner.sample(rng)
+        d1, d2 = (rng.choice((0, 1, 2, 5, 12, 4096)) for _ in range(2))
+        k = rng.randint(-9, 9)
+        fast = pair.embed(x, d1), pair.embed(y, d2)
+        slow = inner.embed(x, d1), inner.embed(y, d2)
+        for op in (lambda f, g: f * g, lambda f, g: f.inverse(), lambda f, g: f ** k):
+            expect = _outcome(lambda: op(*slow))
+            pair.calls.clear()
+            searches.clear()
+            assert _outcome(lambda: op(*fast)) == expect, (d1, d2, k)
+            assert pair.calls["conj_depth"] == len(searches) <= max(1, abs(k))
+
+
 # --- closed forms against the default searches ----------------------------------
 
 CLOSED_FORM_PAIRS = [resolve_instance(name) for name in
@@ -603,13 +631,13 @@ def _elements(pair, rng, count):
 
 @pytest.mark.parametrize("pair", CLOSED_FORM_PAIRS + DEFAULT_PAIRS, ids=lambda p: p.name)
 def test_conj_cost_is_the_conj_depth_offset(pair):
-    """conj_depth(g, d) == d + conj_cost(g) at every d whenever a cost is
-    given; the shipped closed-form instances give one, finite models none."""
-    rng = random.Random(7)
-    for g in _elements(pair, rng, 30):
-        cost = pair.conj_cost(g)
-        assert (cost is not None) == (pair in CLOSED_FORM_PAIRS), pair.format_element(g)
-        if cost is not None:
+    """The shipped closed-form instances declare a constant conjugation
+    cost, finite models do not, and where it is declared conj_depth(g, d)
+    == d + conj_depth(g, 0) at every d up to the cap."""
+    assert pair.constant_conj_cost == (pair in CLOSED_FORM_PAIRS)
+    if pair.constant_conj_cost:
+        for g in _elements(pair, random.Random(7), 30):
+            cost = pair.conj_depth(g, 0)
             for d in range(_max_cap(pair) + 1):
                 assert pair.conj_depth(g, d) == d + cost, (pair.format_element(g), d)
 
@@ -646,11 +674,13 @@ def _factorial_level_by_walk(x, cap):
 
 
 def test_zfact_level_of_at_deep_levels():
-    """x = ±w!·k with w <= 250 and extra factors of 2 and 3 in k, small x
-    and 0, at caps up to 300, against a walk up from level 0."""
+    """x = ±w!·k with w <= 250 and extra factors of 2 and 3 in k, small x,
+    0 and two powers whose level is set by the first prime they lack, at
+    caps up to 1000, against a walk up from level 0."""
     zfact = resolve_instance("zfact")
     rng = random.Random(11)
-    cases = [(x, cap) for x in (0, 1, -1, 2, -6, 2**40, 3**30) for cap in (0, 1, 5, 300)]
+    cases = [(x, cap) for x in (0, 1, -1, 2, -6, 2**40, 3**30, 30030**900, (30030 * 17 * 19)**50)
+             for cap in (0, 1, 5, 16, 22, 300, 1000)]
     for _ in range(300):
         w = rng.randint(0, 250)
         k = rng.randrange(1, 1 << 20) * 2 ** rng.randint(0, 12) * 3 ** rng.randint(0, 6)
@@ -686,7 +716,8 @@ def test_factorial_walk_down_takes_few_probes(monkeypatch):
     """zfact's level_of walks down from the bound that x's factors of 2
     set, so x = w!·k takes a few factorials where the search up from
     level 0 takes about 2·log2(w); an x with no factor of 3 is bounded at
-    level 2 however many factors of 2 it has."""
+    level 2 however many factors of 2 it has, and one with no factor of
+    17 at level 16 however many factors of 2 and 3 it has."""
     zfact = resolve_instance("zfact")
     factorial, probes = math.factorial, Counter()
 
@@ -709,6 +740,14 @@ def test_factorial_walk_down_takes_few_probes(monkeypatch):
     probes.clear()
     assert zfact.level_of(2**14000, 10**6) == 2
     assert probes["factorial"] == 1
+    # 2**900 allows level 905 and 3**900 more, but 17 does not divide x
+    x = 30030**900
+    probes.clear()
+    assert zfact.level_of(x, 1000) == 16
+    walk = probes["factorial"]
+    probes.clear()
+    assert CommensuratedPair.level_of(zfact, x, 1000) == 16
+    assert walk <= probes["factorial"]
 
 
 @pytest.mark.parametrize("pair", CLOSED_FORM_PAIRS + DEFAULT_PAIRS, ids=lambda p: p.name)

@@ -462,7 +462,7 @@ def test_sl2_reader_matches_the_reference_exponent(p):
         assert e == _ref_denominator_exponent(pair, x) and den == p**e
         assert pair._read(x, check=False)[:5] == (a, b, c, d, den)
         assert Mat2(Fraction(a, den), Fraction(b, den), Fraction(c, den), Fraction(d, den)) == x
-        assert pair.denominator_exponent(x) == e and pair.conj_cost(x) == 2 * e
+        assert pair.denominator_exponent(x) == e and pair.conj_depth(x, 0) == 2 * e
         assert _violation(lambda: pair.validate(x)) == ("ok", None)
     assert max(pair.denominator_exponent(x) for x in elements) >= 1000
 
@@ -490,7 +490,7 @@ def test_sl2_contract_violations_keep_their_text():
                 call()
             assert str(err.value) == message
         if "denominator" in message:
-            assert _violation(lambda: sl2.conj_cost(x)) == ("violation", message)
+            assert _violation(lambda: sl2.conj_depth(x, 0)) == ("violation", message)
 
 
 # --- shared contract fuzz --------------------------------------------------------
