@@ -110,6 +110,7 @@ def _factorial_level(x: int, cap: Depth) -> Depth:
     top = twos  # d! has d - popcount(d) factors of 2 (Legendre's formula)
     while top < cap and top + 1 - (top + 1).bit_count() <= twos:
         top += 1
+    # a quotient at level 61 or deeper has every one of them; skip the loop
     if x % _ODD_PRIMORIAL:
         for q in _ODD_PRIMES:
             if x % q:
