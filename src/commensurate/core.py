@@ -226,6 +226,8 @@ class CommensuratedPair(ABC):
     # --- embedding ---------------------------------------------------------
 
     def check_depth(self, depth: Depth) -> None:
+        if type(depth) is not int:
+            raise ValueError(f"depth must be an int, got {type(depth).__name__}")
         if depth < 0:
             raise ValueError(f"depth must be >= 0, got {depth}")
         if self.max_depth is not None and depth > self.max_depth:
@@ -431,13 +433,12 @@ class CompletionElement:
         Increasing depth is an error: only :meth:`CommensuratedPair.embed`
         mints precision.
         """
-        if depth < 0:
-            raise ValueError(f"depth must be >= 0, got {depth}")
         if depth > self.depth:
             raise PrecisionExhausted(
                 f"cannot truncate depth {self.depth} to finer depth {depth}",
                 required_depth=depth,
             )
+        self.pair.check_depth(depth)
         if depth == self.depth:
             return self
         return CompletionElement(self.pair, self.rep, depth)
@@ -452,6 +453,7 @@ class CompletionElement:
                 required_depth=depth,
             )
         pair = self.pair
+        pair.check_depth(depth)
         return pair.in_level(pair.mul(pair.inv(self.rep), other.rep), depth)
 
     def valuation(self, other: "CompletionElement") -> Valuation:
@@ -477,6 +479,7 @@ class CompletionElement:
         N_depth.rep, so rep itself serves once that bound is within the
         available depth.
         """
+        self.pair.check_depth(depth)
         required = self.pair.conj_depth(self.rep, depth)
         if required > self.depth:
             raise _exhausted(f"right coset at level {depth} needs depth", required, self.depth)

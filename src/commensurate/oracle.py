@@ -8,9 +8,11 @@ loads, and products from its multiplication table (a permutation model
 builds that table from generator columns, one index lookup per entry).
 `enumerate_completion` tabulates the completion as the quotient by the
 chain bottom, and `compare_engine` replays random engine operations
-against literal cosets and that table.  The depth an operation must
-attain is the literal optimum: the deepest level one of whose cosets
-holds the literal set of results.
+against literal cosets and that table.  Each expected answer is one
+literal containment: the depth of a product, an inverse or a valuation
+is the deepest level one of whose cosets holds the literal set of
+results, equality at a level is membership in a left coset, and a right
+rep exists when the known left coset lies in one right coset.
 
 The paper's coset identities need no check here: given what loading a
 model checks (levels nested and normal in K, the bottom normal in the
@@ -26,26 +28,10 @@ from .core import PrecisionExhausted
 from .finitemodel import FiniteModel, FiniteModelPair
 
 
-class CompletionTable(NamedTuple):
-    """The completion of a finite model, the quotient by the chain bottom.
-
-    ``reps[i]`` is the canonical representative (smallest index) of the
-    i-th bottom-level coset; ``table[i][j]`` is the coset position of the
-    filter product; ``coset_of[x]`` locates the coset of element x.
-    """
-
-    reps: tuple
-    table: tuple
-    coset_of: tuple
-
-    @property
-    def size(self) -> int:
-        return len(self.reps)
-
-
-def enumerate_completion(model: FiniteModel) -> CompletionTable:
-    """Multiplication table of the completion: entry ``[i][j]`` is the
-    coset of ``g1·g2`` for the bottom-coset reps ``g1``, ``g2``.
+def enumerate_completion(model: FiniteModel) -> tuple:
+    """Multiplication table of the completion, indexed by ``model.lefts[-1]``'s
+    coset ids: entry ``[i][j]`` is the id of ``g1·g2`` for the reps ``g1``,
+    ``g2`` of the bottom cosets ``i`` and ``j``.
 
     The bottom N is normal in the whole group (loading checks it), so the
     filter product g1·N·g2·N is the single coset g1·g2·N and the table is
@@ -54,8 +40,7 @@ def enumerate_completion(model: FiniteModel) -> CompletionTable:
     cosets = model.lefts[-1]
     reps, coset_of = cosets.reps, cosets.ids
     mul = model.mul_table
-    table = tuple(tuple([coset_of[mul[g1][g2]] for g2 in reps]) for g1 in reps)
-    return CompletionTable(reps, table, coset_of)
+    return tuple(tuple([coset_of[mul[g1][g2]] for g2 in reps]) for g1 in reps)
 
 
 class OracleReport(NamedTuple):
@@ -66,10 +51,6 @@ class OracleReport(NamedTuple):
     @property
     def ok(self) -> bool:
         return not self.mismatches
-
-
-def _mismatch(op: str, inputs: str, expected, got) -> dict:
-    return {"op": op, "inputs": inputs, "expected": str(expected), "got": str(got)}
 
 
 def _unless_exhausted(operation):
@@ -96,13 +77,16 @@ def compare_engine(pair: FiniteModelPair, trials: int, rng) -> OracleReport:
     check every claim the engine makes against literal set arithmetic."""
     model = pair.model
     table = enumerate_completion(model)
+    coset_of = model.lefts[-1].ids
     top = pair.max_depth
     mul, inv = model.mul_table, model.inv_table
     lefts, rights = model.lefts, model.rights
     mismatches = []
 
-    def note(*fields):
-        mismatches.append(_mismatch(*fields))
+    def note(op, inputs, expected, got):
+        mismatches.append(
+            {"op": op, "inputs": inputs, "expected": str(expected), "got": str(got)}
+        )
 
     def fuzzed(g, d):
         # replace the rep by another member of its coset: nothing may change
@@ -148,20 +132,14 @@ def compare_engine(pair: FiniteModelPair, trials: int, rng) -> OracleReport:
             if not inverse_set <= claimed:
                 note("inv-coset", label, sorted(inverse_set), sorted(claimed))
 
-        # eq_at_depth against literal coset equality
+        # eq_at_depth: whether f1's coset at d holds f2's rep
         d = rng.randrange(min(d1, d2) + 1)
-        ids = lefts[d].ids
-        want = ids[f1.rep] == ids[f2.rep]
+        want = f2.rep in lefts[d].of(f1.rep)
         if f1.eq_at_depth(f2, d) != want:
             note("eq_at_depth", f"{label} at {d}", want, not want)
 
-        # valuation by literal upward scan, deliberately not the engine's search
-        want_v = None
-        for dd in range(min(d1, d2) + 1):
-            ids = lefts[dd].ids
-            if ids[f1.rep] != ids[f2.rep]:
-                break
-            want_v = dd
+        # valuation: the literal optimum again, deliberately not the engine's search
+        want_v = _deepest_coset(lefts[:min(d1, d2) + 1], {f2.rep}, f1.rep)
         val = f1.valuation(f2)
         got_v = None if val.depth < 0 else val.depth
         if got_v != want_v:
@@ -169,25 +147,23 @@ def compare_engine(pair: FiniteModelPair, trials: int, rng) -> OracleReport:
         if (want_v == min(d1, d2)) != val.indistinguishable:
             note("valuation-flag", label, want_v == min(d1, d2), val.indistinguishable)
 
-        # right_rep: feasible iff the known left coset sits in one right
-        # coset, which must then be the claimed one
+        # right_rep: feasible iff the known left coset sits in the right
+        # coset of f1's rep (its only candidate), and then in the claimed one
         d = rng.randrange(top + 1)
-        right_ids = rights[d].ids
-        feasible = len({right_ids[x] for x in coset1}) == 1
+        feasible = coset1 <= rights[d].of(f1.rep)
         h = _unless_exhausted(lambda: f1.right_rep(d))
         if (h is not None) != feasible:
             note("right_rep-feasible", f"{label} at {d}", feasible, h is not None)
-        if h is not None:
-            if not coset1 <= rights[d].of(h):
-                note("right_rep-coset", f"{label} at {d}", "containment", "violated")
+        if h is not None and not coset1 <= rights[d].of(h):
+            note("right_rep-coset", f"{label} at {d}", "containment", "violated")
 
         # products of bottom-depth elements against the completion table
         b1 = pair.embed(g1, top)
         b2 = pair.embed(g2, top)
         prod = _unless_exhausted(lambda: b1 * b2)
-        want_class = table.table[table.coset_of[g1]][table.coset_of[g2]]
-        if prod is None or table.coset_of[prod.rep] != want_class:
-            got = None if prod is None else table.coset_of[prod.rep]
+        want_class = table[coset_of[g1]][coset_of[g2]]
+        if prod is None or coset_of[prod.rep] != want_class:
+            got = None if prod is None else coset_of[prod.rep]
             note("table", f"{model.names[g1]} * {model.names[g2]}", want_class, got)
 
     return OracleReport(model=model.name, trials=trials, mismatches=mismatches)

@@ -62,9 +62,29 @@ def test_embed_generator():
     assert f.rep == DyadicAffine(Fraction(1), 0) and f.depth == 4
 
 
-def test_embed_rejects_bad_depth():
-    with pytest.raises(ValueError):
-        Z2.embed(1, -1)
+def test_embed_rejects_bad_depth(s4_pair):
+    # every depth argument is a non-negative int up to max_depth
+    sl2 = SL2Pair(3)
+    for pair, g in ((Z2, 1), (sl2, sl2.generators["u"]), (s4_pair, 1)):
+        f = pair.embed(g, 2)
+        for bad, reason in ((1.5, "an int, got float"), (True, "an int, got bool"),
+                            (-1, ">= 0, got -1")):
+            message = rf"^depth must be {reason}$"
+            with pytest.raises(ValueError, match=message):
+                pair.embed(g, bad)
+            with pytest.raises(ValueError, match=message):
+                f.eq_at_depth(f, bad)
+            with pytest.raises(ValueError, match=message):
+                f.truncate(bad)
+        with pytest.raises(ValueError, match=r"^depth must be >= 0, got -5$"):
+            f.right_rep(-5)
+        # a depth past the inputs is still out of precision first
+        with pytest.raises(PrecisionExhausted):
+            f.eq_at_depth(f, 99)
+        with pytest.raises(PrecisionExhausted):
+            f.truncate(9)
+    with pytest.raises(ValueError, match=r"^s4: chain has no level 5 \(deepest is 2\)$"):
+        s4_pair.embed(1, 0).right_rep(5)
 
 
 def test_truncate():

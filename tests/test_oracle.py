@@ -122,24 +122,25 @@ def test_refinement_exhaustive_everywhere(model_pairs):
 
 
 def test_completion_table_sizes(s4_pair, s4_d8_pair, z8_pair):
-    assert enumerate_completion(s4_pair.model).size == 24
-    assert enumerate_completion(s4_d8_pair.model).size == 6
-    assert enumerate_completion(z8_pair.model).size == 8
+    assert len(enumerate_completion(s4_pair.model)) == 24
+    assert len(enumerate_completion(s4_d8_pair.model)) == 6
+    assert len(enumerate_completion(z8_pair.model)) == 8
 
 
 def test_completion_table_s4_d8_is_nonabelian(s4_d8_pair):
-    table = enumerate_completion(s4_d8_pair.model).table
+    table = enumerate_completion(s4_d8_pair.model)
     assert any(table[i][j] != table[j][i] for i in range(6) for j in range(6))
 
 
 def test_completion_table_z8_is_cyclic(z8_pair):
     table = enumerate_completion(z8_pair.model)
+    coset_of = z8_pair.model.lefts[-1].ids
     # repeated products of the class of #1 must sweep all 8 classes
-    one = table.coset_of[1]
-    seen, cur = set(), table.coset_of[0]
+    one = coset_of[1]
+    seen, cur = set(), coset_of[0]
     for _ in range(8):
         seen.add(cur)
-        cur = table.table[cur][one]
+        cur = table[cur][one]
     assert len(seen) == 8
 
 
@@ -153,7 +154,7 @@ K: (1 2 3), (1 2)(3 4)
 """
     model = parse_model(text)
     assert [len(s) for s in model.levels] == [12]
-    assert enumerate_completion(model).size == 2
+    assert len(enumerate_completion(model)) == 2
 
 
 def test_left_right_check_all_chains(model_pairs):
@@ -291,13 +292,22 @@ def _flag_flipped(valuation, pair):
     return flipped
 
 
-def _rep_moved_off_its_coset(mul, pair):
+def _rep_moved_off_its_coset(method, pair):
     outside = pair.parse_literal("(1 4)")  # not in K, so in no chain level
 
-    def moved(f1, f2):
-        prod = mul(f1, f2)
-        return CompletionElement(pair, pair.mul(prod.rep, outside), prod.depth)
+    def moved(*args):
+        got = method(*args)
+        if isinstance(got, CompletionElement):
+            return CompletionElement(pair, pair.mul(got.rep, outside), got.depth)
+        return pair.mul(got, outside)  # right_rep answers with a bare rep
     return moved
+
+
+def _exhausted_when_feasible(right_rep, pair):
+    def refused(f, depth):
+        right_rep(f, depth)
+        raise PrecisionExhausted("refused", required_depth=depth)
+    return refused
 
 
 @pytest.mark.parametrize(
@@ -307,8 +317,14 @@ def _rep_moved_off_its_coset(mul, pair):
         ("valuation", _one_level_lower, {"valuation"}),
         ("valuation", _flag_flipped, {"valuation-flag"}),
         ("__mul__", _rep_moved_off_its_coset, {"mul-coset", "table"}),
+        ("inverse", _rep_moved_off_its_coset, {"inv-coset"}),
+        ("right_rep", _rep_moved_off_its_coset, {"right_rep-coset"}),
+        ("right_rep", _exhausted_when_feasible, {"right_rep-feasible"}),
     ],
-    ids=["eq_at_depth", "valuation", "valuation-flag", "mul-coset-and-table"],
+    ids=[
+        "eq_at_depth", "valuation", "valuation-flag", "mul-coset-and-table",
+        "inv-coset", "right_rep-coset", "right_rep-feasible",
+    ],
 )
 def test_compare_engine_reports_each_broken_claim(s4_pair, monkeypatch, method, break_it, kinds):
     """Every check of compare_engine can fail: an engine method that lies
