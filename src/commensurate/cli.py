@@ -40,6 +40,9 @@ EXIT_USAGE = 2
 EXIT_PRECISION = 3
 EXIT_CONTRACT = 4
 
+#: Most trials one oracle run takes: 100 000 take about 7 s on models/s5.model.
+MAX_TRIALS = 100_000
+
 
 def _displayed(what: str, show, *args) -> str:
     """show(*args), or one line naming ``what`` when it is too long to print.
@@ -132,6 +135,8 @@ def run_model_suite(pair, trials: int, rng):
 def cmd_oracle(args):
     if args.trials < 0:
         raise ValueError(f"trials must be >= 0, got {args.trials}")
+    if args.trials > MAX_TRIALS:
+        raise ValueError(f"trials exceeds the limit of {MAX_TRIALS}")
     text = os.environ.get("COMMENSURATE_SEED", "0")
     seed = read_int(text, "COMMENSURATE_SEED",
                     f"COMMENSURATE_SEED must be an integer, got {quoted(text)}")

@@ -226,8 +226,7 @@ class CommensuratedPair(ABC):
     # --- embedding ---------------------------------------------------------
 
     def check_depth(self, depth: Depth) -> None:
-        if type(depth) is not int:
-            raise ValueError(f"depth must be an int, got {type(depth).__name__}")
+        _check_int_depth(depth)
         if depth < 0:
             raise ValueError(f"depth must be >= 0, got {depth}")
         if self.max_depth is not None and depth > self.max_depth:
@@ -245,6 +244,11 @@ class CommensuratedPair(ABC):
         self.check_depth(depth)
         self.validate(g)
         return CompletionElement(self, g, depth)
+
+
+def _check_int_depth(depth: Any) -> None:
+    if type(depth) is not int:
+        raise ValueError(f"depth must be an int, got {type(depth).__name__}")
 
 
 class Valuation(NamedTuple):
@@ -433,6 +437,7 @@ class CompletionElement:
         Increasing depth is an error: only :meth:`CommensuratedPair.embed`
         mints precision.
         """
+        _check_int_depth(depth)
         if depth > self.depth:
             raise PrecisionExhausted(
                 f"cannot truncate depth {self.depth} to finer depth {depth}",
@@ -446,6 +451,7 @@ class CompletionElement:
     def eq_at_depth(self, other: "CompletionElement", depth: Depth) -> bool:
         """Whether both elements determine the same left coset at ``depth``."""
         self._same_pair(other)
+        _check_int_depth(depth)
         if depth > min(self.depth, other.depth):
             raise PrecisionExhausted(
                 f"comparison at depth {depth} exceeds available depths "

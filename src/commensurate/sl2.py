@@ -12,13 +12,13 @@ The congruence chain is not cofinal among all finite-index subgroups of
 SL2(Z) (there are non-congruence ones); the computed completion is the
 p-congruence completion, a dense subgroup image in SL2(Q_p).
 
-Elements are kept as four reduced Fraction entries, but the pair computes
-on integers: every denominator is a power of p, so the largest, p**e, is a
-common denominator.  Each method reads an element once, through
-``SL2Pair._read``: four integer numerators over p**e, then p**e and e.
-Validation checks that reading and v(g) is its e; products multiply the
-integer matrices and reduce once per entry; the chain tests read the
-numerators of an integral element.
+A Mat2 stores an integer matrix over the least common denominator of its
+entries, in lowest terms together.  Every denominator of an element of G
+is a power of p, so that denominator is p**v(g).  Products multiply the
+integer matrices and divide once by a gcd, the inverse is the adjugate
+over the same denominator, the chain tests read the integers of an
+element whose denominator is 1, and v(g) is read off the denominator.
+Only text and the Fraction face of a Mat2 build Fractions.
 """
 
 from __future__ import annotations
@@ -26,7 +26,6 @@ from __future__ import annotations
 import math
 import re
 from fractions import Fraction
-from typing import NamedTuple, Optional
 
 from .core import (
     CommensuratedPair, ContractViolation, Depth, check_exact_bits, p_adic_level, quoted, read_int,
@@ -34,11 +33,64 @@ from .core import (
 from .integers import PRIME_LIMIT, is_prime
 
 
-class Mat2(NamedTuple):
-    a: Fraction
-    b: Fraction
-    c: Fraction
-    d: Fraction
+class Mat2:
+    """The matrix [[a, b], [c, d]] of four Fractions, stored as integers na,
+    nb, nc, nd over their least common denominator den, in lowest terms.
+
+    Mat2(a, b, c, d) takes the Fractions, .a to .d and iteration give them
+    back reduced, and == and hash agree with their 4-tuple.  No method
+    assigns to a Mat2 after it is built.
+    """
+
+    __slots__ = ("na", "nb", "nc", "nd", "den")
+
+    def __init__(self, a: Fraction, b: Fraction, c: Fraction, d: Fraction):
+        entries = (a, b, c, d)
+        for q in entries:
+            if not isinstance(q, Fraction):
+                raise TypeError(f"Mat2 entries must be Fractions, got {type(q).__name__}")
+        # reduced entries over their lcm are in lowest terms together
+        den = math.lcm(*(q.denominator for q in entries))
+        self.na, self.nb, self.nc, self.nd = (q.numerator * (den // q.denominator) for q in entries)
+        self.den = den
+
+    a = property(lambda self: Fraction(self.na, self.den))
+    b = property(lambda self: Fraction(self.nb, self.den))
+    c = property(lambda self: Fraction(self.nc, self.den))
+    d = property(lambda self: Fraction(self.nd, self.den))
+
+    def __iter__(self):
+        return iter((self.a, self.b, self.c, self.d))
+
+    def __len__(self) -> int:
+        return 4
+
+    def __eq__(self, other):
+        if isinstance(other, Mat2):
+            return (self.na, self.nb, self.nc, self.nd, self.den) == (
+                other.na, other.nb, other.nc, other.nd, other.den)
+        return tuple(self) == other if isinstance(other, tuple) else NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(tuple(self))
+
+    def __repr__(self) -> str:
+        return "Mat2(a={!r}, b={!r}, c={!r}, d={!r})".format(*self)
+
+
+def _mat2(na: int, nb: int, nc: int, nd: int, den: int) -> Mat2:
+    """The Mat2 with these fields, which must already be in lowest terms together."""
+    x = object.__new__(Mat2)
+    x.na, x.nb, x.nc, x.nd, x.den = na, nb, nc, nd, den
+    return x
+
+
+def _reduced(na: int, nb: int, nc: int, nd: int, den: int) -> Mat2:
+    """The Mat2 of na/den, nb/den, nc/den and nd/den, for den > 0."""
+    q = math.gcd(na, nb, nc, nd, den)
+    if q == 1:
+        return _mat2(na, nb, nc, nd, den)
+    return _mat2(na // q, nb // q, nc // q, nd // q, den // q)
 
 
 # an entry: numerator and optional denominator, each its own group
@@ -48,13 +100,13 @@ _LITERAL = re.compile(
 )
 
 
-def _entry(num: str, den) -> Fraction:
-    """A literal entry from its regex groups; den is None for an integer."""
-    return Fraction(read_int(num), read_int(den)) if den else Fraction(read_int(num))
-
-
-def _mat(a, b, c, d) -> Mat2:
-    return Mat2(Fraction(a), Fraction(b), Fraction(c), Fraction(d))
+def _entry(num: str, den) -> tuple[int, int]:
+    """A literal entry's numerator and denominator from its regex groups (den
+    is None for an integer); ZeroDivisionError for a zero denominator."""
+    n, q = read_int(num), read_int(den) if den else 1
+    if q == 0:
+        raise ZeroDivisionError(num)
+    return n, q
 
 
 class SL2Pair(CommensuratedPair):
@@ -66,89 +118,66 @@ class SL2Pair(CommensuratedPair):
         self.p = p
         self.name = f"sl2:{p}"
         self.generators = {
-            "u": _mat(1, 1, 0, 1),
-            "l": _mat(1, 0, 1, 1),
-            "h": Mat2(Fraction(p), Fraction(0), Fraction(0), Fraction(1, p)),
+            "u": _mat2(1, 1, 0, 1, 1),
+            "l": _mat2(1, 0, 1, 1, 1),
+            "h": _mat2(p * p, 0, 0, 1, p),
         }
         self.literal_pattern = _LITERAL
 
     @property
     def identity(self) -> Mat2:
-        return _mat(1, 0, 0, 1)
+        return _mat2(1, 0, 0, 1, 1)
 
     def _den_exponent(self, q: Fraction) -> int:
-        den, e = q.denominator, 0
-        while den % self.p == 0:
-            den //= self.p
-            e += 1
-        if den != 1:
-            raise ContractViolation(
-                f"{self.name}: entry {q} has a denominator outside p-powers"
-            )
+        den = q.denominator
+        e = p_adic_level(den, self.p, den.bit_length())
+        if self.p ** e != den:
+            raise ContractViolation(f"{self.name}: entry {q} has a denominator outside p-powers")
         return e
-
-    def _read(self, x: Mat2, check: bool = True) -> tuple[int, int, int, int, int, Optional[int]]:
-        """x as integers (a, b, c, d) over its common denominator p**e, then p**e and e.
-
-        Every denominator is a power of p, so the largest, p**e, is a
-        multiple of the others.  With ``check``, e is read off its
-        logarithm, and the largest is matched against p**e and the others
-        against it.  A mismatch means some entry's denominator is not a
-        p-power, and each entry is factored in turn to name the first such
-        one.  Products and chain tests read elements that were validated
-        when embedded, or built from such; they skip the check, and e is
-        None unless x is integral.
-        """
-        a, b, c, d = x
-        (na, da), (nb, db) = a.as_integer_ratio(), b.as_integer_ratio()
-        (nc, dc), (nd, dd) = c.as_integer_ratio(), d.as_integer_ratio()
-        den = max(da, db, dc, dd)
-        if den == 1:
-            return na, nb, nc, nd, 1, 0
-        e = None
-        if check:
-            e = round(math.log(den, self.p))
-            if self.p ** e != den or den % da or den % db or den % dc or den % dd:
-                e = max(self._den_exponent(q) for q in x)
-        return na * (den // da), nb * (den // db), nc * (den // dc), nd * (den // dd), den, e
 
     def mul(self, x: Mat2, y: Mat2) -> Mat2:
         # (A/m)(B/n) = AB/(mn) for integer matrices A, B
-        a, b, c, d, m, _ = self._read(x, check=False)
-        e, f, g, h, n, _ = self._read(y, check=False)
+        a, b, c, d, m = x.na, x.nb, x.nc, x.nd, x.den
+        e, f, g, h, n = y.na, y.nb, y.nc, y.nd, y.den
         check_exact_bits(
             max(map(int.bit_length, (a, b, c, d, m))) + max(map(int.bit_length, (e, f, g, h, n)))
         )
-        den = m * n
-        k, l, r, s = a * e + b * g, a * f + b * h, c * e + d * g, c * f + d * h
-        if den == 1:
-            return Mat2(Fraction(k), Fraction(l), Fraction(r), Fraction(s))
-        return Mat2(Fraction(k, den), Fraction(l, den), Fraction(r, den), Fraction(s, den))
+        return _reduced(a * e + b * g, a * f + b * h, c * e + d * g, c * f + d * h, m * n)
 
     def inv(self, x: Mat2) -> Mat2:
         # determinant is 1, so the adjugate is the inverse
-        return Mat2(x.d, -x.b, -x.c, x.a)
+        return _mat2(x.nd, -x.nb, -x.nc, x.na, x.den)
 
     def denominator_exponent(self, g: Mat2) -> int:
-        """Largest p-exponent among entry denominators (same for g and g^-1)."""
-        return self._read(g)[5]
+        """v(g), the largest p-exponent among entry denominators (same for g and g^-1).
+
+        It is e with g.den = p**e: the lowest set bit for p = 2, else a
+        logarithm checked against p**e.  On a mismatch some entry's
+        denominator is not a p-power, and the entries are factored in turn
+        to name the first such one.
+        """
+        den, p = g.den, self.p
+        if den == 1:
+            return 0
+        e = (den & -den).bit_length() - 1 if p == 2 else round(math.log(den, p))
+        if p ** e != den:
+            e = max(self._den_exponent(q) for q in g)
+        return e
 
     def in_level(self, x: Mat2, depth: Depth) -> bool:
-        a, b, c, d, den, _ = self._read(x, check=False)
-        if den != 1:
+        if x.den != 1:
             return False
         q = self.p ** depth
-        return (a - 1) % q == 0 and b % q == 0 and c % q == 0 and (d - 1) % q == 0
+        return (x.na - 1) % q == 0 and x.nb % q == 0 and x.nc % q == 0 and (x.nd - 1) % q == 0
 
     def conj_depth(self, g: Mat2, depth: Depth) -> Depth:
         return depth + 2 * self.denominator_exponent(g)
 
     def level_of(self, x: Mat2, cap: Depth) -> Depth:
         # x is in N_k exactly when p**k divides a - 1, b, c and d - 1
-        a, b, c, d, den, _ = self._read(x, check=False)
-        if den != 1:
+        if x.den != 1:
             return -1
-        return p_adic_level(math.gcd(a - 1, b, c, d - 1), self.p, cap)
+        return p_adic_level(math.gcd(x.na - 1, x.nb, x.nc, x.nd - 1), self.p, cap)
 
     def level_index(self, depth: Depth) -> int:
         # order of SL2(Z/p^d)
@@ -157,35 +186,32 @@ class SL2Pair(CommensuratedPair):
         return self.p ** (3 * depth - 2) * (self.p * self.p - 1)
 
     def format_element(self, x: Mat2) -> str:
-        return f"[[{x.a},{x.b}],[{x.c},{x.d}]]"
+        return "[[{},{}],[{},{}]]".format(*x)
 
     def parse_literal(self, text: str) -> Mat2:
         m = _LITERAL.fullmatch(text.strip())
         if m is None:
             raise ValueError(f"{self.name}: bad matrix literal {quoted(text)}")
-        a, a_den, b, b_den, c, c_den, d, d_den = m.groups()
         try:
-            elt = Mat2(_entry(a, a_den), _entry(b, b_den), _entry(c, c_den), _entry(d, d_den))
+            (a, p), (b, q), (c, r), (d, s) = (_entry(*m.group(i, i + 1)) for i in (1, 3, 5, 7))
         except ZeroDivisionError:
             raise ValueError(f"{self.name}: zero denominator in {quoted(text)}") from None
+        den = math.lcm(p, q, r, s)
+        elt = _reduced(a * (den // p), b * (den // q), c * (den // r), d * (den // s), den)
         self.validate(elt)
         return elt
 
     def level_rep(self, x: Mat2, depth: Depth) -> str:
-        a, b, c, d, den, _ = self._read(x, check=False)
-        if depth == 0 or den != 1:
+        if depth == 0 or x.den != 1:
             return self.format_element(x)
         q = self.p ** depth
-        return f"[[{a % q},{b % q}],[{c % q},{d % q}]]"
+        return f"[[{x.na % q},{x.nb % q}],[{x.nc % q},{x.nd % q}]]"
 
     def validate(self, x) -> None:
-        if not (
-            isinstance(x, Mat2) and isinstance(x.a, Fraction) and isinstance(x.b, Fraction)
-            and isinstance(x.c, Fraction) and isinstance(x.d, Fraction)
-        ):
+        if not isinstance(x, Mat2):
             raise ContractViolation(f"{self.name}: not a matrix element: {x!r}")
-        a, b, c, d, den, _ = self._read(x)
-        if a * d - b * c != den * den:
+        self.denominator_exponent(x)
+        if x.na * x.nd - x.nb * x.nc != x.den * x.den:
             raise ContractViolation(f"{self.name}: determinant of {self.format_element(x)} is not 1")
 
     def describe(self) -> str:
@@ -209,9 +235,6 @@ class SL2Pair(CommensuratedPair):
         out = self.identity
         for _ in range(4):
             k = q * rng.randrange(-3, 4)
-            if rng.randrange(2):
-                step = _mat(1, k, 0, 1)
-            else:
-                step = _mat(1, 0, k, 1)
+            step = _mat2(1, k, 0, 1, 1) if rng.randrange(2) else _mat2(1, 0, k, 1, 1)
             out = self.mul(out, step)
         return out

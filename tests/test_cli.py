@@ -728,6 +728,25 @@ def test_a_long_malformed_count_is_quoted_in_part(argv, capsys):
                    f"invalid int value: {BIG[:60]!r}\n")
 
 
+@pytest.mark.parametrize("trials", [str(cli.MAX_TRIALS + 1), "99999999999"])
+def test_oracle_refuses_a_trial_count_past_its_limit(trials, capsys, monkeypatch):
+    """More than MAX_TRIALS trials exits 2 at once with one line, before the
+    model is read: the path named here does not exist.  The limit itself
+    reaches the suite."""
+    start = time.perf_counter()
+    assert entry(["oracle", "no-such.model", "--trials", trials]) == 2
+    assert time.perf_counter() - start < 1.0
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == f"error: trials exceeds the limit of {cli.MAX_TRIALS}\n"
+    seen = []
+    monkeypatch.setattr(cli, "run_model_suite",
+                        lambda pair, n, rng: seen.append(n) or oracle.OracleReport("z8", n, []))
+    z8 = str(ROOT / "models" / "z8.model")
+    assert entry(["oracle", z8, "--trials", str(cli.MAX_TRIALS)]) == 0
+    assert seen == [cli.MAX_TRIALS]
+
+
 def test_a_seed_is_read_the_way_int_reads_it(capsys, monkeypatch):
     """Space, a sign and single underscores are all part of a seed."""
     monkeypatch.chdir(ROOT)

@@ -87,6 +87,21 @@ def test_embed_rejects_bad_depth(s4_pair):
         s4_pair.embed(1, 0).right_rep(5)
 
 
+def test_a_depth_that_is_not_an_int_is_refused_before_it_is_compared(s4_pair):
+    """truncate and eq_at_depth read the depth's type before comparing it
+    with the element's depth, so a depth no int compares with gives the
+    same ValueError as embed, never a TypeError."""
+    sl2 = SL2Pair(3)
+    for pair, g in ((Z2, 1), (sl2, sl2.generators["h"]), (s4_pair, 1)):
+        f = pair.embed(g, 2)
+        for bad in (None, "x", []):
+            message = rf"^depth must be an int, got {type(bad).__name__}$"
+            with pytest.raises(ValueError, match=message):
+                f.truncate(bad)
+            with pytest.raises(ValueError, match=message):
+                f.eq_at_depth(f, bad)
+
+
 def test_truncate():
     f = Z2.embed(5, 8)
     assert f.truncate(3).depth == 3 and f.truncate(3).rep == 5

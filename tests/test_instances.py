@@ -2,6 +2,7 @@
 
 import contextlib
 import gc
+import math
 import pathlib
 import time
 import random
@@ -163,10 +164,22 @@ def test_bs12_validate():
 # --- SL2(Z[1/p]) -----------------------------------------------------------------
 
 def test_sl2_validate_refuses_data_that_is_not_a_matrix():
+    """A Mat2 holds four Fractions: other entries, int, bool and float
+    among them, are refused when it is built, in one line; validate refuses
+    whatever is not a Mat2."""
     sl2 = SL2Pair(3)
-    for x in ((1, 0, 0, 1), Mat2(1, 0, 0, 1), Mat2(*map(Fraction, (1, 0, 0)), True)):
+    for x in ((1, 0, 0, 1), [Fraction(1), Fraction(0), Fraction(0), Fraction(1)], None):
         with pytest.raises(ContractViolation, match=re.escape(f"sl2:3: not a matrix element: {x!r}")):
             sl2.validate(x)
+    for entries, kind in (
+        ((1, 0, 0, 1), "int"),
+        ((*map(Fraction, (1, 0, 0)), True), "bool"),
+        ((Fraction(1), 0.0, Fraction(0), Fraction(1)), "float"),
+        ((Fraction(1), Fraction(0), "0", Fraction(1)), "str"),
+    ):
+        with pytest.raises(TypeError) as err:
+            Mat2(*entries)
+        assert str(err.value) == f"Mat2 entries must be Fractions, got {kind}"
 
 
 def test_sl2_integral_conj_depth():
@@ -241,7 +254,7 @@ def test_sl2_entry_reader_equals_fraction_of_the_bare_text(sign, num, den, befor
     m = re.fullmatch(sl2_entry_pattern, text)
     assert m is not None
     bare = re.sub(r"\s", "", text)
-    assert _outcome(lambda: sl2_entry(*m.groups())) == _outcome(lambda: Fraction(bare))
+    assert _outcome(lambda: Fraction(*sl2_entry(*m.groups()))) == _outcome(lambda: Fraction(bare))
 
 
 def test_sl2_rejects_composite_p():
@@ -445,10 +458,9 @@ def test_sl2_foreign_denominators_raise_the_same_message(p, data):
 
 @pytest.mark.parametrize("p", sorted(_SL2_BY_P))
 def test_sl2_reader_matches_the_reference_exponent(p):
-    """The one integer reading of a matrix: numerators over p**e, p**e and e,
-    with e the reference exponent and the same numerators without the
-    check, on sampled matrices and on their conjugates and products by h^v
-    with v >= 1000."""
+    """The stored integer form of a matrix: numerators over den = p**e, with
+    e the reference exponent, on sampled matrices and on their conjugates
+    and products by h^v with v >= 1000."""
     pair = _SL2_BY_P[p]
     rng = random.Random(RNG_SEED)
     zero = Fraction(0)
@@ -458,13 +470,66 @@ def test_sl2_reader_matches_the_reference_exponent(p):
         for x in elements[:10]:
             elements += [_ref_mul(x, h), _ref_mul(h, x), _ref_mul(_ref_mul(h, x), pair.inv(h))]
     for x in elements:
-        a, b, c, d, den, e = pair._read(x)
-        assert e == _ref_denominator_exponent(pair, x) and den == p**e
-        assert pair._read(x, check=False)[:5] == (a, b, c, d, den)
+        a, b, c, d, den = x.na, x.nb, x.nc, x.nd, x.den
+        e = _ref_denominator_exponent(pair, x)
+        assert den == p**e
         assert Mat2(Fraction(a, den), Fraction(b, den), Fraction(c, den), Fraction(d, den)) == x
         assert pair.denominator_exponent(x) == e and pair.conj_depth(x, 0) == 2 * e
         assert _violation(lambda: pair.validate(x)) == ("ok", None)
     assert max(pair.denominator_exponent(x) for x in elements) >= 1000
+
+
+def _assert_canonical(pair, x):
+    """x in lowest terms together, over den = p**v(x), with the Fraction face
+    of the 4-tuple of its entries."""
+    fields = (x.na, x.nb, x.nc, x.nd, x.den)
+    assert all(type(n) is int for n in fields) and x.den > 0
+    assert math.gcd(*fields) == 1
+    assert x.den == pair.p ** _ref_denominator_exponent(pair, x)
+    again = Mat2(*x)
+    assert (again.na, again.nb, again.nc, again.nd, again.den) == fields
+    assert x == tuple(x) and tuple(x) == x and hash(x) == hash(tuple(x))
+    assert len(x) == 4 and tuple(x) == (x.a, x.b, x.c, x.d)
+
+
+@pytest.mark.parametrize("p", sorted(_SL2_BY_P))
+@given(data=st.data())
+def test_sl2_stored_form_is_canonical(p, data):
+    """mul, inv and parse_literal give the least common denominator, which
+    is p**v(g), over numerators with no common factor with it; Mat2 of the
+    entries rebuilds the same fields, and == and hash are the 4-tuple's."""
+    pair = _SL2_BY_P[p]
+    x = data.draw(_sl2_elements(p))
+    y = data.draw(_sl2_elements(p))
+    n = data.draw(_sl2_level_elements(p))
+    _assert_canonical(pair, x)
+    for g in (pair.mul(x, y), pair.mul(x, pair.inv(x)), pair.mul(pair.inv(y), n), pair.inv(x)):
+        _assert_canonical(pair, g)
+        parsed = pair.parse_literal(pair.format_element(g))
+        _assert_canonical(pair, parsed)
+        assert parsed == g and hash(parsed) == hash(g)
+    # an unreduced literal reads as its reduced matrix
+    k = p ** data.draw(st.integers(0, 5))
+    unreduced = "[[{},{}],[{},{}]]".format(*(f"{q.numerator * k}/{q.denominator * k}" for q in x))
+    assert pair.parse_literal(unreduced) == x
+    _assert_canonical(pair, pair.parse_literal(unreduced))
+
+
+def test_sl2_keeps_the_tuple_face_that_the_deep_benchmark_uses():
+    """bench/deep.py builds Mat2(*fractions), multiplies the embeddings and
+    compares .rep with a 4-tuple of Fractions; a tuple holding a Mat2
+    compares with one holding that 4-tuple.  h costs 2·4 levels, so the
+    product attains min(30, 20 - 8) = 12."""
+    pair = SL2Pair(3)
+    one, zero = Fraction(1), Fraction(0)
+    u = Mat2(one, Fraction(2 * 3**5), zero, one)
+    h = Mat2(Fraction(3) ** 4, zero, zero, Fraction(3) ** -4)
+    r = pair.embed(u, 20) * pair.embed(h, 30)
+    expect = (Fraction(3) ** 4, Fraction(2 * 3**5, 3**4), zero, Fraction(1, 3**4))
+    assert r.rep == expect and expect == r.rep and (r.rep, r.depth) == (expect, 12)
+    assert r.rep != expect[:3] and r.rep != list(expect) and r.rep != (*expect[:3], one)
+    assert hash(r.rep) == hash(expect) and {r.rep: 1}[expect] == 1
+    assert repr(r.rep) == "Mat2(a={!r}, b={!r}, c={!r}, d={!r})".format(*expect)
 
 
 def test_sl2_contract_violations_keep_their_text():
