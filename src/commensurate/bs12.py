@@ -11,6 +11,10 @@ m moves it to level d - m at worst, whence the depth bound d + |m|.
 The levels 2**d·Z are cofinal only among the subgroups of K of 2-power
 index.  So K closes to Z_2 (the 2-adic integers), not to Z-hat, and this
 instance computes a proper quotient of the completion G-hat_K.
+
+Shifts are Fractions.  The identity, the generators and the ``texp``
+target are built once, at import.  A product or an inverse builds one
+Fraction when the shift it moves is nonzero and none otherwise.
 """
 
 from __future__ import annotations
@@ -33,9 +37,7 @@ class DyadicAffine(NamedTuple):
 
 _LITERAL = re.compile(r"\(\s*(-?\d+)(?:\s*/\s*(\d+))?\s*;\s*(-?\d+)\s*\)")
 
-
-def _is_power_of_two(n: int) -> bool:
-    return n >= 1 and (n & (n - 1)) == 0
+_TEXP = DiscreteTarget(name="texp", phi=lambda g: g.texp, kill_level=0, combine=lambda u, v: u + v)
 
 
 def _shifted(base: Fraction | int, num: int, den: int, texp: int) -> Fraction:
@@ -52,19 +54,11 @@ def _shifted(base: Fraction | int, num: int, den: int, texp: int) -> Fraction:
 
 class BS12Pair(CommensuratedPair):
     name = "bs12"
+    identity = DyadicAffine(Fraction(0), 0)
+    generators = {"a": DyadicAffine(Fraction(1), 0), "t": DyadicAffine(Fraction(0), 1)}
+    literal_pattern = _LITERAL
     target_names = ("texp",)
     constant_conj_cost = True
-
-    def __init__(self):
-        self.generators = {
-            "a": DyadicAffine(Fraction(1), 0),
-            "t": DyadicAffine(Fraction(0), 1),
-        }
-        self.literal_pattern = _LITERAL
-
-    @property
-    def identity(self) -> DyadicAffine:
-        return DyadicAffine(Fraction(0), 0)
 
     def mul(self, x: DyadicAffine, y: DyadicAffine) -> DyadicAffine:
         # first y, then x; a zero shift needs no 2**texp, which may be huge
@@ -135,7 +129,8 @@ class BS12Pair(CommensuratedPair):
             or isinstance(x.texp, bool)
         ):
             raise ContractViolation(f"bs12: malformed element fields: {x!r}")
-        if not _is_power_of_two(x.shift.denominator):
+        den = x.shift.denominator
+        if den & (den - 1):  # a Fraction's denominator is positive
             raise ContractViolation(
                 f"bs12: shift {x.shift} is not a dyadic rational"
             )
@@ -148,14 +143,7 @@ class BS12Pair(CommensuratedPair):
 
     def target(self, name: str) -> DiscreteTarget:
         """``texp``: the doubling exponent, a homomorphism onto Z killing K."""
-        if name != "texp":
-            return super().target(name)
-        return DiscreteTarget(
-            name="texp",
-            phi=lambda g: g.texp,
-            kill_level=0,
-            combine=lambda u, v: u + v,
-        )
+        return _TEXP if name == "texp" else super().target(name)
 
     def sample(self, rng) -> DyadicAffine:
         num = rng.randrange(-(1 << 10), 1 << 10)

@@ -169,6 +169,14 @@ class _Parser(argparse.ArgumentParser):
         message = "".join(c if c.isprintable() else repr(c)[1:-1] for c in message)
         raise ValueError(f"{self.prog}: {message}")
 
+    def _check_value(self, action, value):
+        # argparse in Python 3.13.13 prints the choices unquoted; quote them, as 3.10 does
+        if action.choices is not None and value not in action.choices:
+            choices = ", ".join(map(repr, action.choices))
+            message = f"invalid choice: {value!r} (choose from {choices})"
+            raise argparse.ArgumentError(action, message)
+        super()._check_value(action, value)
+
     def print_help(self, file=None):
         print(self.format_help(), end="", file=file, flush=True)
 

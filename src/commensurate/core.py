@@ -110,7 +110,10 @@ class CommensuratedPair(ABC):
     containing an element; the default searches in_level in O(log depth)
     calls, and an override must agree with it exactly.
 
-    Pairs are immutable after construction.
+    Pairs are immutable after construction.  Fixed data (``identity``,
+    :attr:`generators`, :attr:`literal_pattern`) may be class attributes,
+    shared by every pair of the class; a class attribute satisfies the
+    abstract ``identity`` property.
     """
 
     #: Short identifier used by the CLI and in reports.

@@ -144,9 +144,7 @@ class IntegerChainPair(CommensuratedPair):
 
     # group arithmetic (additive, so "product" is +)
 
-    @property
-    def identity(self) -> int:
-        return 0
+    identity = 0
 
     def mul(self, x: int, y: int) -> int:
         return x + y

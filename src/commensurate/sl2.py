@@ -18,7 +18,9 @@ is a power of p, so that denominator is p**v(g).  Products multiply the
 integer matrices and divide once by a gcd, the inverse is the adjugate
 over the same denominator, the chain tests read the integers of an
 element whose denominator is 1, and v(g) is read off the denominator.
-Only text and the Fraction face of a Mat2 build Fractions.
+Text is read into and printed from the integers.  Only the Fraction face
+of a Mat2 builds Fractions, and only the refusal of an entry whose
+denominator is not a p-power reads it.
 """
 
 from __future__ import annotations
@@ -98,6 +100,8 @@ _Q = r"(-?\d+)(?:\s*/\s*(\d+))?"
 _LITERAL = re.compile(
     rf"\[\s*\[\s*{_Q}\s*,\s*{_Q}\s*\]\s*,\s*\[\s*{_Q}\s*,\s*{_Q}\s*\]\s*\]"
 )
+# how an element and a level rep are printed
+_LAYOUT = "[[{},{}],[{},{}]]"
 
 
 def _entry(num: str, den) -> tuple[int, int]:
@@ -110,6 +114,8 @@ def _entry(num: str, den) -> tuple[int, int]:
 
 
 class SL2Pair(CommensuratedPair):
+    identity = _mat2(1, 0, 0, 1, 1)
+    literal_pattern = _LITERAL
     constant_conj_cost = True
 
     def __init__(self, p: int):
@@ -122,18 +128,6 @@ class SL2Pair(CommensuratedPair):
             "l": _mat2(1, 0, 1, 1, 1),
             "h": _mat2(p * p, 0, 0, 1, p),
         }
-        self.literal_pattern = _LITERAL
-
-    @property
-    def identity(self) -> Mat2:
-        return _mat2(1, 0, 0, 1, 1)
-
-    def _den_exponent(self, q: Fraction) -> int:
-        den = q.denominator
-        e = p_adic_level(den, self.p, den.bit_length())
-        if self.p ** e != den:
-            raise ContractViolation(f"{self.name}: entry {q} has a denominator outside p-powers")
-        return e
 
     def mul(self, x: Mat2, y: Mat2) -> Mat2:
         # (A/m)(B/n) = AB/(mn) for integer matrices A, B
@@ -152,16 +146,17 @@ class SL2Pair(CommensuratedPair):
         """v(g), the largest p-exponent among entry denominators (same for g and g^-1).
 
         It is e with g.den = p**e: the lowest set bit for p = 2, else a
-        logarithm checked against p**e.  On a mismatch some entry's
-        denominator is not a p-power, and the entries are factored in turn
-        to name the first such one.
+        logarithm (exact on every p-power that fits in memory) checked
+        against p**e.  On a mismatch some entry's denominator is not a
+        p-power, and the entries are factored in turn to name the first one.
         """
         den, p = g.den, self.p
         if den == 1:
             return 0
         e = (den & -den).bit_length() - 1 if p == 2 else round(math.log(den, p))
         if p ** e != den:
-            e = max(self._den_exponent(q) for q in g)
+            q = next(q for q in g if (n := q.denominator) != p ** p_adic_level(n, p, n))
+            raise ContractViolation(f"{self.name}: entry {q} has a denominator outside p-powers")
         return e
 
     def in_level(self, x: Mat2, depth: Depth) -> bool:
@@ -186,7 +181,12 @@ class SL2Pair(CommensuratedPair):
         return self.p ** (3 * depth - 2) * (self.p * self.p - 1)
 
     def format_element(self, x: Mat2) -> str:
-        return "[[{},{}],[{},{}]]".format(*x)
+        # each entry n/den in lowest terms, spelled as str(Fraction) spells it
+        den, entries = x.den, []
+        for n in (x.na, x.nb, x.nc, x.nd):
+            q = math.gcd(n, den)
+            entries.append(str(n // q) if q == den else f"{n // q}/{den // q}")
+        return _LAYOUT.format(*entries)
 
     def parse_literal(self, text: str) -> Mat2:
         m = _LITERAL.fullmatch(text.strip())
@@ -205,7 +205,7 @@ class SL2Pair(CommensuratedPair):
         if depth == 0 or x.den != 1:
             return self.format_element(x)
         q = self.p ** depth
-        return f"[[{x.na % q},{x.nb % q}],[{x.nc % q},{x.nd % q}]]"
+        return _LAYOUT.format(x.na % q, x.nb % q, x.nc % q, x.nd % q)
 
     def validate(self, x) -> None:
         if not isinstance(x, Mat2):

@@ -93,6 +93,8 @@ def test_integers_validate():
 def test_bs12_defining_relation():
     bs = BS12Pair()
     a, t = bs.generators["a"], bs.generators["t"]
+    assert (a, t) == (DyadicAffine(Fraction(1), 0), DyadicAffine(Fraction(0), 1))
+    assert [bs.format_element(g) for g in (a, t)] == ["(1; 0)", "(0; 1)"]
     tat = bs.mul(bs.mul(t, a), bs.inv(t))
     assert tat == bs.mul(a, a)
 
@@ -457,6 +459,20 @@ def test_sl2_foreign_denominators_raise_the_same_message(p, data):
 
 
 @pytest.mark.parametrize("p", sorted(_SL2_BY_P))
+@given(data=st.data())
+def test_sl2_format_element_spells_the_fraction_face(p, data):
+    """format_element spells each entry from the stored integers exactly as
+    str(Fraction) spells the entry of the Fraction face, zero and negative
+    entries included."""
+    pair = _SL2_BY_P[p]
+    x = data.draw(_sl2_elements(p))
+    q = Fraction
+    foreign = Mat2(q(-1, p**3), q(0), q(-5), q(7, 3 * p))  # formatted, not validated
+    for g in (x, pair.inv(x), pair.identity, *pair.generators.values(), foreign):
+        assert pair.format_element(g) == "[[{},{}],[{},{}]]".format(*g)
+
+
+@pytest.mark.parametrize("p", sorted(_SL2_BY_P))
 def test_sl2_reader_matches_the_reference_exponent(p):
     """The stored integer form of a matrix: numerators over den = p**e, with
     e the reference exponent, on sampled matrices and on their conjugates
@@ -671,6 +687,8 @@ def test_closed_form_conj_depth_is_least(name):
 
 @pytest.mark.parametrize("pair", _contract_pairs(), ids=lambda p: p.name)
 def test_group_law_exactness(pair):
+    # the identity is a constant of the group: one object across reads and pairs
+    assert pair.identity is pair.identity is resolve_instance(pair.name).identity
     rng = random.Random(RNG_SEED)
     for _ in range(100):
         x, y, z = (pair.sample(rng) for _ in range(3))
