@@ -12,9 +12,10 @@ The levels 2**d·Z are cofinal only among the subgroups of K of 2-power
 index.  So K closes to Z_2 (the 2-adic integers), not to Z-hat, and this
 instance computes a proper quotient of the completion G-hat_K.
 
-Shifts are Fractions.  The identity, the generators and the ``texp``
-target are built once, at import.  A product or an inverse builds one
-Fraction when the shift it moves is nonzero and none otherwise.
+Shifts are Fractions; the identity, generators and ``texp`` target are
+built at import.  A product or an inverse builds one Fraction when the
+shift it moves is nonzero and none otherwise.  A level rep reduces the
+shift's numerator on integers and builds one Fraction to print it.
 """
 
 from __future__ import annotations
@@ -25,8 +26,8 @@ from fractions import Fraction
 from typing import NamedTuple
 
 from .core import (
-    CommensuratedPair, ContractViolation, Depth, DiscreteTarget, check_exact_bits, p_adic_level,
-    quoted, read_int,
+    RATIONAL, CommensuratedPair, ContractViolation, Depth, DiscreteTarget, check_exact_bits,
+    p_adic_level, quoted, read_int, read_ratio,
 )
 
 
@@ -35,7 +36,7 @@ class DyadicAffine(NamedTuple):
     texp: int
 
 
-_LITERAL = re.compile(r"\(\s*(-?\d+)(?:\s*/\s*(\d+))?\s*;\s*(-?\d+)\s*\)")
+_LITERAL = re.compile(rf"\(\s*{RATIONAL}\s*;\s*(-?\d+)\s*\)")
 
 _TEXP = DiscreteTarget(name="texp", phi=lambda g: g.texp, kill_level=0, combine=lambda u, v: u + v)
 
@@ -98,27 +99,22 @@ class BS12Pair(CommensuratedPair):
         if m is None:
             raise ValueError(f"bs12: bad element literal {quoted(text)}")
         num, den, texp = m.groups()
-        den = read_int(den) if den else 1
-        if den == 0:
-            raise ValueError(f"bs12: zero denominator in {quoted(text)}")
-        elt = DyadicAffine(Fraction(read_int(num), den), read_int(texp))
+        elt = DyadicAffine(Fraction(*read_ratio(num, den, "bs12", text)), read_int(texp))
         self.validate(elt)
         return elt
 
     def level_rep(self, x: DyadicAffine, depth: Depth) -> str:
-        # the coset x·N_d consists of (x.shift + 2**e·z, x.texp) with
-        # e = texp + d; normalize the shift into [0, 2**e)
-        e, shift = x.texp + depth, x.shift
-        if abs(e) <= max(shift.numerator.bit_length(), shift.denominator.bit_length()):
-            step = Fraction(2) ** e
-            shift -= (shift // step) * step
-        elif e < 0:
-            shift = Fraction(0)  # 2**e divides the shift
-        elif shift < 0:  # |shift| < 2**e
-            if e > 4 * sys.get_int_max_str_digits() > 0:  # 2**e is too long to print
+        # x·N_d is (x.shift + 2**(texp + d)·z, x.texp); with the shift n/2**k,
+        # reduce n mod 2**m for m = texp + d + k, which leaves 0 when m <= 0
+        n, den = x.shift.numerator, x.shift.denominator
+        m = x.texp + depth + den.bit_length() - 1
+        if m <= 0:
+            n = 0
+        elif n < 0 or n.bit_length() > m:  # else 0 <= n < 2**m already
+            if n.bit_length() < m > 4 * sys.get_int_max_str_digits() > 0:  # 2**m + n is too long
                 raise ValueError("the level rep exceeds the display limit")
-            shift += 1 << e
-        return f"({shift}; {x.texp})"
+            n %= 1 << m
+        return self.format_element(DyadicAffine(Fraction(n, den), x.texp))
 
     def validate(self, x) -> None:
         if not isinstance(x, DyadicAffine):

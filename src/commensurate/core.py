@@ -63,6 +63,19 @@ def read_int(text: str, where: str = "", malformed: str = "", error=ValueError) 
     raise error(f"{prefix}integer exceeds the limit of {limit} digits") from None
 
 
+#: A rational literal entry ``n`` or ``n/d``: numerator and optional denominator groups.
+RATIONAL = r"(-?\d+)(?:\s*/\s*(\d+))?"
+
+
+def read_ratio(num: str, den: Optional[str], owner: str, text: str) -> tuple[int, int]:
+    """The numerator and denominator (1 when absent) of a RATIONAL entry of the
+    literal ``text``, read in that order, as ``Fraction`` reads them."""
+    n, d = read_int(num), read_int(den) if den else 1
+    if d == 0:
+        raise ValueError(f"{owner}: zero denominator in {quoted(text)}")
+    return n, d
+
+
 class CompletionError(Exception):
     """Base class for completion arithmetic failures."""
 

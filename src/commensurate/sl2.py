@@ -18,7 +18,8 @@ is a power of p, so that denominator is p**v(g).  Products multiply the
 integer matrices and divide once by a gcd, the inverse is the adjugate
 over the same denominator, the chain tests read the integers of an
 element whose denominator is 1, and v(g) is read off the denominator.
-Text is read into and printed from the integers.  Only the Fraction face
+Each literal entry is a ``core.RATIONAL``, read by ``core.read_ratio``
+into the integers, and text is printed from them.  Only the Fraction face
 of a Mat2 builds Fractions, and only the refusal of an entry whose
 denominator is not a p-power reads it.
 """
@@ -30,7 +31,8 @@ import re
 from fractions import Fraction
 
 from .core import (
-    CommensuratedPair, ContractViolation, Depth, check_exact_bits, p_adic_level, quoted, read_int,
+    RATIONAL, CommensuratedPair, ContractViolation, Depth, check_exact_bits, p_adic_level, quoted,
+    read_ratio,
 )
 from .integers import PRIME_LIMIT, is_prime
 
@@ -95,22 +97,10 @@ def _reduced(na: int, nb: int, nc: int, nd: int, den: int) -> Mat2:
     return _mat2(na // q, nb // q, nc // q, nd // q, den // q)
 
 
-# an entry: numerator and optional denominator, each its own group
-_Q = r"(-?\d+)(?:\s*/\s*(\d+))?"
-_LITERAL = re.compile(
-    rf"\[\s*\[\s*{_Q}\s*,\s*{_Q}\s*\]\s*,\s*\[\s*{_Q}\s*,\s*{_Q}\s*\]\s*\]"
-)
+_ROW = rf"\[\s*{RATIONAL}\s*,\s*{RATIONAL}\s*\]"
+_LITERAL = re.compile(rf"\[\s*{_ROW}\s*,\s*{_ROW}\s*\]")
 # how an element and a level rep are printed
 _LAYOUT = "[[{},{}],[{},{}]]"
-
-
-def _entry(num: str, den) -> tuple[int, int]:
-    """A literal entry's numerator and denominator from its regex groups (den
-    is None for an integer); ZeroDivisionError for a zero denominator."""
-    n, q = read_int(num), read_int(den) if den else 1
-    if q == 0:
-        raise ZeroDivisionError(num)
-    return n, q
 
 
 class SL2Pair(CommensuratedPair):
@@ -192,10 +182,8 @@ class SL2Pair(CommensuratedPair):
         m = _LITERAL.fullmatch(text.strip())
         if m is None:
             raise ValueError(f"{self.name}: bad matrix literal {quoted(text)}")
-        try:
-            (a, p), (b, q), (c, r), (d, s) = (_entry(*m.group(i, i + 1)) for i in (1, 3, 5, 7))
-        except ZeroDivisionError:
-            raise ValueError(f"{self.name}: zero denominator in {quoted(text)}") from None
+        (a, p), (b, q), (c, r), (d, s) = (
+            read_ratio(*m.group(i, i + 1), self.name, text) for i in (1, 3, 5, 7))
         den = math.lcm(p, q, r, s)
         elt = _reduced(a * (den // p), b * (den // q), c * (den // r), d * (den // s), den)
         self.validate(elt)

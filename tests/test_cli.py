@@ -210,16 +210,17 @@ def _run_capped(argv):
 
 
 @pytest.mark.parametrize(
-    "argv,stdout",
+    "argv,stdout,stderr",
     [
-        (["psi", "bs12", "texp", "t^-99999999999999999999"], "-99999999999999999999\n"),
-        (["eval", "bs12", "(1/2; 99999999999999999999)"], None),
-        (["eval", "bs12", "t^-99999999999999999999"], None),
-        (["eval", "bs12", "(-1/2; 99999999999999999999)"], ""),
+        (["psi", "bs12", "texp", "t^-99999999999999999999"], "-99999999999999999999\n", None),
+        (["eval", "bs12", "(1/2; 99999999999999999999)"], None, None),
+        (["eval", "bs12", "t^-99999999999999999999"], None, None),
+        (["eval", "bs12", "(-1/2; 99999999999999999999)"], "",
+         "error: level 0: rep exceeds the display limit of 4300 digits\n"),
     ],
     ids=["psi-texp", "literal-shift", "t-power", "negative-shift"],
 )
-def test_huge_doubling_exponents_end_quickly(argv, stdout):
+def test_huge_doubling_exponents_end_quickly(argv, stdout, stderr):
     """A huge doubling exponent must not make bs12 build 2**texp.  Each run
     is a child process capped at 1 GB of address space, so a regression
     fails here instead of exhausting the test run's memory."""
@@ -228,6 +229,8 @@ def test_huge_doubling_exponents_end_quickly(argv, stdout):
     assert "Traceback" not in proc.stderr
     if stdout is not None:
         assert proc.stdout == stdout
+    if stderr is not None:
+        assert proc.stderr == stderr
 
 
 _PAST_BOUND = (2, "", f"error: exact product exceeds the bound of {core.MAX_EXACT_BITS} bits\n")
@@ -790,6 +793,9 @@ def test_long_bs12_level_rep_is_refused_before_any_output(capsys):
 @pytest.mark.parametrize("argv, pos", [
     (["eval", "sl2:2", "u^" + "9" * 4301], 2),
     (["eval", "z2", "9" * 4301], 0),
+    # an entry's numerator is read before its denominator, as Fraction reads it
+    (["eval", "bs12", f"({'9' * 4301}/0; 0)"], 0),
+    (["eval", "sl2:2", f"[[{'9' * 4301}/0,0],[0,1]]"], 0),
 ])
 def test_an_integer_past_the_digit_limit_is_refused_with_its_position(argv, pos, capsys):
     assert entry(argv) == 2

@@ -634,7 +634,7 @@ def test_declared_cost_answers_in_one_call(monkeypatch, inner):
 # --- closed forms against the default searches ----------------------------------
 
 CLOSED_FORM_PAIRS = [resolve_instance(name) for name in
-                     ("z2", "z3", "zfact", "bs12", "sl2:2", "sl2:3", "sl2:5")]
+                     ("z2", "z3", "z4", "z6", "zfact", "bs12", "sl2:2", "sl2:3", "sl2:5")]
 DEFAULT_PAIRS = [finite_model_pair(load_model(path)) for path in sorted(MODELS.glob("*.model"))]
 
 
@@ -745,6 +745,30 @@ def test_p_adic_level_of_members_at_deep_levels(name):
             x = pair.mul(upper, Mat2(*map(Fraction, (1, 0, lower, 1))))
         for cap in {0, max(k - 1, 0), k, k + 1, 400, 1000}:
             assert pair.level_of(x, cap) == min(k, cap), (k, cap)
+
+
+def _composite_level(x, base, cap):
+    """min(cap, min over primes p | base of v_p(x) // v_p(base)), cap for x = 0."""
+    def v(n, p):
+        e = 0
+        while n % p == 0:
+            n, e = n // p, e + 1
+        return e
+    if x == 0:
+        return cap
+    primes = [p for p in (2, 3, 5) if base % p == 0]
+    return min(cap, *(v(x, p) // v(base, p) for p in primes))
+
+
+@given(base=st.sampled_from([4, 6, 10, 12]), twos=st.integers(0, 90), threes=st.integers(0, 40),
+       fives=st.integers(0, 30), unit=st.integers(-(1 << 40), 1 << 40), cap=st.integers(0, 60))
+@example(base=6, twos=0, threes=0, fives=0, unit=0, cap=7)
+def test_composite_base_level_of_matches_the_valuation_formula(
+        base, twos, threes, fives, unit, cap):
+    """A composite base answers level_of through the default search, which
+    must give the least over its primes of v_p(x) // v_p(base), capped."""
+    x = 2**twos * 3**threes * 5**fives * unit
+    assert resolve_instance(f"z{base}").level_of(x, cap) == _composite_level(x, base, cap)
 
 
 def test_factorial_walk_down_takes_few_probes(monkeypatch):

@@ -7,6 +7,7 @@ import pathlib
 import time
 import random
 import re
+import sys
 import weakref
 from fractions import Fraction
 
@@ -28,6 +29,7 @@ from commensurate import (
 )
 from commensurate import finitemodel
 from commensurate.cli import entry
+from commensurate.core import RATIONAL, read_ratio
 from commensurate.finitemodel import (
     MAX_ORDER,
     _closure,
@@ -38,7 +40,6 @@ from commensurate.finitemodel import (
     perm_to_cycles,
 )
 from commensurate.oracle import compare_engine
-from commensurate.sl2 import _Q as sl2_entry_pattern, _entry as sl2_entry
 from commensurate.registry import builtin_instances, resolve_instance
 from commensurate.sl2 import is_prime
 
@@ -143,12 +144,56 @@ def test_bs12_format_parse(capsys):
         bs.parse_literal("(1/3; 0)")
     with pytest.raises(ValueError):
         bs.parse_literal("(1; )")
-    # 2**(d - 5) divides 3/4 for every d <= 3: levels 0-1 take the shortcut
-    # past the shift's bit length, levels 2-3 the general reduction
+    # 2**(d - 5) divides 3/4 for every d <= 3, so each rep's shift is 0
     assert entry(["table", "bs12", "--depth", "3", "(3/4; -5)"]) == 0
     assert capsys.readouterr().out == "".join(
         f"level {d}: modulus/index {1 << d}, rep (0; -5)\n" for d in range(4)
     )
+
+
+def _ref_bs12_level_rep(x, depth):
+    """bs12's level rep by Fraction powers and floor division, as it was
+    computed before the numerator was reduced on integers."""
+    e, shift = x.texp + depth, x.shift
+    if abs(e) <= max(shift.numerator.bit_length(), shift.denominator.bit_length()):
+        step = Fraction(2) ** e
+        shift -= (shift // step) * step
+    elif e < 0:
+        shift = Fraction(0)
+    elif shift < 0:
+        if e > 4 * sys.get_int_max_str_digits() > 0:
+            raise ValueError("the level rep exceeds the display limit")
+        shift += 1 << e
+    return f"({shift}; {x.texp})"
+
+
+def _rep_or_error(show, x, depth):
+    try:
+        return show(x, depth)
+    except ValueError:
+        return ValueError
+
+
+_REP_TEXPS = (st.integers(-100, 100) | st.integers(17_100, 17_300)
+              | st.integers(-17_300, -17_100) | st.sampled_from([10**20, -10**20]))
+
+
+@settings(max_examples=500, deadline=None)
+@given(k=st.integers(0, 80), texp=_REP_TEXPS, depth=st.integers(0, 70),
+       near=st.sampled_from([None, 0, 1]), c=st.integers(-(1 << 90), 1 << 90))
+@example(k=1, texp=10**20 - 1, depth=1, near=None, c=-1)  # README's (-1/2; 99999999999999999999)
+@example(k=0, texp=17_200, depth=0, near=0, c=4)  # n = 1 - 2**m at the display bound
+@example(k=0, texp=17_201, depth=0, near=1, c=3)  # n = -2**(m - 1): m bits, reduced
+@example(k=3, texp=17_190, depth=8, near=None, c=-5)
+def test_bs12_level_rep_matches_the_fraction_reference(k, texp, depth, near, c):
+    """The shift n/2**k, with n = c or, when near is set and m = texp + depth
+    + k is small enough to build, n = -2**(m - near) + (c mod 7 - 3); the
+    same string, or ValueError from both."""
+    m = texp + depth + k - (near or 0)
+    n = c if near is None or not 0 < m < 20_000 else (c % 7 - 3) - (1 << m)
+    x = DyadicAffine(Fraction(n, 1 << k), texp)
+    bs = BS12Pair()
+    assert _rep_or_error(bs.level_rep, x, depth) == _rep_or_error(_ref_bs12_level_rep, x, depth)
 
 
 def test_bs12_validate():
@@ -243,9 +288,14 @@ _SPACES = st.text(st.sampled_from([chr(c) for c in range(0x3001) if chr(c).isspa
 
 
 def _outcome(read):
+    """read()'s value, or one outcome for Fraction's ZeroDivisionError and
+    read_ratio's zero-denominator ValueError."""
     try:
         return read()
     except ZeroDivisionError:
+        return "zero denominator"
+    except ValueError as e:
+        assert "zero denominator in" in str(e), e
         return "zero denominator"
 
 
@@ -253,10 +303,11 @@ def _outcome(read):
        before=_SPACES, after=_SPACES)
 def test_sl2_entry_reader_equals_fraction_of_the_bare_text(sign, num, den, before, after):
     text = sign + num + ("" if den is None else f"{before}/{after}{den}")
-    m = re.fullmatch(sl2_entry_pattern, text)
+    m = re.fullmatch(RATIONAL, text)
     assert m is not None
     bare = re.sub(r"\s", "", text)
-    assert _outcome(lambda: Fraction(*sl2_entry(*m.groups()))) == _outcome(lambda: Fraction(bare))
+    assert _outcome(lambda: Fraction(*read_ratio(*m.groups(), "sl2", text))) == _outcome(
+        lambda: Fraction(bare))
 
 
 def test_sl2_rejects_composite_p():
