@@ -16,10 +16,10 @@ from __future__ import annotations
 
 import math
 import re
+from typing import Callable
 
 from .core import (
-    CommensuratedPair, ContractViolation, Depth, DiscreteTarget, _gallop, p_adic_level, quoted,
-    read_int,
+    CommensuratedPair, ContractViolation, Depth, DiscreteTarget, p_adic_level, quoted, read_int,
 )
 
 FACTORIAL = "factorial"
@@ -89,34 +89,25 @@ def _legendre(d: int, p: int) -> int:
     return v
 
 
-#: The odd primes below 64, and their product.
-_ODD_PRIMES = tuple(q for q in range(3, 64, 2) if is_prime(q))
-_ODD_PRIMORIAL = math.prod(_ODD_PRIMES)
+def _chain_level(x: int, cap: Depth, step: Callable[[Depth, Depth], int]) -> Depth:
+    """The deepest d <= cap with modulus(d) dividing x, on a chain whose
+    step(d, s) = modulus(d + s) / modulus(d) is an integer.
 
-
-def _factorial_level(x: int, cap: Depth) -> Depth:
-    """The deepest d <= cap with d! dividing x.
-
-    d! divides x only while every prime up to d divides x, so the first
-    odd prime q below 64 that x lacks bounds d by q - 1; one division by
-    their product tells whether x lacks any.  d! also has at most as many
-    factors of 2 as x, a count that never falls as d grows, which bounds d
-    too.  The walk goes down from the lower bound (or from cap), and the
-    first d on it with d! dividing x is the answer; 0! = 1 divides every x.
+    Steps of 1, 2, 4, ... levels are divided out of the quotient
+    x / modulus(d) while they divide it and fit under cap; then the step
+    halves down to 1, dividing out each that does.  That is about
+    2·log2(d) divisions, none by a step past modulus(2d + 1).
     """
     if x == 0:
         return cap
-    twos = (x & -x).bit_length() - 1
-    top = twos  # d! has d - popcount(d) factors of 2 (Legendre's formula)
-    while top < cap and top + 1 - (top + 1).bit_count() <= twos:
-        top += 1
-    # a quotient at level 61 or deeper has every one of them; skip the loop
-    if x % _ODD_PRIMORIAL:
-        for q in _ODD_PRIMES:
-            if x % q:
-                top = min(top, q - 1)
-                break
-    return _gallop(lambda d: x % math.factorial(d) == 0, min(cap, top), 0)
+    d, s, climbing = 0, 1, True
+    while s:
+        q, r = divmod(x, step(d, s)) if d + s <= cap else (x, 1)
+        if not r:
+            x, d = q, d + s
+        climbing = climbing and not r
+        s = 2 * s if climbing else s // 2
+    return d
 
 
 class IntegerChainPair(CommensuratedPair):
@@ -142,6 +133,11 @@ class IntegerChainPair(CommensuratedPair):
             return math.factorial(depth)
         return self.base ** depth
 
+    def step(self, depth: Depth, span: Depth) -> int:
+        if self.base == FACTORIAL:
+            return math.perm(depth + span, span)
+        return self.base ** span
+
     # group arithmetic (additive, so "product" is +)
 
     identity = 0
@@ -164,9 +160,7 @@ class IntegerChainPair(CommensuratedPair):
     def level_of(self, x: int, cap: Depth) -> Depth:
         if self._prime:
             return p_adic_level(x, self.base, cap)
-        if self.base == FACTORIAL:
-            return _factorial_level(x, cap)
-        return super().level_of(x, cap)
+        return _chain_level(x, cap, self.step)
 
     def level_index(self, depth: Depth):
         return self.modulus(depth)

@@ -26,75 +26,12 @@ from hypothesis import given, settings, strategies as st
 
 from commensurate import bs12, cli, core, expr, finitemodel, integers, oracle, registry, sl2
 from commensurate.cli import entry
+from golden_cases import CASES, EXPECTED_EXITS
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 GOLDEN = pathlib.Path(__file__).resolve().parent / "golden"
 # one digit past Python's default int conversion limit of 4300 digits
 BIG = "9" * 4301
-
-CASES = [
-    ("eval_z2_embed", ["eval", "z2", "--depth", "4", "embed(5)*embed(6)"]),
-    ("eval_z2_json", ["eval", "z2", "--depth", "4", "embed(5)*embed(6)", "--json"]),
-    ("eval_bs12_relation", ["eval", "bs12", "--depth", "6", "t*a*t^-1*a^-2"]),
-    ("eval_bs12_inv_json", ["eval", "bs12", "--depth", "2", "inv(a^3*t^2)", "--json"]),
-    ("eval_sl2_json", ["eval", "sl2:2", "--depth", "3", "u*h^-1", "--json"]),
-    ("eval_model_perm", ["eval", "model:models/s4.model", "--depth", "2", "(1 2)*(3 4)"]),
-    ("table_bs12", ["table", "bs12", "--depth", "3", "a"]),
-    ("table_z8", ["table", "model:models/z8.model", "--depth", "3", "#5"]),
-    ("psi_texp", ["psi", "bs12", "texp", "a^5*t^3"]),
-    ("psi_texp_huge", ["psi", "bs12", "texp", "t^-99999999999999999999"]),
-    ("psi_mod8_json", ["psi", "z2", "mod:8", "--depth", "5", "embed(13)", "--json"]),
-    ("psi_via_eval", ["eval", "z2", "--depth", "5", "psi(mod:8, embed(13))"]),
-    ("psi_precision", ["psi", "z2", "mod:8", "--depth", "2", "embed(13)"]),
-    ("psi_nested", ["psi", "z2", "nosuch", "psi(mod:8, embed(13))"]),
-    ("eval_contract_bs12", ["eval", "bs12", "(1/3; 0)"]),
-    ("eval_contract_sl2", ["eval", "sl2:2", "[[1,2],[3,4]]"]),
-    ("eval_bs12_zero_denominator", ["eval", "bs12", "(1/0; 0)"]),
-    ("eval_sl2_zero_denominator", ["eval", "sl2", "[[1/0,0],[0,1]]"]),
-    ("eval_syntax_error", ["eval", "bs12", "t**a"]),
-    ("eval_nesting_limit", ["eval", "bs12", "(" * 3000 + "a" + ")" * 3000]),
-    ("eval_bs12_huge_power", ["eval", "bs12", "inv(embed(a))^99999999999"]),
-    ("eval_sl2_huge_power", ["eval", "sl2:3", "inv(embed(h))^-99999999999"]),
-    ("psi_zfact_unfactorable", ["psi", "zfact", "mod:4295229443", "5"]),
-    ("eval_zfact_digit_limit", ["eval", "zfact", "--depth", "3000", "1"]),
-    ("eval_unknown_instance", ["eval", "nowhere", "a"]),
-    ("oracle_z8_json", ["oracle", "models/z8.model", "--trials", "100", "--json"]),
-    ("oracle_s4", ["oracle", "models/s4.model", "--trials", "120"]),
-    ("oracle_s5_json", ["oracle", "models/s5.model", "--trials", "60", "--json"]),
-    ("oracle_s4_d8", ["oracle", "models/s4_d8.model"]),
-    ("oracle_corrupt", ["oracle", "models/s4_corrupt.model", "--trials", "20"]),
-    ("oracle_missing", ["oracle", "models/nope.model"]),
-    ("oracle_negative_trials", ["oracle", "models/s4.model", "--trials", "-3"]),
-    ("instances", ["instances"]),
-    ("instances_json", ["instances", "--json"]),
-    ("help", ["--help"]),
-    *((f"help_{cmd}", [cmd, "--help"]) for cmd in ("instances", "eval", "table", "psi", "oracle")),
-    ("usage_missing_args", ["eval"]),
-    ("usage_bad_command", ["nosuch"]),
-    ("usage_bad_depth", ["eval", "z2", "5", "--depth", "x"]),
-]
-
-EXPECTED_EXITS = {
-    "psi_precision": 3,
-    "psi_nested": 2,
-    "eval_contract_bs12": 4,
-    "eval_contract_sl2": 4,
-    "eval_bs12_zero_denominator": 2,
-    "eval_sl2_zero_denominator": 2,
-    "eval_syntax_error": 2,
-    "eval_nesting_limit": 2,
-    "eval_sl2_huge_power": 3,
-    "psi_zfact_unfactorable": 2,
-    "eval_zfact_digit_limit": 2,
-    "eval_unknown_instance": 2,
-    "oracle_corrupt": 1,
-    "oracle_missing": 2,
-    "oracle_negative_trials": 2,
-    "usage_missing_args": 2,
-    "usage_bad_command": 2,
-    "usage_bad_depth": 2,
-}
-
 
 # A golden case that runs longer than this fails instead of hanging the run.
 CASE_SECONDS = 20
@@ -182,6 +119,15 @@ def test_reused_parser_keeps_no_state(capsys, monkeypatch):
         capsys.readouterr()
         blob = run_case(argv, capsys, monkeypatch)
         assert blob == (GOLDEN / f"{name}.txt").read_text(encoding="utf-8"), name
+
+
+def test_replay_script_matches_every_golden():
+    """tests/replay_goldens.py, the stdlib-only replay for interpreters
+    without pytest, matches every case in a child interpreter."""
+    proc = subprocess.run([sys.executable, str(ROOT / "tests" / "replay_goldens.py")],
+                          capture_output=True, text=True, timeout=120)
+    assert (proc.returncode, proc.stdout, proc.stderr) == (
+        0, f"{len(CASES)}/{len(CASES)} match\n", "")
 
 
 def _limit_memory():

@@ -29,6 +29,7 @@ from commensurate import (
 from commensurate import core
 from commensurate.core import _gallop
 from commensurate.expr import evaluate
+from commensurate.integers import FACTORIAL, is_prime
 from commensurate.registry import builtin_instances, resolve_instance
 
 Z2 = IntegerChainPair(2)
@@ -633,8 +634,11 @@ def test_declared_cost_answers_in_one_call(monkeypatch, inner):
 
 # --- closed forms against the default searches ----------------------------------
 
+# z618970019642690137449562111 is 2**89 - 1: a prime above PRIME_LIMIT, so the
+# chain walk answers level_of there, as on composite bases and zfact
 CLOSED_FORM_PAIRS = [resolve_instance(name) for name in
-                     ("z2", "z3", "z4", "z6", "zfact", "bs12", "sl2:2", "sl2:3", "sl2:5")]
+                     ("z2", "z3", "z4", "z6", "z618970019642690137449562111", "zfact", "bs12",
+                      "sl2:2", "sl2:3", "sl2:5")]
 DEFAULT_PAIRS = [finite_model_pair(load_model(path)) for path in sorted(MODELS.glob("*.model"))]
 
 
@@ -708,14 +712,21 @@ def _factorial_level_by_walk(x, cap):
     return d
 
 
+#: 2·3·…·61, the product of the primes below 64
+_PRIMORIAL = math.prod(p for p in range(2, 64) if is_prime(p))
+
+
 def test_zfact_level_of_at_deep_levels():
     """x = ±w!·k with w <= 250 and extra factors of 2 and 3 in k, small x,
-    0 and two powers whose level is set by the first prime they lack, at
-    caps up to 1000, against a walk up from level 0."""
+    0, two powers whose level is set by the first prime they lack, and
+    ±(2·3·…·61)**900 (level 66) and ±2**900·3·5·…·61 (level 5), at caps up
+    to 1000, against a walk up from level 0."""
     zfact = resolve_instance("zfact")
     rng = random.Random(11)
     cases = [(x, cap) for x in (0, 1, -1, 2, -6, 2**40, 3**30, 30030**900, (30030 * 17 * 19)**50)
              for cap in (0, 1, 5, 16, 22, 300, 1000)]
+    cases += [(sign * x, cap) for x in (_PRIMORIAL**900, 2**899 * _PRIMORIAL)
+              for sign in (1, -1) for cap in (5, 66, 67, 1000)]
     for _ in range(300):
         w = rng.randint(0, 250)
         k = rng.randrange(1, 1 << 20) * 2 ** rng.randint(0, 12) * 3 ** rng.randint(0, 6)
@@ -763,50 +774,44 @@ def _composite_level(x, base, cap):
 @given(base=st.sampled_from([4, 6, 10, 12]), twos=st.integers(0, 90), threes=st.integers(0, 40),
        fives=st.integers(0, 30), unit=st.integers(-(1 << 40), 1 << 40), cap=st.integers(0, 60))
 @example(base=6, twos=0, threes=0, fives=0, unit=0, cap=7)
+@example(base=6, twos=0, threes=0, fives=0, unit=0, cap=65536)
+@example(base=10, twos=0, threes=0, fives=0, unit=0, cap=65536)
 def test_composite_base_level_of_matches_the_valuation_formula(
         base, twos, threes, fives, unit, cap):
-    """A composite base answers level_of through the default search, which
-    must give the least over its primes of v_p(x) // v_p(base), capped."""
+    """A composite base answers level_of through the chain walk, which must
+    give the least over its primes of v_p(x) // v_p(base), capped."""
     x = 2**twos * 3**threes * 5**fives * unit
     assert resolve_instance(f"z{base}").level_of(x, cap) == _composite_level(x, base, cap)
 
 
-def test_factorial_walk_down_takes_few_probes(monkeypatch):
-    """zfact's level_of walks down from the bound that x's factors of 2
-    set, so x = w!·k takes a few factorials where the search up from
-    level 0 takes about 2·log2(w); an x with no factor of 3 is bounded at
-    level 2 however many factors of 2 it has, and one with no factor of
-    17 at level 16 however many factors of 2 and 3 it has."""
-    zfact = resolve_instance("zfact")
-    factorial, probes = math.factorial, Counter()
+def test_factorial_chain_walk_takes_few_steps(monkeypatch):
+    """zfact's level_of divides x by at most _log_bound(level + 2) steps,
+    none reaching past level 2·level + 2, and agrees with the default
+    search: on x = w!·odd·2^t, on 2**14000 (level 2, as 3 does not divide
+    it), on 30030**900 (level 16, as 17 does not) and on
+    (2·3·…·61)**900 and 2**900·3·5·…·61, which a walk down from the
+    bounds set by x's factors of 2 made slow."""
+    zfact = IntegerChainPair(FACTORIAL)
+    step, probes = zfact.step, []
 
-    def counted(d):
-        probes["factorial"] += 1
-        return factorial(d)
+    def counted(d, s):
+        probes.append(d + s)
+        return step(d, s)
 
-    monkeypatch.setattr(math, "factorial", counted)
+    monkeypatch.setattr(zfact, "step", counted)
     rng = random.Random(5)
-    for w in (20, 64, 100, 200, 250):
-        for twos in range(4):
-            x = factorial(w) * (2 * rng.randrange(1 << 16) + 1) * 2**twos
-            probes.clear()
-            level = zfact.level_of(x, 300)
-            walk = probes["factorial"]
-            probes.clear()
-            assert CommensuratedPair.level_of(zfact, x, 300) == level >= w
-            assert walk <= _log_bound(twos + w.bit_length() + 2), (w, twos, walk)
-            assert walk < probes["factorial"], (w, twos)
-    probes.clear()
-    assert zfact.level_of(2**14000, 10**6) == 2
-    assert probes["factorial"] == 1
-    # 2**900 allows level 905 and 3**900 more, but 17 does not divide x
-    x = 30030**900
-    probes.clear()
-    assert zfact.level_of(x, 1000) == 16
-    walk = probes["factorial"]
-    probes.clear()
-    assert CommensuratedPair.level_of(zfact, x, 1000) == 16
-    assert walk <= probes["factorial"]
+    cases = [(math.factorial(w) * (2 * rng.randrange(1 << 16) + 1) * 2**t, 300, w)
+             for w in (20, 64, 100, 200, 250) for t in range(4)]
+    cases += [(2**14000, 10**6, 2), (30030**900, 1000, 16), (_PRIMORIAL**900, 1000, 66),
+              (2**899 * _PRIMORIAL, 1000, 5)]
+    for x, cap, least in cases:
+        probes.clear()
+        level = zfact.level_of(x, cap)
+        assert level >= least
+        assert len(probes) <= _log_bound(level + 2), (least, level, probes)
+        assert max(probes) <= 2 * level + 2, (least, level, probes)
+        assert CommensuratedPair.level_of(zfact, x, cap) == level
+    assert [zfact.level_of(x, cap) for x, cap, _ in cases[-4:]] == [2, 16, 66, 5]
 
 
 @pytest.mark.parametrize("pair", CLOSED_FORM_PAIRS + DEFAULT_PAIRS, ids=lambda p: p.name)
