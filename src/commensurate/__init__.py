@@ -20,7 +20,7 @@ from .core import (
 _LAZY = {
     "BS12Pair": "bs12",
     "DyadicAffine": "bs12",
-    "FACTORIAL": "integers",
+    "FactorialChainPair": "integers",
     "IntegerChainPair": "integers",
     "Mat2": "sl2",
     "SL2Pair": "sl2",

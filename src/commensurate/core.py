@@ -203,7 +203,7 @@ class CommensuratedPair(ABC):
 
     def level_index(self, depth: Depth) -> int:
         """The index [K : N_depth], shown for each level by the CLI."""
-        raise NotImplementedError
+        raise ValueError(f"instance {self.name} gives no level index")
 
     # --- text formats and helpers ------------------------------------------
 

@@ -4,12 +4,12 @@ The group and the distinguished subgroup coincide (G = K = Z, written
 multiplicatively by the engine), so conjugation is trivial and every
 operation keeps full depth.  Two chains are offered:
 
-* ``base:b`` — level d is the subgroup of multiples of b**d.  The
-  completion this computes is the pro-b completion of Z (the inverse
-  limit of Z/b**d).
-* ``factorial`` — level d is the multiples of d!.  Every finite-index
-  subgroup of Z contains some d!Z, so this chain is cofinal and the
-  computed completion is the full profinite completion of Z.
+* ``z<base>`` (:class:`IntegerChainPair`) — level d is the multiples of
+  base**d, and the completion is the pro-base completion of Z (the
+  inverse limit of Z/base**d).
+* ``zfact`` (:class:`FactorialChainPair`) — level d is the multiples of
+  d!, a chain cofinal among the finite-index subgroups of Z, so the
+  completion is the full profinite completion of Z.
 """
 
 from __future__ import annotations
@@ -21,8 +21,6 @@ from typing import Callable
 from .core import (
     CommensuratedPair, ContractViolation, Depth, DiscreteTarget, p_adic_level, quoted, read_int,
 )
-
-FACTORIAL = "factorial"
 
 _MOD_TARGET = re.compile(r"mod:(\d+)")
 
@@ -36,7 +34,9 @@ PRIME_LIMIT = 3317044064679887385961981
 
 
 def is_prime(p: int) -> bool:
-    """Deterministic primality for 2 <= p < PRIME_LIMIT."""
+    """Whether p is prime, decided exactly; False outside 2 <= p < PRIME_LIMIT."""
+    if not 2 <= p < PRIME_LIMIT:
+        return False
     for a in _PRIME_BASES:
         if p % a == 0:
             return p == a
@@ -71,7 +71,7 @@ def _factorise(m: int) -> dict[int, int]:
             rest //= p
         p += 1 if p == 2 else 2
     if rest > 1:
-        if rest >= _TRIAL_LIMIT**2 and not (rest < PRIME_LIMIT and is_prime(rest)):
+        if rest >= _TRIAL_LIMIT**2 and not is_prime(rest):
             raise ValueError(
                 f"cannot factor the modulus {m}: {rest} has no prime factor "
                 f"below {_TRIAL_LIMIT} and is not provably prime"
@@ -111,31 +111,23 @@ def _chain_level(x: int, cap: Depth, step: Callable[[Depth, Depth], int]) -> Dep
 
 
 class IntegerChainPair(CommensuratedPair):
-    """Z with chain level d = modulus(d)·Z."""
+    """Z with chain level d = base**d·Z."""
 
     target_names = ("mod:<m>",)
     constant_conj_cost = True
 
-    def __init__(self, base):
-        if base == FACTORIAL:
-            self.base = FACTORIAL
-            self.name = "zfact"
-        else:
-            if not isinstance(base, int) or base < 2:
-                raise ValueError(f"base must be an integer >= 2, got {base!r}")
-            self.base = base
-            self.name = f"z{base}"
+    def __init__(self, base: int):
+        if not isinstance(base, int) or base < 2:
+            raise ValueError(f"base must be an integer >= 2, got {base!r}")
+        self.base = base
+        self.name = f"z{base}"
         # a prime base's levels are read off the p-adic valuation
-        self._prime = self.base != FACTORIAL and self.base < PRIME_LIMIT and is_prime(self.base)
+        self._prime = is_prime(base)
 
     def modulus(self, depth: Depth) -> int:
-        if self.base == FACTORIAL:
-            return math.factorial(depth)
         return self.base ** depth
 
     def step(self, depth: Depth, span: Depth) -> int:
-        if self.base == FACTORIAL:
-            return math.perm(depth + span, span)
         return self.base ** span
 
     # group arithmetic (additive, so "product" is +)
@@ -178,11 +170,6 @@ class IntegerChainPair(CommensuratedPair):
             raise ContractViolation(f"{self.name}: not an integer element: {x!r}")
 
     def describe(self) -> str:
-        if self.base == FACTORIAL:
-            return (
-                "integers under addition, level d = multiples of d! "
-                "(cofinal chain: the full profinite completion of Z)"
-            )
         return (
             f"integers under addition, level d = multiples of {self.base}^d "
             f"(the pro-{self.base} completion of Z)"
@@ -211,16 +198,6 @@ class IntegerChainPair(CommensuratedPair):
 
     def _kill_level(self, modulus: int):
         """Least level whose modulus m divides, or None when there is none."""
-        if self.base == FACTORIAL:
-            # p**a divides d! iff v_p(d!) >= a, and the least such d is a
-            # multiple of p: the answer is the largest of those over p**a || m
-            levels = [0]
-            for p, a in _factorise(modulus).items():
-                k = 1
-                while _legendre(p * k, p) < a:
-                    k += 1
-                levels.append(p * k)
-            return max(levels)
         # after d steps the residual is m / gcd(m, base**d), so the count
         # at residual 1 is the least d with m | base**d; a step with gcd 1
         # means some prime of m does not divide the base
@@ -238,3 +215,36 @@ class IntegerChainPair(CommensuratedPair):
 
     def sample_level(self, depth: Depth, rng) -> int:
         return self.modulus(depth) * rng.randrange(-(1 << 16), 1 << 16)
+
+
+class FactorialChainPair(IntegerChainPair):
+    """Z with chain level d = d!·Z.  modulus and step are static, for other d! chains to
+    call unbound; mul, inv, in_level and conj_depth stay where bench/tracing.py counts them."""
+
+    name = "zfact"
+
+    def __init__(self):
+        self._prime = False  # no base to check, and levels are read by the quotient walk
+
+    modulus = staticmethod(math.factorial)
+
+    @staticmethod
+    def step(depth: Depth, span: Depth) -> int:
+        return math.perm(depth + span, span)
+
+    def describe(self) -> str:
+        return (
+            "integers under addition, level d = multiples of d! "
+            "(cofinal chain: the full profinite completion of Z)"
+        )
+
+    def _kill_level(self, modulus: int) -> int:
+        # p**a divides d! iff v_p(d!) >= a, and the least such d is a
+        # multiple of p: the answer is the largest of those over p**a || m
+        levels = [0]
+        for p, a in _factorise(modulus).items():
+            k = 1
+            while _legendre(p * k, p) < a:
+                k += 1
+            levels.append(p * k)
+        return max(levels)

@@ -40,18 +40,12 @@ def finite_model_pair(model):
     return finite_model_pair(model)
 
 
-def _power_chain(integers: ModuleType, m: re.Match) -> CommensuratedPair:
-    base = read_int(m.group(1), "instance name")
-    if base < 2:
-        raise ValueError(f"instance {quoted(m.string)}: base must be >= 2")
-    return integers.IntegerChainPair(base)
-
-
 _INSTANCES = (
-    _Instance(re.compile(r"z(\d+)"), "integers", _power_chain,
+    _Instance(re.compile(r"z(\d+)"), "integers",
+              lambda mod, m: mod.IntegerChainPair(read_int(m.group(1), "instance name")),
               "z<base>", "integers with the base**d chain", ("z2", "z3")),
     _Instance(re.compile(r"zfact(?:orial)?"), "integers",
-              lambda mod, m: mod.IntegerChainPair(mod.FACTORIAL),
+              lambda mod, m: mod.FactorialChainPair(),
               "zfact", "integers with the factorial chain", ("zfact",)),
     _Instance(re.compile(r"bs12"), "bs12", lambda mod, m: mod.BS12Pair(),
               "bs12", "Baumslag-Solitar group BS(1,2)", ("bs12",)),

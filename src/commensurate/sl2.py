@@ -109,7 +109,7 @@ class SL2Pair(CommensuratedPair):
     constant_conj_cost = True
 
     def __init__(self, p: int):
-        if not isinstance(p, int) or not 2 <= p < PRIME_LIMIT or not is_prime(p):
+        if not isinstance(p, int) or not is_prime(p):
             raise ValueError(f"p must be a prime below {PRIME_LIMIT}, got {p!r}")
         self.p = p
         self.name = f"sl2:{p}"

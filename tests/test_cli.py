@@ -279,9 +279,13 @@ def _cyclic_rows(n):
         (f"kind: table\norder: {BIG}x\nrow: 0\nK: #0\n",
          f"'order' must be an integer, got {BIG[:60]!r}"),
         (f"kind: table\nrow: 0 {BIG}x\nK: #0\n", f"bad table row {('0 ' + BIG)[:60]!r}"),
+        ("kind: table\nrow: 0 0\nrow: 0 0\nK: #0\n", "multiplication table has no identity"),
+        ("kind: perm\npoints: 3\ngens: (1 2)\nK: (1 3)\n",
+         "generator (1 3) is outside the group"),
     ],
     ids=["order-cap", "points-cap", "table-cap", "unknown-key", "duplicate-key",
-         "no-points", "no-gens", "bad-row", "no-rows", "no-inverse", "long-order", "long-row"],
+         "no-points", "no-gens", "bad-row", "no-rows", "no-inverse", "long-order", "long-row",
+         "no-identity", "generator-outside"],
 )
 def test_oracle_refuses_an_oversized_or_misspelt_model(text, message, tmp_path, capsys):
     with pytest.raises(finitemodel.ModelError) as err:
@@ -294,6 +298,37 @@ def test_oracle_refuses_an_oversized_or_misspelt_model(text, message, tmp_path, 
     assert out == ""
     assert err == f"error: {message}\n"
     assert len(err.encode()) < 200
+
+
+class _BarePair(core.CommensuratedPair):
+    """Only what a new instance must supply: no level_index."""
+
+    name = "bare"
+    identity = 0
+    generators = {"a": 1}
+
+    def mul(self, x, y):
+        return x + y
+
+    def inv(self, x):
+        return -x
+
+    def in_level(self, x, depth):
+        return x % 2**depth == 0
+
+    def conj_depth(self, g, depth):
+        return depth
+
+
+@pytest.mark.parametrize("command", ["eval", "table"])
+def test_a_pair_without_level_index_is_refused_in_one_line(command, capsys, monkeypatch):
+    """Level displays need level_index; a pair without it is a usage
+    error (exit 2), not a traceback and exit 1."""
+    monkeypatch.setattr(cli, "resolve_instance", lambda name: _BarePair())
+    assert entry([command, "bare", "--depth", "2", "a*a"]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == "error: instance bare gives no level index\n"
 
 
 LONG = "x" * 5000
@@ -896,6 +931,8 @@ def test_bench_patch_points_exist():
     ):
         for name in ("mul", "inv", "in_level", "conj_depth"):
             assert callable(vars(cls).get(name)), (cls.__name__, name)
+    # zfact's calls are counted only while its class inherits these
+    assert not {"mul", "inv", "in_level", "conj_depth"} & set(vars(integers.FactorialChainPair))
 
 
 def test_cli_import_leaves_the_oracle_unloaded():
@@ -1030,7 +1067,8 @@ def test_public_names_load_on_first_lookup():
     for name in commensurate.__all__:
         assert getattr(commensurate, name) is namespace[name]
     assert commensurate.load_model is finitemodel.load_model
-    assert commensurate.SL2Pair is sl2.SL2Pair and commensurate.FACTORIAL is integers.FACTORIAL
+    assert commensurate.SL2Pair is sl2.SL2Pair
+    assert commensurate.FactorialChainPair is integers.FactorialChainPair
     with pytest.raises(AttributeError, match="no attribute 'no_such_name'"):
         commensurate.no_such_name  # noqa: B018
 

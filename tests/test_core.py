@@ -29,7 +29,7 @@ from commensurate import (
 from commensurate import core
 from commensurate.core import _gallop
 from commensurate.expr import evaluate
-from commensurate.integers import FACTORIAL, is_prime
+from commensurate.integers import FactorialChainPair, is_prime
 from commensurate.registry import builtin_instances, resolve_instance
 
 Z2 = IntegerChainPair(2)
@@ -791,7 +791,7 @@ def test_factorial_chain_walk_takes_few_steps(monkeypatch):
     it), on 30030**900 (level 16, as 17 does not) and on
     (2·3·…·61)**900 and 2**900·3·5·…·61, which a walk down from the
     bounds set by x's factors of 2 made slow."""
-    zfact = IntegerChainPair(FACTORIAL)
+    zfact = FactorialChainPair()
     step, probes = zfact.step, []
 
     def counted(d, s):

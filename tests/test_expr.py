@@ -12,6 +12,7 @@ from commensurate import (
     CompletionElement,
     ContractViolation,
     DyadicAffine,
+    FactorialChainPair,
     IntegerChainPair,
     PrecisionExhausted,
     SL2Pair,
@@ -438,7 +439,7 @@ def test_unknown_target_is_reported():
 
 
 def test_mod_target_on_factorial_chain():
-    zf = IntegerChainPair("factorial")
+    zf = FactorialChainPair()
     target = resolve_target(zf, "mod:8")
     assert target.kill_level == 4  # 4! = 24 is the first multiple of 8
     assert ev("psi(mod:8, embed(13))", zf, 4).value == 5

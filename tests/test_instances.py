@@ -18,7 +18,7 @@ from commensurate import (
     BS12Pair,
     ContractViolation,
     DyadicAffine,
-    FACTORIAL,
+    FactorialChainPair,
     IntegerChainPair,
     Mat2,
     ModelError,
@@ -41,8 +41,10 @@ from commensurate.finitemodel import (
 )
 from commensurate.oracle import compare_engine
 from commensurate.registry import builtin_instances, resolve_instance
+from commensurate.integers import PRIME_LIMIT
 from commensurate.sl2 import is_prime
 
+from test_cli import time_limit
 from test_oracle import (
     coherent_chains,
     is_union_of_left_cosets,
@@ -60,14 +62,15 @@ def test_integers_in_level():
     z2 = IntegerChainPair(2)
     assert z2.in_level(8, 3)
     assert not z2.in_level(8, 4)
-    zf = IntegerChainPair(FACTORIAL)
+    zf = FactorialChainPair()
     assert not zf.in_level(5, 5)  # 5 is not a multiple of 5! = 120
     assert zf.in_level(240, 5)
 
 
 def test_integers_moduli():
-    zf = IntegerChainPair(FACTORIAL)
-    assert [zf.modulus(d) for d in range(6)] == [1, 1, 2, 6, 24, 120]
+    # static on the class, so another d! chain can call them unbound
+    assert [FactorialChainPair.modulus(d) for d in range(6)] == [1, 1, 2, 6, 24, 120]
+    assert FactorialChainPair.step(3, 2) == math.factorial(5) // math.factorial(3)
     z3 = IntegerChainPair(3)
     assert z3.modulus(4) == 81
 
@@ -328,6 +331,13 @@ def test_is_prime_is_exact():
     assert not is_prime(3825123056546413051)
     assert not is_prime(318665857834031151167461)
     assert is_prime(2**61 - 1)
+
+
+def test_is_prime_is_false_outside_its_domain():
+    """is_prime answers False below 2 and from PRIME_LIMIT on, where its
+    test is no longer exact, and ends in bounded time on each."""
+    with time_limit(5):
+        assert [is_prime(n) for n in (-7, 0, 1, PRIME_LIMIT, 2**89 - 1)] == [False] * 5
 
 
 def test_sl2_valuation_of_denominators():
@@ -630,7 +640,7 @@ def test_sl2_contract_violations_keep_their_text():
 def _contract_pairs():
     return [
         IntegerChainPair(2),
-        IntegerChainPair(FACTORIAL),
+        FactorialChainPair(),
         IntegerChainPair(3),
         BS12Pair(),
         SL2Pair(2),
@@ -1419,7 +1429,7 @@ def test_finite_models_have_no_targets(model_pairs):
 
 def test_zfact_kill_level_matches_factorial_walk():
     """Legendre's closed form against the least d with m | d!, for m <= 2000."""
-    zfact = IntegerChainPair("factorial")
+    zfact = FactorialChainPair()
     factorials = [1]
     while len(factorials) <= 2000:
         factorials.append(factorials[-1] * len(factorials))
@@ -1448,7 +1458,7 @@ def test_base_kill_level_matches_power_walk():
 
 
 def test_zfact_kill_level_is_fast_for_large_primes():
-    zfact = IntegerChainPair("factorial")
+    zfact = FactorialChainPair()
     start = time.perf_counter()
     assert zfact.target("mod:1000000000000000003").kill_level == 10**18 + 3
     assert zfact.target(f"mod:{2**5 * 3**4 * 10007}").kill_level == 10007
@@ -1458,4 +1468,4 @@ def test_zfact_kill_level_is_fast_for_large_primes():
 def test_zfact_refuses_unfactorable_modulus():
     # 65537 and 65539 are primes above the trial-division bound
     with pytest.raises(ValueError, match="cannot factor the modulus 4295229443"):
-        IntegerChainPair("factorial").target(f"mod:{65537 * 65539}")
+        FactorialChainPair().target(f"mod:{65537 * 65539}")
