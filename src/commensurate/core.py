@@ -112,7 +112,8 @@ class CommensuratedPair(ABC):
     coset it is asked about (see its docstring).  All shipped pairs
     satisfy these by construction; the test suite fuzzes them.  The other
     methods are optional: :meth:`level_index` for level displays, the text
-    formats, :meth:`validate`, the samplers, and the discrete targets that
+    formats (:meth:`parse_literal` is the one reader of literal text),
+    :meth:`validate`, the samplers, and the discrete targets that
     :attr:`target_names` lists and :meth:`target` builds.
 
     Two optional parts answer the engine's depth questions in closed
@@ -212,10 +213,6 @@ class CommensuratedPair(ABC):
 
     def parse_literal(self, text: str) -> Any:
         raise ValueError(f"{self.name}: unsupported literal {quoted(text)}")
-
-    def int_literal(self, value: int) -> Any:
-        """Element denoted by a bare integer literal, if the instance has one."""
-        raise ValueError(f"{self.name}: integer literals are not elements here")
 
     def level_rep(self, x: Any, depth: Depth) -> str:
         """Display form of the coset x.N_depth (an instance-local choice)."""

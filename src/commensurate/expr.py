@@ -9,15 +9,16 @@ tighter):
           | "inv" "(" expr ")" | "embed" "(" expr ")"
           | "psi" "(" target "," expr ")"
 
-Brackets nest at most MAX_NESTING deep.  Literals use the instance text
-formats (decimal integers, "(3/4; -2)", "[[1,0],[1,1]]", "(1 2)(3 4)",
-"#5").  Evaluation distinguishes exact group words from truncated
-completion values: a plain word multiplies out exactly in G and only the
-final result is embedded at the requested depth, while inv(...) and
-embed(...) force completion-level arithmetic immediately.  An exact word
-on the left of a truncated value translates its coset exactly,
-g·(rep·N_d) = (g·rep)·N_d, and costs no depth; on the right it is
-embedded at the truncated side's depth and conjugates the chain.
+Brackets nest at most MAX_NESTING deep.  The instance's parse_literal
+reads every literal, a decimal integer included, in its own text format
+("5", "(3/4; -2)", "[[1,0],[1,1]]", "(1 2)(3 4)", "#5").  Evaluation
+distinguishes exact group words from truncated completion values: a
+plain word multiplies out exactly in G and only the final result is
+embedded at the requested depth, while inv(...) and embed(...) force
+completion-level arithmetic immediately.  An exact word on the left of a
+truncated value translates its coset exactly, g·(rep·N_d) = (g·rep)·N_d,
+and costs no depth; on the right it is embedded at the truncated side's
+depth and conjugates the chain.
 """
 
 from __future__ import annotations
@@ -106,13 +107,6 @@ class Lit(_Node):
         self.text, self.pos = text, pos
 
 
-class IntLit(_Node):
-    __slots__ = ("value", "pos")
-
-    def __init__(self, value: int, pos: int):
-        self.value, self.pos = value, pos
-
-
 class Pow(_Node):
     __slots__ = ("base", "exp", "pos")
 
@@ -160,12 +154,6 @@ class _Parser:
         self.i += 1
         return tok
 
-    def integer(self, tok: Token) -> int:
-        try:
-            return read_int(tok[1])
-        except ValueError as err:
-            raise ExprError(str(err), tok[2]) from None
-
     def bracketed(self, pos: int):
         """The expr up to the next ')', after a '(' opened at pos."""
         self.nesting += 1
@@ -199,10 +187,14 @@ class _Parser:
         if self.kinds[self.i] != "CARET":
             return base
         self.i += 1
-        return Pow(base, self.integer(self.take("INT", "an integer exponent")), base.pos)
+        _, text, pos = self.take("INT", "an integer exponent")
+        try:
+            return Pow(base, read_int(text), base.pos)
+        except ValueError as err:
+            raise ExprError(str(err), pos) from None
 
     def atom(self):
-        kind, text, pos = tok = self.tokens[self.i]
+        kind, text, pos = self.tokens[self.i]
         self.i += 1
         if kind == "NAME":
             if text not in _FUNCTIONS:
@@ -215,10 +207,8 @@ class _Parser:
             target = self.take("NAME", "a target name")
             self.take("COMMA", "','")
             return Call("psi", target[1], self.bracketed(paren[2]), pos)
-        if kind == "LIT":
+        if kind == "LIT" or kind == "INT":  # an integer is read by the instance too
             return Lit(text, pos)
-        if kind == "INT":
-            return IntLit(self.integer(tok), pos)
         if kind == "LPAREN":
             return self.bracketed(pos)
         raise ExprError("expected a generator, literal or '('", pos)
@@ -235,8 +225,6 @@ def render(node) -> str:
         return node.name
     if isinstance(node, Lit):
         return node.text
-    if isinstance(node, IntLit):
-        return str(node.value)
     if isinstance(node, Pow):
         base = render(node.base)
         if isinstance(node.base, Prod):
@@ -282,13 +270,11 @@ def evaluate(src: str, pair: CommensuratedPair, depth: int):
     def value_of(node):
         if isinstance(node, Gen):
             return pair.generators[node.name]
-        try:
-            if isinstance(node, Lit):
+        if isinstance(node, Lit):
+            try:
                 return pair.parse_literal(node.text)
-            if isinstance(node, IntLit):
-                return pair.int_literal(node.value)
-        except ValueError as err:
-            raise ExprError(str(err), node.pos) from None
+            except ValueError as err:
+                raise ExprError(str(err), node.pos) from None
         if isinstance(node, Pow):
             value = value_of(node.base)
             if isinstance(value, PsiValue):

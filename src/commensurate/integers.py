@@ -159,8 +159,11 @@ class IntegerChainPair(CommensuratedPair):
 
     # text formats
 
-    def int_literal(self, value: int) -> int:
-        return value
+    def parse_literal(self, text: str) -> int:
+        try:  # a good literal formats no message
+            return int(text)
+        except ValueError:
+            return read_int(text, malformed=f"{self.name}: bad integer literal {quoted(text)}")
 
     def level_rep(self, x: int, depth: Depth) -> str:
         return str(x % self.modulus(depth))

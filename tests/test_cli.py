@@ -275,6 +275,9 @@ def _cyclic_rows(n):
         ("kind: table\nrow: 0 x\nK: #0\n", "bad table row '0 x'"),
         ("kind: table\nK: #0\n", "table models need 'row' lines"),
         ("kind: table\nrow: 0 1\nrow: 1 1\nK: #0\n", "element #1 has no inverse"),
+        # 1·2 is the identity but 2·1 is not, and no later entry of row 1 is
+        ("kind: table\nrow: 0 1 2\nrow: 1 2 0\nrow: 2 1 0\nK: #0\n",
+         "element #1 has no inverse"),
         # a long malformed value is quoted in part
         (f"kind: table\norder: {BIG}x\nrow: 0\nK: #0\n",
          f"'order' must be an integer, got {BIG[:60]!r}"),
@@ -284,7 +287,8 @@ def _cyclic_rows(n):
          "generator (1 3) is outside the group"),
     ],
     ids=["order-cap", "points-cap", "table-cap", "unknown-key", "duplicate-key",
-         "no-points", "no-gens", "bad-row", "no-rows", "no-inverse", "long-order", "long-row",
+         "no-points", "no-gens", "bad-row", "no-rows", "no-inverse", "one-sided-inverse",
+         "long-order", "long-row",
          "no-identity", "generator-outside"],
 )
 def test_oracle_refuses_an_oversized_or_misspelt_model(text, message, tmp_path, capsys):

@@ -92,6 +92,18 @@ def test_integers_validate():
         IntegerChainPair(2).validate("five")
 
 
+def test_integers_read_literals_as_int_reads_them():
+    z2 = IntegerChainPair(2)
+    for text in (" -7 ", "007", "1_000"):
+        assert z2.parse_literal(text) == int(text)
+    with pytest.raises(ValueError, match=r"^z2: bad integer literal 'x'$"):
+        z2.parse_literal("x")
+    with pytest.raises(ValueError, match=r"^integer exceeds the limit of 4300 digits$"):
+        z2.parse_literal("9" * 4301)
+    with pytest.raises(ValueError, match=r"^zfact: bad integer literal 'x'$"):
+        FactorialChainPair().parse_literal("x")
+
+
 # --- BS(1,2) --------------------------------------------------------------------
 
 def test_bs12_defining_relation():
