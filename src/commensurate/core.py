@@ -118,11 +118,11 @@ class CommensuratedPair(ABC):
 
     Two optional parts answer the engine's depth questions in closed
     form.  :attr:`constant_conj_cost` says that conj_depth(g, d) =
-    d + conj_depth(g, 0) at every d; then products and inverses read the
-    cost with one conj_depth call, and otherwise they search conj_depth in
-    O(log depth) calls.  :meth:`level_of` gives the deepest chain level
-    containing an element; the default searches in_level in O(log depth)
-    calls, and an override must agree with it exactly.
+    d + conj_depth(g, 0) at every d; then a product, an inverse or a power
+    reads the cost with one conj_depth call, and otherwise searches it in
+    O(log depth) calls per factor.  :meth:`level_of` gives the deepest
+    chain level containing an element; the default searches in_level in
+    O(log depth) calls, and an override must agree with it exactly.
 
     Pairs are immutable after construction.  Fixed data (``identity``,
     :attr:`generators`, :attr:`literal_pattern`) may be class attributes,
@@ -333,23 +333,27 @@ def _exhausted(need: str, required: Depth, have: Depth) -> PrecisionExhausted:
     return PrecisionExhausted(f"{need} >= {required}, have {have}", required_depth=required)
 
 
-def _attainable_depth(pair: CommensuratedPair, g: Any, cap: Depth, budget: Depth, need: str):
-    """Largest d <= cap with conj_depth(g, d) <= budget.
+def _attainable_depth(pair: CommensuratedPair, g: Any, cap: Depth, budget: Depth, need: str,
+                      factors: int = 1):
+    """The depth left after ``factors`` right factors g·N_cap.
 
-    When the pair declares a constant conjugation cost, one call reads
-    c = conj_depth(g, 0), and the answer is min(cap, budget - c).
-    Otherwise conj_depth(g, d) >= d, so no d above budget qualifies and
-    the walk starts at min(cap, budget).  conj_depth is monotone in d, so
-    the first success walking down from there is the maximum;
-    :func:`_gallop` finds it in O(log min(cap, budget)) calls.  When no d
-    qualifies, PrecisionExhausted names ``need`` and the least budget that
-    would have sufficed, conj_depth(g, 0): c, or the walk's last probe.
+    The fold is e_0 = budget, e_(i+1) = max{d <= cap : conj_depth(g, d) <= e_i}:
+    a product is one factor, a k-fold power k - 1 on its first (cap ==
+    budget).  For both, a declared constant cost c = conj_depth(g, 0)
+    gives e_n = min(cap, budget - c·n) in one call, or runs out with
+    budget mod c left when c·n > budget.  Otherwise conj_depth(g, d) >= d
+    and is monotone in d, so each fold gallops down from min(cap, e_i) in
+    O(log) calls, and the never-rising sequence stops at a fixed point
+    within budget + 2 folds.  When no d qualifies, PrecisionExhausted
+    names ``need``, the last e_i, and the least depth that would have
+    sufficed, conj_depth(g, 0): c, or the walk's last probe.
     """
     if pair.constant_conj_cost:
         cost = pair.conj_depth(g, 0)
-        if cost > budget:
-            raise _exhausted(need, cost, budget)
-        return min(cap, budget - cost)
+        spent = cost * factors
+        if spent > budget:
+            raise _exhausted(need, cost, budget % cost)
+        return min(cap, budget - spent)
     required = None
 
     def fits(d: Depth) -> bool:
@@ -357,10 +361,14 @@ def _attainable_depth(pair: CommensuratedPair, g: Any, cap: Depth, budget: Depth
         required = pair.conj_depth(g, d)
         return required <= budget
 
-    d = _gallop(fits, min(cap, budget), 0)
-    if d is None:
-        raise _exhausted(need, required, budget)
-    return d
+    for _ in range(factors):
+        d = _gallop(fits, min(cap, budget), 0)
+        if d is None:
+            raise _exhausted(need, required, budget)
+        if d == budget:
+            break
+        budget = d
+    return budget
 
 
 class CompletionElement:
@@ -413,25 +421,15 @@ class CompletionElement:
         return CompletionElement(self.pair, self.pair.mul(g, self.rep), self.depth)
 
     def __pow__(self, k: int) -> "CompletionElement":
-        """The k-fold left-to-right product of self (of its inverse if k < 0).
-
-        That product's depth follows e_1 = base.depth, e_(i+1) =
-        max{d <= base.depth : conj_depth(base.rep, d) <= e_i}.  The
-        sequence never rises, so it stops at a fixed point (or exhausts
-        precision, with the product's message) within base.depth + 1
-        searches, whatever k is; the rep is then an exact binary power.
-        """
+        """The k-fold left-to-right product of self (of its inverse if k < 0):
+        one :func:`_attainable_depth` question for |k| - 1 right factors on
+        the first, and an exact binary power for the rep."""
         pair = self.pair
         if k == 0:
             return pair.embed(pair.identity, self.depth)
         base = self if k > 0 else self.inverse()
-        depth = base.depth
-        for _ in range(abs(k) - 1):
-            nxt = _attainable_depth(pair, base.rep, base.depth, depth, _PRODUCT_NEEDS)
-            if nxt == depth:
-                break
-            depth = nxt
-        return CompletionElement(pair, pair.power(base.rep, abs(k)), depth)
+        d = _attainable_depth(pair, base.rep, base.depth, base.depth, _PRODUCT_NEEDS, abs(k) - 1)
+        return CompletionElement(pair, pair.power(base.rep, abs(k)), d)
 
     def inverse(self) -> "CompletionElement":
         """Inverse at the maximal attainable depth.

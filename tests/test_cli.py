@@ -200,6 +200,25 @@ def test_exact_products_past_the_size_bound_are_refused(argv, outcome):
     assert (proc.returncode, proc.stdout, proc.stderr) == outcome
 
 
+@pytest.mark.parametrize(
+    "argv,stderr",
+    [
+        (["eval", "bs12", "--depth", "10000000", "embed(t)^99999999999"],
+         "error: product needs a left factor of depth >= 1, have 0 (required depth 1)\n"),
+        (["eval", "sl2:3", "--depth", "20000001", "embed(h)^99999999999"],
+         "error: product needs a left factor of depth >= 2, have 1 (required depth 2)\n"),
+    ],
+    ids=["bs12-t", "sl2:3-h"],
+)
+def test_a_power_that_runs_out_of_depth_ends_at_once(argv, stderr, capsys):
+    """A power's depth is one closed-form question on a pair that declares
+    its conjugation cost, so a huge exponent at a huge depth exits 3 at
+    once instead of taking one step for each level it loses."""
+    with time_limit(2):
+        assert entry(argv) == 3
+    assert capsys.readouterr() == ("", stderr)
+
+
 def test_spaced_cycles_evaluate_like_packed_ones(capsys, monkeypatch):
     argv = ["eval", "model:models/s4.model", "--depth", "0"]
     spaced = run_case([*argv, "(1 2) (3 4)"], capsys, monkeypatch)
@@ -333,6 +352,30 @@ def test_a_pair_without_level_index_is_refused_in_one_line(command, capsys, monk
     out, err = capsys.readouterr()
     assert out == ""
     assert err == "error: instance bare gives no level index\n"
+
+
+class _IndexedBarePair(_BarePair):
+    """A bare pair with level_index: every other display is the seam's default."""
+
+    def level_index(self, depth):
+        return 2**depth
+
+
+def test_a_bare_pair_runs_on_the_seam_defaults(capsys, monkeypatch):
+    """level_rep prints format_element, parse_literal refuses every literal,
+    describe is the name, and the samplers are not implemented."""
+    monkeypatch.setattr(cli, "resolve_instance", lambda name: _IndexedBarePair())
+    assert entry(["table", "bare", "--depth", "2", "a*a"]) == 0
+    assert capsys.readouterr() == ("".join(
+        f"level {d}: modulus/index {2**d}, rep 2\n" for d in range(3)), "")
+    assert entry(["eval", "bare", "5"]) == 2
+    assert capsys.readouterr() == ("", "error: bare: unsupported literal '5' at position 0\n")
+    pair = _IndexedBarePair()
+    assert pair.describe() == "bare"
+    with pytest.raises(NotImplementedError):
+        pair.sample(random.Random(0))
+    with pytest.raises(NotImplementedError):
+        pair.sample_level(1, random.Random(0))
 
 
 LONG = "x" * 5000

@@ -31,6 +31,7 @@ from commensurate.core import _gallop
 from commensurate.expr import evaluate
 from commensurate.integers import FactorialChainPair, is_prime
 from commensurate.registry import builtin_instances, resolve_instance
+from test_cli import time_limit
 
 Z2 = IntegerChainPair(2)
 BS = BS12Pair()
@@ -557,6 +558,35 @@ def test_power_matches_left_fold(pair, seed, depth, k):
     assert _outcome(lambda: f ** k) == _outcome(lambda: _left_fold(f, k))
 
 
+@pytest.mark.parametrize(
+    "pair,rep,cost",
+    [(BS, BS.power(BS.generators["t"], 3), 3), (SL2Pair(3), SL2Pair(3).generators["h"], 2)],
+    ids=["bs12-t^3", "sl2:3-h"],
+)
+@pytest.mark.parametrize("depth", [0, 1, 2, 12, 13, 14, 300])
+def test_power_matches_left_fold_where_depth_runs_out(pair, rep, cost, depth):
+    """Around the factor count at which a power of cost c runs out of its
+    depth d, |k| - 1 near d // c, the one-question power agrees with the
+    left fold: the same rep and depth, or the same exhaustion."""
+    assert pair.conj_depth(rep, 0) == cost
+    f = pair.embed(rep, depth)
+    for factors in range(max(0, depth // cost - 1), depth // cost + 2):
+        for k in (factors + 1, -factors - 1):
+            assert _outcome(lambda: f ** k) == _outcome(lambda: _left_fold(f, k)), k
+
+
+def test_a_huge_power_at_a_huge_depth_is_one_question():
+    """10**11 factors of cost 1 leave 10**12 - (10**11 - 1) levels, and
+    10**13 factors run out with 0 levels left, both at once."""
+    f = BS.embed(BS.generators["t"], 10**12)
+    with time_limit(2):
+        g = f ** 10**11
+        assert (g.depth, BS.format_element(g.rep)) == (900000000001, "(0; 100000000000)")
+        with pytest.raises(PrecisionExhausted, match=r"have 0$") as err:
+            f ** 10**13
+    assert err.value.required_depth == 1
+
+
 def _count_searches(monkeypatch):
     calls = []
     search = core._attainable_depth
@@ -580,6 +610,7 @@ def _count_searches(monkeypatch):
     ids=["bs12-a", "bs12-t", "sl2:3-u", "sl2:3-h"],
 )
 def test_power_search_count_is_bounded_by_depth(monkeypatch, pair, gen, rep, depth, error):
+    """A power, however large its exponent, asks one depth question."""
     searches = _count_searches(monkeypatch)
     f = pair.embed(pair.generators[gen], depth)
     if error is None:
@@ -588,20 +619,23 @@ def test_power_search_count_is_bounded_by_depth(monkeypatch, pair, gen, rep, dep
     else:
         with pytest.raises(PrecisionExhausted, match=error):
             f ** 10**9
-    assert len(searches) <= depth + 1
+    assert len(searches) == 1
 
 
 @pytest.mark.parametrize("pair", POWER_PAIRS[-4:], ids=lambda p: p.name)
-def test_power_search_count_on_models(monkeypatch, pair):
-    searches = _count_searches(monkeypatch)
+def test_power_search_count_on_models(pair):
+    """A model declares no cost, so a power gallops once per factor until
+    its depth stops falling: at most depth + 1 logarithmic searches."""
+    counting = _CountingPair(pair)
     for g in range(pair.model.n):
-        f = pair.embed(g, pair.max_depth)
-        searches.clear()
+        f = counting.embed(g, pair.max_depth)
+        counting.calls.clear()
         try:
             f ** 10**9
         except PrecisionExhausted:
             pass
-        assert len(searches) <= f.depth + 1, pair.format_element(g)
+        bound = (f.depth + 1) * _log_bound(f.depth + 1)
+        assert counting.calls["conj_depth"] <= bound, pair.format_element(g)
 
 
 class _DeclaredCostPair(_CountingPair):
@@ -613,8 +647,9 @@ class _DeclaredCostPair(_CountingPair):
 @pytest.mark.parametrize("inner", [SL2Pair(3), BS, Z2], ids=lambda p: p.name)
 def test_declared_cost_answers_in_one_call(monkeypatch, inner):
     """A pair that declares a constant conjugation cost makes exactly one
-    conj_depth call per product, per inverse and per step of a power, and
-    gets the inner pair's reps, depths and PrecisionExhausted."""
+    conj_depth call per product, per inverse and per power (plus the
+    inverse's when k < 0), and gets the inner pair's reps, depths and
+    PrecisionExhausted."""
     pair = _DeclaredCostPair(inner)
     searches = _count_searches(monkeypatch)
     rng = random.Random(7)
@@ -624,12 +659,13 @@ def test_declared_cost_answers_in_one_call(monkeypatch, inner):
         k = rng.randint(-9, 9)
         fast = pair.embed(x, d1), pair.embed(y, d2)
         slow = inner.embed(x, d1), inner.embed(y, d2)
-        for op in (lambda f, g: f * g, lambda f, g: f.inverse(), lambda f, g: f ** k):
+        for op, calls in ((lambda f, g: f * g, 1), (lambda f, g: f.inverse(), 1),
+                          (lambda f, g: f ** k, 1 + (k < 0))):
             expect = _outcome(lambda: op(*slow))
             pair.calls.clear()
             searches.clear()
             assert _outcome(lambda: op(*fast)) == expect, (d1, d2, k)
-            assert pair.calls["conj_depth"] == len(searches) <= max(1, abs(k))
+            assert pair.calls["conj_depth"] == len(searches) <= calls, (d1, d2, k)
 
 
 # --- closed forms against the default searches ----------------------------------
