@@ -91,6 +91,9 @@ class BS12Pair(CommensuratedPair):
     def level_index(self, depth: Depth) -> int:
         return 1 << depth
 
+    def level_generators(self, depth: Depth) -> list:
+        return [DyadicAffine(Fraction(1 << depth), 0)]
+
     def format_element(self, x: DyadicAffine) -> str:
         return f"({x.shift}; {x.texp})"
 
@@ -145,9 +148,4 @@ class BS12Pair(CommensuratedPair):
         num = rng.randrange(-(1 << 10), 1 << 10)
         return DyadicAffine(
             Fraction(num, 1 << rng.randrange(0, 6)), rng.randrange(-5, 6)
-        )
-
-    def sample_level(self, depth: Depth, rng) -> DyadicAffine:
-        return DyadicAffine(
-            Fraction((1 << depth) * rng.randrange(-(1 << 8), 1 << 8)), 0
         )

@@ -113,8 +113,8 @@ class CommensuratedPair(ABC):
     satisfy these by construction; the test suite fuzzes them.  The other
     methods are optional: :meth:`level_index` for level displays, the text
     formats (:meth:`parse_literal` is the one reader of literal text),
-    :meth:`validate`, the samplers, and the discrete targets that
-    :attr:`target_names` lists and :meth:`target` builds.
+    :meth:`validate`, :meth:`level_generators` for the samplers, and the
+    discrete targets that :attr:`target_names` lists and :meth:`target` builds.
 
     Two optional parts answer the engine's depth questions in closed
     form.  :attr:`constant_conj_cost` says that conj_depth(g, d) =
@@ -228,13 +228,24 @@ class CommensuratedPair(ABC):
         """The discrete target called ``name``; ValueError with a reason otherwise."""
         raise ValueError(f"unknown target {quoted(name)} for instance {self.name}")
 
+    def level_generators(self, depth: Depth) -> list:
+        """Elements that generate N_depth topologically, in the chain topology."""
+        raise ValueError(f"instance {self.name} gives no level generators")
+
     def sample(self, rng) -> Any:
-        """A random element of G, for randomized test suites."""
-        raise NotImplementedError
+        """A random word of up to six generators or inverses, for randomized tests."""
+        return self._word(rng, list(self.generators.values()), rng.randrange(0, 7), (1, -1))
 
     def sample_level(self, depth: Depth, rng) -> Any:
-        """A random member of N_depth, for randomized test suites."""
-        raise NotImplementedError
+        """A random member of N_depth: a product of four random powers of its generators."""
+        return self._word(rng, self.level_generators(depth), 4, range(-3, 4))
+
+    def _word(self, rng, gens: list, length: int, exponents) -> Any:
+        """A product of ``length`` random powers of ``gens``: the identity when it is empty."""
+        out = self.identity
+        for _ in range(length if gens else 0):
+            out = self.mul(out, self.power(rng.choice(gens), rng.choice(exponents)))
+        return out
 
     # --- embedding ---------------------------------------------------------
 

@@ -187,7 +187,8 @@ class CosetTable(NamedTuple):
 class FiniteModel:
     """A finite group as index tables, plus K and the chain as index sets.
 
-    ``levels[0]`` is K; ``levels[-1]`` is the bottom of the chain.  A
+    ``levels[0]`` is K; ``levels[-1]`` is the bottom of the chain, and
+    ``level_gens[d]`` are the model text's generators of ``levels[d]``.  A
     permutation model also keeps ``perm_index``, each permutation's index.
     Every table is built once, in the constructor, and instances are
     immutable after it and hash by identity:
@@ -199,7 +200,7 @@ class FiniteModel:
       g^-1·N_j·g inside N_d; d itself in a corrupt model.
     """
 
-    def __init__(self, name, kind, names, mul_table, K_gens, level_gens,
+    def __init__(self, name, kind, names, mul_table, level_gens,
                  corrupt=False, points=None, perm_index=None):
         self.name = name
         self.kind = kind
@@ -210,9 +211,8 @@ class FiniteModel:
         self.mul_table = tuple(tuple(row) for row in mul_table)
         self.corrupt = bool(corrupt)
         self.e, self.inv_table = self._check_group_axioms()
-        self.levels = tuple(
-            frozenset(_closure(self.e, gens, self.mul)) for gens in (K_gens, *level_gens)
-        )
+        self.level_gens = tuple(map(tuple, level_gens))
+        self.levels = tuple(frozenset(_closure(self.e, gens, self.mul)) for gens in self.level_gens)
         self.lefts = tuple(
             CosetTable.build(self.n, lambda x, N=N: self.left_coset(x, N)) for N in self.levels
         )
@@ -438,7 +438,7 @@ def parse_model(text: str) -> FiniteModel:
     k = indices(fields["k"], first_line["k"])
     levels = [indices(value, lineno) for value, lineno in fields["level"]]
     return FiniteModel(
-        name, kind, names, table, k, levels,
+        name, kind, names, table, [k, *levels],
         corrupt=corrupt, points=points, perm_index=perm_index,
     )
 
@@ -525,11 +525,11 @@ class FiniteModelPair(CommensuratedPair):
         if not isinstance(x, int) or isinstance(x, bool) or not 0 <= x < self.model.n:
             raise ContractViolation(f"{self.name}: no element with index {x!r}")
 
+    def level_generators(self, depth: Depth) -> list:
+        return list(self.model.level_gens[depth])
+
     def sample(self, rng) -> int:
         return rng.randrange(self.model.n)
-
-    def sample_level(self, depth: Depth, rng) -> int:
-        return rng.choice(self.model.level_members[depth])
 
 
 def finite_model_pair(model: FiniteModel) -> FiniteModelPair:

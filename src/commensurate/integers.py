@@ -216,8 +216,8 @@ class IntegerChainPair(CommensuratedPair):
     def sample(self, rng) -> int:
         return rng.randrange(-(1 << 34), 1 << 34)
 
-    def sample_level(self, depth: Depth, rng) -> int:
-        return self.modulus(depth) * rng.randrange(-(1 << 16), 1 << 16)
+    def level_generators(self, depth: Depth) -> list:
+        return [self.modulus(depth)]
 
 
 class FactorialChainPair(IntegerChainPair):

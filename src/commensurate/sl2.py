@@ -170,6 +170,16 @@ class SL2Pair(CommensuratedPair):
             return 1
         return self.p ** (3 * depth - 2) * (self.p * self.p - 1)
 
+    def level_generators(self, depth: Depth) -> list:
+        # u^2, l^2 and -I generate level 1 at p = 2.  Otherwise u^q, l^q and
+        # I + q·[[1, 1], [-1, -1]] span K(d)/K(d+1) ≅ sl2(F_p); K(d) is uniform, so they
+        # generate it topologically (Dixon, du Sautoy, Mann and Segal, Analytic pro-p groups)
+        if depth == 0:
+            return [self.generators["u"], self.generators["l"]]  # SL2(Z)
+        q = self.p ** depth
+        third = _mat2(-1, 0, 0, -1, 1) if q == 2 else _mat2(1 + q, q, -q, 1 - q, 1)
+        return [_mat2(1, q, 0, 1, 1), _mat2(1, 0, q, 1, 1), third]
+
     def format_element(self, x: Mat2) -> str:
         # each entry n/den in lowest terms, spelled as str(Fraction) spells it
         den, entries = x.den, []
@@ -207,22 +217,3 @@ class SL2Pair(CommensuratedPair):
             f"SL2(Z[1/{self.p}]) with K = SL2(Z), level d = kernel of reduction "
             f"mod {self.p}^d (congruence completion; dense in SL2(Q_{self.p}))"
         )
-
-    def sample(self, rng) -> Mat2:
-        gens = list(self.generators.values())
-        out = self.identity
-        for _ in range(rng.randrange(0, 7)):
-            g = rng.choice(gens)
-            if rng.randrange(2):
-                g = self.inv(g)
-            out = self.mul(out, g)
-        return out
-
-    def sample_level(self, depth: Depth, rng) -> Mat2:
-        q = self.p ** depth
-        out = self.identity
-        for _ in range(4):
-            k = q * rng.randrange(-3, 4)
-            step = _mat2(1, k, 0, 1, 1) if rng.randrange(2) else _mat2(1, 0, k, 1, 1)
-            out = self.mul(out, step)
-        return out

@@ -363,7 +363,8 @@ class _IndexedBarePair(_BarePair):
 
 def test_a_bare_pair_runs_on_the_seam_defaults(capsys, monkeypatch):
     """level_rep prints format_element, parse_literal refuses every literal,
-    describe is the name, and the samplers are not implemented."""
+    describe is the name, sample draws words in the generator, and
+    sample_level has no level generators to draw from."""
     monkeypatch.setattr(cli, "resolve_instance", lambda name: _IndexedBarePair())
     assert entry(["table", "bare", "--depth", "2", "a*a"]) == 0
     assert capsys.readouterr() == ("".join(
@@ -372,9 +373,9 @@ def test_a_bare_pair_runs_on_the_seam_defaults(capsys, monkeypatch):
     assert capsys.readouterr() == ("", "error: bare: unsupported literal '5' at position 0\n")
     pair = _IndexedBarePair()
     assert pair.describe() == "bare"
-    with pytest.raises(NotImplementedError):
-        pair.sample(random.Random(0))
-    with pytest.raises(NotImplementedError):
+    samples = {pair.sample(random.Random(seed)) for seed in range(50)}
+    assert samples <= set(range(-6, 7)) and min(samples) < 0 < max(samples)
+    with pytest.raises(ValueError, match="^instance bare gives no level generators$"):
         pair.sample_level(1, random.Random(0))
 
 

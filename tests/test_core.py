@@ -29,6 +29,7 @@ from commensurate import (
 from commensurate import core
 from commensurate.core import _gallop
 from commensurate.expr import evaluate
+from commensurate.finitemodel import _closure
 from commensurate.integers import FactorialChainPair, is_prime
 from commensurate.registry import builtin_instances, resolve_instance
 from test_cli import time_limit
@@ -737,6 +738,17 @@ def test_level_of_matches_the_default_search(pair):
         for cap in caps:
             expect = CommensuratedPair.level_of(pair, x, cap)
             assert pair.level_of(x, cap) == expect, (pair.format_element(x), cap)
+
+
+@pytest.mark.parametrize("pair", CLOSED_FORM_PAIRS + DEFAULT_PAIRS, ids=lambda p: p.name)
+def test_each_level_generator_lies_in_its_level(pair):
+    """Each of level_generators(d) lies in N_d, for d < 8 or to the bottom;
+    a model's generators close to its level."""
+    for d in range(8 if pair.max_depth is None else pair.max_depth + 1):
+        gens = pair.level_generators(d)
+        assert all(pair.in_level(s, d) for s in gens), d
+        if pair in DEFAULT_PAIRS:
+            assert _closure(pair.identity, gens, pair.mul) == pair.model.levels[d], d
 
 
 def _factorial_level_by_walk(x, cap):

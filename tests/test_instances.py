@@ -29,7 +29,7 @@ from commensurate import (
 )
 from commensurate import finitemodel
 from commensurate.cli import entry
-from commensurate.core import RATIONAL, read_ratio
+from commensurate.core import RATIONAL, p_adic_level, read_ratio
 from commensurate.finitemodel import (
     MAX_ORDER,
     _closure,
@@ -255,23 +255,24 @@ def test_sl2_h_conj_depth():
     assert sl2.conj_depth(sl2.generators["h"], 1) == 3
 
 
-def test_sl2_h_conj_sampling():
-    # conjugating level-3 members by diag(2, 1/2) lands inside level 1
-    sl2 = SL2Pair(2)
-    h = sl2.generators["h"]
-    rng = random.Random(RNG_SEED)
-    for _ in range(60):
-        n = sl2.sample_level(3, rng)
-        assert sl2.in_level(sl2.mul(sl2.mul(h, n), sl2.inv(h)), 1)
-        assert sl2.in_level(sl2.mul(sl2.mul(sl2.inv(h), n), h), 1)
-
-
 def test_sl2_in_level():
     sl2 = SL2Pair(2)
     g = sl2.parse_literal("[[1,2],[0,1]]")
     assert sl2.in_level(g, 1)
     assert not sl2.in_level(g, 2)
     assert not sl2.in_level(sl2.generators["h"], 0)
+
+
+def test_sl2_level_of_reads_the_diagonal():
+    """a - 1 and d - 1, not b and c, set the level of [[4,9],[27,61]] at
+    p = 3 and of -I at p = 2; level-d samples reach v_p(a - 1) = d."""
+    for p, literal in ((3, "[[4,9],[27,61]]"), (2, "[[-1,0],[0,-1]]")):
+        assert SL2Pair(p).level_of(SL2Pair(p).parse_literal(literal), 10) == 1
+    rng = random.Random(RNG_SEED)
+    for p in (2, 3, 5):
+        for d in (1, 2, 3):
+            samples = [SL2Pair(p).sample_level(d, rng) for _ in range(200)]
+            assert any(p_adic_level(x.na - 1, p, 10) == d for x in samples), (p, d)
 
 
 def test_sl2_det_preserved():
@@ -452,23 +453,13 @@ def _sl2_elements(draw, p):
     return Mat2(x.a, x.b * scale, x.c / scale, x.d)
 
 
-@st.composite
-def _sl2_level_elements(draw, p):
-    """A member of level j outside level j + 1 (j <= 30), upper or lower."""
-    one, zero = Fraction(1), Fraction(0)
-    k = draw(st.integers(1, 50).filter(lambda k: k % p)) * p ** draw(st.integers(0, 30))
-    if draw(st.booleans()):
-        return Mat2(one, Fraction(k), zero, one)
-    return Mat2(one, zero, Fraction(k), one)
-
-
 @pytest.mark.parametrize("p", sorted(_SL2_BY_P))
 @given(data=st.data())
 def test_sl2_integer_arithmetic_matches_fraction_formulas(p, data):
     pair = _SL2_BY_P[p]
     x = data.draw(_sl2_elements(p))
     y = data.draw(_sl2_elements(p))
-    n = data.draw(_sl2_level_elements(p))
+    n = pair.sample_level(data.draw(st.integers(0, 30)), data.draw(st.randoms()))
     _assert_same_matrix(pair.mul(x, y), _ref_mul(x, y))
     _assert_same_matrix(pair.mul(x, n), _ref_mul(x, n))
     quotient = _ref_mul(pair.inv(x), _ref_mul(x, n))
@@ -590,7 +581,7 @@ def test_sl2_stored_form_is_canonical(p, data):
     pair = _SL2_BY_P[p]
     x = data.draw(_sl2_elements(p))
     y = data.draw(_sl2_elements(p))
-    n = data.draw(_sl2_level_elements(p))
+    n = pair.sample_level(data.draw(st.integers(0, 30)), data.draw(st.randoms()))
     _assert_canonical(pair, x)
     for g in (pair.mul(x, y), pair.mul(x, pair.inv(x)), pair.mul(pair.inv(y), n), pair.inv(x)):
         _assert_canonical(pair, g)
@@ -710,32 +701,11 @@ def test_conj_depth_monotone_finite_models():
             assert js == sorted(js), (pair.name, g)
 
 
-def _level_generators(pair, j):
-    """Elements that generate N_j topologically, in the chain topology.
-
-    Every level is open and closed there and conjugation is continuous,
-    so g·N_j·g⁻¹ lies in a level exactly when each g·s·g⁻¹ does.
-    """
-    if isinstance(pair, IntegerChainPair):
-        return [pair.modulus(j)]
-    if isinstance(pair, BS12Pair):
-        return [DyadicAffine(Fraction(1 << j), 0)]
-    u, l = pair.generators["u"], pair.generators["l"]
-    if j == 0:
-        return [u, l]  # SL2(Z)
-    if pair.p == 2 and j == 1:
-        return [pair.power(u, 2), pair.power(l, 2), Mat2(*map(Fraction, (-1, 0, 0, -1)))]
-    # these span K(j)/K(j+1) ≅ sl2(F_p), and K(j) is uniform, so they
-    # generate it topologically (Dixon, du Sautoy, Mann and Segal,
-    # Analytic pro-p groups)
-    q = pair.p ** j
-    return [Mat2(*map(Fraction, m)) for m in ((1, q, 0, 1), (1, 0, q, 1), (1 + q, q, -q, 1 - q))]
-
-
 @pytest.mark.parametrize("name", ["z2", "z3", "zfact", "bs12", "sl2:2", "sl2:3", "sl2:5"])
 def test_closed_form_conj_depth_is_least(name):
     """j = conj_depth(g, d) is sound (N_j lies in both g⁻¹·N_d·g and
-    g·N_d·g⁻¹) and not needlessly lossy (when j > d, N_(j-1) does not)."""
+    g·N_d·g⁻¹) and not needlessly lossy (when j > d, N_(j-1) does not),
+    for each named generator g at every d < 7 and for 300 sampled (g, d)."""
     pair = resolve_instance(name)
     rng = random.Random(RNG_SEED)
 
@@ -746,14 +716,14 @@ def test_closed_form_conj_depth_is_least(name):
         )
 
     costly = 0
-    for _ in range(300):
-        g, d = pair.sample(rng), rng.randrange(7)
+    named = [(g, d) for g in pair.generators.values() for d in range(7)]
+    for g, d in named + [(pair.sample(rng), rng.randrange(7)) for _ in range(300)]:
         j = pair.conj_depth(g, d)
-        members = [*_level_generators(pair, j), pair.sample_level(j, rng)]
+        members = [*pair.level_generators(j), pair.sample_level(j, rng)]
         assert all(conjugates_in(g, s, d) for s in members), (g, d, j)
         if j > d:
             costly += 1
-            assert not all(conjugates_in(g, s, d) for s in _level_generators(pair, j - 1)), (g, d, j)
+            assert not all(conjugates_in(g, s, d) for s in pair.level_generators(j - 1)), (g, d, j)
     # only the abelian instances conjugate at no cost
     assert (costly == 0) == isinstance(pair, IntegerChainPair)
 
