@@ -92,6 +92,7 @@ class BS12Pair(CommensuratedPair):
         return 1 << depth
 
     def level_generators(self, depth: Depth) -> list:
+        self.check_depth(depth)
         return [DyadicAffine(Fraction(1 << depth), 0)]
 
     def format_element(self, x: DyadicAffine) -> str:

@@ -10,8 +10,8 @@ depth the inputs can support; when no depth is attainable they fail
 loudly and report the input depth that would have sufficed.
 
 The engine is generic over :class:`CommensuratedPair`, which packages the
-exact group arithmetic, the chain membership test and the conjugation
-depth bound.  All values are immutable and all operations are pure, so
+exact group arithmetic, the chain membership test and the generators of
+each level.  All values are immutable and all operations are pure, so
 everything here is safe for unrestricted concurrent use.
 """
 
@@ -25,6 +25,9 @@ from typing import Any, Callable, NamedTuple, Optional
 
 #: Chain index: 0 is the coarsest level (the subgroup K itself), larger is finer.
 Depth = int
+
+#: Levels the derived conj_depth searches past depth on an unbounded chain, which has no end.
+CONJ_SPAN = 1 << 16
 
 #: Largest bit size of an exact product that an instance builds.  Products
 #: near it take about 0.1 s (an sl2:3 square, Python 3.11); each doubling
@@ -106,15 +109,15 @@ class CommensuratedPair(ABC):
     This is the only seam between an instance and the engine.  Concrete
     pairs supply the arithmetic of a group G (``identity``, :meth:`mul`,
     :meth:`inv`), a membership test :meth:`in_level` for each chain level
-    N_d inside the distinguished subgroup K = N_0, and :meth:`conj_depth`.
-    Every chain level must be normal in K and the chain must be nested;
-    ``conj_depth`` must be monotone in the level and uniform over the
-    coset it is asked about (see its docstring).  All shipped pairs
-    satisfy these by construction; the test suite fuzzes them.  The other
-    methods are optional: :meth:`level_index` for level displays, the text
-    formats (:meth:`parse_literal` is the one reader of literal text),
-    :meth:`validate`, :meth:`level_generators` for the samplers, and the
-    discrete targets that :attr:`target_names` lists and :meth:`target` builds.
+    N_d inside the distinguished subgroup K = N_0, and the generators
+    :meth:`level_generators` of each level.  Every level must be normal in
+    K and the chain nested; the test suite fuzzes the shipped pairs.
+    ``in_level`` and ``conj_depth`` may trust their depth, which the engine
+    checks first; ``level_generators`` refuses one that :meth:`check_depth`
+    refuses.  Optional methods: :meth:`level_index` for level displays, the
+    text formats (:meth:`parse_literal` is the one reader of literal text),
+    :meth:`validate`, and the discrete targets that :attr:`target_names`
+    lists and :meth:`target` builds.
 
     Two optional parts answer the engine's depth questions in closed
     form.  :attr:`constant_conj_cost` says that conj_depth(g, d) =
@@ -181,17 +184,25 @@ class CommensuratedPair(ABC):
     def in_level(self, x: Any, depth: Depth) -> bool:
         """Whether x lies in the chain level N_depth."""
 
-    @abstractmethod
     def conj_depth(self, g: Any, depth: Depth) -> Depth:
-        """A level j >= depth with N_j inside both x.N_depth.x^-1 and
+        """The least level j >= depth with N_j inside both x.N_depth.x^-1 and
         x^-1.N_depth.x for *every* x in the coset g.N_depth.
 
-        The uniformity over the coset is what makes truncated products and
-        inverses well defined; monotonicity in ``depth`` and j >= depth are
-        what let the engine find the maximal attainable output depth with
-        a logarithmic number of calls.  The value need not be least, only
-        sound.
+        Coset uniformity makes truncated products and inverses well defined;
+        monotonicity and j >= depth let the engine find the maximal depth in
+        O(log depth) calls.  N_j conjugates into N_depth exactly when its
+        generators do, so j is galloped up to max_depth, or CONJ_SPAN levels
+        (then a ContractViolation).  A closed-form override must equal it.
         """
+        g_inv = self.inv(g)
+        stop = depth + CONJ_SPAN if self.max_depth is None else self.max_depth
+        j = _gallop(lambda j: all(
+            self.in_level(self.mul(self.mul(x, s), y), depth)
+            for s in self.level_generators(j) for x, y in ((g, g_inv), (g_inv, g))
+        ), depth, stop)
+        if j is None:
+            raise ContractViolation(f"{self.name}: no level up to {stop} conjugates into {depth}")
+        return j
 
     def level_of(self, x: Any, cap: Depth) -> Depth:
         """The deepest d <= cap with x in N_d, or -1 when x is outside K = N_0.
@@ -229,7 +240,7 @@ class CommensuratedPair(ABC):
         raise ValueError(f"unknown target {quoted(name)} for instance {self.name}")
 
     def level_generators(self, depth: Depth) -> list:
-        """Elements that generate N_depth topologically, in the chain topology."""
+        """Elements that generate N_depth topologically: conj_depth and the samplers read them."""
         raise ValueError(f"instance {self.name} gives no level generators")
 
     def sample(self, rng) -> Any:

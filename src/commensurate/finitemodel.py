@@ -30,11 +30,11 @@ one above, strictly smaller, normal in K; the bottom level is normal in
 the whole group, which is what makes the brute-force completion below
 it exact.  The coset tables decide normality: N is normal in H exactly
 when h·N = N·h for every h in H.  ``corrupt_conj_depth: true`` (or
-``false``, the default) makes the load set every ``conj_depths[d]``
-entry to d, which breaks the pair's depth bound on purpose so oracle
-sensitivity can be shown.  Any other key, and a key of the other kind
-(``points``/``gens`` in a table model, ``row``/``order`` in a perm
-model), is refused with the number of its line.
+``false``, the default) makes the pair answer conj_depth(g, d) = d,
+which breaks its depth bound on purpose so oracle sensitivity can be
+shown.  Any other key, and a key of the other kind (``points``/``gens``
+in a table model, ``row``/``order`` in a perm model), is refused with
+the number of its line.
 """
 
 from __future__ import annotations
@@ -195,9 +195,7 @@ class FiniteModel:
 
     - ``lefts[d]`` and ``rights[d]``: the left cosets g·N_d and the right
       cosets N_d·g, as ``CosetTable``s;
-    - ``level_members[d]``: the members of N_d, sorted;
-    - ``conj_depths[d][g]``: the least j >= d with g·N_j·g^-1 and
-      g^-1·N_j·g inside N_d; d itself in a corrupt model.
+    - ``level_members[d]``: the members of N_d, sorted.
     """
 
     def __init__(self, name, kind, names, mul_table, level_gens,
@@ -221,9 +219,6 @@ class FiniteModel:
         )
         self._check_chain()
         self.level_members = tuple(tuple(sorted(level)) for level in self.levels)
-        self.conj_depths = tuple(
-            (d,) * self.n if self.corrupt else self._conj_depths(d) for d in range(len(self.levels))
-        )
 
     # construction helpers
 
@@ -295,29 +290,6 @@ class FiniteModel:
 
     def right_coset(self, members, g: int) -> frozenset:
         return frozenset([self.mul_table[x][g] for x in members])
-
-    def _conj_depths(self, d: int) -> tuple:
-        """``conj_depths[d]``, one search per left coset of N_d.
-
-        g·N_j·g^-1 lies in N_d exactly when g·N_j lies in N_d·g.  The
-        least such j is the same for every x = g·n in g·N_d: every level
-        is normal in K, so x·N_j·x^-1 = g·N_j·g^-1 and
-        x^-1·N_j·x = n^-1·(g^-1·N_j·g)·n.  The bottom level is normal in
-        the whole group, so it needs no test.
-        """
-        top = len(self.levels) - 1
-        rights = self.rights[d]
-
-        def stable(g, j):
-            return self.lefts[j].of(g) <= rights.of(g)
-
-        depths: list = [None] * self.n
-        for g, coset in zip(self.lefts[d].reps, self.lefts[d].sets):
-            ginv = self.inv_table[g]
-            j = next((j for j in range(d, top) if stable(g, j) and stable(ginv, j)), top)
-            for x in coset:
-                depths[x] = j
-        return tuple(depths)
 
     @property
     def bottom(self) -> frozenset:
@@ -460,10 +432,9 @@ def load_model(path) -> FiniteModel:
 class FiniteModelPair(CommensuratedPair):
     """Completion pair over a FiniteModel; elements are table indices.
 
-    conj_depth is the least level that works, read off the model's
-    ``conj_depths`` table, which its coset tables decide.  The oracle
-    checks the engine's depths built on it against literal coset
-    containment.
+    ``conj_depths[d][g]`` is the derived conj_depth(g, d), or d in a corrupt
+    model.  conj_depth and in_level trust their depth, which the engine
+    checks first.  The oracle checks the engine's depths against literal cosets.
     """
 
     def __init__(self, model: FiniteModel):
@@ -471,6 +442,15 @@ class FiniteModelPair(CommensuratedPair):
         self.name = model.name
         self.max_depth = len(model.levels) - 1
         self.literal_pattern = _PERM_LITERAL if model.kind == "perm" else _TABLE_LITERAL
+        # a left coset's rep g decides for all of g·N_d, since every level is normal
+        # in K: x = g·n has x·N_j·x^-1 = g·N_j·g^-1 and x^-1·N_j·x = n^-1·(g^-1·N_j·g)·n;
+        # the bottom level, normal in the whole group, answers itself
+        rows = []
+        for d, lefts in enumerate(model.lefts):
+            by_coset = [d] * len(lefts.reps) if model.corrupt or d == self.max_depth else [
+                CommensuratedPair.conj_depth(self, g, d) for g in lefts.reps]
+            rows.append(tuple(by_coset[i] for i in lefts.ids))
+        self.conj_depths = tuple(rows)
 
     @property
     def identity(self) -> int:
@@ -486,9 +466,10 @@ class FiniteModelPair(CommensuratedPair):
         return x in self.model.levels[depth]
 
     def conj_depth(self, g: int, depth: Depth) -> Depth:
-        return self.model.conj_depths[depth][g]
+        return self.conj_depths[depth][g]
 
     def level_index(self, depth: Depth) -> int:
+        self.check_depth(depth)
         return len(self.model.levels[0]) // len(self.model.levels[depth])
 
     def format_element(self, x: int) -> str:
@@ -518,6 +499,7 @@ class FiniteModelPair(CommensuratedPair):
         return idx
 
     def level_rep(self, x: int, depth: Depth) -> str:
+        self.check_depth(depth)
         table = self.model.lefts[depth]
         return self.model.names[table.reps[table.ids[x]]]
 
@@ -526,6 +508,7 @@ class FiniteModelPair(CommensuratedPair):
             raise ContractViolation(f"{self.name}: no element with index {x!r}")
 
     def level_generators(self, depth: Depth) -> list:
+        self.check_depth(depth)
         return list(self.model.level_gens[depth])
 
     def sample(self, rng) -> int:
@@ -533,5 +516,5 @@ class FiniteModelPair(CommensuratedPair):
 
 
 def finite_model_pair(model: FiniteModel) -> FiniteModelPair:
-    """Completion pair whose depth bounds are read off the model's coset tables."""
+    """Completion pair over ``model``, its conj_depth table filled as it is built."""
     return FiniteModelPair(model)

@@ -217,6 +217,7 @@ class IntegerChainPair(CommensuratedPair):
         return rng.randrange(-(1 << 34), 1 << 34)
 
     def level_generators(self, depth: Depth) -> list:
+        self.check_depth(depth)
         return [self.modulus(depth)]
 
 

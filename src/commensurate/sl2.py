@@ -174,6 +174,7 @@ class SL2Pair(CommensuratedPair):
         # u^2, l^2 and -I generate level 1 at p = 2.  Otherwise u^q, l^q and
         # I + q·[[1, 1], [-1, -1]] span K(d)/K(d+1) ≅ sl2(F_p); K(d) is uniform, so they
         # generate it topologically (Dixon, du Sautoy, Mann and Segal, Analytic pro-p groups)
+        self.check_depth(depth)
         if depth == 0:
             return [self.generators["u"], self.generators["l"]]  # SL2(Z)
         q = self.p ** depth

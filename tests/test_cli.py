@@ -324,7 +324,7 @@ def test_oracle_refuses_an_oversized_or_misspelt_model(text, message, tmp_path, 
 
 
 class _BarePair(core.CommensuratedPair):
-    """Only what a new instance must supply: no level_index."""
+    """Arithmetic, in_level and a closed-form conj_depth: no level_index."""
 
     name = "bare"
     identity = 0

@@ -428,6 +428,16 @@ class _CountingPair(CommensuratedPair):
         self.inner.validate(x)
 
 
+class _DerivedConjPair(_CountingPair):
+    """A counting pair that hides its inner pair's conj_depth: the seam's
+    default derives it from the inner pair's level generators."""
+
+    conj_depth = CommensuratedPair.conj_depth
+
+    def level_generators(self, depth):
+        return self.inner.level_generators(depth)
+
+
 def _log_bound(depth):
     return 2 * math.log2(depth) + 4
 
@@ -865,9 +875,14 @@ def test_factorial_chain_walk_takes_few_steps(monkeypatch):
 @pytest.mark.parametrize("pair", CLOSED_FORM_PAIRS + DEFAULT_PAIRS, ids=lambda p: p.name)
 def test_engine_agrees_with_its_default_searches(pair):
     """Products, inverses, powers and valuations come out the same through a
-    wrapper that exposes only the abstract seam, so that every depth is
-    searched: the same rep and depth, or the same PrecisionExhausted."""
-    seam = _CountingPair(pair)
+    wrapper that declares no closed form but conj_depth, so that every
+    depth is searched, and through one that also leaves conj_depth to the
+    seam's derived default: the same rep and depth, or the same
+    PrecisionExhausted.  s4_corrupt's conj_depth is wrong on purpose, so it
+    runs through the first wrapper only."""
+    seams = [_CountingPair(pair)]
+    if pair.name != "s4_corrupt":
+        seams.append(_DerivedConjPair(pair))
     rng = random.Random(7)
     top = _max_cap(pair)
     elements = _elements(pair, rng, 25)
@@ -876,12 +891,61 @@ def test_engine_agrees_with_its_default_searches(pair):
             y = pair.mul(x, pair.sample_level(rng.randint(0, top), rng))
         d1, d2, k = rng.randint(0, top), rng.randint(0, top), rng.randint(-5, 5)
         fast = pair.embed(x, d1), pair.embed(y, d2)
-        slow = seam.embed(x, d1), seam.embed(y, d2)
-        for op in (lambda f, g: f * g, lambda f, g: g * f, lambda f, g: f.inverse(),
-                   lambda f, g: f ** k):
-            assert _outcome(lambda: op(*fast)) == _outcome(lambda: op(*slow)), (
-                pair.format_element(x), pair.format_element(y), d1, d2, k)
-        assert fast[0].valuation(fast[1]) == slow[0].valuation(slow[1])
+        for seam in seams:
+            slow = seam.embed(x, d1), seam.embed(y, d2)
+            for op in (lambda f, g: f * g, lambda f, g: g * f, lambda f, g: f.inverse(),
+                       lambda f, g: f ** k):
+                assert _outcome(lambda: op(*fast)) == _outcome(lambda: op(*slow)), (
+                    type(seam).__name__, pair.format_element(x), pair.format_element(y),
+                    d1, d2, k)
+            assert fast[0].valuation(fast[1]) == slow[0].valuation(slow[1])
+
+
+class _GeneratorlessPair(CommensuratedPair):
+    """Arithmetic and in_level alone: no conj_depth and no level generators."""
+
+    name = "bare"
+    identity = 0
+
+    def mul(self, x, y):
+        return x + y
+
+    def inv(self, x):
+        return -x
+
+    def in_level(self, x, depth):
+        return x % 2**depth == 0
+
+
+def test_a_pair_without_level_generators_is_refused_when_the_engine_first_asks():
+    """conj_depth is not abstract, so such a pair is built, embeds and takes
+    exact left factors; the first depth search refuses it in one line."""
+    f = _GeneratorlessPair().embed(1, 2)
+    assert (f.left_mul(3).rep, f.truncate(1).depth) == (4, 1)
+    for op in (lambda: f * f, f.inverse, lambda: f.right_rep(1)):
+        with pytest.raises(ValueError, match="^instance bare gives no level generators$"):
+            op()
+
+
+class _BrokenGeneratorsPair(IntegerChainPair):
+    """z2 with the derived conj_depth, whose every level claims the generator 1."""
+
+    constant_conj_cost = False
+    conj_depth = CommensuratedPair.conj_depth
+
+    def level_generators(self, depth):
+        return [1]
+
+
+def test_a_broken_unbounded_chain_is_refused_at_the_search_bound():
+    """1 conjugates into no level below K, so the derived search walks to
+    CONJ_SPAN levels past the asked depth and raises ContractViolation there."""
+    pair = _BrokenGeneratorsPair(2)
+    stop = 1 + core.CONJ_SPAN
+    with time_limit(5):
+        with pytest.raises(core.ContractViolation,
+                           match=f"^z2: no level up to {stop} conjugates into 1$"):
+            pair.embed(3, 1).inverse()
 
 
 # --- exact left factors --------------------------------------------------------

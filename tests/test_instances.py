@@ -16,6 +16,7 @@ from hypothesis import Phase, assume, example, find, given, settings, strategies
 
 from commensurate import (
     BS12Pair,
+    CommensuratedPair,
     ContractViolation,
     DyadicAffine,
     FactorialChainPair,
@@ -701,13 +702,25 @@ def test_conj_depth_monotone_finite_models():
             assert js == sorted(js), (pair.name, g)
 
 
-@pytest.mark.parametrize("name", ["z2", "z3", "zfact", "bs12", "sl2:2", "sl2:3", "sl2:5"])
+SOUND_MODELS = ["s4", "s4_d8", "s5", "z8"]
+
+
+@pytest.mark.parametrize("name", ["z2", "z3", "zfact", "bs12", "sl2:2", "sl2:3", "sl2:5",
+                                  *SOUND_MODELS])
 def test_closed_form_conj_depth_is_least(name):
-    """j = conj_depth(g, d) is sound (N_j lies in both g⁻¹·N_d·g and
-    g·N_d·g⁻¹) and not needlessly lossy (when j > d, N_(j-1) does not),
-    for each named generator g at every d < 7 and for 300 sampled (g, d)."""
-    pair = resolve_instance(name)
+    """j = conj_depth(g, d) equals the seam's default derived from the level
+    generators, is sound (N_j lies in both g⁻¹·N_d·g and g·N_d·g⁻¹) and is
+    not needlessly lossy (when j > d, N_(j-1) does not), for each named
+    generator g at every d < 7 and for 300 sampled (g, d); on a shipped
+    sound model, at every (g, d)."""
     rng = random.Random(RNG_SEED)
+    if name in SOUND_MODELS:
+        pair = finite_model_pair(load_model(MODELS / f"{name}.model"))
+        cases = [(g, d) for g in range(pair.model.n) for d in range(pair.max_depth + 1)]
+    else:
+        pair = resolve_instance(name)
+        cases = [(g, d) for g in pair.generators.values() for d in range(7)]
+        cases += [(pair.sample(rng), rng.randrange(7)) for _ in range(300)]
 
     def conjugates_in(g, s, d):
         g_inv = pair.inv(g)
@@ -716,16 +729,16 @@ def test_closed_form_conj_depth_is_least(name):
         )
 
     costly = 0
-    named = [(g, d) for g in pair.generators.values() for d in range(7)]
-    for g, d in named + [(pair.sample(rng), rng.randrange(7)) for _ in range(300)]:
+    for g, d in cases:
         j = pair.conj_depth(g, d)
+        assert j == CommensuratedPair.conj_depth(pair, g, d), (g, d)
         members = [*pair.level_generators(j), pair.sample_level(j, rng)]
         assert all(conjugates_in(g, s, d) for s in members), (g, d, j)
         if j > d:
             costly += 1
             assert not all(conjugates_in(g, s, d) for s in pair.level_generators(j - 1)), (g, d, j)
     # only the abelian instances conjugate at no cost
-    assert (costly == 0) == isinstance(pair, IntegerChainPair)
+    assert (costly == 0) == (isinstance(pair, IntegerChainPair) or name == "z8")
 
 
 @pytest.mark.parametrize("pair", _contract_pairs(), ids=lambda p: p.name)
@@ -738,6 +751,32 @@ def test_group_law_exactness(pair):
         assert pair.mul(pair.mul(x, y), z) == pair.mul(x, pair.mul(y, z))
         assert pair.mul(x, pair.inv(x)) == pair.identity
         assert pair.mul(pair.identity, x) == x == pair.mul(x, pair.identity)
+
+
+LOOKUP_PAIRS = [
+    *(resolve_instance(name) for name in ("z2", "z6", "zfact", "bs12", "sl2:2", "sl2:3", "sl2:5")),
+    *(finite_model_pair(load_model(path)) for path in sorted(MODELS.glob("*.model"))),
+]
+
+
+def _refusal(lookup, depth) -> str:
+    with pytest.raises(ValueError) as err:
+        lookup(depth)
+    return str(err.value)
+
+
+@pytest.mark.parametrize("pair", LOOKUP_PAIRS, ids=lambda p: p.name)
+def test_level_lookups_refuse_a_depth_that_check_depth_refuses(pair):
+    """level_generators, and a model's level_index and level_rep, refuse a
+    negative depth, a non-int and a depth past the bottom level with
+    check_depth's one line."""
+    lookups = [pair.level_generators]
+    if pair.max_depth is not None:
+        lookups += [pair.level_index, lambda d: pair.level_rep(pair.identity, d)]
+    bad = [-1, 2.0, True] + ([] if pair.max_depth is None else [pair.max_depth + 1])
+    for depth in bad:
+        expect = _refusal(pair.check_depth, depth)
+        assert [_refusal(lookup, depth) for lookup in lookups] == [expect] * len(lookups), depth
 
 
 # --- permutation plumbing ---------------------------------------------------------
@@ -1225,10 +1264,10 @@ def test_conj_depth_table_matches_the_whole_coset_scan_on_fuzzed_chains(text):
 
 def _one_side_is_not_enough(text) -> bool:
     """Whether some g·N_j·g^-1 lies in N_d for a j that g^-1 refutes."""
-    model = parse_model(text)
-    top = len(model.levels) - 1
+    pair = finite_model_pair(parse_model(text))
+    model, top = pair.model, pair.max_depth
     return any(
-        model.conj_depths[d][g] != next(
+        pair.conj_depths[d][g] != next(
             (j for j in range(d, top) if model.lefts[j].of(g) <= model.rights[d].of(g)), top
         )
         for d in range(top + 1)
