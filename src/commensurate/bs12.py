@@ -89,6 +89,7 @@ class BS12Pair(CommensuratedPair):
         return p_adic_level(x.shift.numerator, 2, cap)
 
     def level_index(self, depth: Depth) -> int:
+        self.check_depth(depth)
         return 1 << depth
 
     def level_generators(self, depth: Depth) -> list:
@@ -108,6 +109,7 @@ class BS12Pair(CommensuratedPair):
         return elt
 
     def level_rep(self, x: DyadicAffine, depth: Depth) -> str:
+        self.check_depth(depth)
         # x·N_d is (x.shift + 2**(texp + d)·z, x.texp); with the shift n/2**k,
         # reduce n mod 2**m for m = texp + d + k, which leaves 0 when m <= 0
         n, den = x.shift.numerator, x.shift.denominator

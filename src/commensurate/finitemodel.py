@@ -8,7 +8,11 @@ are given by generator lists and closed off here.  Everything is stored
 as index tables, so the oracle can treat cosets as plain sets.  A
 permutation model's table is built from generator columns: one
 composition per element and generator, then one index lookup per entry
-(see ``perm_mul_table``).
+(see ``perm_mul_table``), so it is closed and associative by
+construction.  A table model's load checks both, associativity by
+Light's test (Clifford and Preston, *The Algebraic Theory of
+Semigroups*, vol. 1, 1961) on at most log2(n) generators: n·log2(n) row
+comparisons instead of all n² pairs.
 
 Model text format, one "key: value" per line, full-line # comments:
 
@@ -109,8 +113,9 @@ def perm_to_cycles(p: tuple) -> str:
 
 
 def _closure(identity, gens, mul, cap=None) -> set:
-    """The subgroup that ``gens`` generate in a finite group, by search from
-    ``identity``; more than ``cap`` elements raises ModelError."""
+    """What right multiplication by ``gens`` reaches from ``identity``: in a
+    finite group, the subgroup they generate.  More than ``cap`` elements
+    raises ModelError."""
     out = {identity}
     frontier = [identity]
     while frontier:
@@ -227,7 +232,9 @@ class FiniteModel:
         n, table = self.n, self.mul_table
         if n == 0 or n > MAX_ORDER:
             raise ModelError(f"model order {n} outside 1..{MAX_ORDER}")
-        if any(len(row) != n or min(row) < 0 or max(row) >= n for row in table):
+        # a permutation model's rows are index lookups: closed by construction
+        if self.kind == "table" and any(
+                len(row) != n or min(row) < 0 or max(row) >= n for row in table):
             raise ModelError("multiplication table is not closed")
         # the first e whose row and column are both the identity map
         plain = tuple(range(n))
@@ -249,12 +256,23 @@ class FiniteModel:
                 raise ModelError(f"element {self.names[i]} has no inverse") from None
             inv.append(j)
         if self.kind == "table":
-            # permutation models are associative by construction;
-            # row a·b must be row b mapped through row a
-            for ra in table:
-                for b, rb in enumerate(table):
-                    if table[ra[b]] != tuple(map(ra.__getitem__, rb)):
-                        raise ModelError("multiplication table is not associative")
+            # Light's test (Clifford and Preston, The Algebraic Theory of
+            # Semigroups, vol. 1, 1961): the g with row a·g equal to row g
+            # mapped through row a, for every a, are closed under products,
+            # so a set that generates the table from the identity suffices;
+            # take the least element not yet reached.  An associative table
+            # with an identity and inverses is a group, where each one at
+            # least doubles what is reached: refuse past log2(n) of them.
+            gens, reached = [], {ident}
+            for g in range(n):
+                if g in reached:
+                    continue
+                gens.append(g)
+                rg = table[g]
+                if 1 << len(gens) > n or any(
+                        table[ra[g]] != tuple(map(ra.__getitem__, rg)) for ra in table):
+                    raise ModelError("multiplication table is not associative")
+                reached = _closure(ident, gens, self.mul)
         return ident, tuple(inv)
 
     def _check_chain(self):
@@ -433,8 +451,10 @@ class FiniteModelPair(CommensuratedPair):
     """Completion pair over a FiniteModel; elements are table indices.
 
     ``conj_depths[d][g]`` is the derived conj_depth(g, d), or d in a corrupt
-    model.  conj_depth and in_level trust their depth, which the engine
-    checks first.  The oracle checks the engine's depths against literal cosets.
+    model.  ``deepest[x]`` is the deepest level that holds x, or -1 when x
+    is outside K, so level_of(x, cap) is min(cap, deepest[x]).  conj_depth,
+    in_level and level_of trust their depth, which the engine checks first.
+    The oracle checks the engine's depths against literal cosets.
     """
 
     def __init__(self, model: FiniteModel):
@@ -451,6 +471,11 @@ class FiniteModelPair(CommensuratedPair):
                 CommensuratedPair.conj_depth(self, g, d) for g in lefts.reps]
             rows.append(tuple(by_coset[i] for i in lefts.ids))
         self.conj_depths = tuple(rows)
+        deepest = [-1] * model.n
+        for d, level in enumerate(model.levels):  # the levels nest, so the last write wins
+            for x in level:
+                deepest[x] = d
+        self.deepest = tuple(deepest)
 
     @property
     def identity(self) -> int:
@@ -467,6 +492,9 @@ class FiniteModelPair(CommensuratedPair):
 
     def conj_depth(self, g: int, depth: Depth) -> Depth:
         return self.conj_depths[depth][g]
+
+    def level_of(self, x: int, cap: Depth) -> Depth:
+        return min(cap, self.deepest[x])
 
     def level_index(self, depth: Depth) -> int:
         self.check_depth(depth)

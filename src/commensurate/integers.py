@@ -155,6 +155,7 @@ class IntegerChainPair(CommensuratedPair):
         return _chain_level(x, cap, self.step)
 
     def level_index(self, depth: Depth):
+        self.check_depth(depth)
         return self.modulus(depth)
 
     # text formats
@@ -166,6 +167,7 @@ class IntegerChainPair(CommensuratedPair):
             return read_int(text, malformed=f"{self.name}: bad integer literal {quoted(text)}")
 
     def level_rep(self, x: int, depth: Depth) -> str:
+        self.check_depth(depth)
         return str(x % self.modulus(depth))
 
     def validate(self, x) -> None:

@@ -166,6 +166,7 @@ class SL2Pair(CommensuratedPair):
 
     def level_index(self, depth: Depth) -> int:
         # order of SL2(Z/p^d)
+        self.check_depth(depth)
         if depth == 0:
             return 1
         return self.p ** (3 * depth - 2) * (self.p * self.p - 1)
@@ -201,6 +202,7 @@ class SL2Pair(CommensuratedPair):
         return elt
 
     def level_rep(self, x: Mat2, depth: Depth) -> str:
+        self.check_depth(depth)
         if depth == 0 or x.den != 1:
             return self.format_element(x)
         q = self.p ** depth

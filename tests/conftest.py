@@ -2,11 +2,17 @@ import pathlib
 import re
 
 import pytest
+from hypothesis import settings
 
 from commensurate import finite_model_pair, load_model
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 MODELS = ROOT / "models"
+
+# No per-example deadline: on a loaded host one slow example is not a
+# failure.  Hangs are still caught, by the tests' own time_limit guards.
+settings.register_profile("no-deadline", deadline=None)
+settings.load_profile("no-deadline")
 
 _CRITERION = re.compile(r"test_criterion_(\d+)_(\w+)")
 

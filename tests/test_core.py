@@ -750,6 +750,16 @@ def test_level_of_matches_the_default_search(pair):
             assert pair.level_of(x, cap) == expect, (pair.format_element(x), cap)
 
 
+@pytest.mark.parametrize("pair", DEFAULT_PAIRS, ids=lambda p: p.name)
+def test_model_level_of_table_matches_the_default_search_everywhere(pair):
+    """A model's deepest-level table gives the default's in_level search's
+    answer at every element and every cap."""
+    for x in range(pair.model.n):
+        for cap in range(pair.max_depth + 1):
+            expect = CommensuratedPair.level_of(pair, x, cap)
+            assert pair.level_of(x, cap) == expect, (pair.format_element(x), cap)
+
+
 @pytest.mark.parametrize("pair", CLOSED_FORM_PAIRS + DEFAULT_PAIRS, ids=lambda p: p.name)
 def test_each_level_generator_lies_in_its_level(pair):
     """Each of level_generators(d) lies in N_d, for d < 8 or to the bottom;

@@ -45,7 +45,7 @@ from commensurate.registry import builtin_instances, resolve_instance
 from commensurate.integers import PRIME_LIMIT
 from commensurate.sl2 import is_prime
 
-from test_cli import time_limit
+from test_cli import _dihedral_rows, time_limit
 from test_oracle import (
     coherent_chains,
     is_union_of_left_cosets,
@@ -767,12 +767,10 @@ def _refusal(lookup, depth) -> str:
 
 @pytest.mark.parametrize("pair", LOOKUP_PAIRS, ids=lambda p: p.name)
 def test_level_lookups_refuse_a_depth_that_check_depth_refuses(pair):
-    """level_generators, and a model's level_index and level_rep, refuse a
-    negative depth, a non-int and a depth past the bottom level with
-    check_depth's one line."""
-    lookups = [pair.level_generators]
-    if pair.max_depth is not None:
-        lookups += [pair.level_index, lambda d: pair.level_rep(pair.identity, d)]
+    """level_generators, level_index and level_rep refuse a negative depth,
+    a non-int and a depth past the bottom level with check_depth's one line."""
+    lookups = [pair.level_generators, pair.level_index,
+               lambda d: pair.level_rep(pair.identity, d)]
     bad = [-1, 2.0, True] + ([] if pair.max_depth is None else [pair.max_depth + 1])
     for depth in bad:
         expect = _refusal(pair.check_depth, depth)
@@ -1047,6 +1045,97 @@ def test_non_associative_table_rejected():
     rows = "\n".join(["row: 0 1 2", "row: 1 0 0", "row: 2 0 1"])
     with pytest.raises(ModelError, match="associative"):
         parse_model(f"kind: table\n{rows}\nK: #0\n")
+
+
+def _pairwise_group_refusal(rows):
+    """The group check that a table model's load made before Light's test:
+    the identity, then inverses, then associativity on every pair of rows.
+    The end of its refusal message, or None for a group."""
+    n, table = len(rows), [tuple(row) for row in rows]
+    plain = tuple(range(n))
+    ident = next((e for e in range(n)
+                  if table[e] == plain and all(row[e] == j for j, row in enumerate(table))), None)
+    if ident is None:
+        return "has no identity"
+    if not all(any(table[i][j] == ident == table[j][i] for j in range(n)) for i in range(n)):
+        return "has no inverse"
+    for ra in table:
+        for b, rb in enumerate(table):
+            if table[ra[b]] != tuple(map(ra.__getitem__, rb)):
+                return "is not associative"
+    return None
+
+
+@st.composite
+def _closed_tables(draw):
+    """A closed table of order at most 12 with an identity row and column:
+    cyclic, dihedral, or random with inverses paired off at random; then
+    its direct product with a cyclic group, maybe relabelled at random,
+    with a few entries overwritten.  The cyclic factor's elements pass
+    Light's test whatever the other factor is, so unless relabelled the
+    least generator passes and a later one must fail."""
+    m = draw(st.integers(1, 12))
+    shape = draw(st.sampled_from(["cyclic", "dihedral", "random"]))
+    if shape == "cyclic":
+        rows = [[(i + j) % m for j in range(m)] for i in range(m)]
+    elif shape == "dihedral" and m % 2 == 0 and m >= 4:
+        rows = _dihedral_rows(m)
+    else:
+        rows = draw(st.lists(st.lists(st.integers(0, m - 1), min_size=m, max_size=m),
+                             min_size=m, max_size=m))
+        rows[0] = list(range(m))
+        for i in range(m):
+            rows[i][0] = i
+        mates = draw(st.permutations(range(1, m)))
+        paired = 2 * draw(st.integers(0, len(mates) // 2))
+        pairs = [*zip(mates[:paired:2], mates[1:paired:2]), *zip(mates[paired:], mates[paired:])]
+        for x, y in pairs:
+            rows[x][y] = rows[y][x] = 0
+    a = draw(st.integers(1, 12 // m))
+    n = a * m  # (k, x) in Z_a × rows is x·a + k, so #1 generates Z_a
+    rows = [[rows[x][y] * a + (k + l) % a for y in range(m) for l in range(a)]
+            for x in range(m) for k in range(a)]
+    sigma = draw(st.sampled_from([range(n)]) | st.permutations(range(n)))
+    relabelled = [[0] * n for _ in range(n)]
+    for i, row in enumerate(rows):
+        for j, v in enumerate(row):
+            relabelled[sigma[i]][sigma[j]] = sigma[v]
+    entries = st.tuples(st.integers(0, n - 1), st.integers(0, n - 1), st.integers(0, n - 1))
+    for i, j, v in draw(st.lists(entries, max_size=3)):
+        relabelled[i][j] = v
+    return relabelled
+
+
+@settings(max_examples=300)
+@given(_closed_tables())
+def test_light_test_refuses_exactly_what_the_pairwise_check_refused(rows):
+    """Loading accepts a table, or refuses it as not associative, exactly
+    when the all-pairs row check would; K is the whole table, so no chain
+    check can refuse it instead."""
+    whole = ", ".join(f"#{i}" for i in range(len(rows)))
+    text = "kind: table\n" + "".join(f"row: {' '.join(map(str, row))}\n" for row in rows)
+    try:
+        parse_model(f"{text}K: {whole}\n")
+        refusal = None
+    except ModelError as err:
+        refusal = str(err)
+    want = _pairwise_group_refusal(rows)
+    assert (refusal is None) == (want is None), (refusal, want)
+    if want is not None:
+        assert refusal.endswith(want), (refusal, want)
+
+
+def test_light_test_refuses_the_order_200_left_zero_table_in_time():
+    """x·x = e and x·y = x for distinct non-identity x, y: an identity and
+    inverses, but needs a generator per element, so the log2(n) bound or
+    the first row check refuses it at once."""
+    n = MAX_ORDER
+    rows = [[j if i == 0 else 0 if i == j else i for j in range(n)] for i in range(n)]
+    assert _pairwise_group_refusal(rows) == "is not associative"
+    text = "kind: table\n" + "".join(f"row: {' '.join(map(str, row))}\n" for row in rows)
+    refusal = "^multiplication table is not associative$"
+    with time_limit(2), pytest.raises(ModelError, match=refusal):
+        parse_model(f"{text}K: #0\n")
 
 
 def test_finite_conj_depth_abelian(z8_pair):

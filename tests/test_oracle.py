@@ -121,26 +121,33 @@ def test_refinement_exhaustive_everywhere(model_pairs):
                     assert is_union_of_left_cosets(model, piece, M)
 
 
+def _bottom_ids(model: FiniteModel) -> range:
+    return range(len(model.lefts[-1].reps))
+
+
 def test_completion_table_sizes(s4_pair, s4_d8_pair, z8_pair):
-    assert len(enumerate_completion(s4_pair.model)) == 24
-    assert len(enumerate_completion(s4_d8_pair.model)) == 6
-    assert len(enumerate_completion(z8_pair.model)) == 8
+    # every product of bottom cosets is a bottom coset, and each one is hit
+    for pair, k in ((s4_pair, 24), (s4_d8_pair, 6), (z8_pair, 8)):
+        product = enumerate_completion(pair.model)
+        ids = _bottom_ids(pair.model)
+        assert len(ids) == k
+        assert {product(i, j) for i in ids for j in ids} == set(range(k))
 
 
 def test_completion_table_s4_d8_is_nonabelian(s4_d8_pair):
-    table = enumerate_completion(s4_d8_pair.model)
-    assert any(table[i][j] != table[j][i] for i in range(6) for j in range(6))
+    product = enumerate_completion(s4_d8_pair.model)
+    assert any(product(i, j) != product(j, i) for i in range(6) for j in range(6))
 
 
 def test_completion_table_z8_is_cyclic(z8_pair):
-    table = enumerate_completion(z8_pair.model)
+    product = enumerate_completion(z8_pair.model)
     coset_of = z8_pair.model.lefts[-1].ids
     # repeated products of the class of #1 must sweep all 8 classes
     one = coset_of[1]
     seen, cur = set(), coset_of[0]
     for _ in range(8):
         seen.add(cur)
-        cur = table[cur][one]
+        cur = product(cur, one)
     assert len(seen) == 8
 
 
@@ -154,7 +161,10 @@ K: (1 2 3), (1 2)(3 4)
 """
     model = parse_model(text)
     assert [len(s) for s in model.levels] == [12]
-    assert len(enumerate_completion(model)) == 2
+    product = enumerate_completion(model)
+    ids = _bottom_ids(model)
+    assert len(ids) == 2
+    assert {product(i, j) for i in ids for j in ids} == {0, 1}
 
 
 def test_left_right_check_all_chains(model_pairs):
@@ -351,6 +361,44 @@ def test_run_model_suite_reports(s4_pair, capsys, monkeypatch):
     assert json.loads(out) == {
         "model": report.model, "trials": report.trials, "mismatches": report.mismatches,
     }
+
+
+def _literal_product_set(model: FiniteModel, inputs: str) -> list:
+    """The product set of a trial's two cosets, by the |coset1|·|coset2|
+    double loop, read from its label "rep1@d1, rep2@d2"."""
+    (r1, d1), (r2, d2) = (
+        (model.names.index(name), int(d))
+        for name, d in (part.split("@") for part in inputs.split(", "))
+    )
+    product_set = set()
+    for x in model.lefts[d1].of(r1):
+        for y in model.lefts[d2].of(r2):
+            product_set.add(model.mul(x, y))
+    return sorted(product_set)
+
+
+def test_a_product_claimed_a_level_too_deep_is_a_mul_coset_mismatch(s4_pair, monkeypatch):
+    """Every product the engine gets right, claimed one level deeper, fails
+    the containment check, also past the right factor's depth, where the
+    claimed coset is too small to hold the product set."""
+    engine_mul = CompletionElement.__mul__
+    deepened, past_right = [], []
+
+    def one_level_deeper(self, other):
+        prod = engine_mul(self, other)
+        if prod.depth == prod.pair.max_depth:
+            return prod
+        deepened.append(prod)
+        if prod.depth == other.depth:
+            past_right.append(prod)
+        return CompletionElement(prod.pair, prod.rep, prod.depth + 1)
+
+    monkeypatch.setattr(CompletionElement, "__mul__", one_level_deeper)
+    report = compare_engine(s4_pair, 200, random.Random(SEED))
+    found = [m for m in report.mismatches if m["op"] == "mul-coset"]
+    assert past_right and len(found) == len(deepened)
+    for m in found:
+        assert m["expected"] == str(_literal_product_set(s4_pair.model, m["inputs"]))
 
 
 def test_suite_enumerates_the_completion_once(s4_d8_pair, monkeypatch):
