@@ -1,7 +1,7 @@
 """The Baumslag-Solitar group BS(1,2) acting affinely on dyadic rationals.
 
 Elements are affine maps x -> 2**m * x + r with r a dyadic rational,
-stored as the pair (r, m).  The generators are the translation
+written as the pair (r, m).  The generators are the translation
 a = (1, 0) and the doubling map t = (0, 1); they satisfy t a t^-1 = a^2.
 The distinguished subgroup is the translation lattice K = {(z, 0)},
 commensurated but not normal, with chain level d the translations by
@@ -12,18 +12,23 @@ The levels 2**d·Z are cofinal only among the subgroups of K of 2-power
 index.  So K closes to Z_2 (the 2-adic integers), not to Z-hat, and this
 instance computes a proper quotient of the completion G-hat_K.
 
-Shifts are Fractions; the identity, generators and ``texp`` target are
-built at import.  A product or an inverse builds one Fraction when the
-shift it moves is nonzero and none otherwise.  A level rep reduces the
-shift's numerator on integers and builds one Fraction to print it.
+A DyadicAffine stores the map x -> 2**texp * x + num/2**k as the three
+integers num, k and texp, with num odd or k = 0: the shift's numerator
+and the exponent of its denominator, in lowest terms.  A product adds
+two shifts over the larger denominator exponent and cancels the powers
+of two the sum gains, an inverse negates the shift and moves its
+exponent by texp, and the chain tests read num when k and texp are 0.
+Literal entries are read by ``core.read_ratio`` into integers, and text
+is printed from them.  Only the Fraction face of a DyadicAffine builds
+Fractions, and the refusal of a literal whose shift is not dyadic.
 """
 
 from __future__ import annotations
 
+import math
 import re
 import sys
 from fractions import Fraction
-from typing import NamedTuple
 
 from .core import (
     RATIONAL, CommensuratedPair, ContractViolation, Depth, DiscreteTarget, check_exact_bits,
@@ -31,9 +36,58 @@ from .core import (
 )
 
 
-class DyadicAffine(NamedTuple):
-    shift: Fraction
-    texp: int
+class DyadicAffine:
+    """The affine map x -> 2**texp * x + shift, stored as the integers num,
+    k and texp with shift = num/2**k, num odd or k = 0.
+
+    DyadicAffine(shift, texp) takes a Fraction shift, .shift gives it back
+    reduced, and iteration, len, == and hash are those of the 2-tuple
+    (shift, texp), as when DyadicAffine was a NamedTuple.  A shift that is
+    not a dyadic Fraction is kept as given, with k = None, so that validate
+    can refuse it.  No method assigns to a DyadicAffine after it is built.
+    """
+
+    __slots__ = ("num", "k", "texp")
+
+    def __init__(self, shift: Fraction, texp: int):
+        if isinstance(shift, Fraction) and not (den := shift.denominator) & (den - 1):
+            self.num, self.k = shift.numerator, den.bit_length() - 1
+        else:
+            self.num, self.k = shift, None
+        self.texp = texp
+
+    @property
+    def shift(self) -> Fraction:
+        return self.num if self.k is None else Fraction(self.num, 1 << self.k)
+
+    def __iter__(self):
+        return iter((self.shift, self.texp))
+
+    def __len__(self) -> int:
+        return 2
+
+    def __eq__(self, other):
+        if isinstance(other, DyadicAffine):
+            return (self.num, self.k, self.texp) == (other.num, other.k, other.texp)
+        return tuple(self) == other if isinstance(other, tuple) else NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(tuple(self))
+
+    def __repr__(self) -> str:
+        return f"DyadicAffine(shift={self.shift!r}, texp={self.texp!r})"
+
+
+def _affine(num: int, k: int, texp: int) -> DyadicAffine:
+    """The DyadicAffine with these fields, which must already be in lowest terms."""
+    x = object.__new__(DyadicAffine)
+    x.num, x.k, x.texp = num, k, texp
+    return x
+
+
+def _text(num: int, k: int, texp: int) -> str:
+    """An element's text, its shift num/2**k spelled as str(Fraction) spells it."""
+    return f"({num}; {texp})" if k == 0 else f"({num}/{1 << k}; {texp})"
 
 
 _LITERAL = re.compile(rf"\(\s*{RATIONAL}\s*;\s*(-?\d+)\s*\)")
@@ -41,52 +95,57 @@ _LITERAL = re.compile(rf"\(\s*{RATIONAL}\s*;\s*(-?\d+)\s*\)")
 _TEXP = DiscreteTarget(name="texp", phi=lambda g: g.texp, kill_level=0, combine=lambda u, v: u + v)
 
 
-def _shifted(base: Fraction | int, num: int, den: int, texp: int) -> Fraction:
-    """base + 2**texp · num/den, refused before it is built when too large.
-
-    Both denominators are powers of two, 2**i and 2**j say, so 2**s with
-    s = max(i, j - texp) is a common one, and one Fraction is built.
-    """
-    check_exact_bits(abs(texp) + max(num.bit_length(), den.bit_length()))
-    i, e = base.denominator.bit_length() - 1, texp - den.bit_length() + 1
-    s = max(i, -e)
-    return Fraction((base.numerator << (s - i)) + (num << (s + e)), 1 << s)
-
-
 class BS12Pair(CommensuratedPair):
     name = "bs12"
-    identity = DyadicAffine(Fraction(0), 0)
-    generators = {"a": DyadicAffine(Fraction(1), 0), "t": DyadicAffine(Fraction(0), 1)}
+    identity = _affine(0, 0, 0)
+    generators = {"a": _affine(1, 0, 0), "t": _affine(0, 0, 1)}
     literal_pattern = _LITERAL
     target_names = ("texp",)
     constant_conj_cost = True
 
     def mul(self, x: DyadicAffine, y: DyadicAffine) -> DyadicAffine:
-        # first y, then x; a zero shift needs no 2**texp, which may be huge
-        s = y.shift
-        shift = _shifted(x.shift, s.numerator, s.denominator, x.texp) if s else x.shift
-        return DyadicAffine(shift, x.texp + y.texp)
+        # first y, then x: the shift is a/2**i + b/2**j for x.shift = a/2**i,
+        # y.shift = b/2**k and j = k - x.texp.  A zero b needs no 2**texp,
+        # which may be huge; the bound sees the shift being moved.
+        a, i, b, k, texp = x.num, x.k, y.num, y.k, x.texp + y.texp
+        if not b:
+            return _affine(a, i, texp)
+        check_exact_bits(abs(x.texp) + max(b.bit_length(), k + 1))
+        j = k - x.texp
+        s = max(i, j)  # the sum's denominator exponent, before cancelling
+        if s <= 0:
+            return _affine(a + (b << -j), 0, texp)
+        n = (a << (s - i)) + (b << (s - j))
+        if not n & 1:  # cancel the powers of two that n gained, at most s of them
+            z = min(s, (n & -n).bit_length() - 1) if n else s
+            n, s = n >> z, s - z
+        return _affine(n, s, texp)
 
     def inv(self, x: DyadicAffine) -> DyadicAffine:
-        s = x.shift
-        shift = _shifted(0, -s.numerator, s.denominator, -x.texp) if s else s
-        return DyadicAffine(shift, -x.texp)
+        # x^-1 maps v to 2**-texp · v - num/2**(k + texp)
+        n, k, texp = x.num, x.k, x.texp
+        if not n:
+            return _affine(0, 0, -texp)
+        check_exact_bits(abs(texp) + max(n.bit_length(), k + 1))
+        e = k + texp
+        if e <= 0:
+            return _affine(-n << -e, 0, -texp)
+        if n & 1:
+            return _affine(-n, e, -texp)
+        z = min(e, (n & -n).bit_length() - 1)  # here k = 0, so n may be even
+        return _affine(-n >> z, e - z, -texp)
 
     def in_level(self, x: DyadicAffine, depth: Depth) -> bool:
-        return (
-            x.texp == 0
-            and x.shift.denominator == 1
-            and x.shift.numerator % (1 << depth) == 0
-        )
+        return x.texp == 0 and x.k == 0 and x.num % (1 << depth) == 0
 
     def conj_depth(self, g: DyadicAffine, depth: Depth) -> Depth:
         # every member of the coset g·N_d has the same doubling exponent
         return depth + abs(g.texp)
 
     def level_of(self, x: DyadicAffine, cap: Depth) -> Depth:
-        if x.texp or x.shift.denominator != 1:
+        if x.texp or x.k:
             return -1
-        return p_adic_level(x.shift.numerator, 2, cap)
+        return p_adic_level(x.num, 2, cap)
 
     def level_index(self, depth: Depth) -> int:
         self.check_depth(depth)
@@ -94,48 +153,50 @@ class BS12Pair(CommensuratedPair):
 
     def level_generators(self, depth: Depth) -> list:
         self.check_depth(depth)
-        return [DyadicAffine(Fraction(1 << depth), 0)]
+        return [_affine(1 << depth, 0, 0)]
 
     def format_element(self, x: DyadicAffine) -> str:
-        return f"({x.shift}; {x.texp})"
+        return _text(x.num, x.k, x.texp)
 
     def parse_literal(self, text: str) -> DyadicAffine:
         m = _LITERAL.fullmatch(text.strip())
         if m is None:
             raise ValueError(f"bs12: bad element literal {quoted(text)}")
         num, den, texp = m.groups()
-        elt = DyadicAffine(Fraction(*read_ratio(num, den, "bs12", text)), read_int(texp))
-        self.validate(elt)
-        return elt
+        n, d = read_ratio(num, den, "bs12", text)
+        texp = read_int(texp)
+        q = math.gcd(n, d)
+        n, d = n // q, d // q
+        if d & (d - 1):
+            self.validate(DyadicAffine(Fraction(n, d), texp))  # refuses the shift
+        return _affine(n, d.bit_length() - 1, texp)
 
     def level_rep(self, x: DyadicAffine, depth: Depth) -> str:
         self.check_depth(depth)
         # x·N_d is (x.shift + 2**(texp + d)·z, x.texp); with the shift n/2**k,
-        # reduce n mod 2**m for m = texp + d + k, which leaves 0 when m <= 0
-        n, den = x.shift.numerator, x.shift.denominator
-        m = x.texp + depth + den.bit_length() - 1
+        # reduce n mod 2**m for m = texp + d + k, which leaves 0 when m <= 0.
+        # An odd n stays odd, so the rep's shift n/2**k is in lowest terms.
+        n, k = x.num, x.k
+        m = x.texp + depth + k
         if m <= 0:
-            n = 0
+            n = k = 0
         elif n < 0 or n.bit_length() > m:  # else 0 <= n < 2**m already
             if n.bit_length() < m > 4 * sys.get_int_max_str_digits() > 0:  # 2**m + n is too long
                 raise ValueError("the level rep exceeds the display limit")
             n %= 1 << m
-        return self.format_element(DyadicAffine(Fraction(n, den), x.texp))
+        return _text(n, k, x.texp)
 
     def validate(self, x) -> None:
         if not isinstance(x, DyadicAffine):
             raise ContractViolation(f"bs12: not an affine element: {x!r}")
         if (
-            not isinstance(x.shift, Fraction)
+            x.k is None and not isinstance(x.num, Fraction)
             or not isinstance(x.texp, int)
             or isinstance(x.texp, bool)
         ):
             raise ContractViolation(f"bs12: malformed element fields: {x!r}")
-        den = x.shift.denominator
-        if den & (den - 1):  # a Fraction's denominator is positive
-            raise ContractViolation(
-                f"bs12: shift {x.shift} is not a dyadic rational"
-            )
+        if x.k is None:
+            raise ContractViolation(f"bs12: shift {x.num} is not a dyadic rational")
 
     def describe(self) -> str:
         return (

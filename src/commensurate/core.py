@@ -509,7 +509,7 @@ class CompletionElement:
         pair = self.pair
         cap = min(self.depth, other.depth)
         level = pair.level_of(pair.mul(pair.inv(self.rep), other.rep), cap)
-        return Valuation(depth=level, indistinguishable=level == cap)
+        return Valuation(level, level == cap)
 
     def right_rep(self, depth: Depth) -> Any:
         """A representative h with N_depth.h in the denoted filter.

@@ -124,7 +124,8 @@ class SL2Pair(CommensuratedPair):
         a, b, c, d, m = x.na, x.nb, x.nc, x.nd, x.den
         e, f, g, h, n = y.na, y.nb, y.nc, y.nd, y.den
         check_exact_bits(
-            max(map(int.bit_length, (a, b, c, d, m))) + max(map(int.bit_length, (e, f, g, h, n)))
+            max(a.bit_length(), b.bit_length(), c.bit_length(), d.bit_length(), m.bit_length())
+            + max(e.bit_length(), f.bit_length(), g.bit_length(), h.bit_length(), n.bit_length())
         )
         return _reduced(a * e + b * g, a * f + b * h, c * e + d * g, c * f + d * h, m * n)
 

@@ -30,7 +30,7 @@ from commensurate import (
 )
 from commensurate import finitemodel
 from commensurate.cli import entry
-from commensurate.core import RATIONAL, p_adic_level, read_ratio
+from commensurate.core import MAX_EXACT_BITS, RATIONAL, p_adic_level, read_ratio
 from commensurate.finitemodel import (
     MAX_ORDER,
     _closure,
@@ -222,6 +222,138 @@ def test_bs12_validate():
     flag = DyadicAffine(Fraction(1), True)
     with pytest.raises(ContractViolation, match=re.escape(f"bs12: malformed element fields: {flag!r}")):
         bs.embed(flag, 3)
+    # each refusal prints the element as the NamedTuple DyadicAffine printed it
+    cases = [
+        (DyadicAffine(1, 0), "bs12: malformed element fields: DyadicAffine(shift=1, texp=0)"),
+        (DyadicAffine(0.5, -2), "bs12: malformed element fields: DyadicAffine(shift=0.5, texp=-2)"),
+        (flag, "bs12: malformed element fields: DyadicAffine(shift=Fraction(1, 1), texp=True)"),
+        (DyadicAffine(Fraction(1, 3), True),
+         "bs12: malformed element fields: DyadicAffine(shift=Fraction(1, 3), texp=True)"),
+        (DyadicAffine(Fraction(1, 3), 0), "bs12: shift 1/3 is not a dyadic rational"),
+        (DyadicAffine(Fraction(-5, 12), 4), "bs12: shift -5/12 is not a dyadic rational"),
+    ]
+    for x, message in cases:
+        for call in (lambda: bs.validate(x), lambda: bs.embed(x, 3)):
+            with pytest.raises(ContractViolation) as err:
+                call()
+            assert str(err.value) == message
+
+
+def _ref_bs12_mul(x, y):
+    return (x.shift + Fraction(2) ** x.texp * y.shift, x.texp + y.texp)
+
+
+def _ref_bs12_inv(x):
+    return (-x.shift / Fraction(2) ** x.texp, -x.texp)
+
+
+def _ref_bs12_in_level(x, depth):
+    return x.texp == 0 and x.shift.denominator == 1 and x.shift.numerator % 2**depth == 0
+
+
+def _ref_bs12_level_of(x, cap):
+    if not _ref_bs12_in_level(x, 0):
+        return -1
+    return next((d - 1 for d in range(1, cap + 1) if not _ref_bs12_in_level(x, d)), cap)
+
+
+def _assert_bs12_canonical(x, expect):
+    """x stores the shift of the (Fraction, int) pair ``expect`` as num/2**k
+    in lowest terms, and has the Fraction face of that pair."""
+    shift, texp = expect
+    assert type(x) is DyadicAffine and type(x.num) is int and type(x.k) is int
+    assert (x.num, 1 << x.k, x.texp) == (shift.numerator, shift.denominator, texp)
+    assert x.k == 0 or x.num & 1
+    assert tuple(x) == expect and type(x.shift) is Fraction
+
+
+_BS12_DEPTHS = [*range(42), 90, 200]
+
+
+@st.composite
+def _bs12_elements(draw):
+    """A shift n/2**k (reduced when built) with k <= 80, zero one time in
+    four, and a doubling exponent of either sign."""
+    n = draw(st.just(0) | st.integers(-(1 << 90), 1 << 90) | st.integers(-9, 9) | st.integers(1, 1 << 90))
+    return DyadicAffine(Fraction(n, 1 << draw(st.integers(0, 80))), draw(st.integers(-100, 100)))
+
+
+@settings(max_examples=300, deadline=None)
+@given(x=_bs12_elements(), y=_bs12_elements(), w=st.integers(0, 120), c=st.integers(-(1 << 20), 1 << 20),
+       scale=st.integers(0, 40))
+def test_bs12_integer_arithmetic_matches_fraction_formulas(x, y, w, c, scale):
+    """mul, inv and parse_literal give the reduced shift that Fraction
+    arithmetic gives, and the chain tests, the level reps and the text read
+    the same from the stored integers as from that shift; n is a member of
+    level w, so the quotient x^-1·(x·n) is too."""
+    bs = BS12Pair()
+    n = DyadicAffine(Fraction(c << w), 0)
+    for g in (x, y, n):
+        _assert_bs12_canonical(g, tuple(g))
+    xy, xn = bs.mul(x, y), bs.mul(x, n)
+    _assert_bs12_canonical(xy, _ref_bs12_mul(x, y))
+    _assert_bs12_canonical(bs.mul(y, x), _ref_bs12_mul(y, x))
+    _assert_bs12_canonical(xn, _ref_bs12_mul(x, n))
+    _assert_bs12_canonical(bs.inv(x), _ref_bs12_inv(x))
+    _assert_bs12_canonical(bs.inv(y), _ref_bs12_inv(y))
+    quotient = bs.mul(bs.inv(x), xn)
+    _assert_bs12_canonical(quotient, tuple(n))
+    for g in (x, y, xy, bs.inv(x), n, quotient):
+        for d in _BS12_DEPTHS:
+            assert bs.in_level(g, d) is _ref_bs12_in_level(g, d), (g, d)
+            assert bs.level_of(g, d) == _ref_bs12_level_of(g, d), (g, d)
+            assert bs.level_rep(g, d) == _ref_bs12_level_rep(g, d), (g, d)
+        text = bs.format_element(g)
+        assert text == f"({g.shift}; {g.texp})"
+        _assert_bs12_canonical(bs.parse_literal(text), tuple(g))
+        # an unreduced literal, over 3·2**scale times the denominator, reads as g
+        q = 3 << scale
+        unreduced = f"({g.shift.numerator * q}/{g.shift.denominator * q}; {g.texp})"
+        _assert_bs12_canonical(bs.parse_literal(unreduced), tuple(g))
+
+
+def test_bs12_keeps_the_tuple_face_that_the_deep_benchmark_uses():
+    """bench/deep.py builds DyadicAffine(Fraction, int), multiplies the
+    embeddings and compares .rep with a (Fraction, int) tuple; a tuple
+    holding a DyadicAffine compares with one holding that pair.  The right
+    factor costs 3 levels, so the product attains min(30, 20 - 3) = 17."""
+    pair = BS12Pair()
+    x, y = DyadicAffine(Fraction(3, 4), 2), DyadicAffine(Fraction(5, 8), -3)
+    r = pair.embed(x, 20) * pair.embed(y, 30)
+    expect = (Fraction(13, 4), -1)
+    assert r.rep == expect and expect == r.rep and (r.rep, r.depth) == (expect, 17)
+    assert r.rep != expect[:1] and r.rep != list(expect) and r.rep != (Fraction(13, 4), 1)
+    assert r.rep != (Fraction(13, 4), -1, 0) and r.rep != DyadicAffine(Fraction(13, 8), -1)
+    assert hash(r.rep) == hash(expect) and {r.rep: 1}[expect] == 1 and {expect: 1}[r.rep] == 1
+    assert len(r.rep) == 2 and tuple(r.rep) == expect and [*r.rep] == list(expect)
+    assert (r.rep.shift, r.rep.texp) == expect
+    assert repr(r.rep) == "DyadicAffine(shift=Fraction(13, 4), texp=-1)"
+    inverse = pair.embed(x, 9).inverse()
+    assert (inverse.rep, inverse.depth) == ((Fraction(-3, 16), -2), 7)
+
+
+def test_bs12_exact_bit_bound_holds_at_the_same_sizes():
+    """A product or an inverse asks check_exact_bits for |texp| plus the bit
+    length of the larger of the moved shift's numerator and denominator:
+    exactly MAX_EXACT_BITS is built, one bit more is refused."""
+    bs = BS12Pair()
+    for n, k in ((1, 0), (-(1 << 99) - 1, 0), (7, 200), (1 << 300, 0)):
+        shift = Fraction(n, 1 << k)
+        size = max(shift.numerator.bit_length(), shift.denominator.bit_length())
+        for texp in (MAX_EXACT_BITS - size, size - MAX_EXACT_BITS):
+            left, moved = DyadicAffine(Fraction(3, 2), texp), DyadicAffine(shift, 5)
+            _assert_bs12_canonical(bs.mul(left, moved), _ref_bs12_mul(left, moved))
+            _assert_bs12_canonical(bs.inv(DyadicAffine(shift, texp)),
+                                   _ref_bs12_inv(DyadicAffine(shift, texp)))
+            past = texp + (1 if texp > 0 else -1)
+            for call in (lambda: bs.mul(DyadicAffine(Fraction(3, 2), past), moved),
+                         lambda: bs.inv(DyadicAffine(shift, past))):
+                with pytest.raises(ValueError, match=f"^exact product exceeds the bound of {MAX_EXACT_BITS} bits$"):
+                    call()
+    # a zero shift is never moved, so no exponent is too large
+    huge = DyadicAffine(Fraction(0), 10**30)
+    assert bs.inv(huge) == (Fraction(0), -10**30)
+    assert bs.mul(DyadicAffine(Fraction(1), 10**30), huge) == (Fraction(1), 2 * 10**30)
 
 
 # --- SL2(Z[1/p]) -----------------------------------------------------------------
