@@ -85,6 +85,12 @@ def _affine(num: int, k: int, texp: int) -> DyadicAffine:
     return x
 
 
+def _reduced(num: int, k: int, texp: int) -> DyadicAffine:
+    """The DyadicAffine of the shift num/2**k, for k >= 0, in lowest terms."""
+    z = min(k, (num & -num).bit_length() - 1) if num else k
+    return _affine(num >> z, k - z, texp)
+
+
 def _text(num: int, k: int, texp: int) -> str:
     """An element's text, its shift num/2**k spelled as str(Fraction) spells it."""
     return f"({num}; {texp})" if k == 0 else f"({num}/{1 << k}; {texp})"
@@ -116,10 +122,7 @@ class BS12Pair(CommensuratedPair):
         if s <= 0:
             return _affine(a + (b << -j), 0, texp)
         n = (a << (s - i)) + (b << (s - j))
-        if not n & 1:  # cancel the powers of two that n gained, at most s of them
-            z = min(s, (n & -n).bit_length() - 1) if n else s
-            n, s = n >> z, s - z
-        return _affine(n, s, texp)
+        return _affine(n, s, texp) if n & 1 else _reduced(n, s, texp)
 
     def inv(self, x: DyadicAffine) -> DyadicAffine:
         # x^-1 maps v to 2**-texp · v - num/2**(k + texp)
@@ -130,10 +133,7 @@ class BS12Pair(CommensuratedPair):
         e = k + texp
         if e <= 0:
             return _affine(-n << -e, 0, -texp)
-        if n & 1:
-            return _affine(-n, e, -texp)
-        z = min(e, (n & -n).bit_length() - 1)  # here k = 0, so n may be even
-        return _affine(-n >> z, e - z, -texp)
+        return _affine(-n, e, -texp) if n & 1 else _reduced(-n, e, -texp)
 
     def in_level(self, x: DyadicAffine, depth: Depth) -> bool:
         return x.texp == 0 and x.k == 0 and x.num % (1 << depth) == 0
@@ -209,7 +209,4 @@ class BS12Pair(CommensuratedPair):
         return _TEXP if name == "texp" else super().target(name)
 
     def sample(self, rng) -> DyadicAffine:
-        num = rng.randrange(-(1 << 10), 1 << 10)
-        return DyadicAffine(
-            Fraction(num, 1 << rng.randrange(0, 6)), rng.randrange(-5, 6)
-        )
+        return _reduced(rng.randrange(-(1 << 10), 1 << 10), rng.randrange(0, 6), rng.randrange(-5, 6))
