@@ -1,13 +1,9 @@
-import pathlib
 import re
 
 import pytest
 from hypothesis import settings
 
-from commensurate import finite_model_pair, load_model
-
-ROOT = pathlib.Path(__file__).resolve().parent.parent
-MODELS = ROOT / "models"
+from contract import pair_named
 
 # No per-example deadline: on a loaded host one slow example is not a
 # failure.  Hangs are still caught, by the tests' own time_limit guards.
@@ -46,17 +42,17 @@ def pytest_terminal_summary(terminalreporter):
 
 @pytest.fixture(scope="session")
 def s4_pair():
-    return finite_model_pair(load_model(MODELS / "s4.model"))
+    return pair_named("s4")
 
 
 @pytest.fixture(scope="session")
 def s4_d8_pair():
-    return finite_model_pair(load_model(MODELS / "s4_d8.model"))
+    return pair_named("s4_d8")
 
 
 @pytest.fixture(scope="session")
 def z8_pair():
-    return finite_model_pair(load_model(MODELS / "z8.model"))
+    return pair_named("z8")
 
 
 @pytest.fixture(scope="session")

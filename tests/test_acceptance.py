@@ -9,7 +9,6 @@ arithmetic computed independently of the completion engine.
 """
 
 import os
-import pathlib
 import random
 import time
 
@@ -22,16 +21,14 @@ from test_oracle import (
 )
 
 from commensurate.oracle import compare_engine
-from commensurate.finitemodel import load_model
 from commensurate.registry import builtin_instances, resolve_instance, resolve_target
+from contract import MODEL_PAIRS
 
-ROOT = pathlib.Path(__file__).resolve().parent.parent
-MODELS = ROOT / "models"
 SEED = int(os.environ.get("COMMENSURATE_SEED", "0"))
 
 
 def _shipped_models():
-    return [load_model(path) for path in sorted(MODELS.glob("*.model"))]
+    return [pair.model for pair in MODEL_PAIRS]
 
 
 def _budget(started, limit, label):

@@ -3,7 +3,6 @@
 import contextlib
 import io
 import math
-import pathlib
 import random
 import sys
 from collections import Counter
@@ -18,20 +17,20 @@ from commensurate import (
     CompletionElement,
     DiscreteTarget,
     DyadicAffine,
+    FiniteModelPair,
     IntegerChainPair,
     Mat2,
     PrecisionExhausted,
     SL2Pair,
     Valuation,
-    finite_model_pair,
-    load_model,
 )
 from commensurate import core
 from commensurate.core import _gallop
 from commensurate.expr import evaluate
 from commensurate.finitemodel import _closure
 from commensurate.integers import FactorialChainPair, is_prime
-from commensurate.registry import builtin_instances, resolve_instance
+from commensurate.registry import resolve_instance
+from contract import MODEL_PAIRS, PAIRS, ROOT, corrupt
 from test_cli import time_limit
 
 Z2 = IntegerChainPair(2)
@@ -529,13 +528,6 @@ def test_exhausted_search_reports_requirement():
 
 # --- truncated powers ----------------------------------------------------------------
 
-MODELS = pathlib.Path(__file__).resolve().parent.parent / "models"
-POWER_PAIRS = builtin_instances() + [
-    finite_model_pair(load_model(MODELS / f"{name}.model"))
-    for name in ("s4", "s4_d8", "z8", "s4_corrupt")
-]
-
-
 def _left_fold(f, k):
     """f^k as the k-fold left-to-right product, one search per factor."""
     if k == 0:
@@ -555,7 +547,7 @@ def _outcome(compute):
     return "ok", f.rep, f.depth
 
 
-@pytest.mark.parametrize("pair", POWER_PAIRS, ids=lambda p: p.name)
+@pytest.mark.parametrize("pair", PAIRS, ids=lambda p: p.name)
 @given(
     seed=st.integers(min_value=0, max_value=1 << 32),
     depth=st.integers(min_value=0, max_value=16),
@@ -633,7 +625,7 @@ def test_power_search_count_is_bounded_by_depth(monkeypatch, pair, gen, rep, dep
     assert len(searches) == 1
 
 
-@pytest.mark.parametrize("pair", POWER_PAIRS[-4:], ids=lambda p: p.name)
+@pytest.mark.parametrize("pair", MODEL_PAIRS, ids=lambda p: p.name)
 def test_power_search_count_on_models(pair):
     """A model declares no cost, so a power gallops once per factor until
     its depth stops falling: at most depth + 1 logarithmic searches."""
@@ -681,14 +673,6 @@ def test_declared_cost_answers_in_one_call(monkeypatch, inner):
 
 # --- closed forms against the default searches ----------------------------------
 
-# z618970019642690137449562111 is 2**89 - 1: a prime above PRIME_LIMIT, so the
-# chain walk answers level_of there, as on composite bases and zfact
-CLOSED_FORM_PAIRS = [resolve_instance(name) for name in
-                     ("z2", "z3", "z4", "z6", "z618970019642690137449562111", "zfact", "bs12",
-                      "sl2:2", "sl2:3", "sl2:5")]
-DEFAULT_PAIRS = [finite_model_pair(load_model(path)) for path in sorted(MODELS.glob("*.model"))]
-
-
 def _outside_k(pair):
     """Elements outside K = N_0 that the samplers may miss."""
     if pair.name == "bs12":
@@ -715,12 +699,12 @@ def _elements(pair, rng, count):
     return pool
 
 
-@pytest.mark.parametrize("pair", CLOSED_FORM_PAIRS + DEFAULT_PAIRS, ids=lambda p: p.name)
+@pytest.mark.parametrize("pair", PAIRS, ids=lambda p: p.name)
 def test_conj_cost_is_the_conj_depth_offset(pair):
     """The shipped closed-form instances declare a constant conjugation
     cost, finite models do not, and where it is declared conj_depth(g, d)
     == d + conj_depth(g, 0) at every d up to the cap."""
-    assert pair.constant_conj_cost == (pair in CLOSED_FORM_PAIRS)
+    assert pair.constant_conj_cost == (not isinstance(pair, FiniteModelPair))
     if pair.constant_conj_cost:
         for g in _elements(pair, random.Random(7), 30):
             cost = pair.conj_depth(g, 0)
@@ -733,7 +717,7 @@ def test_conj_cost_is_the_conj_depth_offset(pair):
 _DEEP_CAPS = (41, 63, 64, 100, 255, 256, 300, 399, 400, 401, 1000)
 
 
-@pytest.mark.parametrize("pair", CLOSED_FORM_PAIRS + DEFAULT_PAIRS, ids=lambda p: p.name)
+@pytest.mark.parametrize("pair", PAIRS, ids=lambda p: p.name)
 def test_level_of_matches_the_default_search(pair):
     """At every cap up to 40; on the unbounded chains also at the deep caps,
     with members of levels 41 to 400 and their products among the elements."""
@@ -750,7 +734,7 @@ def test_level_of_matches_the_default_search(pair):
             assert pair.level_of(x, cap) == expect, (pair.format_element(x), cap)
 
 
-@pytest.mark.parametrize("pair", DEFAULT_PAIRS, ids=lambda p: p.name)
+@pytest.mark.parametrize("pair", MODEL_PAIRS, ids=lambda p: p.name)
 def test_model_level_of_table_matches_the_default_search_everywhere(pair):
     """A model's deepest-level table gives the default's in_level search's
     answer at every element and every cap."""
@@ -760,14 +744,14 @@ def test_model_level_of_table_matches_the_default_search_everywhere(pair):
             assert pair.level_of(x, cap) == expect, (pair.format_element(x), cap)
 
 
-@pytest.mark.parametrize("pair", CLOSED_FORM_PAIRS + DEFAULT_PAIRS, ids=lambda p: p.name)
+@pytest.mark.parametrize("pair", PAIRS, ids=lambda p: p.name)
 def test_each_level_generator_lies_in_its_level(pair):
     """Each of level_generators(d) lies in N_d, for d < 8 or to the bottom;
     a model's generators close to its level."""
     for d in range(8 if pair.max_depth is None else pair.max_depth + 1):
         gens = pair.level_generators(d)
         assert all(pair.in_level(s, d) for s in gens), d
-        if pair in DEFAULT_PAIRS:
+        if isinstance(pair, FiniteModelPair):
             assert _closure(pair.identity, gens, pair.mul) == pair.model.levels[d], d
 
 
@@ -882,7 +866,7 @@ def test_factorial_chain_walk_takes_few_steps(monkeypatch):
     assert [zfact.level_of(x, cap) for x, cap, _ in cases[-4:]] == [2, 16, 66, 5]
 
 
-@pytest.mark.parametrize("pair", CLOSED_FORM_PAIRS + DEFAULT_PAIRS, ids=lambda p: p.name)
+@pytest.mark.parametrize("pair", PAIRS, ids=lambda p: p.name)
 def test_engine_agrees_with_its_default_searches(pair):
     """Products, inverses, powers and valuations come out the same through a
     wrapper that declares no closed form but conj_depth, so that every
@@ -891,7 +875,7 @@ def test_engine_agrees_with_its_default_searches(pair):
     PrecisionExhausted.  s4_corrupt's conj_depth is wrong on purpose, so it
     runs through the first wrapper only."""
     seams = [_CountingPair(pair)]
-    if pair.name != "s4_corrupt":
+    if not corrupt(pair):
         seams.append(_DerivedConjPair(pair))
     rng = random.Random(7)
     top = _max_cap(pair)
@@ -960,11 +944,6 @@ def test_a_broken_unbounded_chain_is_refused_at_the_search_bound():
 
 # --- exact left factors --------------------------------------------------------
 
-LEFT_PAIRS = builtin_instances() + [
-    finite_model_pair(load_model(path)) for path in sorted(MODELS.glob("*.model"))
-]
-
-
 def _lifted_product(g, f):
     """g·f as the evaluator once computed it: g embedded just deep enough
     that conjugating f's chain costs f no depth, then a searched product."""
@@ -972,7 +951,7 @@ def _lifted_product(g, f):
     return pair.embed(g, pair.conj_depth(f.rep, f.depth)) * f
 
 
-@pytest.mark.parametrize("pair", LEFT_PAIRS, ids=lambda p: p.name)
+@pytest.mark.parametrize("pair", PAIRS, ids=lambda p: p.name)
 @given(
     seed=st.integers(min_value=0, max_value=1 << 32),
     depth=st.integers(min_value=0, max_value=64),
@@ -986,7 +965,7 @@ def test_left_mul_matches_the_lifted_product(pair, seed, depth):
     assert (out.rep, out.depth) == (ref.rep, ref.depth) == (pair.mul(g, f.rep), depth)
 
 
-@pytest.mark.parametrize("inner", LEFT_PAIRS, ids=lambda p: p.name)
+@pytest.mark.parametrize("inner", PAIRS, ids=lambda p: p.name)
 def test_left_mul_is_one_group_product_without_a_search(inner):
     pair = _CountingPair(inner)
     rng = random.Random(7)
@@ -1018,7 +997,7 @@ def test_left_mul_validates_its_factor():
 
 def test_readme_python_api_example_prints_what_it_says():
     """The README's Python API block runs and prints its commented lines."""
-    readme = (MODELS.parent / "README.md").read_text(encoding="utf-8")
+    readme = (ROOT / "README.md").read_text(encoding="utf-8")
     block = readme.split("## Python API", 1)[1].split("```python\n", 1)[1].split("```", 1)[0]
     out = io.StringIO()
     with contextlib.redirect_stdout(out):

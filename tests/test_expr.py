@@ -1,6 +1,5 @@
 """Parsing and evaluation of group-word expressions."""
 
-import pathlib
 import re
 from fractions import Fraction
 
@@ -16,8 +15,6 @@ from commensurate import (
     IntegerChainPair,
     PrecisionExhausted,
     SL2Pair,
-    finite_model_pair,
-    load_model,
 )
 from commensurate.expr import (
     MAX_NESTING,
@@ -34,8 +31,8 @@ from commensurate.expr import (
     tokenize,
 )
 from commensurate.registry import resolve_target
+from contract import pair_named
 
-MODELS = pathlib.Path(__file__).resolve().parent.parent / "models"
 BS = BS12Pair()
 Z2 = IntegerChainPair(2)
 SL2 = SL2Pair(2)
@@ -171,8 +168,8 @@ _LITERAL_STYLES = {
     "bs12": BS,
     "sl2:3": SL2Pair(3),
     "z2": Z2,
-    "s4": finite_model_pair(load_model(MODELS / "s4.model")),
-    "z8": finite_model_pair(load_model(MODELS / "z8.model")),
+    "s4": pair_named("s4"),
+    "z8": pair_named("z8"),
 }
 _FRAGMENTS = [
     *"*^(),:_-/;[]#.0123456789 atuhlinvembdpsxz",

@@ -3,7 +3,6 @@
 import contextlib
 import gc
 import math
-import pathlib
 import time
 import random
 import re
@@ -20,6 +19,7 @@ from commensurate import (
     ContractViolation,
     DyadicAffine,
     FactorialChainPair,
+    FiniteModelPair,
     IntegerChainPair,
     Mat2,
     ModelError,
@@ -41,10 +41,13 @@ from commensurate.finitemodel import (
     perm_to_cycles,
 )
 from commensurate.oracle import compare_engine
-from commensurate.registry import builtin_instances, resolve_instance
+from commensurate.registry import resolve_instance
 from commensurate.integers import PRIME_LIMIT
 from commensurate.sl2 import is_prime
 
+from contract import (
+    MODEL_PAIRS, MODELS, PAIRS, corrupt, generation, nesting, normality, pair_named,
+)
 from test_cli import _dihedral_rows, time_limit
 from test_oracle import (
     coherent_chains,
@@ -54,7 +57,6 @@ from test_oracle import (
 )
 
 RNG_SEED = 20260814
-MODELS = pathlib.Path(__file__).resolve().parent.parent / "models"
 
 
 # --- integers -----------------------------------------------------------------
@@ -560,15 +562,17 @@ def _assert_same_matrix(got, expect):
     assert tuple(got) == tuple(expect)
 
 
-_SL2_BY_P = {p: SL2Pair(p) for p in (2, 3, 5)}
+_each_sl2 = pytest.mark.parametrize(
+    "pair", [pair for pair in PAIRS if isinstance(pair, SL2Pair)], ids=lambda pair: str(pair.p)
+)
 _SL2_DEPTHS = [*range(36), 400, 800]
 
 
 @st.composite
-def _sl2_elements(draw, p):
+def _sl2_elements(draw, pair):
     """A word in u, l and h^±v (v <= 20), with b and c optionally scaled by
     p^±400 (a conjugation by h^±200, so the determinant stays 1)."""
-    pair = _SL2_BY_P[p]
+    p = pair.p
     zero = Fraction(0)
     steps = {
         "u": pair.generators["u"], "U": pair.inv(pair.generators["u"]),
@@ -586,12 +590,11 @@ def _sl2_elements(draw, p):
     return Mat2(x.a, x.b * scale, x.c / scale, x.d)
 
 
-@pytest.mark.parametrize("p", sorted(_SL2_BY_P))
+@_each_sl2
 @given(data=st.data())
-def test_sl2_integer_arithmetic_matches_fraction_formulas(p, data):
-    pair = _SL2_BY_P[p]
-    x = data.draw(_sl2_elements(p))
-    y = data.draw(_sl2_elements(p))
+def test_sl2_integer_arithmetic_matches_fraction_formulas(pair, data):
+    x = data.draw(_sl2_elements(pair))
+    y = data.draw(_sl2_elements(pair))
     n = pair.sample_level(data.draw(st.integers(0, 30)), data.draw(st.randoms()))
     _assert_same_matrix(pair.mul(x, y), _ref_mul(x, y))
     _assert_same_matrix(pair.mul(x, n), _ref_mul(x, n))
@@ -611,11 +614,11 @@ def test_sl2_integer_arithmetic_matches_fraction_formulas(p, data):
     )
 
 
-@pytest.mark.parametrize("p", sorted(_SL2_BY_P))
-def test_sl2_integer_arithmetic_when_one_entry_has_the_largest_denominator(p):
+@_each_sl2
+def test_sl2_integer_arithmetic_when_one_entry_has_the_largest_denominator(pair):
     """Each entry in turn carries the strictly largest denominator: h^±v and
     the unipotents with entry p^-v, with their products."""
-    pair = _SL2_BY_P[p]
+    p = pair.p
     one, zero = Fraction(1), Fraction(0)
     elements = []
     for v in (1, 20):
@@ -633,13 +636,13 @@ def test_sl2_integer_arithmetic_when_one_entry_has_the_largest_denominator(p):
             _assert_same_matrix(pair.mul(x, y), _ref_mul(x, y))
 
 
-@pytest.mark.parametrize("p", sorted(_SL2_BY_P))
+@_each_sl2
 @given(data=st.data())
-def test_sl2_foreign_denominators_raise_the_same_message(p, data):
+def test_sl2_foreign_denominators_raise_the_same_message(pair, data):
     """An entry plus 1/(r·p^k), for a prime r != p, keeps r in its
     denominator; the first such entry is the one reported."""
-    pair = _SL2_BY_P[p]
-    x = data.draw(_sl2_elements(p))
+    p = pair.p
+    x = data.draw(_sl2_elements(pair))
     foreign = st.sampled_from([r for r in (2, 3, 5, 7) if r != p])
     entries = list(x)
     for i in data.draw(st.sets(st.integers(0, 3), min_size=1)):
@@ -655,26 +658,26 @@ def test_sl2_foreign_denominators_raise_the_same_message(p, data):
     assert _violation(lambda: pair.denominator_exponent(bad)) == expect
 
 
-@pytest.mark.parametrize("p", sorted(_SL2_BY_P))
+@_each_sl2
 @given(data=st.data())
-def test_sl2_format_element_spells_the_fraction_face(p, data):
+def test_sl2_format_element_spells_the_fraction_face(pair, data):
     """format_element spells each entry from the stored integers exactly as
     str(Fraction) spells the entry of the Fraction face, zero and negative
     entries included."""
-    pair = _SL2_BY_P[p]
-    x = data.draw(_sl2_elements(p))
+    p = pair.p
+    x = data.draw(_sl2_elements(pair))
     q = Fraction
     foreign = Mat2(q(-1, p**3), q(0), q(-5), q(7, 3 * p))  # formatted, not validated
     for g in (x, pair.inv(x), pair.identity, *pair.generators.values(), foreign):
         assert pair.format_element(g) == "[[{},{}],[{},{}]]".format(*g)
 
 
-@pytest.mark.parametrize("p", sorted(_SL2_BY_P))
-def test_sl2_reader_matches_the_reference_exponent(p):
+@_each_sl2
+def test_sl2_reader_matches_the_reference_exponent(pair):
     """The stored integer form of a matrix: numerators over den = p**e, with
     e the reference exponent, on sampled matrices and on their conjugates
     and products by h^v with v >= 1000."""
-    pair = _SL2_BY_P[p]
+    p = pair.p
     rng = random.Random(RNG_SEED)
     zero = Fraction(0)
     elements = [pair.sample(rng) for _ in range(40)]
@@ -705,15 +708,15 @@ def _assert_canonical(pair, x):
     assert len(x) == 4 and tuple(x) == (x.a, x.b, x.c, x.d)
 
 
-@pytest.mark.parametrize("p", sorted(_SL2_BY_P))
+@_each_sl2
 @given(data=st.data())
-def test_sl2_stored_form_is_canonical(p, data):
+def test_sl2_stored_form_is_canonical(pair, data):
     """mul, inv and parse_literal give the least common denominator, which
     is p**v(g), over numerators with no common factor with it; Mat2 of the
     entries rebuilds the same fields, and == and hash are the 4-tuple's."""
-    pair = _SL2_BY_P[p]
-    x = data.draw(_sl2_elements(p))
-    y = data.draw(_sl2_elements(p))
+    p = pair.p
+    x = data.draw(_sl2_elements(pair))
+    y = data.draw(_sl2_elements(pair))
     n = pair.sample_level(data.draw(st.integers(0, 30)), data.draw(st.randoms()))
     _assert_canonical(pair, x)
     for g in (pair.mul(x, y), pair.mul(x, pair.inv(x)), pair.mul(pair.inv(y), n), pair.inv(x)):
@@ -771,37 +774,42 @@ def test_sl2_contract_violations_keep_their_text():
             assert _violation(lambda: sl2.conj_depth(x, 0)) == ("violation", message)
 
 
-# --- shared contract fuzz --------------------------------------------------------
+# --- the chain contract ---------------------------------------------------------
 
-def _contract_pairs():
-    return [
-        IntegerChainPair(2),
-        FactorialChainPair(),
-        IntegerChainPair(3),
-        BS12Pair(),
-        SL2Pair(2),
-        SL2Pair(3),
+@pytest.mark.parametrize("pair", PAIRS, ids=lambda p: p.name)
+def test_chain_nesting_and_normality(pair):
+    """contract.nesting and contract.normality find no failure."""
+    assert [*nesting(pair), *normality(pair)] == []
+
+
+@pytest.mark.parametrize("pair", PAIRS, ids=lambda p: p.name)
+def test_level_generators_generate_their_level(pair):
+    """contract.generation finds no failure."""
+    assert list(generation(pair)) == []
+
+
+def test_the_generation_check_finds_a_missing_generator():
+    """Without -I, u^2 and l^2 reach half of sl2:2's level 1 modulo levels 2 and 3."""
+    class _NoMinusOne(SL2Pair):
+        def level_generators(self, depth):
+            gens = super().level_generators(depth)
+            return gens[:2] if depth == 1 else gens
+
+    assert list(generation(_NoMinusOne(2))) == [
+        ((1, 2), "the generators of N_1 reach 4 of 8 cosets of N_2"),
+        ((1, 3), "the generators of N_1 reach 32 of 64 cosets of N_3"),
     ]
 
 
-@pytest.mark.parametrize("pair", _contract_pairs(), ids=lambda p: p.name)
-def test_chain_nesting_and_normality(pair):
-    rng = random.Random(RNG_SEED)
-    for _ in range(150):
-        d = rng.randrange(0, 6)
-        finer = pair.sample_level(d + 1, rng)
-        assert pair.in_level(finer, d)
-        k = pair.sample_level(0, rng)
-        n = pair.sample_level(d, rng)
-        assert pair.in_level(pair.mul(pair.mul(k, n), pair.inv(k)), d)
-
-
-@pytest.mark.parametrize("pair", _contract_pairs(), ids=lambda p: p.name)
+@pytest.mark.parametrize("pair", [pair for pair in PAIRS if not corrupt(pair)],
+                         ids=lambda p: p.name)
 def test_conj_depth_uniform_two_sided(pair):
+    """The one contract check that does not read the level generators."""
     rng = random.Random(RNG_SEED)
+    top = 3 if pair.max_depth is None else min(3, pair.max_depth)
     for _ in range(150):
         g = pair.sample(rng)
-        d = rng.randrange(0, 4)
+        d = rng.randrange(0, top + 1)
         j = pair.conj_depth(g, d)
         assert j >= d
         x = pair.mul(g, pair.sample_level(d, rng))  # any member of the coset
@@ -815,42 +823,32 @@ def test_conj_depth_uniform_two_sided(pair):
 # conj_depth(g, d) >= d, so no level above the budget can qualify and each
 # search may start at min(cap, budget)
 
-@pytest.mark.parametrize("pair", _contract_pairs(), ids=lambda p: p.name)
+@pytest.mark.parametrize("pair", PAIRS, ids=lambda p: p.name)
 def test_conj_depth_monotone(pair):
-    rng = random.Random(RNG_SEED)
-    for _ in range(150):
-        g = pair.sample(rng)
-        js = [pair.conj_depth(g, d) for d in range(65)]
-        assert all(j >= d for d, j in enumerate(js))
-        assert js == sorted(js)
+    """On 150 samples at d <= 64; on a model, at every element and level."""
+    if isinstance(pair, FiniteModelPair):
+        elements, depths = range(pair.model.n), range(pair.max_depth + 1)
+    else:
+        rng = random.Random(RNG_SEED)
+        elements, depths = [pair.sample(rng) for _ in range(150)], range(65)
+    for g in elements:
+        js = [pair.conj_depth(g, d) for d in depths]
+        assert all(j >= d for d, j in enumerate(js)), g
+        assert js == sorted(js), g
 
 
-def test_conj_depth_monotone_finite_models():
-    for path in sorted(MODELS.glob("*.model")):
-        pair = finite_model_pair(load_model(path))
-        for g in range(pair.model.n):
-            js = [pair.conj_depth(g, d) for d in range(pair.max_depth + 1)]
-            assert all(j >= d for d, j in enumerate(js)), (pair.name, g)
-            assert js == sorted(js), (pair.name, g)
-
-
-SOUND_MODELS = ["s4", "s4_d8", "s5", "z8"]
-
-
-@pytest.mark.parametrize("name", ["z2", "z3", "zfact", "bs12", "sl2:2", "sl2:3", "sl2:5",
-                                  *SOUND_MODELS])
-def test_closed_form_conj_depth_is_least(name):
+@pytest.mark.parametrize("pair", [pair for pair in PAIRS if not corrupt(pair)],
+                         ids=lambda p: p.name)
+def test_closed_form_conj_depth_is_least(pair):
     """j = conj_depth(g, d) equals the seam's default derived from the level
     generators, is sound (N_j lies in both g⁻¹·N_d·g and g·N_d·g⁻¹) and is
     not needlessly lossy (when j > d, N_(j-1) does not), for each named
-    generator g at every d < 7 and for 300 sampled (g, d); on a shipped
-    sound model, at every (g, d)."""
+    generator g at every d < 7 and for 300 sampled (g, d); on a model, at
+    every (g, d)."""
     rng = random.Random(RNG_SEED)
-    if name in SOUND_MODELS:
-        pair = finite_model_pair(load_model(MODELS / f"{name}.model"))
+    if isinstance(pair, FiniteModelPair):
         cases = [(g, d) for g in range(pair.model.n) for d in range(pair.max_depth + 1)]
     else:
-        pair = resolve_instance(name)
         cases = [(g, d) for g in pair.generators.values() for d in range(7)]
         cases += [(pair.sample(rng), rng.randrange(7)) for _ in range(300)]
 
@@ -870,13 +868,15 @@ def test_closed_form_conj_depth_is_least(name):
             costly += 1
             assert not all(conjugates_in(g, s, d) for s in pair.level_generators(j - 1)), (g, d, j)
     # only the abelian instances conjugate at no cost
-    assert (costly == 0) == (isinstance(pair, IntegerChainPair) or name == "z8")
+    assert (costly == 0) == (isinstance(pair, IntegerChainPair) or pair.name == "z8")
 
 
-@pytest.mark.parametrize("pair", _contract_pairs(), ids=lambda p: p.name)
+@pytest.mark.parametrize("pair", PAIRS, ids=lambda p: p.name)
 def test_group_law_exactness(pair):
     # the identity is a constant of the group: one object across reads and pairs
-    assert pair.identity is pair.identity is resolve_instance(pair.name).identity
+    assert pair.identity is pair.identity
+    if not isinstance(pair, FiniteModelPair):  # a model resolves by its path, not its name
+        assert pair.identity is resolve_instance(pair.name).identity
     rng = random.Random(RNG_SEED)
     for _ in range(100):
         x, y, z = (pair.sample(rng) for _ in range(3))
@@ -885,19 +885,13 @@ def test_group_law_exactness(pair):
         assert pair.mul(pair.identity, x) == x == pair.mul(x, pair.identity)
 
 
-LOOKUP_PAIRS = [
-    *(resolve_instance(name) for name in ("z2", "z6", "zfact", "bs12", "sl2:2", "sl2:3", "sl2:5")),
-    *(finite_model_pair(load_model(path)) for path in sorted(MODELS.glob("*.model"))),
-]
-
-
 def _refusal(lookup, depth) -> str:
     with pytest.raises(ValueError) as err:
         lookup(depth)
     return str(err.value)
 
 
-@pytest.mark.parametrize("pair", LOOKUP_PAIRS, ids=lambda p: p.name)
+@pytest.mark.parametrize("pair", PAIRS, ids=lambda p: p.name)
 def test_level_lookups_refuse_a_depth_that_check_depth_refuses(pair):
     """level_generators, level_index and level_rep refuse a negative depth,
     a non-int and a depth past the bottom level with check_depth's one line."""
@@ -910,6 +904,9 @@ def test_level_lookups_refuse_a_depth_that_check_depth_refuses(pair):
 
 
 # --- permutation plumbing ---------------------------------------------------------
+
+_PERM_PAIRS = [pair for pair in MODEL_PAIRS if pair.model.kind == "perm"]
+
 
 def test_perm_parse_and_format():
     p = perm_from_cycles("(1 2)(3 4)", 4)
@@ -1012,8 +1009,8 @@ def test_model_rejects_level_not_normal_in_k(capsys, tmp_path):
     assert capsys.readouterr() == ("", f"error: {message}\n")
 
 
-@pytest.mark.parametrize("name", ["s4", "s4_d8", "s4_corrupt", "z8", "s5"])
-def test_loading_conjugates_nothing(name, monkeypatch):
+@pytest.mark.parametrize("pair", MODEL_PAIRS, ids=lambda p: p.name)
+def test_loading_conjugates_nothing(pair, monkeypatch):
     """The coset tables decide normality; loading makes no conj call."""
     calls = []
     conj = finitemodel.FiniteModel.conj
@@ -1023,7 +1020,7 @@ def test_loading_conjugates_nothing(name, monkeypatch):
         return conj(self, g, x)
 
     monkeypatch.setattr(finitemodel.FiniteModel, "conj", counted)
-    model = load_model(MODELS / f"{name}.model")
+    model = load_model(MODELS / f"{pair.name}.model")
     assert calls == []
     model.conj(model.e, model.e)
     assert len(calls) == 1
@@ -1075,10 +1072,8 @@ def test_model_reads_both_spellings_of_the_corruption_flag():
         assert parse_model(S4_TEXT + f"corrupt_conj_depth: {value}\n").corrupt is corrupt
 
 
-@pytest.mark.parametrize("name", ["s4", "s4_d8", "s4_corrupt", "s5"])
-def test_perm_names_parse_back_to_their_index(name):
-    pair = finite_model_pair(load_model(MODELS / f"{name}.model"))
-    assert pair.model.kind == "perm"
+@pytest.mark.parametrize("pair", _PERM_PAIRS, ids=lambda p: p.name)
+def test_perm_names_parse_back_to_their_index(pair):
     for i, text in enumerate(pair.model.names):
         assert pair.parse_literal(text) == i
 
@@ -1145,9 +1140,9 @@ def test_generator_column_table_matches_the_pairwise_table(case):
     assert perm_mul_table(elements, index, gens) == _reference_mul_table(elements)
 
 
-@pytest.mark.parametrize("name", ["s4", "s4_d8", "s4_corrupt", "s5"])
-def test_shipped_model_tables_match_the_pairwise_table(name):
-    model = load_model(MODELS / f"{name}.model")
+@pytest.mark.parametrize("pair", _PERM_PAIRS, ids=lambda p: p.name)
+def test_shipped_model_tables_match_the_pairwise_table(pair):
+    model = pair.model
     elements = sorted(model.perm_index, key=model.perm_index.get)
     assert list(model.mul_table) == _reference_mul_table(elements)
 
@@ -1299,9 +1294,9 @@ def _whole_coset_conj_depth(pair, g, depth):
     return None
 
 
-@pytest.mark.parametrize("name", ["s4", "s4_d8", "z8", "s5"])
-def test_finite_conj_depth_rep_decides_the_coset(name):
-    pair = finite_model_pair(load_model(MODELS / f"{name}.model"))
+@pytest.mark.parametrize("pair", [pair for pair in MODEL_PAIRS if not corrupt(pair)],
+                         ids=lambda p: p.name)
+def test_finite_conj_depth_rep_decides_the_coset(pair):
     for g in range(pair.model.n):
         for d in range(pair.max_depth + 1):
             assert pair.conj_depth(g, d) == _whole_coset_conj_depth(pair, g, d)
@@ -1325,8 +1320,7 @@ def test_finite_pair_validate(s4_pair):
 
 def test_coset_tables_compare_by_value():
     """Loading compares the bottom level's left and right coset tables."""
-    z8 = load_model(MODELS / "z8.model")
-    s4 = load_model(MODELS / "s4.model")
+    z8, s4 = pair_named("z8").model, pair_named("s4").model
     for d in range(len(z8.levels)):  # abelian: left and right cosets agree
         assert z8.lefts[d] == z8.rights[d] and z8.lefts[d] is not z8.rights[d]
     assert s4.lefts[-1] == s4.rights[-1]
@@ -1334,9 +1328,9 @@ def test_coset_tables_compare_by_value():
     assert hash(z8.lefts[0]) == hash(z8.rights[0])
 
 
-@pytest.mark.parametrize("name", ["s4", "s4_d8", "s4_corrupt", "z8", "s5"])
-def test_coset_tables_are_the_literal_cosets(name):
-    model = load_model(MODELS / f"{name}.model")
+@pytest.mark.parametrize("pair", MODEL_PAIRS, ids=lambda p: p.name)
+def test_coset_tables_are_the_literal_cosets(pair):
+    model = pair.model
     everything = list(range(model.n))
     for d, level in enumerate(model.levels):
         for table, literal in (
@@ -1637,20 +1631,22 @@ def test_dropped_model_with_coset_tables_is_freed():
 
 # --- discrete targets -------------------------------------------------------------
 
-# per instance: target_names, and a resolvable name for each with its kill level
+# per instance with targets: target_names, and a resolvable name for each
+# with its kill level; any other instance has none
 _TARGETS = {
     "z2": (("mod:<m>",), {"mod:2": 1}),
     "z3": (("mod:<m>",), {"mod:3": 1}),
+    "z4": (("mod:<m>",), {"mod:2": 1, "mod:4": 1}),
+    "z6": (("mod:<m>",), {"mod:3": 1, "mod:36": 2}),
+    "z618970019642690137449562111": (("mod:<m>",), {"mod:618970019642690137449562111": 1}),
     "zfact": (("mod:<m>",), {"mod:2": 2, "mod:12": 4}),
     "bs12": (("texp",), {"texp": 0}),
-    "sl2:2": ((), {}),
-    "sl2:3": ((), {}),
 }
 
 
-@pytest.mark.parametrize("pair", builtin_instances(), ids=lambda p: p.name)
+@pytest.mark.parametrize("pair", PAIRS, ids=lambda p: p.name)
 def test_target_names_resolve(pair):
-    names, kill_levels = _TARGETS[pair.name]
+    names, kill_levels = _TARGETS.get(pair.name, ((), {}))
     assert pair.target_names == names
     for name, kill_level in kill_levels.items():
         target = pair.target(name)

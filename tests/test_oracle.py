@@ -2,7 +2,6 @@
 identities checked literally."""
 
 import json
-import pathlib
 import random
 
 import pytest
@@ -13,16 +12,15 @@ from commensurate import (
     PrecisionExhausted,
     Valuation,
     finite_model_pair,
-    load_model,
     oracle,
     parse_model,
 )
 from commensurate.cli import entry
 from commensurate.finitemodel import FiniteModel
 from commensurate.oracle import compare_engine, enumerate_completion
+from contract import MODEL_PAIRS, MODELS, corrupt, pair_named
 
 SEED = 7
-MODELS = pathlib.Path(__file__).resolve().parent.parent / "models"
 
 
 # --- the paper's coset identities, checked literally ---------------------------
@@ -240,11 +238,12 @@ def _check_inverses_and_right_reps(pair):
                 assert h is None or coset <= right.of(h)
 
 
-@pytest.mark.parametrize("name", ["s4", "s4_d8", "z8"])
-def test_engine_depths_are_the_literal_optima(name):
+# s5, of order 120, has its own test, without this one's order⁴ product loop
+@pytest.mark.parametrize("pair", [p for p in MODEL_PAIRS if p.model.n <= 24 and not corrupt(p)],
+                         ids=lambda p: p.name)
+def test_engine_depths_are_the_literal_optima(pair):
     """Every product, inverse and right_rep claim the engine makes on a
     small model is the deepest one the literal cosets allow."""
-    pair = finite_model_pair(load_model(MODELS / f"{name}.model"))
     model = pair.model
     depths = range(pair.max_depth + 1)
     for g1 in range(model.n):
@@ -262,7 +261,7 @@ def test_engine_depths_are_the_literal_optima(name):
 
 
 def test_engine_inverse_and_right_rep_are_the_literal_optima_s5():
-    _check_inverses_and_right_reps(finite_model_pair(load_model(MODELS / "s5.model")))
+    _check_inverses_and_right_reps(pair_named("s5"))
 
 
 class _LossyPair(FiniteModelPair):
@@ -273,7 +272,7 @@ class _LossyPair(FiniteModelPair):
 
 
 def test_compare_engine_detects_a_lossy_pair():
-    pair = _LossyPair(load_model(MODELS / "s4.model"))
+    pair = _LossyPair(pair_named("s4").model)
     report = compare_engine(pair, 200, random.Random(SEED))
     ops = {m["op"] for m in report.mismatches}
     assert ops & {"mul-depth", "inv-depth"}
@@ -345,13 +344,40 @@ def test_compare_engine_reports_each_broken_claim(s4_pair, monkeypatch, method, 
     assert {m["op"] for m in report.mismatches} == kinds
 
 
+# D8 on 4 points with K the Klein group {e, (1 3)(2 4), (2 4), (1 3)}; the
+# rotation r = (1 2 3 4) normalises K but not N_1 = <(2 4)>, so the corrupt
+# claims conj_depth(g, d) = d land inside K, one level too deep
+_D8 = """kind: perm
+points: 4
+gens: (1 2 3 4), (2 4)
+K: (1 3)(2 4), (2 4)
+level: (2 4)
+level: -
+corrupt_conj_depth: {}
+"""
+
+
+def test_a_corrupt_model_reaches_the_coset_checks(tmp_path, capsys, monkeypatch):
+    """oracle on the corrupt D8 model reports mul-coset, inv-coset and
+    right_rep-coset mismatches (exit 1); its sound twin reports none."""
+    monkeypatch.setenv("COMMENSURATE_SEED", "0")
+    path = tmp_path / "d8.model"
+    for corrupt_flag, code in (("true", 1), ("false", 0)):
+        path.write_text(_D8.format(corrupt_flag), encoding="utf-8")
+        assert entry(["oracle", str(path), "--trials", "300", "--json"]) == code
+        ops = [m["op"] for m in json.loads(capsys.readouterr().out)["mismatches"]]
+        if code:
+            assert {"mul-coset", "inv-coset", "right_rep-coset"} <= set(ops), ops
+        else:
+            assert ops == []
+
+
 def test_run_model_suite_reports(s4_pair, capsys, monkeypatch):
     report = compare_engine(s4_pair, 50, random.Random(SEED))
     assert report.ok
     assert (report.model, report.trials, report.mismatches) == ("s4", 50, [])
     # oracle --json writes the report's three fields, mismatches included
-    corrupt = finite_model_pair(load_model(MODELS / "s4_corrupt.model"))
-    report = compare_engine(corrupt, 50, random.Random(SEED))
+    report = compare_engine(pair_named("s4_corrupt"), 50, random.Random(SEED))
     assert report.mismatches
     monkeypatch.setenv("COMMENSURATE_SEED", str(SEED))
     argv = ["oracle", str(MODELS / "s4_corrupt.model"), "--trials", "50", "--json"]
@@ -414,9 +440,9 @@ def test_suite_enumerates_the_completion_once(s4_d8_pair, monkeypatch):
     assert calls == ["s4_d8"]
 
 
-@pytest.mark.parametrize("name", ["s4", "s4_d8", "s4_corrupt", "z8", "s5"])
-def test_refinement_subgroup_depends_on_the_left_coset_only(name):
-    model = load_model(MODELS / f"{name}.model")
+@pytest.mark.parametrize("pair", MODEL_PAIRS, ids=lambda p: p.name)
+def test_refinement_subgroup_depends_on_the_left_coset_only(pair):
+    model = pair.model
     for d in range(len(model.levels)):
         left = model.lefts[d]
         for g in range(model.n):
