@@ -27,7 +27,7 @@ _LAZY = {
     "FiniteModel": "finitemodel",
     "FiniteModelPair": "finitemodel",
     "ModelError": "finitemodel",
-    "finite_model_pair": "finitemodel",
+    "finite_model_pair": "registry",
     "load_model": "finitemodel",
     "parse_model": "finitemodel",
 }

@@ -32,13 +32,14 @@ Model text format, one "key: value" per line, full-line # comments:
 Chain requirements (checked on load): each level is a subgroup of the
 one above, strictly smaller, normal in K; the bottom level is normal in
 the whole group, which is what makes the brute-force completion below
-it exact.  The coset tables decide normality: N is normal in H exactly
-when h·N = N·h for every h in H.  ``corrupt_conj_depth: true`` (or
-``false``, the default) makes the pair answer conj_depth(g, d) = d,
-which breaks its depth bound on purpose so oracle sensitivity can be
-shown.  Any other key, and a key of the other kind (``points``/``gens``
-in a table model, ``row``/``order`` in a perm model), is refused with
-the number of its line.
+it exact.  The left coset tables decide these from the generator lines,
+each repeat kept once: N is normal in H exactly when s·h ∈ h·N, that is
+h⁻¹·s·h ∈ N, for every generator h of H and s of N.
+``corrupt_conj_depth: true`` (or ``false``, the default) makes the pair
+answer conj_depth(g, d) = d, which breaks its depth bound on purpose so
+oracle sensitivity can be shown.  Any other key, and a key of the other
+kind (``points``/``gens`` in a table model, ``row``/``order`` in a perm
+model), is refused with the number of its line.
 """
 
 from __future__ import annotations
@@ -160,7 +161,7 @@ def perm_mul_table(elements, index, gens) -> list:
 # --- the model ---------------------------------------------------------------
 
 class CosetTable(NamedTuple):
-    """The cosets of one chain level on one side, each a literal set.
+    """The cosets of one chain level, each a literal set.
 
     ``ids[x]`` numbers the coset holding element x, ``sets[i]`` is the
     i-th coset and ``reps[i]`` its least member; ids follow the order of
@@ -195,12 +196,9 @@ class FiniteModel:
     ``levels[0]`` is K; ``levels[-1]`` is the bottom of the chain, and
     ``level_gens[d]`` are the model text's generators of ``levels[d]``.  A
     permutation model also keeps ``perm_index``, each permutation's index.
-    Every table is built once, in the constructor, and instances are
-    immutable after it and hash by identity:
-
-    - ``lefts[d]`` and ``rights[d]``: the left cosets g·N_d and the right
-      cosets N_d·g, as ``CosetTable``s;
-    - ``level_members[d]``: the members of N_d, sorted.
+    ``lefts[d]`` is the ``CosetTable`` of the left cosets g·N_d; a right
+    coset N_d·g is (g⁻¹·N_d)⁻¹.  Tables are built once, in the
+    constructor; instances are immutable after it and hash by identity.
     """
 
     def __init__(self, name, kind, names, mul_table, level_gens,
@@ -219,11 +217,7 @@ class FiniteModel:
         self.lefts = tuple(
             CosetTable.build(self.n, lambda x, N=N: self.left_coset(x, N)) for N in self.levels
         )
-        self.rights = tuple(
-            CosetTable.build(self.n, lambda x, N=N: self.right_coset(N, x)) for N in self.levels
-        )
         self._check_chain()
-        self.level_members = tuple(tuple(sorted(level)) for level in self.levels)
 
     # construction helpers
 
@@ -275,18 +269,25 @@ class FiniteModel:
                 reached = _closure(ident, gens, self.mul)
         return ident, tuple(inv)
 
+    def _conjugates_inside(self, d: int, gens, by) -> bool:
+        """Whether h⁻¹·s·h lies in N_d, that is s·h in h·N_d, for every s in
+        ``gens`` and h in ``by``.  With ``by`` the identity: whether the
+        subgroup that ``gens`` generate lies in N_d."""
+        ids, mul = self.lefts[d].ids, self.mul_table
+        return all(ids[mul[s][h]] == ids[h] for h in by for s in gens)
+
     def _check_chain(self):
-        for d, level in enumerate(self.levels):
+        gens, e = self.level_gens, (self.e,)
+        for d in range(len(gens)):
             label = "K" if d == 0 else f"chain level {d}"
             if d > 0:
-                if not level <= self.levels[d - 1]:
+                if not self._conjugates_inside(d - 1, gens[d], e):
                     raise ModelError(f"{label} is not inside level {d - 1}")
-                if level == self.levels[d - 1]:
+                if self._conjugates_inside(d, gens[d - 1], e):
                     raise ModelError(f"{label} does not descend strictly")
-            if any(self.lefts[d].of(k) != self.rights[d].of(k) for k in self.levels[0]):
+            if not self._conjugates_inside(d, gens[d], gens[0]):
                 raise ModelError(f"{label} is not normal in K")
-        # both tables number cosets by least member: equal partitions, equal tables
-        if self.lefts[-1] != self.rights[-1]:
+        if not self._conjugates_inside(-1, gens[-1], range(self.n)):
             raise ModelError(
                 f"chain bottom {{{', '.join(sorted(self.names[i] for i in self.bottom))}}}"
                 " is not normal in the whole group"
@@ -377,7 +378,8 @@ def parse_model(text: str) -> FiniteModel:
         def read(item, lineno):
             return perm_from_cycles(item, points, f"line {lineno}")
 
-        gens = [read(item, first_line["gens"]) for item in _split_items(fields["gens"])]
+        items = [read(item, first_line["gens"]) for item in _split_items(fields["gens"])]
+        gens = list(dict.fromkeys(items))
         elements = sorted(_closure(perm_identity(points), gens, perm_compose, MAX_ORDER))
         perm_index = {p: i for i, p in enumerate(elements)}
         table = perm_mul_table(elements, perm_index, gens)
@@ -422,8 +424,9 @@ def parse_model(text: str) -> FiniteModel:
 
     def indices(value, lineno):
         # every item is read before any is looked up, so a malformed item
-        # is named ahead of one outside the group
-        return [element(x) for x in [read(item, lineno) for item in _split_items(value)]]
+        # is named ahead of one outside the group; a repeat is looked up once
+        items = [read(item, lineno) for item in _split_items(value)]
+        return [element(x) for x in dict.fromkeys(items)]
 
     k = indices(fields["k"], first_line["k"])
     levels = [indices(value, lineno) for value, lineno in fields["level"]]
@@ -452,8 +455,9 @@ class FiniteModelPair(CommensuratedPair):
 
     ``conj_depths[d][g]`` is the derived conj_depth(g, d), or d in a corrupt
     model.  ``deepest[x]`` is the deepest level that holds x, or -1 when x
-    is outside K, so level_of(x, cap) is min(cap, deepest[x]).  conj_depth,
-    in_level and level_of trust their depth, which the engine checks first.
+    is outside K, so in_level(x, d) is deepest[x] >= d and level_of(x, cap)
+    is min(cap, deepest[x]).  conj_depth, in_level and level_of trust their
+    depth, which the engine checks first.
     The oracle checks the engine's depths against literal cosets.
     """
 
@@ -462,6 +466,11 @@ class FiniteModelPair(CommensuratedPair):
         self.name = model.name
         self.max_depth = len(model.levels) - 1
         self.literal_pattern = _PERM_LITERAL if model.kind == "perm" else _TABLE_LITERAL
+        deepest = [-1] * model.n
+        for d, level in enumerate(model.levels):  # the levels nest, so the last write wins
+            for x in level:
+                deepest[x] = d
+        self.deepest = tuple(deepest)  # in_level reads it, so the fill below does too
         # a left coset's rep g decides for all of g·N_d, since every level is normal
         # in K: x = g·n has x·N_j·x^-1 = g·N_j·g^-1 and x^-1·N_j·x = n^-1·(g^-1·N_j·g)·n;
         # the bottom level, normal in the whole group, answers itself
@@ -471,11 +480,6 @@ class FiniteModelPair(CommensuratedPair):
                 CommensuratedPair.conj_depth(self, g, d) for g in lefts.reps]
             rows.append(tuple(by_coset[i] for i in lefts.ids))
         self.conj_depths = tuple(rows)
-        deepest = [-1] * model.n
-        for d, level in enumerate(model.levels):  # the levels nest, so the last write wins
-            for x in level:
-                deepest[x] = d
-        self.deepest = tuple(deepest)
 
     @property
     def identity(self) -> int:
@@ -488,7 +492,7 @@ class FiniteModelPair(CommensuratedPair):
         return self.model.inv(x)
 
     def in_level(self, x: int, depth: Depth) -> bool:
-        return x in self.model.levels[depth]
+        return self.deepest[x] >= depth
 
     def conj_depth(self, g: int, depth: Depth) -> Depth:
         return self.conj_depths[depth][g]
@@ -506,10 +510,7 @@ class FiniteModelPair(CommensuratedPair):
     def parse_literal(self, text: str) -> int:
         model = self.model
         if model.kind == "perm":
-            try:
-                perm = perm_from_cycles(text, model.points)
-            except ModelError as err:
-                raise ValueError(str(err)) from None
+            perm = perm_from_cycles(text, model.points)
             idx = model.perm_index.get(perm)
             if idx is None:
                 raise ContractViolation(
@@ -541,8 +542,3 @@ class FiniteModelPair(CommensuratedPair):
 
     def sample(self, rng) -> int:
         return rng.randrange(self.model.n)
-
-
-def finite_model_pair(model: FiniteModel) -> FiniteModelPair:
-    """Completion pair over ``model``, its conj_depth table filled as it is built."""
-    return FiniteModelPair(model)

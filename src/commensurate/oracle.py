@@ -3,8 +3,8 @@
 Everything in here works with literal sets of element indices, so it
 can sit in judgment over the generic engine: it never reads the engine's
 ``conj_depth`` or ``level_of``, nor any depth bound.  Level cosets are
-read from the model's per-level coset tables, which hold the same literal
-sets and are built when the model loads, and products from its
+read from the model's per-level left coset tables, which hold the same
+literal sets and are built when the model loads, and products from its
 multiplication table (a permutation model builds that table from
 generator columns, one index lookup per entry).  `enumerate_completion`
 gives the completion as the quotient by the chain bottom, and
@@ -13,7 +13,7 @@ and that quotient.  Each expected answer is one literal containment: the
 depth of a product, an inverse or a valuation is the deepest level one
 of whose cosets holds the literal set of results, equality at a level is
 membership in a left coset, and a right rep exists when the known left
-coset lies in one right coset.
+coset's inverses lie in one left coset, since N·g = (g⁻¹·N)⁻¹.
 
 Two facts that loading checks keep each reference at the cost of its
 cosets.  The literal product set ``(g1·N_d1)(g2·N_d2)`` is a union of
@@ -96,7 +96,8 @@ def compare_engine(pair: FiniteModelPair, trials: int, rng) -> OracleReport:
     names = model.names
     top = pair.max_depth
     mul, inv = model.mul_table, model.inv_table
-    lefts, rights = model.lefts, model.rights
+    lefts = model.lefts
+    members = [sorted(level) for level in model.levels]
     mismatches = []
 
     def note(op, expected, got, at=None, inputs=None):
@@ -111,7 +112,7 @@ def compare_engine(pair: FiniteModelPair, trials: int, rng) -> OracleReport:
 
     def fuzzed(g, d):
         # replace the rep by another member of its coset: nothing may change
-        return pair.embed(mul[g][rng.choice(model.level_members[d])], d)
+        return pair.embed(mul[g][rng.choice(members[d])], d)
 
     for _ in range(trials):
         d1 = rng.randrange(top + 1)
@@ -164,14 +165,14 @@ def compare_engine(pair: FiniteModelPair, trials: int, rng) -> OracleReport:
         if (want_v == min(d1, d2)) != val.indistinguishable:
             note("valuation-flag", want_v == min(d1, d2), val.indistinguishable)
 
-        # right_rep: feasible iff the known left coset sits in the right
-        # coset of f1's rep (its only candidate), and then in the claimed one
+        # right_rep: feasible iff coset1 lies in N_d·f1.rep, its only candidate
+        # right coset, that is inverse_set in f1.rep^-1·N_d; then in the claimed one
         d = rng.randrange(top + 1)
-        feasible = coset1 <= rights[d].of(f1.rep)
+        feasible = inverse_set <= lefts[d].of(inv[f1.rep])
         h = _unless_exhausted(lambda: f1.right_rep(d))
         if (h is not None) != feasible:
             note("right_rep-feasible", feasible, h is not None, at=d)
-        if h is not None and not coset1 <= rights[d].of(h):
+        if h is not None and not inverse_set <= lefts[d].of(inv[h]):
             note("right_rep-coset", "containment", "violated", at=d)
 
         # products of bottom-depth elements against the completion's product

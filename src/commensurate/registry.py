@@ -34,10 +34,10 @@ def load_model(path):
 
 
 def finite_model_pair(model):
-    """``finitemodel.finite_model_pair``; the module loads on the first call."""
-    from .finitemodel import finite_model_pair
+    """``finitemodel.FiniteModelPair(model)``; the module loads on the first call."""
+    from .finitemodel import FiniteModelPair
 
-    return finite_model_pair(model)
+    return FiniteModelPair(model)
 
 
 _INSTANCES = (

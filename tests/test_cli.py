@@ -427,7 +427,7 @@ def test_long_user_text_is_quoted_in_part(case, tmp_path, capsys):
     (bs12.BS12Pair(), LONG),
     (sl2.SL2Pair(3), LONG),
     (integers.IntegerChainPair(2), LONG),
-    (finitemodel.finite_model_pair(finitemodel.load_model(ROOT / "models" / "z8.model")), LONG),
+    (finitemodel.FiniteModelPair(finitemodel.load_model(ROOT / "models" / "z8.model")), LONG),
 ], ids=["bs12", "sl2", "default", "model"])
 def test_long_bad_literal_is_quoted_in_part(pair, literal):
     """A literal the expression scanner would not pass, handed to the pair

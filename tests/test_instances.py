@@ -54,6 +54,7 @@ from test_oracle import (
     is_union_of_left_cosets,
     left_right_check,
     refinement_subgroup,
+    right_cosets,
 )
 
 RNG_SEED = 20260814
@@ -1265,6 +1266,24 @@ def test_light_test_refuses_the_order_200_left_zero_table_in_time():
         parse_model(f"{text}K: #0\n")
 
 
+@pytest.mark.parametrize("name, lines, repeats", [
+    ("z8", ("K: #1", "level: #2"), 30_000),
+    ("s5", ("gens: (1 2)",), 60_000),
+], ids=["z8", "s5"])
+def test_a_repeated_generator_is_kept_once(name, lines, repeats):
+    """Generator lines that repeat one element tens of thousands of times
+    (240-420 KB) load in time: each generator is kept once, so the chain
+    check makes at most n² lookups per level, and a permutation model's
+    table one composition per element and generator."""
+    text = (MODELS / f"{name}.model").read_text()
+    for line in lines:
+        text = text.replace(line, line + f", {line.partition(': ')[2]}" * repeats)
+    with time_limit(5):
+        model = parse_model(text)
+    shipped = pair_named(name).model
+    assert (model.level_gens, model.mul_table) == (shipped.level_gens, shipped.mul_table)
+
+
 def test_finite_conj_depth_abelian(z8_pair):
     for g in range(8):
         for d in range(4):
@@ -1318,32 +1337,19 @@ def test_finite_pair_validate(s4_pair):
         c4.parse_literal("(1 2)")
 
 
-def test_coset_tables_compare_by_value():
-    """Loading compares the bottom level's left and right coset tables."""
-    z8, s4 = pair_named("z8").model, pair_named("s4").model
-    for d in range(len(z8.levels)):  # abelian: left and right cosets agree
-        assert z8.lefts[d] == z8.rights[d] and z8.lefts[d] is not z8.rights[d]
-    assert s4.lefts[-1] == s4.rights[-1]
-    assert s4.lefts[0] != s4.lefts[1]
-    assert hash(z8.lefts[0]) == hash(z8.rights[0])
-
-
 @pytest.mark.parametrize("pair", MODEL_PAIRS, ids=lambda p: p.name)
 def test_coset_tables_are_the_literal_cosets(pair):
     model = pair.model
     everything = list(range(model.n))
     for d, level in enumerate(model.levels):
-        for table, literal in (
-            (model.lefts[d], [model.left_coset(x, level) for x in everything]),
-            (model.rights[d], [model.right_coset(level, x) for x in everything]),
-        ):
-            assert [table.of(x) for x in everything] == literal
-            # the ids partition the group, each coset numbered by its least member
-            assert sorted(x for coset in table.sets for x in coset) == everything
-            for i, coset in enumerate(table.sets):
-                assert {x for x in everything if table.ids[x] == i} == coset
-                assert table.reps[i] == min(coset)
-            assert list(table.reps) == sorted(table.reps)
+        table = model.lefts[d]
+        assert [table.of(x) for x in everything] == [model.left_coset(x, level) for x in everything]
+        # the ids partition the group, each coset numbered by its least member
+        assert sorted(x for coset in table.sets for x in coset) == everything
+        for i, coset in enumerate(table.sets):
+            assert {x for x in everything if table.ids[x] == i} == coset
+            assert table.reps[i] == min(coset)
+        assert list(table.reps) == sorted(table.reps)
 
 
 def _normal_closure(model, members, within):
@@ -1481,9 +1487,10 @@ def _one_side_is_not_enough(text) -> bool:
     """Whether some g·N_j·g^-1 lies in N_d for a j that g^-1 refutes."""
     pair = finite_model_pair(parse_model(text))
     model, top = pair.model, pair.max_depth
+    rights = [right_cosets(model, d) for d in range(top + 1)]
     return any(
         pair.conj_depths[d][g] != next(
-            (j for j in range(d, top) if model.lefts[j].of(g) <= model.rights[d].of(g)), top
+            (j for j in range(d, top) if model.lefts[j].of(g) <= rights[d].of(g)), top
         )
         for d in range(top + 1)
         for g in range(model.n)
@@ -1569,7 +1576,7 @@ def test_the_coset_identities_hold_on_fuzzed_chains(text):
     and for the bottom N and M = N ∩ g₂·N·g₂⁻¹ the set M·g₂·N is g₂·N."""
     model = parse_model(text)
     for d, N in enumerate(model.levels):
-        left, right = model.lefts[d], model.rights[d]
+        left, right = model.lefts[d], right_cosets(model, d)
         for g, gN in zip(left.reps, left.sets):
             M = refinement_subgroup(model, d, g)
             assert M <= N

@@ -16,7 +16,7 @@ from commensurate import (
     parse_model,
 )
 from commensurate.cli import entry
-from commensurate.finitemodel import FiniteModel
+from commensurate.finitemodel import CosetTable, FiniteModel
 from commensurate.oracle import compare_engine, enumerate_completion
 from contract import MODEL_PAIRS, MODELS, corrupt, pair_named
 
@@ -30,6 +30,12 @@ SEED = 7
 # and 03 and the fuzzed-chain property test in test_instances.py do.
 
 
+def right_cosets(model: FiniteModel, d: int) -> CosetTable:
+    """The right cosets N_d·x of chain level d, built literally; the model
+    keeps only the left table."""
+    return CosetTable.build(model.n, lambda x: model.right_coset(model.levels[d], x))
+
+
 def refinement_subgroup(model: FiniteModel, d: int, g: int) -> frozenset:
     """A finite-index subgroup M of the chain level N = N_d such that
     every set gN ∩ Nh is a union of left cosets of M.
@@ -40,7 +46,7 @@ def refinement_subgroup(model: FiniteModel, d: int, g: int) -> frozenset:
     through its left coset gN.
     """
     N = model.levels[d]
-    right = model.rights[d]
+    right = right_cosets(model, d)
     M = set(N)
     for i in {right.ids[x] for x in model.lefts[d].of(g)}:
         h_inv = model.inv(right.reps[i])
@@ -70,7 +76,8 @@ def left_right_check(model: FiniteModel, chain) -> bool:
             return False
     bottom = chain[-1]
     previous = None
-    for cosets in model.rights:
+    for d in range(len(model.levels)):
+        cosets = right_cosets(model, d)
         containing = {cosets.ids[b] for b in bottom}
         if len(containing) != 1:
             return False
@@ -179,6 +186,25 @@ def test_left_right_check_rejects_incoherent(s4_pair):
     assert not left_right_check(model, [a[0], a[1], b[2]])
 
 
+@pytest.mark.parametrize("pair", MODEL_PAIRS, ids=lambda p: p.name)
+def test_a_right_coset_is_read_as_an_inverted_left_coset(pair):
+    """compare_engine decides right_rep by g·N_d1 <= N_d·g exactly when
+    the inverses of g·N_d1 lie in g^-1·N_d, since N_d·g = (g^-1·N_d)^-1."""
+    model = pair.model
+    inv = model.inv_table
+    depths = range(len(model.levels))
+    outcomes = set()
+    for d in depths:
+        right = right_cosets(model, d)
+        for d1 in depths:
+            for g in range(model.n):
+                coset = model.lefts[d1].of(g)
+                holds = coset <= right.of(g)
+                assert holds == ({inv[x] for x in coset} <= model.lefts[d].of(inv[g])), (d1, d, g)
+                outcomes.add(holds)
+    assert outcomes == {True, False}
+
+
 def test_compare_engine_clean(model_pairs):
     for pair in model_pairs:
         report = compare_engine(pair, 300, random.Random(SEED))
@@ -221,6 +247,7 @@ def _engine_depth(op):
 def _check_inverses_and_right_reps(pair):
     model = pair.model
     depths = range(pair.max_depth + 1)
+    rights = [right_cosets(model, d) for d in depths]
     for g in range(model.n):
         for d1 in depths:
             coset = model.lefts[d1].of(g)
@@ -228,7 +255,7 @@ def _check_inverses_and_right_reps(pair):
             want = _literal_depth(model, {model.inv(x) for x in coset}, model.inv(g))
             assert _engine_depth(f.inverse) == want, (model.names[g], d1)
             for d in depths:
-                right = model.rights[d]
+                right = rights[d]
                 feasible = len({right.ids[x] for x in coset}) == 1
                 try:
                     h = f.right_rep(d)
