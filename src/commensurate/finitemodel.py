@@ -29,12 +29,13 @@ Model text format, one "key: value" per line, full-line # comments:
     ...
     K: #1                 # table elements are written #k
 
-Chain requirements (checked on load): each level is a subgroup of the
-one above, strictly smaller, normal in K; the bottom level is normal in
-the whole group, which is what makes the brute-force completion below
-it exact.  The left coset tables decide these from the generator lines,
-each repeat kept once: N is normal in H exactly when s·h ∈ h·N, that is
-h⁻¹·s·h ∈ N, for every generator h of H and s of N.
+Chain requirements: each level is a subgroup of the one above, strictly
+smaller, normal in K; the bottom level is normal in the whole group,
+which is what makes the brute-force completion below it exact.  Each
+level is checked as it is built, so a file is refused at its first bad
+level: nesting from its generators, each repeat kept once, strict descent
+by order, and normality from its left coset table, as N is normal in H
+exactly when s·h ∈ h·N for every generator h of H and s of N.
 ``corrupt_conj_depth: true`` (or ``false``, the default) makes the pair
 answer conj_depth(g, d) = d, which breaks its depth bound on purpose so
 oracle sensitivity can be shown.  Any other key, and a key of the other
@@ -189,6 +190,12 @@ class CosetTable(NamedTuple):
     def of(self, x: int) -> frozenset:
         return self.sets[self.ids[x]]
 
+    def normalised(self, mul_table, gens, by) -> bool:
+        """Whether h⁻¹·s·h lies in the level N, that is s·h in h·N, for every
+        s in ``gens`` and h in ``by``."""
+        ids = self.ids
+        return all(ids[mul_table[s][h]] == ids[h] for h in by for s in gens)
+
 
 class FiniteModel:
     """A finite group as index tables, plus K and the chain as index sets.
@@ -196,9 +203,10 @@ class FiniteModel:
     ``levels[0]`` is K; ``levels[-1]`` is the bottom of the chain, and
     ``level_gens[d]`` are the model text's generators of ``levels[d]``.  A
     permutation model also keeps ``perm_index``, each permutation's index.
-    ``lefts[d]`` is the ``CosetTable`` of the left cosets g·N_d; a right
-    coset N_d·g is (g⁻¹·N_d)⁻¹.  Tables are built once, in the
-    constructor; instances are immutable after it and hash by identity.
+    ``lefts[d]`` is the ``CosetTable`` of the left cosets g·N_d, and
+    ``levels[d]`` is its coset of the identity; a right coset N_d·g is
+    (g⁻¹·N_d)⁻¹.  Tables are built once, in the constructor; instances
+    are immutable after it and hash by identity.
     """
 
     def __init__(self, name, kind, names, mul_table, level_gens,
@@ -213,11 +221,25 @@ class FiniteModel:
         self.corrupt = bool(corrupt)
         self.e, self.inv_table = self._check_group_axioms()
         self.level_gens = tuple(map(tuple, level_gens))
-        self.levels = tuple(frozenset(_closure(self.e, gens, self.mul)) for gens in self.level_gens)
-        self.lefts = tuple(
-            CosetTable.build(self.n, lambda x, N=N: self.left_coset(x, N)) for N in self.levels
-        )
-        self._check_chain()
+        levels, lefts = [], []
+        for d, gens in enumerate(self.level_gens):
+            label = "K" if d == 0 else f"chain level {d}"
+            if levels and not levels[-1].issuperset(gens):
+                raise ModelError(f"{label} is not inside level {d - 1}")
+            N = _closure(self.e, gens, self.mul)
+            if levels and len(N) == len(levels[-1]):
+                raise ModelError(f"{label} does not descend strictly")
+            table = CosetTable.build(self.n, lambda x, N=N: self.left_coset(x, N))
+            if not table.normalised(self.mul_table, gens, self.level_gens[0]):
+                raise ModelError(f"{label} is not normal in K")
+            levels.append(table.of(self.e))
+            lefts.append(table)
+        self.levels, self.lefts = tuple(levels), tuple(lefts)
+        if not self.lefts[-1].normalised(self.mul_table, self.level_gens[-1], range(self.n)):
+            raise ModelError(
+                f"chain bottom {{{', '.join(sorted(self.names[i] for i in self.bottom))}}}"
+                " is not normal in the whole group"
+            )
 
     # construction helpers
 
@@ -268,30 +290,6 @@ class FiniteModel:
                     raise ModelError("multiplication table is not associative")
                 reached = _closure(ident, gens, self.mul)
         return ident, tuple(inv)
-
-    def _conjugates_inside(self, d: int, gens, by) -> bool:
-        """Whether h⁻¹·s·h lies in N_d, that is s·h in h·N_d, for every s in
-        ``gens`` and h in ``by``.  With ``by`` the identity: whether the
-        subgroup that ``gens`` generate lies in N_d."""
-        ids, mul = self.lefts[d].ids, self.mul_table
-        return all(ids[mul[s][h]] == ids[h] for h in by for s in gens)
-
-    def _check_chain(self):
-        gens, e = self.level_gens, (self.e,)
-        for d in range(len(gens)):
-            label = "K" if d == 0 else f"chain level {d}"
-            if d > 0:
-                if not self._conjugates_inside(d - 1, gens[d], e):
-                    raise ModelError(f"{label} is not inside level {d - 1}")
-                if self._conjugates_inside(d, gens[d - 1], e):
-                    raise ModelError(f"{label} does not descend strictly")
-            if not self._conjugates_inside(d, gens[d], gens[0]):
-                raise ModelError(f"{label} is not normal in K")
-        if not self._conjugates_inside(-1, gens[-1], range(self.n)):
-            raise ModelError(
-                f"chain bottom {{{', '.join(sorted(self.names[i] for i in self.bottom))}}}"
-                " is not normal in the whole group"
-            )
 
     # index arithmetic
 

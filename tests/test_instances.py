@@ -32,7 +32,9 @@ from commensurate import finitemodel
 from commensurate.cli import entry
 from commensurate.core import MAX_EXACT_BITS, RATIONAL, p_adic_level, read_ratio
 from commensurate.finitemodel import (
+    MAX_MODEL_BYTES,
     MAX_ORDER,
+    CosetTable,
     _closure,
     perm_compose,
     perm_from_cycles,
@@ -1266,15 +1268,68 @@ def test_light_test_refuses_the_order_200_left_zero_table_in_time():
         parse_model(f"{text}K: #0\n")
 
 
+def _s5_with_trivial_levels(count=None):
+    """``models/s5.model`` with ``count`` more ``level: -`` lines, or as
+    many as fit in MAX_MODEL_BYTES; the first of them is chain level 4."""
+    text = (MODELS / "s5.model").read_text()
+    line = "level: -\n"
+    if count is None:
+        count = (MAX_MODEL_BYTES - len(text.encode())) // len(line)
+    return text + line * count
+
+
+def test_a_model_is_refused_at_its_first_bad_level_in_time(tmp_path, capsys):
+    """A 1 MiB file of about 116 000 trivial levels below s5 is refused at
+    the first of them, before any later level is closed off or tabulated:
+    a strictly descending chain in a group of order 120 has at most 7 levels."""
+    text = _s5_with_trivial_levels()
+    assert MAX_MODEL_BYTES - 9 < len(text.encode()) <= MAX_MODEL_BYTES
+    message = "chain level 4 does not descend strictly"
+    path = tmp_path / "long.model"
+    path.write_text(text)
+    with time_limit(2):
+        with pytest.raises(ModelError, match=f"^{message}$"):
+            parse_model(text)
+        assert entry(["oracle", str(path)]) == 2
+    assert capsys.readouterr() == ("", f"error: {message}\n")
+
+
+def _counted_tables(monkeypatch) -> list:
+    """The sizes passed to ``CosetTable.build`` from now on, one per table."""
+    calls, build = [], CosetTable.build
+
+    def counted(n, coset):
+        calls.append(n)
+        return build(n, coset)
+
+    monkeypatch.setattr(CosetTable, "build", staticmethod(counted))
+    return calls
+
+
+def test_a_refused_chain_tabulates_only_the_levels_above_its_fault(monkeypatch):
+    calls = _counted_tables(monkeypatch)
+    with pytest.raises(ModelError, match="^chain level 4 does not descend strictly$"):
+        parse_model(_s5_with_trivial_levels(1000))
+    assert calls == [120] * 4
+
+
+@pytest.mark.parametrize("pair", MODEL_PAIRS, ids=lambda p: p.name)
+def test_a_model_builds_one_coset_table_per_level(pair, monkeypatch):
+    calls = _counted_tables(monkeypatch)
+    model = load_model(MODELS / f"{pair.name}.model")
+    assert calls == [model.n] * len(model.levels)
+
+
 @pytest.mark.parametrize("name, lines, repeats", [
     ("z8", ("K: #1", "level: #2"), 30_000),
     ("s5", ("gens: (1 2)",), 60_000),
 ], ids=["z8", "s5"])
 def test_a_repeated_generator_is_kept_once(name, lines, repeats):
     """Generator lines that repeat one element tens of thousands of times
-    (240-420 KB) load in time: each generator is kept once, so the chain
-    check makes at most n² lookups per level, and a permutation model's
-    table one composition per element and generator."""
+    (240-420 KB) load in time: each generator is kept once, so nesting is
+    one set membership test per generator, normality at most n² table
+    lookups per level, and a permutation model's table one composition
+    per element and generator."""
     text = (MODELS / f"{name}.model").read_text()
     for line in lines:
         text = text.replace(line, line + f", {line.partition(': ')[2]}" * repeats)
@@ -1530,33 +1585,40 @@ def _reference_chain_error(group, chain):
 
 @st.composite
 def _chains_sound_or_not(draw):
-    """A sound chain, or one with a single fault drawn in: a level from
-    anywhere in the group (it may not nest), a repeated level (it does
-    not descend), a level from one member of the level above (it may not
-    be normal in K), or the chain cut short above its bottom (the new
-    bottom may not be normal in the group)."""
+    """A sound chain, or one with one or two faults drawn in at different
+    positions: a level from anywhere in the group (it may not nest), a
+    repeated level (it does not descend), a level from one member of the
+    level above (it may not be normal in K), or, deepest only, the chain
+    cut short above its bottom (the new bottom may not be normal in the
+    group).  Faults go in deepest first, so each is placed against the
+    sound level above it."""
     head, group, chain = draw(_sound_chains())
-    fault = draw(st.sampled_from(["none", "nest", "descend", "normal", "bottom"]))
-    i = draw(st.integers(1, len(chain)))
+    positions = draw(st.lists(st.integers(1, len(chain)), max_size=2, unique=True))
 
     def generated(subgroup, most):
         gens = draw(st.lists(st.sampled_from(sorted(subgroup)), min_size=1, max_size=most))
         return frozenset(_closure(group.e, gens, group.mul))
 
-    if fault == "nest":
-        chain.insert(i, generated(range(group.n), 2))
-    elif fault == "descend":
-        chain.insert(i, chain[i - 1])
-    elif fault == "normal":
-        chain.insert(i, generated(chain[i - 1], 1))
-    elif fault == "bottom":
-        del chain[i:]  # a level normal in K need not be normal in the group
+    for i in sorted(positions, reverse=True):
+        faults = ["nest", "descend", "normal"] + ["bottom"] * (i == max(positions))
+        fault = draw(st.sampled_from(faults))
+        if fault == "nest":
+            chain.insert(i, generated(range(group.n), 2))
+        elif fault == "descend":
+            chain.insert(i, chain[i - 1])
+        elif fault == "normal":
+            chain.insert(i, generated(chain[i - 1], 1))
+        else:
+            del chain[i:]  # a level normal in K need not be normal in the group
     return _model_text(head, group, chain), group, chain
 
 
 @settings(max_examples=300, deadline=None)
 @given(_chains_sound_or_not())
 def test_chain_check_matches_the_conjugation_reference(case):
+    """Loading reports the reference's first fault: the shallowest faulty
+    level, and within a level nesting, then descent, then normality in K,
+    with the bottom's normality in the group last."""
     text, group, chain = case
     expected = _reference_chain_error(group, chain)
     if expected is None:
