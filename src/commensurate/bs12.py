@@ -20,7 +20,8 @@ of two the sum gains, an inverse negates the shift and moves its
 exponent by texp, and the chain tests read num when k and texp are 0.
 Literal entries are read by ``core.read_ratio`` into integers, and text
 is printed from them.  Only the Fraction face of a DyadicAffine builds
-Fractions, and the refusal of a literal whose shift is not dyadic.
+Fractions, and the refusal of a literal whose shift is not dyadic; each
+imports ``fractions`` where it runs, so no other path loads it.
 """
 
 from __future__ import annotations
@@ -28,12 +29,15 @@ from __future__ import annotations
 import math
 import re
 import sys
-from fractions import Fraction
+from typing import TYPE_CHECKING
 
 from .core import (
     RATIONAL, CommensuratedPair, ContractViolation, Depth, DiscreteTarget, check_exact_bits,
     p_adic_level, quoted, read_int, read_ratio,
 )
+
+if TYPE_CHECKING:
+    from fractions import Fraction
 
 
 class DyadicAffine:
@@ -50,6 +54,8 @@ class DyadicAffine:
     __slots__ = ("num", "k", "texp")
 
     def __init__(self, shift: Fraction, texp: int):
+        from fractions import Fraction
+
         if isinstance(shift, Fraction) and not (den := shift.denominator) & (den - 1):
             self.num, self.k = shift.numerator, den.bit_length() - 1
         else:
@@ -58,7 +64,11 @@ class DyadicAffine:
 
     @property
     def shift(self) -> Fraction:
-        return self.num if self.k is None else Fraction(self.num, 1 << self.k)
+        if self.k is None:
+            return self.num
+        from fractions import Fraction
+
+        return Fraction(self.num, 1 << self.k)
 
     def __iter__(self):
         return iter((self.shift, self.texp))
@@ -168,6 +178,8 @@ class BS12Pair(CommensuratedPair):
         q = math.gcd(n, d)
         n, d = n // q, d // q
         if d & (d - 1):
+            from fractions import Fraction
+
             self.validate(DyadicAffine(Fraction(n, d), texp))  # refuses the shift
         return _affine(n, d.bit_length() - 1, texp)
 
@@ -189,13 +201,13 @@ class BS12Pair(CommensuratedPair):
     def validate(self, x) -> None:
         if not isinstance(x, DyadicAffine):
             raise ContractViolation(f"bs12: not an affine element: {x!r}")
-        if (
-            x.k is None and not isinstance(x.num, Fraction)
-            or not isinstance(x.texp, int)
-            or isinstance(x.texp, bool)
-        ):
+        if not isinstance(x.texp, int) or isinstance(x.texp, bool):
             raise ContractViolation(f"bs12: malformed element fields: {x!r}")
-        if x.k is None:
+        if x.k is None:  # the shift was kept as given: no valid element gets here
+            from fractions import Fraction
+
+            if not isinstance(x.num, Fraction):
+                raise ContractViolation(f"bs12: malformed element fields: {x!r}")
             raise ContractViolation(f"bs12: shift {x.num} is not a dyadic rational")
 
     def describe(self) -> str:

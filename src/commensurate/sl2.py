@@ -21,20 +21,23 @@ element whose denominator is 1, and v(g) is read off the denominator.
 Each literal entry is a ``core.RATIONAL``, read by ``core.read_ratio``
 into the integers, and text is printed from them.  Only the Fraction face
 of a Mat2 builds Fractions, and only the refusal of an entry whose
-denominator is not a p-power reads it.
+denominator is not a p-power reads it; ``fractions`` loads on its first use.
 """
 
 from __future__ import annotations
 
 import math
 import re
-from fractions import Fraction
+from typing import TYPE_CHECKING
 
 from .core import (
     RATIONAL, CommensuratedPair, ContractViolation, Depth, check_exact_bits, p_adic_level, quoted,
     read_ratio,
 )
 from .integers import PRIME_LIMIT, is_prime
+
+if TYPE_CHECKING:
+    from fractions import Fraction
 
 
 class Mat2:
@@ -49,6 +52,8 @@ class Mat2:
     __slots__ = ("na", "nb", "nc", "nd", "den")
 
     def __init__(self, a: Fraction, b: Fraction, c: Fraction, d: Fraction):
+        from fractions import Fraction
+
         entries = (a, b, c, d)
         for q in entries:
             if not isinstance(q, Fraction):
@@ -58,10 +63,10 @@ class Mat2:
         self.na, self.nb, self.nc, self.nd = (q.numerator * (den // q.denominator) for q in entries)
         self.den = den
 
-    a = property(lambda self: Fraction(self.na, self.den))
-    b = property(lambda self: Fraction(self.nb, self.den))
-    c = property(lambda self: Fraction(self.nc, self.den))
-    d = property(lambda self: Fraction(self.nd, self.den))
+    a = property(lambda self: _entry(self.na, self.den))
+    b = property(lambda self: _entry(self.nb, self.den))
+    c = property(lambda self: _entry(self.nc, self.den))
+    d = property(lambda self: _entry(self.nd, self.den))
 
     def __iter__(self):
         return iter((self.a, self.b, self.c, self.d))
@@ -80,6 +85,13 @@ class Mat2:
 
     def __repr__(self) -> str:
         return "Mat2(a={!r}, b={!r}, c={!r}, d={!r})".format(*self)
+
+
+def _entry(n: int, den: int) -> Fraction:
+    """The entry n/den of a Mat2's Fraction face."""
+    from fractions import Fraction
+
+    return Fraction(n, den)
 
 
 def _mat2(na: int, nb: int, nc: int, nd: int, den: int) -> Mat2:

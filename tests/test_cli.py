@@ -1073,19 +1073,24 @@ _INSTANCE_MODULES = (
     "commensurate.sl2",
     "commensurate.integers",
     "fractions",
+    "decimal",
+    "json",
 )
 
 
 @pytest.mark.parametrize("argv, loaded", [
     ([], []),
     (["eval", "z2", "5"], ["commensurate.integers"]),
-    (["eval", "bs12", "a"], ["commensurate.bs12", "fractions"]),
-    (["eval", "sl2:3", "u"], ["commensurate.sl2", "commensurate.integers", "fractions"]),
+    (["eval", "bs12", "a"], ["commensurate.bs12"]),
+    (["eval", "sl2:3", "u"], ["commensurate.sl2", "commensurate.integers"]),
     (["oracle", "models/z8.model", "--trials", "1"], ["commensurate.finitemodel"]),
-], ids=["import", "eval-z2", "eval-bs12", "eval-sl2", "oracle"])
+    (["eval", "bs12", "a", "--json"], ["commensurate.bs12", "json"]),
+], ids=["import", "eval-z2", "eval-bs12", "eval-sl2", "oracle", "eval-bs12-json"])
 def test_a_run_loads_only_the_instance_module_it_resolves(argv, loaded):
     """A fresh start compiles the package from source when no bytecode is
-    cached, so each instance module loads only when a run resolves it."""
+    cached, so each instance module loads only when a run resolves it, and
+    so do ``fractions`` (only a Fraction face builds one) and ``json``
+    (only ``--json`` prints it)."""
     script = (
         "import sys, commensurate.cli\n"
         f"if {argv!r}:\n"
@@ -1102,6 +1107,75 @@ def test_a_run_loads_only_the_instance_module_it_resolves(argv, loaded):
     )
     assert (proc.returncode, proc.stderr) == (0, ""), proc.stderr
     assert proc.stdout.splitlines()[-1] == repr(loaded)
+
+
+# each face's script, with the exit code and stderr it must end with
+_FRACTION_FACES = {
+    "mat2": (
+        "from fractions import Fraction\n"
+        "from commensurate.sl2 import Mat2\n"
+        "half, zero, two = Fraction(1, 2), Fraction(0), Fraction(2)\n"
+        "m = Mat2(half, zero, zero, two)\n"
+        "assert m.a == half and list(m) == [half, zero, zero, two]\n"
+        "assert hash(m) == hash(tuple(m)) and m == (half, zero, zero, two)\n",
+        0, "",
+    ),
+    "shift": (
+        "from fractions import Fraction\n"
+        "from commensurate.bs12 import DyadicAffine\n"
+        "x = DyadicAffine(Fraction(3, 4), 1)\n"
+        "assert x.shift == Fraction(3, 4)\n"
+        "assert repr(x) == 'DyadicAffine(shift=Fraction(3, 4), texp=1)'\n",
+        0, "",
+    ),
+    "validate": (
+        "from fractions import Fraction\n"
+        "from commensurate.bs12 import BS12Pair, DyadicAffine\n"
+        "from commensurate.core import ContractViolation\n"
+        "for x, message in [\n"
+        "    (DyadicAffine(Fraction(1, 3), 0), 'bs12: shift 1/3 is not a dyadic rational'),\n"
+        "    (DyadicAffine(3, 0), 'bs12: malformed element fields: DyadicAffine(shift=3, texp=0)'),\n"
+        "]:\n"
+        "    try:\n"
+        "        BS12Pair().validate(x)\n"
+        "    except ContractViolation as err:\n"
+        "        assert str(err) == message, err\n"
+        "    else:\n"
+        "        raise AssertionError(f'{x!r} was accepted')\n",
+        0, "",
+    ),
+    "eval-bs12": (
+        "sys.exit(entry(['eval', 'bs12', '(1/3; 0)']))\n",
+        4, "error: bs12: shift 1/3 is not a dyadic rational\n",
+    ),
+    "eval-sl2": (
+        "sys.exit(entry(['eval', 'sl2:3', '[[1/2,0],[0,2]]']))\n",
+        4, "error: sl2:3: entry 1/2 has a denominator outside p-powers\n",
+    ),
+}
+
+
+@pytest.mark.parametrize("face", _FRACTION_FACES)
+def test_each_fraction_face_imports_fractions_itself(face):
+    """``bs12`` and ``sl2`` hold no module-level ``Fraction``: each Fraction
+    face, and each refusal that reads one, imports it where it runs.  The
+    child starts with ``fractions`` unloaded, and the package import
+    leaves it so."""
+    script = (
+        "import sys\n"
+        "from commensurate.cli import entry\n"
+        "import commensurate.bs12, commensurate.sl2\n"
+        "assert 'fractions' not in sys.modules\n"
+        + _FRACTION_FACES[face][0]
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", script],
+        capture_output=True,
+        text=True,
+        timeout=60,
+        env=_child_env(),
+    )
+    assert (proc.returncode, proc.stderr) == _FRACTION_FACES[face][1:]
 
 
 def test_public_names_load_on_first_lookup():
