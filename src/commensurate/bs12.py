@@ -18,17 +18,15 @@ and the exponent of its denominator, in lowest terms.  A product adds
 two shifts over the larger denominator exponent and cancels the powers
 of two the sum gains, an inverse negates the shift and moves its
 exponent by texp, and the chain tests read num when k and texp are 0.
-Literal entries are read by ``core.read_ratio`` into integers, and text
-is printed from them.  Only the Fraction face of a DyadicAffine builds
-Fractions, and the refusal of a literal whose shift is not dyadic; each
-imports ``fractions`` where it runs, so no other path loads it.
+Literals are read into integers by ``core.read_ratio`` and refused from
+them, text is printed from them, and ``core.check_exact_bits`` bounds a
+level rep as it bounds a product.  Only the Fraction face loads fractions.
 """
 
 from __future__ import annotations
 
 import math
 import re
-import sys
 from typing import TYPE_CHECKING
 
 from .core import (
@@ -178,9 +176,7 @@ class BS12Pair(CommensuratedPair):
         q = math.gcd(n, d)
         n, d = n // q, d // q
         if d & (d - 1):
-            from fractions import Fraction
-
-            self.validate(DyadicAffine(Fraction(n, d), texp))  # refuses the shift
+            raise ContractViolation(f"bs12: shift {n}/{d} is not a dyadic rational")
         return _affine(n, d.bit_length() - 1, texp)
 
     def level_rep(self, x: DyadicAffine, depth: Depth) -> str:
@@ -193,8 +189,8 @@ class BS12Pair(CommensuratedPair):
         if m <= 0:
             n = k = 0
         elif n < 0 or n.bit_length() > m:  # else 0 <= n < 2**m already
-            if n.bit_length() < m > 4 * sys.get_int_max_str_digits() > 0:  # 2**m + n is too long
-                raise ValueError("the level rep exceeds the display limit")
+            if n.bit_length() < m:  # n < 0, and 2**m + n is m bits long
+                check_exact_bits(m)
             n %= 1 << m
         return _text(n, k, x.texp)
 

@@ -19,9 +19,9 @@ integer matrices and divide once by a gcd, the inverse is the adjugate
 over the same denominator, the chain tests read the integers of an
 element whose denominator is 1, and v(g) is read off the denominator.
 Each literal entry is a ``core.RATIONAL``, read by ``core.read_ratio``
-into the integers, and text is printed from them.  Only the Fraction face
-of a Mat2 builds Fractions, and only the refusal of an entry whose
-denominator is not a p-power reads it; ``fractions`` loads on its first use.
+into the integers, and text is printed from them; an entry whose
+denominator is not a p-power is named from them too.  Only the Fraction
+face of a Mat2 builds Fractions; ``fractions`` loads on its first use.
 """
 
 from __future__ import annotations
@@ -150,16 +150,18 @@ class SL2Pair(CommensuratedPair):
 
         It is e with g.den = p**e: the lowest set bit for p = 2, else a
         logarithm (exact on every p-power that fits in memory) checked
-        against p**e.  On a mismatch some entry's denominator is not a
-        p-power, and the entries are factored in turn to name the first one.
+        against p**e.  On a mismatch den has a part r > 1 prime to p, and
+        the first entry n/den that r does not divide is named, reduced.
         """
         den, p = g.den, self.p
         if den == 1:
             return 0
         e = (den & -den).bit_length() - 1 if p == 2 else round(math.log(den, p))
         if p ** e != den:
-            q = next(q for q in g if (n := q.denominator) != p ** p_adic_level(n, p, n))
-            raise ContractViolation(f"{self.name}: entry {q} has a denominator outside p-powers")
+            r = den // p ** p_adic_level(den, p, den)
+            n, q = next((n, math.gcd(n, den)) for n in (g.na, g.nb, g.nc, g.nd) if n % r)
+            raise ContractViolation(
+                f"{self.name}: entry {n // q}/{den // q} has a denominator outside p-powers")
         return e
 
     def in_level(self, x: Mat2, depth: Depth) -> bool:

@@ -7,9 +7,12 @@ from the repository root, with COLUMNS=80 and COMMENSURATE_SEED=0, and
 compares the exit code and captured output with ``golden/<id>.txt`` in
 the format the golden tests write.  Prints each case that differs, with
 its first differing line as expected and as replayed (each by
-``core.quoted``), then ``N/M match``; the exit code is 1 when any case
-differs.  Needs only the standard library, so it runs on interpreters
-that have no pytest.
+``core.quoted``), then ``N/M match``.  No case loads ``fractions`` or
+``decimal``: only the Fraction faces of ``bs12`` and ``sl2`` need them,
+and no CLI run reaches a face.  A replay that loads either prints
+``replay loaded: ...`` after the count.  The exit code is 1 when any case
+differs or such a module was loaded.  Needs only the standard library,
+so it runs on interpreters that have no pytest.
 """
 
 import io
@@ -18,6 +21,9 @@ import pathlib
 import sys
 from contextlib import redirect_stderr, redirect_stdout
 from itertools import zip_longest
+
+# the modules loaded before the package is imported
+PRELOADED = set(sys.modules)
 
 TESTS = pathlib.Path(__file__).resolve().parent
 ROOT = TESTS.parent
@@ -57,7 +63,10 @@ def main() -> int:
             print(f"differs: {name}")
             print(first_difference(expected if blob != expected else exit_line, blob))
     print(f"{matched}/{len(CASES)} match")
-    return 0 if matched == len(CASES) else 1
+    loaded = sorted({"fractions", "decimal"} & (sys.modules.keys() - PRELOADED))
+    if loaded:
+        print(f"replay loaded: {', '.join(loaded)}")
+    return 0 if matched == len(CASES) and not loaded else 1
 
 
 if __name__ == "__main__":

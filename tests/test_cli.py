@@ -142,41 +142,51 @@ def _child_env():
     ))
 
 
-def _run_capped(argv):
+def _run_capped(argv, **env):
     """The CLI on ``argv`` in a child process capped at 1 GB of address
-    space and 20 s."""
+    space and 20 s, with ``env`` added to its environment."""
     return subprocess.run(
         [sys.executable, "-m", "commensurate.cli", *argv],
         capture_output=True,
         text=True,
         timeout=20,
-        env=_child_env(),
+        env=dict(_child_env(), **env),
         preexec_fn=_limit_memory,
     )
 
 
+# each case's id, argv, stdout (None: not checked) and whether it is refused
+_HUGE_TEXPS = [
+    ("psi-texp", ["psi", "bs12", "texp", "t^-99999999999999999999"], "-99999999999999999999\n", False),
+    ("literal-shift", ["eval", "bs12", "(1/2; 99999999999999999999)"], None, False),
+    ("t-power", ["eval", "bs12", "t^-99999999999999999999"], None, False),
+    ("negative-shift", ["eval", "bs12", "(-1/2; 99999999999999999999)"], "", True),
+    ("negative-power", ["eval", "bs12", "--depth", "0", "a^-1*t^1000000000000"], "", True),
+]
+
+
 @pytest.mark.parametrize(
-    "argv,stdout,stderr",
-    [
-        (["psi", "bs12", "texp", "t^-99999999999999999999"], "-99999999999999999999\n", None),
-        (["eval", "bs12", "(1/2; 99999999999999999999)"], None, None),
-        (["eval", "bs12", "t^-99999999999999999999"], None, None),
-        (["eval", "bs12", "(-1/2; 99999999999999999999)"], "",
-         "error: level 0: rep exceeds the display limit of 4300 digits\n"),
-    ],
-    ids=["psi-texp", "literal-shift", "t-power", "negative-shift"],
+    "argv,stdout,refused,limit_off",
+    [pytest.param(argv, stdout, refused, off, id=name + ("-limit-off" if off else ""))
+     for off in (False, True) for name, argv, stdout, refused in _HUGE_TEXPS],
 )
-def test_huge_doubling_exponents_end_quickly(argv, stdout, stderr):
-    """A huge doubling exponent must not make bs12 build 2**texp.  Each run
+def test_huge_doubling_exponents_end_quickly(argv, stdout, refused, limit_off):
+    """A huge doubling exponent must not make bs12 build 2**texp, with
+    Python's int-to-str limit at its default or lifted (PYTHONINTMAXSTRDIGITS
+    = 0).  The level-0 rep 2**texp + n of a negative shift n is refused in
+    one line, by the exact-size bound when no limit refuses it.  Each run
     is a child process capped at 1 GB of address space, so a regression
     fails here instead of exhausting the test run's memory."""
-    proc = _run_capped(argv)
+    proc = _run_capped(argv, **({"PYTHONINTMAXSTRDIGITS": "0"} if limit_off else {}))
     assert proc.returncode in (0, 2), proc.stderr
     assert "Traceback" not in proc.stderr
     if stdout is not None:
         assert proc.stdout == stdout
-    if stderr is not None:
-        assert proc.stderr == stderr
+    if refused:
+        assert proc.returncode == 2
+        assert proc.stderr.startswith("error: level 0: rep ") and proc.stderr.count("\n") == 1
+        if not limit_off:
+            assert proc.stderr == "error: level 0: rep exceeds the display limit of 4300 digits\n"
 
 
 _PAST_BOUND = (2, "", f"error: exact product exceeds the bound of {core.MAX_EXACT_BITS} bits\n")
@@ -1144,12 +1154,17 @@ _FRACTION_FACES = {
         "        raise AssertionError(f'{x!r} was accepted')\n",
         0, "",
     ),
+    # a refused literal is named from its integers, and loads no Fraction
     "eval-bs12": (
-        "sys.exit(entry(['eval', 'bs12', '(1/3; 0)']))\n",
+        "code = entry(['eval', 'bs12', '(1/3; 0)'])\n"
+        "assert 'fractions' not in sys.modules\n"
+        "sys.exit(code)\n",
         4, "error: bs12: shift 1/3 is not a dyadic rational\n",
     ),
     "eval-sl2": (
-        "sys.exit(entry(['eval', 'sl2:3', '[[1/2,0],[0,2]]']))\n",
+        "code = entry(['eval', 'sl2:3', '[[1/2,0],[0,2]]'])\n"
+        "assert 'fractions' not in sys.modules\n"
+        "sys.exit(code)\n",
         4, "error: sl2:3: entry 1/2 has a denominator outside p-powers\n",
     ),
 }
@@ -1158,9 +1173,9 @@ _FRACTION_FACES = {
 @pytest.mark.parametrize("face", _FRACTION_FACES)
 def test_each_fraction_face_imports_fractions_itself(face):
     """``bs12`` and ``sl2`` hold no module-level ``Fraction``: each Fraction
-    face, and each refusal that reads one, imports it where it runs.  The
-    child starts with ``fractions`` unloaded, and the package import
-    leaves it so."""
+    face imports it where it runs, and a CLI run, a refused literal
+    included, reaches no face.  The child starts with ``fractions``
+    unloaded, and the package import leaves it so."""
     script = (
         "import sys\n"
         "from commensurate.cli import entry\n"

@@ -174,7 +174,10 @@ def test_bs12_format_parse(capsys):
 
 def _ref_bs12_level_rep(x, depth):
     """bs12's level rep by Fraction powers and floor division, as it was
-    computed before the numerator was reduced on integers."""
+    computed before the numerator was reduced on integers.  A negative
+    shift n/2**k shorter than 2**e becomes (n + 2**(e + k))/2**k, whose
+    numerator is e + k bits long, so the exact-size bound refuses it past
+    MAX_EXACT_BITS bits."""
     e, shift = x.texp + depth, x.shift
     if abs(e) <= max(shift.numerator.bit_length(), shift.denominator.bit_length()):
         step = Fraction(2) ** e
@@ -182,8 +185,8 @@ def _ref_bs12_level_rep(x, depth):
     elif e < 0:
         shift = Fraction(0)
     elif shift < 0:
-        if e > 4 * sys.get_int_max_str_digits() > 0:
-            raise ValueError("the level rep exceeds the display limit")
+        if e + shift.denominator.bit_length() - 1 > MAX_EXACT_BITS:
+            raise ValueError("the level rep exceeds the exact-size bound")
         shift += 1 << e
     return f"({shift}; {x.texp})"
 
@@ -203,8 +206,8 @@ _REP_TEXPS = (st.integers(-100, 100) | st.integers(17_100, 17_300)
 @given(k=st.integers(0, 80), texp=_REP_TEXPS, depth=st.integers(0, 70),
        near=st.sampled_from([None, 0, 1]), c=st.integers(-(1 << 90), 1 << 90))
 @example(k=1, texp=10**20 - 1, depth=1, near=None, c=-1)  # README's (-1/2; 99999999999999999999)
-@example(k=0, texp=17_200, depth=0, near=0, c=4)  # n = 1 - 2**m at the display bound
-@example(k=0, texp=17_201, depth=0, near=1, c=3)  # n = -2**(m - 1): m bits, reduced
+@example(k=0, texp=17_200, depth=0, near=0, c=4)  # n = 1 - 2**m: m bits, reduced to 1
+@example(k=0, texp=17_201, depth=0, near=1, c=3)  # n = -2**(m - 1): reduced, too long to print
 @example(k=3, texp=17_190, depth=8, near=None, c=-5)
 def test_bs12_level_rep_matches_the_fraction_reference(k, texp, depth, near, c):
     """The shift n/2**k, with n = c or, when near is set and m = texp + depth
@@ -212,9 +215,37 @@ def test_bs12_level_rep_matches_the_fraction_reference(k, texp, depth, near, c):
     same string, or ValueError from both."""
     m = texp + depth + k - (near or 0)
     n = c if near is None or not 0 < m < 20_000 else (c % 7 - 3) - (1 << m)
-    x = DyadicAffine(Fraction(n, 1 << k), texp)
-    bs = BS12Pair()
-    assert _rep_or_error(bs.level_rep, x, depth) == _rep_or_error(_ref_bs12_level_rep, x, depth)
+    _assert_bs12_level_rep_matches(DyadicAffine(Fraction(n, 1 << k), texp), depth)
+
+
+def _assert_bs12_level_rep_matches(x, depth):
+    """bs12's level rep of x at depth and the Fraction reference's: the
+    same string, or ValueError from both.  Returns it."""
+    rep = _rep_or_error(BS12Pair().level_rep, x, depth)
+    assert rep == _rep_or_error(_ref_bs12_level_rep, x, depth)
+    return rep
+
+
+@settings(max_examples=25, deadline=None)
+@given(k=st.integers(0, 80), texp=st.integers(MAX_EXACT_BITS - 150, MAX_EXACT_BITS + 10),
+       depth=st.integers(0, 70), c=st.integers(-(1 << 90), 1 << 90))
+@example(k=0, texp=MAX_EXACT_BITS, depth=0, c=-1)  # 2**MAX_EXACT_BITS - 1 is built
+@example(k=0, texp=MAX_EXACT_BITS, depth=1, c=-1)  # one bit more is refused
+@example(k=5, texp=MAX_EXACT_BITS - 5, depth=0, c=-33)  # -33/32: k = 5 brings m to the bound
+@example(k=5, texp=MAX_EXACT_BITS - 4, depth=0, c=-33)  # and one past it
+def test_bs12_level_rep_is_bounded_with_the_limit_lifted(k, texp, depth, c):
+    """With Python's int-to-str limit lifted, no display limit refuses a
+    long rep, so only the exact-size bound does: a negative shift n/2**k
+    in lowest terms is refused exactly when m = texp + depth + k passes
+    MAX_EXACT_BITS, and every other rep is printed."""
+    x = DyadicAffine(Fraction(c, 1 << k), texp)
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    try:
+        rep = _assert_bs12_level_rep_matches(x, depth)
+    finally:
+        sys.set_int_max_str_digits(limit)
+    assert (rep is ValueError) == (c < 0 and x.texp + depth + x.k > MAX_EXACT_BITS)
 
 
 def test_bs12_validate():
