@@ -223,6 +223,11 @@ class CommensuratedPair(ABC):
         return str(x)
 
     def parse_literal(self, text: str) -> Any:
+        """The element that a literal's text names; ValueError with a reason otherwise.
+
+        It must be a pure function of the text: an evaluation reads each
+        distinct literal text once and reuses the value for its repeats.
+        """
         raise ValueError(f"{self.name}: unsupported literal {quoted(text)}")
 
     def level_rep(self, x: Any, depth: Depth) -> str:

@@ -11,7 +11,8 @@ tighter):
 
 Brackets nest at most MAX_NESTING deep.  The instance's parse_literal
 reads every literal, a decimal integer included, in its own text format
-("5", "(3/4; -2)", "[[1,0],[1,1]]", "(1 2)(3 4)", "#5").  Evaluation
+("5", "(3/4; -2)", "[[1,0],[1,1]]", "(1 2)(3 4)", "#5"), each distinct
+text once per evaluation.  Evaluation
 distinguishes exact group words from truncated completion values: a
 plain word multiplies out exactly in G and only the final result is
 embedded at the requested depth, while inv(...) and embed(...) force
@@ -65,12 +66,14 @@ def _scanner(literal_pattern: Optional[re.Pattern]) -> re.Pattern:
 
 def tokenize(src: str, pair: CommensuratedPair) -> list[Token]:
     """The tokens of src without whitespace, ending in an END token."""
-    scan = _scanner(pair.literal_pattern).finditer(src)
-    tokens = [(m.lastgroup, m[0], m.start()) for m in scan]
-    for kind, text, pos in tokens:
+    tokens = []
+    for m in _scanner(pair.literal_pattern).finditer(src):
+        kind = m.lastgroup
+        if kind == "SPACE":
+            continue
         if kind == "BAD":
-            raise ExprError(f"unexpected character {text!r}", pos)
-    tokens = [tok for tok in tokens if tok[0] != "SPACE"]
+            raise ExprError(f"unexpected character {m[0]!r}", m.start())
+        tokens.append((kind, m[0], m.start()))
     tokens.append(("END", "", len(src)))
     return tokens
 
@@ -245,6 +248,9 @@ def render(node) -> str:
 
 # evaluation -------------------------------------------------------------------
 
+_UNREAD = object()  # marks a literal text that evaluate has not read yet
+
+
 class PsiValue(NamedTuple):
     """Result of a psi(...) expression: a target-group value."""
 
@@ -260,6 +266,10 @@ def evaluate(src: str, pair: CommensuratedPair, depth: int):
     a CompletionElement, or a PsiValue for a top-level psi.
     """
     pair.check_depth(depth)
+    # each literal text is read once a call, as parse_literal is a pure
+    # function of it; only reads that succeed are kept, so a bad literal
+    # still fails at its first occurrence
+    literals = {}
 
     def truncated(value):
         """value as a completion value: exact words embed at the requested depth."""
@@ -271,10 +281,13 @@ def evaluate(src: str, pair: CommensuratedPair, depth: int):
         if isinstance(node, Gen):
             return pair.generators[node.name]
         if isinstance(node, Lit):
-            try:
-                return pair.parse_literal(node.text)
-            except ValueError as err:
-                raise ExprError(str(err), node.pos) from None
+            value = literals.get(node.text, _UNREAD)
+            if value is _UNREAD:
+                try:
+                    value = literals[node.text] = pair.parse_literal(node.text)
+                except ValueError as err:
+                    raise ExprError(str(err), node.pos) from None
+            return value
         if isinstance(node, Pow):
             value = value_of(node.base)
             if isinstance(value, PsiValue):

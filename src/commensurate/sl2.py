@@ -22,6 +22,14 @@ Each literal entry is a ``core.RATIONAL``, read by ``core.read_ratio``
 into the integers, and text is printed from them; an entry whose
 denominator is not a p-power is named from them too.  Only the Fraction
 face of a Mat2 builds Fractions; ``fractions`` loads on its first use.
+
+A level rep of a matrix whose denominator is not 1 is the whole matrix,
+so ``eval`` at attained depth D would print one element D + 2 times.  A
+pair therefore keeps the last element it printed, keyed by its five
+integers, with its text, and prints a repeat once.  Key and text are
+replaced together as one tuple, and a CLI request builds its own pair,
+so the memo is safe under concurrent use and lives no longer than the
+request.
 """
 
 from __future__ import annotations
@@ -119,6 +127,8 @@ class SL2Pair(CommensuratedPair):
     identity = _mat2(1, 0, 0, 1, 1)
     literal_pattern = _LITERAL
     constant_conj_cost = True
+    # the stored integers of the last element format_element printed, and its text
+    _last_printed = (None, "")
 
     def __init__(self, p: int):
         if not isinstance(p, int) or not is_prime(p):
@@ -198,12 +208,18 @@ class SL2Pair(CommensuratedPair):
         return [_mat2(1, q, 0, 1, 1), _mat2(1, 0, q, 1, 1), third]
 
     def format_element(self, x: Mat2) -> str:
+        key = x.na, x.nb, x.nc, x.nd, x.den
+        last_key, last_text = self._last_printed  # one read, so threads see a matching pair
+        if key == last_key:
+            return last_text
         # each entry n/den in lowest terms, spelled as str(Fraction) spells it
         den, entries = x.den, []
-        for n in (x.na, x.nb, x.nc, x.nd):
+        for n in key[:4]:
             q = math.gcd(n, den)
             entries.append(str(n // q) if q == den else f"{n // q}/{den // q}")
-        return _LAYOUT.format(*entries)
+        text = _LAYOUT.format(*entries)
+        self._last_printed = key, text
+        return text
 
     def parse_literal(self, text: str) -> Mat2:
         m = _LITERAL.fullmatch(text.strip())

@@ -1,10 +1,11 @@
 """Parsing and evaluation of group-word expressions."""
 
 import re
+from collections import Counter
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
 from commensurate import (
     BS12Pair,
@@ -181,9 +182,26 @@ _FRAGMENTS = [
 
 @pytest.mark.parametrize("instance", list(_LITERAL_STYLES))
 @given(src=st.lists(st.sampled_from(_FRAGMENTS), max_size=12).map("".join))
+@example(src="a  \t\n*\u3000\u3000t ^ -2   ")  # whitespace runs, inside and at the end
+@example(src="a * \t $t")  # a bad character after whitespace
+@example(src="a*t^2\u00e9")  # a bad character at the end
+@example(src="  \x1c\t")  # whitespace alone
 def test_tokenize_matches_reference_scan(instance, src):
     pair = _LITERAL_STYLES[instance]
     assert _token_stream(tokenize, src, pair) == _token_stream(reference_tokenize, src, pair)
+
+
+def test_tokenize_skips_whitespace_and_names_the_first_bad_character():
+    assert tokenize(" a \t*\u3000 t ", BS) == [
+        ("NAME", "a", 1), ("STAR", "*", 4), ("NAME", "t", 7), ("END", "", 9)]
+    for src, message in [
+        ("a *  $t", "unexpected character '$' at position 5"),
+        ("a*t$", "unexpected character '$' at position 3"),
+        ("a $ t \u00e9", "unexpected character '$' at position 2"),
+    ]:
+        with pytest.raises(ExprError) as err:
+            tokenize(src, BS)
+        assert str(err.value) == message
 
 
 class _ReferenceParser:
@@ -440,3 +458,52 @@ def test_mod_target_on_factorial_chain():
 
 def test_evaluate_returns_completion_elements():
     assert isinstance(ev("a", BS), CompletionElement)
+
+
+# --- literals are read once per evaluation ---------------------------------------
+
+class _CountingBS12(BS12Pair):
+    """bs12 that counts parse_literal calls per literal text."""
+
+    def __init__(self):
+        self.reads = Counter()
+
+    def parse_literal(self, text):
+        self.reads[text] += 1
+        return super().parse_literal(text)
+
+
+def test_each_literal_text_is_read_once_per_evaluation():
+    pair = _CountingBS12()
+    src = "(1/2; 0)*a*(1/2; 0)^3*inv((1/2; 0))*(1/4; 1)*(2/4; 0)*psi(texp, (1/4; 1))"
+    with pytest.raises(ExprError, match="inside a product"):
+        ev(src, pair, 3)
+    # texts are keys: "(2/4; 0)" names the value of "(1/2; 0)" but is read itself
+    assert pair.reads == {"(1/2; 0)": 1, "(1/4; 1)": 1, "(2/4; 0)": 1}
+    word = "(1/2; 0)*a*(1/2; 0)^3*inv((1/2; 0))*(1/4; 1)*(2/4; 0)*(1/4; 1)"
+    pair.reads.clear()
+    value = ev(word, pair, 3)
+    assert pair.reads == {"(1/2; 0)": 1, "(1/4; 1)": 1, "(2/4; 0)": 1}
+    assert (value.rep, value.depth) == (ev(word, BS, 3).rep, ev(word, BS, 3).depth)
+    # nothing is kept between evaluations
+    ev(word, pair, 3)
+    assert pair.reads == {"(1/2; 0)": 2, "(1/4; 1)": 2, "(2/4; 0)": 2}
+
+
+@pytest.mark.parametrize("src, message", [
+    # a repeated bad literal fails at its first occurrence
+    ("a*(1/0; 0)*(1/0; 0)", "bs12: zero denominator in '(1/0; 0)' at position 2"),
+    ("inv((1/0; 0))^2*(1/0; 0)", "bs12: zero denominator in '(1/0; 0)' at position 4"),
+    # a bad literal after repeats of a good one fails at its own position
+    ("(1/2; 0)*(1/2; 0)*(1/0; 0)", "bs12: zero denominator in '(1/0; 0)' at position 18"),
+    ("(1/2; 0)^2*(1/2;0)*t*(1/2; 0)*(3/0; 1)", "bs12: zero denominator in '(3/0; 1)' at position 30"),
+    # a literal error met before a psi(...) misuse still comes first ...
+    ("psi(texp, (3/4; 1))*(1/0; 0)*(3/4; 1)", "bs12: zero denominator in '(1/0; 0)' at position 20"),
+    # ... and a misuse met first still wins over a later literal error
+    ("psi(texp, (3/4; 1))*(3/4; 1)^2*(1/0; 0)", "psi(...) cannot appear inside a product at position 0"),
+])
+def test_literal_errors_keep_their_order_and_position(src, message):
+    for pair in (BS, _CountingBS12()):
+        with pytest.raises(ExprError) as err:
+            ev(src, pair, 3)
+        assert str(err.value) == message

@@ -468,6 +468,49 @@ def test_sl2_format_parse():
         sl2.parse_literal("[[1,2],[3]]")
 
 
+def test_sl2_printing_memo_gives_a_fresh_pairs_text():
+    """format_element keeps the last element it printed: interleaved prints
+    of distinct elements, equal elements built apart, repeats and level reps,
+    integral or not, each give what a fresh pair prints."""
+    rng = random.Random(RNG_SEED)
+    for p in (2, 3):
+        sl2 = SL2Pair(p)
+        h = sl2.generators["h"]
+        pool = [sl2.identity, *sl2.generators.values(), sl2.inv(h), *sl2.level_generators(1)]
+        pool += [sl2.sample(rng) for _ in range(12)]
+        # equal values, distinct objects
+        pool += [Mat2(*x) for x in pool[:8]] + [sl2.parse_literal(sl2.format_element(x)) for x in pool[:8]]
+        for _ in range(400):
+            x, d = rng.choice(pool), rng.randrange(4)
+            if rng.random() < 0.5:
+                assert sl2.format_element(x) == SL2Pair(p).format_element(x)
+            else:
+                assert sl2.level_rep(x, d) == SL2Pair(p).level_rep(x, d)
+
+
+class _CountingLayout(str):
+    """sl2's print layout, counting its format calls."""
+
+    calls = 0
+
+    def format(self, *args):
+        type(self).calls += 1
+        return super().format(*args)
+
+
+def test_sl2_eval_prints_a_non_integral_element_once(monkeypatch, capsys):
+    """At attained depth D, each of the D + 1 level reps of a non-integral
+    element and the final rep are the whole element: one print, not D + 2."""
+    from commensurate import sl2
+
+    monkeypatch.setattr(sl2, "_LAYOUT", _CountingLayout(sl2._LAYOUT))
+    monkeypatch.setattr(_CountingLayout, "calls", 0)
+    assert entry(["eval", "sl2:3", "--depth", "13", "h*u*l^-2*h*[[1,3],[0,1]]"]) == 0
+    out = capsys.readouterr().out
+    assert out.count(", rep [[") == 14 and "attained depth: 13" in out
+    assert _CountingLayout.calls == 1
+
+
 _DIGITS = st.text(st.characters(whitelist_categories=("Nd",)), min_size=1, max_size=6)
 _SPACES = st.text(st.sampled_from([chr(c) for c in range(0x3001) if chr(c).isspace()]), max_size=3)
 
