@@ -12,14 +12,13 @@ tighter):
 Brackets nest at most MAX_NESTING deep.  The instance's parse_literal
 reads every literal, a decimal integer included, in its own text format
 ("5", "(3/4; -2)", "[[1,0],[1,1]]", "(1 2)(3 4)", "#5"), each distinct
-text once per evaluation.  Evaluation
-distinguishes exact group words from truncated completion values: a
-plain word multiplies out exactly in G and only the final result is
-embedded at the requested depth, while inv(...) and embed(...) force
-completion-level arithmetic immediately.  An exact word on the left of a
-truncated value translates its coset exactly, g·(rep·N_d) = (g·rep)·N_d,
-and costs no depth; on the right it is embedded at the truncated side's
-depth and conjugates the chain.
+text once per evaluation.  Evaluation distinguishes exact group words
+from truncated completion values: a plain word multiplies out exactly in
+G and only the final result is embedded at the requested depth, while
+inv(...) and embed(...) force completion-level arithmetic immediately.
+An exact word on the left of a truncated value translates its coset
+exactly, g·(rep·N_d) = (g·rep)·N_d, and costs no depth; on the right it
+is embedded at the truncated side's depth and conjugates the chain.
 """
 
 from __future__ import annotations
@@ -266,9 +265,8 @@ def evaluate(src: str, pair: CommensuratedPair, depth: int):
     a CompletionElement, or a PsiValue for a top-level psi.
     """
     pair.check_depth(depth)
-    # each literal text is read once a call, as parse_literal is a pure
-    # function of it; only reads that succeed are kept, so a bad literal
-    # still fails at its first occurrence
+    # the value of each literal text read so far; a failed read is not kept,
+    # so a bad literal fails at its first occurrence
     literals = {}
 
     def truncated(value):

@@ -24,12 +24,10 @@ denominator is not a p-power is named from them too.  Only the Fraction
 face of a Mat2 builds Fractions; ``fractions`` loads on its first use.
 
 A level rep of a matrix whose denominator is not 1 is the whole matrix,
-so ``eval`` at attained depth D would print one element D + 2 times.  A
-pair therefore keeps the last element it printed, keyed by its five
-integers, with its text, and prints a repeat once.  Key and text are
-replaced together as one tuple, and a CLI request builds its own pair,
-so the memo is safe under concurrent use and lives no longer than the
-request.
+so ``eval`` at attained depth D asks for its text D + 2 times.  A pair
+keeps the last element it printed, keyed by its five integers, with the
+text, as one tuple replaced whole, so concurrent callers never see a key
+with another's text; a CLI request builds its own pair.
 """
 
 from __future__ import annotations

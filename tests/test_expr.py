@@ -466,6 +466,7 @@ class _CountingBS12(BS12Pair):
     """bs12 that counts parse_literal calls per literal text."""
 
     def __init__(self):
+        super().__init__()
         self.reads = Counter()
 
     def parse_literal(self, text):
