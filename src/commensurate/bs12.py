@@ -20,7 +20,8 @@ of two the sum gains, an inverse negates the shift and moves its
 exponent by texp, and the chain tests read num when k and texp are 0.
 Literals are read into integers by ``core.read_ratio`` and refused from
 them, text is printed from them, and ``core.check_exact_bits`` bounds a
-level rep as it bounds a product.  Only the Fraction face loads fractions.
+level rep as it bounds a product.  Only the Fraction face loads fractions;
+its constructor refuses any non-element, so validate is one type test.
 """
 
 from __future__ import annotations
@@ -42,11 +43,11 @@ class DyadicAffine:
     """The affine map x -> 2**texp * x + shift, stored as the integers num,
     k and texp with shift = num/2**k, num odd or k = 0.
 
-    DyadicAffine(shift, texp) takes a Fraction shift, .shift gives it back
-    reduced, and iteration, len, == and hash are those of the 2-tuple
-    (shift, texp), as when DyadicAffine was a NamedTuple.  A shift that is
-    not a dyadic Fraction is kept as given, with k = None, so that validate
-    can refuse it.  No method assigns to a DyadicAffine after it is built.
+    DyadicAffine(shift, texp) takes a dyadic Fraction shift and an int texp
+    and raises ContractViolation on anything else.  .shift gives the shift
+    back reduced, and iteration, len, == and hash are those of the 2-tuple
+    (shift, texp), as when DyadicAffine was a NamedTuple.  No method assigns
+    to a DyadicAffine after it is built.
     """
 
     __slots__ = ("num", "k", "texp")
@@ -54,16 +55,16 @@ class DyadicAffine:
     def __init__(self, shift: Fraction, texp: int):
         from fractions import Fraction
 
-        if isinstance(shift, Fraction) and not (den := shift.denominator) & (den - 1):
-            self.num, self.k = shift.numerator, den.bit_length() - 1
-        else:
-            self.num, self.k = shift, None
-        self.texp = texp
+        if not isinstance(shift, Fraction) or not isinstance(texp, int) or isinstance(texp, bool):
+            fields = f"DyadicAffine(shift={shift!r}, texp={texp!r})"
+            raise ContractViolation(f"bs12: malformed element fields: {fields}")
+        den = shift.denominator
+        if den & (den - 1):
+            raise ContractViolation(f"bs12: shift {shift} is not a dyadic rational")
+        self.num, self.k, self.texp = shift.numerator, den.bit_length() - 1, texp
 
     @property
     def shift(self) -> Fraction:
-        if self.k is None:
-            return self.num
         from fractions import Fraction
 
         return Fraction(self.num, 1 << self.k)
@@ -197,14 +198,6 @@ class BS12Pair(CommensuratedPair):
     def validate(self, x) -> None:
         if not isinstance(x, DyadicAffine):
             raise ContractViolation(f"bs12: not an affine element: {x!r}")
-        if not isinstance(x.texp, int) or isinstance(x.texp, bool):
-            raise ContractViolation(f"bs12: malformed element fields: {x!r}")
-        if x.k is None:  # the shift was kept as given: no valid element gets here
-            from fractions import Fraction
-
-            if not isinstance(x.num, Fraction):
-                raise ContractViolation(f"bs12: malformed element fields: {x!r}")
-            raise ContractViolation(f"bs12: shift {x.num} is not a dyadic rational")
 
     def describe(self) -> str:
         return (

@@ -47,14 +47,17 @@ def _displayed(what: str, show, *args) -> str:
     """show(*args), or one line naming ``what`` when it is too long to print.
 
     Python caps int-to-str conversion, so an exact value can be too long
-    to show.  A refusal raises while the result is still being built, so
-    stdout stays empty.
+    to show; with the cap lifted (0), only the exact-size bound refuses.
+    A refusal raises while the result is being built, so stdout is empty.
     """
     try:
         return show(*args)
     except ValueError:
+        from .core import MAX_EXACT_BITS
+
         limit = sys.get_int_max_str_digits()
-        raise ValueError(f"{what} exceeds the display limit of {limit} digits") from None
+        bound = f"the display limit of {limit} digits" if limit else f"the bound of {MAX_EXACT_BITS} bits"
+        raise ValueError(f"{what} exceeds {bound}") from None
 
 
 def cmd_instances(args):

@@ -249,30 +249,30 @@ def test_bs12_level_rep_is_bounded_with_the_limit_lifted(k, texp, depth, c):
 
 
 def test_bs12_validate():
+    """The constructor refuses a malformed or non-dyadic element, so no
+    DyadicAffine reaches validate unless it is an element of BS(1,2);
+    validate and embed refuse whatever is not a DyadicAffine."""
     bs = BS12Pair()
-    with pytest.raises(ContractViolation):
-        bs.validate(DyadicAffine(Fraction(1, 3), 0))
-    with pytest.raises(ContractViolation):
-        bs.validate((Fraction(1), 0))
-    # bool is an int subclass, but no doubling exponent
-    flag = DyadicAffine(Fraction(1), True)
-    with pytest.raises(ContractViolation, match=re.escape(f"bs12: malformed element fields: {flag!r}")):
-        bs.embed(flag, 3)
-    # each refusal prints the element as the NamedTuple DyadicAffine printed it
-    cases = [
-        (DyadicAffine(1, 0), "bs12: malformed element fields: DyadicAffine(shift=1, texp=0)"),
-        (DyadicAffine(0.5, -2), "bs12: malformed element fields: DyadicAffine(shift=0.5, texp=-2)"),
-        (flag, "bs12: malformed element fields: DyadicAffine(shift=Fraction(1, 1), texp=True)"),
-        (DyadicAffine(Fraction(1, 3), True),
-         "bs12: malformed element fields: DyadicAffine(shift=Fraction(1, 3), texp=True)"),
-        (DyadicAffine(Fraction(1, 3), 0), "bs12: shift 1/3 is not a dyadic rational"),
-        (DyadicAffine(Fraction(-5, 12), 4), "bs12: shift -5/12 is not a dyadic rational"),
-    ]
-    for x, message in cases:
-        for call in (lambda: bs.validate(x), lambda: bs.embed(x, 3)):
+    for x in ((Fraction(1), 0), Mat2(Fraction(1), Fraction(0), Fraction(0), Fraction(1))):
+        for call in (bs.validate, lambda x: bs.embed(x, 3)):
             with pytest.raises(ContractViolation) as err:
-                call()
-            assert str(err.value) == message
+                call(x)
+            assert str(err.value) == f"bs12: not an affine element: {x!r}"
+    # each refusal prints the element as the NamedTuple DyadicAffine printed it;
+    # bool is an int subclass, but no doubling exponent
+    cases = [
+        ((1, 0), "bs12: malformed element fields: DyadicAffine(shift=1, texp=0)"),
+        ((0.5, -2), "bs12: malformed element fields: DyadicAffine(shift=0.5, texp=-2)"),
+        ((Fraction(1), True), "bs12: malformed element fields: DyadicAffine(shift=Fraction(1, 1), texp=True)"),
+        ((Fraction(1, 3), True),
+         "bs12: malformed element fields: DyadicAffine(shift=Fraction(1, 3), texp=True)"),
+        ((Fraction(1, 3), 0), "bs12: shift 1/3 is not a dyadic rational"),
+        ((Fraction(-5, 12), 4), "bs12: shift -5/12 is not a dyadic rational"),
+    ]
+    for args, message in cases:
+        with pytest.raises(ContractViolation) as err:
+            DyadicAffine(*args)
+        assert str(err.value) == message
 
 
 def _ref_bs12_mul(x, y):
