@@ -38,7 +38,7 @@ EXIT_USAGE = 2
 EXIT_PRECISION = 3
 EXIT_CONTRACT = 4
 
-#: Most trials one oracle run takes: 100 000 take about 2.2 s on models/s5.model
+#: Most trials one oracle run takes: 100 000 take about 2.0 s on models/s5.model
 #: (Python 3.11, one core of a 2-vCPU Xeon host).
 MAX_TRIALS = 100_000
 

@@ -30,8 +30,9 @@ Depth = int
 CONJ_SPAN = 1 << 16
 
 #: Largest bit size of an exact product that an instance builds.  Products
-#: near it take about 0.1 s (an sl2:3 square, Python 3.11); each doubling
-#: past it costs about four times more, until memory runs out.
+#: near it take about 0.03 s (an integral sl2:3 square) to 0.1 s (one with a
+#: 49 000-bit denominator), Python 3.11; each doubling past it costs about
+#: four times more, until memory runs out.
 MAX_EXACT_BITS = 1 << 18
 
 

@@ -48,6 +48,7 @@ from __future__ import annotations
 import os
 import re
 import stat
+from functools import cached_property
 from typing import NamedTuple
 
 from .core import CommensuratedPair, ContractViolation, Depth, quoted, read_int
@@ -202,21 +203,23 @@ class FiniteModel:
 
     ``levels[0]`` is K; ``levels[-1]`` is the bottom of the chain, and
     ``level_gens[d]`` are the model text's generators of ``levels[d]``.  A
-    permutation model also keeps ``perm_index``, each permutation's index.
+    permutation model also keeps ``perm_index``, each permutation's index,
+    and ``perms``, the permutations in index order.  ``element_name(x)``
+    spells one element and ``names`` all of them, built on first use.
     ``lefts[d]`` is the ``CosetTable`` of the left cosets g·N_d, and
     ``levels[d]`` is its coset of the identity; a right coset N_d·g is
     (g⁻¹·N_d)⁻¹.  Tables are built once, in the constructor; instances
     are immutable after it and hash by identity.
     """
 
-    def __init__(self, name, kind, names, mul_table, level_gens,
+    def __init__(self, name, kind, mul_table, level_gens,
                  corrupt=False, points=None, perm_index=None):
         self.name = name
         self.kind = kind
         self.points = points
         self.perm_index = perm_index
+        self.perms = None if perm_index is None else tuple(perm_index)  # keys in index order
         self.n = len(mul_table)
-        self.names = tuple(names)
         self.mul_table = tuple(tuple(row) for row in mul_table)
         self.corrupt = bool(corrupt)
         self.e, self.inv_table = self._check_group_axioms()
@@ -237,7 +240,7 @@ class FiniteModel:
         self.levels, self.lefts = tuple(levels), tuple(lefts)
         if not self.lefts[-1].normalised(self.mul_table, self.level_gens[-1], range(self.n)):
             raise ModelError(
-                f"chain bottom {{{', '.join(sorted(self.names[i] for i in self.bottom))}}}"
+                f"chain bottom {{{', '.join(sorted(map(self.element_name, self.bottom)))}}}"
                 " is not normal in the whole group"
             )
 
@@ -269,7 +272,7 @@ class FiniteModel:
                 while table[j][i] != ident:
                     j = row.index(ident, j + 1)
             except ValueError:
-                raise ModelError(f"element {self.names[i]} has no inverse") from None
+                raise ModelError(f"element {self.element_name(i)} has no inverse") from None
             inv.append(j)
         if self.kind == "table":
             # Light's test (Clifford and Preston, The Algebraic Theory of
@@ -305,12 +308,17 @@ class FiniteModel:
     def left_coset(self, g: int, members) -> frozenset:
         return frozenset(map(self.mul_table[g].__getitem__, members))
 
-    def right_coset(self, members, g: int) -> frozenset:
-        return frozenset([self.mul_table[x][g] for x in members])
-
     @property
     def bottom(self) -> frozenset:
         return self.levels[-1]
+
+    def element_name(self, x: int) -> str:
+        """Element x as the model text writes it: its cycles, or ``#x``."""
+        return f"#{x}" if self.perms is None else perm_to_cycles(self.perms[x])
+
+    @cached_property
+    def names(self) -> tuple:
+        return tuple(map(self.element_name, range(self.n)))
 
 
 # --- parsing -----------------------------------------------------------------
@@ -381,7 +389,6 @@ def parse_model(text: str) -> FiniteModel:
         elements = sorted(_closure(perm_identity(points), gens, perm_compose, MAX_ORDER))
         perm_index = {p: i for i, p in enumerate(elements)}
         table = perm_mul_table(elements, perm_index, gens)
-        names = [perm_to_cycles(p) for p in elements]
 
         def element(perm):
             if perm not in perm_index:
@@ -403,7 +410,6 @@ def parse_model(text: str) -> FiniteModel:
                          f"'order' must be an integer, got {quoted(stated)}", ModelError)
         if order != len(table):
             raise ModelError("stated order does not match the number of rows")
-        names = [f"#{i}" for i in range(order)]
         points = perm_index = None
 
         def read(item, lineno):
@@ -429,7 +435,7 @@ def parse_model(text: str) -> FiniteModel:
     k = indices(fields["k"], first_line["k"])
     levels = [indices(value, lineno) for value, lineno in fields["level"]]
     return FiniteModel(
-        name, kind, names, table, [k, *levels],
+        name, kind, table, [k, *levels],
         corrupt=corrupt, points=points, perm_index=perm_index,
     )
 
@@ -503,7 +509,7 @@ class FiniteModelPair(CommensuratedPair):
         return len(self.model.levels[0]) // len(self.model.levels[depth])
 
     def format_element(self, x: int) -> str:
-        return self.model.names[x]
+        return self.model.element_name(x)
 
     def parse_literal(self, text: str) -> int:
         model = self.model
@@ -528,7 +534,7 @@ class FiniteModelPair(CommensuratedPair):
     def level_rep(self, x: int, depth: Depth) -> str:
         self.check_depth(depth)
         table = self.model.lefts[depth]
-        return self.model.names[table.reps[table.ids[x]]]
+        return self.model.element_name(table.reps[table.ids[x]])
 
     def validate(self, x) -> None:
         if not isinstance(x, int) or isinstance(x, bool) or not 0 <= x < self.model.n:

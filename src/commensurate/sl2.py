@@ -109,7 +109,7 @@ def _mat2(na: int, nb: int, nc: int, nd: int, den: int) -> Mat2:
 
 def _reduced(na: int, nb: int, nc: int, nd: int, den: int) -> Mat2:
     """The Mat2 of na/den, nb/den, nc/den and nd/den, for den > 0."""
-    q = math.gcd(na, nb, nc, nd, den)
+    q = math.gcd(den, na, nb, nc, nd)
     if q == 1:
         return _mat2(na, nb, nc, nd, den)
     return _mat2(na // q, nb // q, nc // q, nd // q, den // q)

@@ -18,6 +18,7 @@ from test_oracle import (
     is_union_of_left_cosets,
     left_right_check,
     refinement_subgroup,
+    right_coset,
 )
 
 from commensurate.oracle import compare_engine
@@ -59,7 +60,7 @@ def test_criterion_02_refinement_subgroup_exhaustive():
                 assert M <= N
                 gN = model.left_coset(g, N)
                 for h in range(model.n):
-                    mixed = gN & model.right_coset(N, h)
+                    mixed = gN & right_coset(model, N, h)
                     assert is_union_of_left_cosets(model, mixed, M), (
                         model.name,
                         model.names[g],

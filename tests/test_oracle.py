@@ -16,8 +16,9 @@ from commensurate import (
     parse_model,
 )
 from commensurate.cli import entry
-from commensurate.finitemodel import CosetTable, FiniteModel
-from commensurate.oracle import compare_engine, enumerate_completion
+from commensurate import finitemodel
+from commensurate.finitemodel import CosetTable, FiniteModel, load_model
+from commensurate.oracle import _draws, compare_engine, enumerate_completion
 from contract import MODEL_PAIRS, MODELS, corrupt, pair_named
 
 SEED = 7
@@ -30,10 +31,15 @@ SEED = 7
 # and 03 and the fuzzed-chain property test in test_instances.py do.
 
 
+def right_coset(model: FiniteModel, members, g: int) -> frozenset:
+    """The literal right coset of ``members`` by g: each x·g."""
+    return frozenset([model.mul_table[x][g] for x in members])
+
+
 def right_cosets(model: FiniteModel, d: int) -> CosetTable:
     """The right cosets N_d·x of chain level d, built literally; the model
     keeps only the left table."""
-    return CosetTable.build(model.n, lambda x: model.right_coset(model.levels[d], x))
+    return CosetTable.build(model.n, lambda x: right_coset(model, model.levels[d], x))
 
 
 def refinement_subgroup(model: FiniteModel, d: int, g: int) -> frozenset:
@@ -110,7 +116,7 @@ def test_refinement_postcondition_s4(s4_pair):
     assert M <= N
     gN = model.left_coset(g, N)
     for h in range(model.n):
-        piece = gN & model.right_coset(N, h)
+        piece = gN & right_coset(model, N, h)
         assert is_union_of_left_cosets(model, piece, M)
 
 
@@ -122,7 +128,7 @@ def test_refinement_exhaustive_everywhere(model_pairs):
                 M = refinement_subgroup(model, d, g)
                 gN = model.left_coset(g, N)
                 for h in range(model.n):
-                    piece = gN & model.right_coset(N, h)
+                    piece = gN & right_coset(model, N, h)
                     assert is_union_of_left_cosets(model, piece, M)
 
 
@@ -481,3 +487,35 @@ def test_suite_deterministic_under_seed(z8_pair):
     a = compare_engine(z8_pair, 80, random.Random(SEED))
     b = compare_engine(z8_pair, 80, random.Random(SEED))
     assert (a.model, a.trials, a.mismatches) == (b.model, b.trials, b.mismatches)
+
+
+def test_the_draws_are_randrange_and_choice_one_for_one():
+    """The suite's draws take the bits random.Random's randrange and choice
+    take and give their values, so seeded runs and the goldens keep
+    their trials."""
+    for seed in range(20):
+        want, got = random.Random(seed), random.Random(seed)
+        below = _draws(got)
+        for n in range(1, 251):
+            assert below(n) == want.randrange(n), (seed, n)
+            seq = range(n, 3 * n, 2)
+            assert seq[below(len(seq))] == want.choice(seq), (seed, n)
+        assert got.getstate() == want.getstate()
+
+
+def test_a_sound_run_names_no_element(monkeypatch):
+    """Loading s5 and 50 sound trials spell no permutation; printing one
+    element spells that one alone."""
+    calls = []
+    spell = finitemodel.perm_to_cycles
+
+    def counted(p):
+        calls.append(p)
+        return spell(p)
+
+    monkeypatch.setattr(finitemodel, "perm_to_cycles", counted)
+    pair = finite_model_pair(load_model(MODELS / "s5.model"))
+    assert compare_engine(pair, 50, random.Random(SEED)).ok
+    assert calls == []
+    assert pair.format_element(pair.parse_literal("(1 2 3)")) == "(1 2 3)"
+    assert len(calls) == 1
