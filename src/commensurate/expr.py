@@ -247,9 +247,6 @@ def render(node) -> str:
 
 # evaluation -------------------------------------------------------------------
 
-_UNREAD = object()  # marks a literal text that evaluate has not read yet
-
-
 class PsiValue(NamedTuple):
     """Result of a psi(...) expression: a target-group value."""
 
@@ -265,9 +262,9 @@ def evaluate(src: str, pair: CommensuratedPair, depth: int):
     a CompletionElement, or a PsiValue for a top-level psi.
     """
     pair.check_depth(depth)
-    # the value of each literal text read so far; a failed read is not kept,
-    # so a bad literal fails at its first occurrence
-    literals = {}
+    # each literal text is read once; a failed read is not kept, so a bad
+    # literal fails at its first occurrence
+    read = functools.cache(pair.parse_literal)
 
     def truncated(value):
         """value as a completion value: exact words embed at the requested depth."""
@@ -279,13 +276,10 @@ def evaluate(src: str, pair: CommensuratedPair, depth: int):
         if isinstance(node, Gen):
             return pair.generators[node.name]
         if isinstance(node, Lit):
-            value = literals.get(node.text, _UNREAD)
-            if value is _UNREAD:
-                try:
-                    value = literals[node.text] = pair.parse_literal(node.text)
-                except ValueError as err:
-                    raise ExprError(str(err), node.pos) from None
-            return value
+            try:
+                return read(node.text)
+            except ValueError as err:
+                raise ExprError(str(err), node.pos) from None
         if isinstance(node, Pow):
             value = value_of(node.base)
             if isinstance(value, PsiValue):

@@ -24,14 +24,14 @@ denominator is not a p-power is named from them too.  Only the Fraction
 face of a Mat2 builds Fractions; ``fractions`` loads on its first use.
 
 A level rep of a matrix whose denominator is not 1 is the whole matrix,
-so ``eval`` at attained depth D asks for its text D + 2 times.  A pair
-keeps the last element it printed, keyed by its five integers, with the
-text, as one tuple replaced whole, so concurrent callers never see a key
-with another's text; a CLI request builds its own pair.
+so ``eval`` at attained depth D asks for its text D + 2 times.  The text
+of the last element printed is kept, one entry keyed by its five
+integers, shared by every pair and thread.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 import re
 from typing import TYPE_CHECKING
@@ -121,12 +121,20 @@ _LITERAL = re.compile(rf"\[\s*{_ROW}\s*,\s*{_ROW}\s*\]")
 _LAYOUT = "[[{},{}],[{},{}]]"
 
 
+@functools.lru_cache(maxsize=1)  # the text depends only on the five integers
+def _spelled(na: int, nb: int, nc: int, nd: int, den: int) -> str:
+    """The text of na/den, nb/den, nc/den and nd/den, each as str(Fraction) spells it."""
+    entries = []
+    for n in (na, nb, nc, nd):
+        q = math.gcd(n, den)
+        entries.append(str(n // q) if q == den else f"{n // q}/{den // q}")
+    return _LAYOUT.format(*entries)
+
+
 class SL2Pair(CommensuratedPair):
     identity = _mat2(1, 0, 0, 1, 1)
     literal_pattern = _LITERAL
     constant_conj_cost = True
-    # the stored integers of the last element format_element printed, and its text
-    _last_printed = (None, "")
 
     def __init__(self, p: int):
         if not isinstance(p, int) or not is_prime(p):
@@ -206,18 +214,7 @@ class SL2Pair(CommensuratedPair):
         return [_mat2(1, q, 0, 1, 1), _mat2(1, 0, q, 1, 1), third]
 
     def format_element(self, x: Mat2) -> str:
-        key = x.na, x.nb, x.nc, x.nd, x.den
-        last_key, last_text = self._last_printed  # one read, so threads see a matching pair
-        if key == last_key:
-            return last_text
-        # each entry n/den in lowest terms, spelled as str(Fraction) spells it
-        den, entries = x.den, []
-        for n in key[:4]:
-            q = math.gcd(n, den)
-            entries.append(str(n // q) if q == den else f"{n // q}/{den // q}")
-        text = _LAYOUT.format(*entries)
-        self._last_printed = key, text
-        return text
+        return _spelled(x.na, x.nb, x.nc, x.nd, x.den)
 
     def parse_literal(self, text: str) -> Mat2:
         m = _LITERAL.fullmatch(text.strip())

@@ -468,24 +468,35 @@ def test_sl2_format_parse():
         sl2.parse_literal("[[1,2],[3]]")
 
 
-def test_sl2_printing_memo_gives_a_fresh_pairs_text():
-    """format_element keeps the last element it printed: interleaved prints
-    of distinct elements, equal elements built apart, repeats and level reps,
-    integral or not, each give what a fresh pair prints."""
+def test_sl2_printing_memo_gives_a_fresh_pairs_text(monkeypatch):
+    """The printer keeps the last element it printed, shared by every pair:
+    interleaved prints of distinct elements on sl2:2 and sl2:3, equal
+    elements built apart, repeats and level reps, integral or not, each
+    give what the uncached printer gives."""
+    from commensurate import sl2
+
+    def uncached(call):
+        with monkeypatch.context() as m:
+            m.setattr(sl2, "_spelled", sl2._spelled.__wrapped__)
+            return call()
+
     rng = random.Random(RNG_SEED)
+    pool = []
     for p in (2, 3):
-        sl2 = SL2Pair(p)
-        h = sl2.generators["h"]
-        pool = [sl2.identity, *sl2.generators.values(), sl2.inv(h), *sl2.level_generators(1)]
-        pool += [sl2.sample(rng) for _ in range(12)]
+        pair = SL2Pair(p)
+        h = pair.generators["h"]
+        elements = [pair.identity, *pair.generators.values(), pair.inv(h), *pair.level_generators(1)]
+        elements += [pair.sample(rng) for _ in range(12)]
         # equal values, distinct objects
-        pool += [Mat2(*x) for x in pool[:8]] + [sl2.parse_literal(sl2.format_element(x)) for x in pool[:8]]
-        for _ in range(400):
-            x, d = rng.choice(pool), rng.randrange(4)
-            if rng.random() < 0.5:
-                assert sl2.format_element(x) == SL2Pair(p).format_element(x)
-            else:
-                assert sl2.level_rep(x, d) == SL2Pair(p).level_rep(x, d)
+        elements += [Mat2(*x) for x in elements[:8]]
+        elements += [pair.parse_literal(pair.format_element(x)) for x in elements[:8]]
+        pool += [(pair, x) for x in elements]
+    for _ in range(800):
+        (pair, x), d = rng.choice(pool), rng.randrange(4)
+        if rng.random() < 0.5:
+            assert pair.format_element(x) == uncached(lambda: pair.format_element(x))
+        else:
+            assert pair.level_rep(x, d) == uncached(lambda: pair.level_rep(x, d))
 
 
 class _CountingLayout(str):
@@ -503,6 +514,7 @@ def test_sl2_eval_prints_a_non_integral_element_once(monkeypatch, capsys):
     element and the final rep are the whole element: one print, not D + 2."""
     from commensurate import sl2
 
+    sl2._spelled.cache_clear()  # an earlier print of the same element would count 0
     monkeypatch.setattr(sl2, "_LAYOUT", _CountingLayout(sl2._LAYOUT))
     monkeypatch.setattr(_CountingLayout, "calls", 0)
     assert entry(["eval", "sl2:3", "--depth", "13", "h*u*l^-2*h*[[1,3],[0,1]]"]) == 0
@@ -960,6 +972,31 @@ def test_group_law_exactness(pair):
         assert pair.mul(pair.mul(x, y), z) == pair.mul(x, pair.mul(y, z))
         assert pair.mul(x, pair.inv(x)) == pair.identity
         assert pair.mul(pair.identity, x) == x == pair.mul(x, pair.identity)
+
+
+def _fresh(pair):
+    """A newly built pair like the listed one."""
+    return FiniteModelPair(pair.model) if isinstance(pair, FiniteModelPair) else resolve_instance(pair.name)
+
+
+@pytest.mark.parametrize("pair", PAIRS, ids=lambda p: p.name)
+def test_seam_calls_leave_a_pair_unchanged(pair):
+    """Pairs are immutable after construction: printing, reading, level
+    reps, products, inverses, valuations and comparisons of sampled
+    elements add, drop or rebind no attribute of a new pair."""
+    pair = _fresh(pair)
+    built = dict(vars(pair))
+    rng = random.Random(RNG_SEED)
+    depth = 8 if pair.max_depth is None else pair.max_depth
+    for _ in range(5):
+        x, y = pair.sample(rng), pair.sample(rng)
+        assert pair.parse_literal(pair.format_element(x)) == x
+        pair.level_rep(x, rng.randrange(depth + 1))
+        f, g = pair.embed(x, depth), pair.embed(y, depth)
+        h = f * g.inverse()
+        h.valuation(f)
+        f.eq_at_depth(g, min(f.depth, g.depth, h.depth))
+    assert vars(pair) == built
 
 
 def _refusal(lookup, depth) -> str:
