@@ -3,6 +3,8 @@ commensurated subgroup chains, with brute-force oracles and a CLI.
 
 The instance modules load when one of their names is first looked up
 (PEP 562), so a start that needs one instance compiles only that one.
+A served name is stored here, so later lookups are attribute reads.
+``_LAZY`` alone maps a name to its module; ``registry`` builds pairs by name.
 """
 
 from importlib import import_module
@@ -37,7 +39,8 @@ def __getattr__(name: str):
     # any other name, a submodule's included, is left to the import system
     if name not in _LAZY:
         raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-    return getattr(import_module(f".{_LAZY[name]}", __name__), name)
+    value = globals()[name] = getattr(import_module(f".{_LAZY[name]}", __name__), name)
+    return value
 
 
 __all__ = sorted([

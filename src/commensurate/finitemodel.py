@@ -208,8 +208,8 @@ class FiniteModel:
     spells one element and ``names`` all of them, built on first use.
     ``lefts[d]`` is the ``CosetTable`` of the left cosets g·N_d, and
     ``levels[d]`` is its coset of the identity; a right coset N_d·g is
-    (g⁻¹·N_d)⁻¹.  Tables are built once, in the constructor; instances
-    are immutable after it and hash by identity.
+    (g⁻¹·N_d)⁻¹.  Tables are built once, in the constructor, and never
+    change after it; only ``names`` fills in later.  Models hash by identity.
     """
 
     def __init__(self, name, kind, mul_table, level_gens,

@@ -4,57 +4,52 @@ Instance names: ``z<base>`` (integers, power chain), ``zfact``
 (integers, factorial chain), ``bs12``, ``sl2:<p>`` (``sl2`` means p=2),
 and ``model:<path>`` for a finite model file.  Each pair names and
 builds its own discrete targets (``CommensuratedPair.target``).  A new
-instance is one pair class plus one row of ``_INSTANCES``.
+instance is one pair class, its entry in the package's ``_LAZY`` and one
+row of ``_INSTANCES``; every pair is built through the package's names.
 """
 
 from __future__ import annotations
 
 import re
-from importlib import import_module
-from types import ModuleType
+import sys
 from typing import Callable, NamedTuple
 
 from .core import CommensuratedPair, DiscreteTarget, quoted, read_int
 
+_package = sys.modules[__package__]  # serves each pair class from its module
+
 
 class _Instance(NamedTuple):
     name: re.Pattern  # matched in full against the requested name
-    module: str  # defines the pair; imported when the row first builds one
-    build: Callable[[ModuleType, re.Match], CommensuratedPair]
+    build: Callable[[re.Match], CommensuratedPair]
     pattern: str  # what `instances` prints for the name ...
     description: str  # ... and beside it
     listed: tuple[str, ...]  # the names `instances` lists
 
 
 def load_model(path):
-    """``finitemodel.load_model``; the module loads on the first call."""
-    from .finitemodel import load_model
-
-    return load_model(path)
+    """``commensurate.load_model``; a function so that bench/tracing.py can wrap it."""
+    return _package.load_model(path)
 
 
 def finite_model_pair(model):
-    """``finitemodel.FiniteModelPair(model)``; the module loads on the first call."""
-    from .finitemodel import FiniteModelPair
-
-    return FiniteModelPair(model)
+    """``commensurate.FiniteModelPair(model)``; a function so that bench/tracing.py can wrap it."""
+    return _package.FiniteModelPair(model)
 
 
 _INSTANCES = (
-    _Instance(re.compile(r"z(\d+)"), "integers",
-              lambda mod, m: mod.IntegerChainPair(read_int(m.group(1), "instance name")),
+    _Instance(re.compile(r"z(\d+)"),
+              lambda m: _package.IntegerChainPair(read_int(m.group(1), "instance name")),
               "z<base>", "integers with the base**d chain", ("z2", "z3")),
-    _Instance(re.compile(r"zfact(?:orial)?"), "integers",
-              lambda mod, m: mod.FactorialChainPair(),
+    _Instance(re.compile(r"zfact(?:orial)?"), lambda m: _package.FactorialChainPair(),
               "zfact", "integers with the factorial chain", ("zfact",)),
-    _Instance(re.compile(r"bs12"), "bs12", lambda mod, m: mod.BS12Pair(),
+    _Instance(re.compile(r"bs12"), lambda m: _package.BS12Pair(),
               "bs12", "Baumslag-Solitar group BS(1,2)", ("bs12",)),
-    _Instance(re.compile(r"sl2(?::(\d+))?"), "sl2",
-              lambda mod, m: mod.SL2Pair(read_int(m.group(1) or "2", "instance name")),
+    _Instance(re.compile(r"sl2(?::(\d+))?"),
+              lambda m: _package.SL2Pair(read_int(m.group(1) or "2", "instance name")),
               "sl2:<p>", "SL2(Z[1/p]) with the congruence chain", ("sl2:2", "sl2:3")),
     # a lambda body looks both names up per call, where bench/tracing.py wraps them
-    _Instance(re.compile(r"model:(.*)", re.DOTALL), "finitemodel",
-              lambda mod, m: finite_model_pair(load_model(m.group(1))),
+    _Instance(re.compile(r"model:(.*)", re.DOTALL), lambda m: finite_model_pair(load_model(m.group(1))),
               "model:<path>", "finite model loaded from a model file", ()),
 )
 
@@ -64,7 +59,7 @@ def resolve_instance(name: str) -> CommensuratedPair:
     for row in _INSTANCES:
         m = row.name.fullmatch(name)
         if m is not None:
-            return row.build(import_module(f".{row.module}", __package__), m)
+            return row.build(m)
     raise ValueError(f"unknown instance {quoted(name)}")
 
 

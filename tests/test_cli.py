@@ -1092,11 +1092,14 @@ _INSTANCE_MODULES = (
 @pytest.mark.parametrize("argv, loaded", [
     ([], []),
     (["eval", "z2", "5"], ["commensurate.integers"]),
+    (["eval", "zfact", "5"], ["commensurate.integers"]),
     (["eval", "bs12", "a"], ["commensurate.bs12"]),
     (["eval", "sl2:3", "u"], ["commensurate.sl2", "commensurate.integers"]),
+    (["eval", "model:models/z8.model", "--depth", "3", "#1"], ["commensurate.finitemodel"]),
     (["oracle", "models/z8.model", "--trials", "1"], ["commensurate.finitemodel"]),
     (["eval", "bs12", "a", "--json"], ["commensurate.bs12", "json"]),
-], ids=["import", "eval-z2", "eval-bs12", "eval-sl2", "oracle", "eval-bs12-json"])
+], ids=["import", "eval-z2", "eval-zfact", "eval-bs12", "eval-sl2", "eval-model", "oracle",
+        "eval-bs12-json"])
 def test_a_run_loads_only_the_instance_module_it_resolves(argv, loaded):
     """A fresh start compiles the package from source when no bytecode is
     cached, so each instance module loads only when a run resolves it, and
@@ -1209,6 +1212,43 @@ def test_public_names_load_on_first_lookup():
     assert commensurate.FactorialChainPair is integers.FactorialChainPair
     with pytest.raises(AttributeError, match="no attribute 'no_such_name'"):
         commensurate.no_such_name  # noqa: B018
+
+
+def test_a_public_name_is_served_once_then_read_as_an_attribute():
+    """The registry builds every pair through the package's names, and the
+    package stores each name its __getattr__ serves, so a second resolve of
+    the same instances reads plain attributes.  A fresh child starts with
+    no name served."""
+    script = (
+        "import collections, commensurate\n"
+        "from commensurate import registry\n"
+        "served, lazy = collections.Counter(), commensurate.__getattr__\n"
+        "def counting(name):\n"
+        "    served[name] += 1\n"
+        "    return lazy(name)\n"
+        "commensurate.__getattr__ = counting\n"
+        "for _ in range(2):\n"
+        "    pairs = [*registry.builtin_instances(),\n"
+        "             registry.resolve_instance('model:models/z8.model')]\n"
+        "for pair in pairs:\n"
+        "    name = type(pair).__name__\n"
+        "    assert getattr(commensurate, name) is type(pair), name\n"
+        "    assert vars(commensurate)[name] is type(pair), name\n"
+        "print(sorted(served.items()))\n"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", script],
+        capture_output=True,
+        text=True,
+        timeout=60,
+        cwd=ROOT,
+        env=_child_env(),
+    )
+    assert (proc.returncode, proc.stderr) == (0, ""), proc.stderr
+    assert proc.stdout.splitlines()[-1] == repr([
+        (name, 1) for name in ("BS12Pair", "FactorialChainPair", "FiniteModelPair",
+                               "IntegerChainPair", "SL2Pair", "load_model")
+    ])
 
 
 def test_model_instances_load_through_the_traced_names(monkeypatch):
