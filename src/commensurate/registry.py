@@ -49,7 +49,8 @@ _INSTANCES = (
               lambda m: _package.SL2Pair(read_int(m.group(1) or "2", "instance name")),
               "sl2:<p>", "SL2(Z[1/p]) with the congruence chain", ("sl2:2", "sl2:3")),
     # a lambda body looks both names up per call, where bench/tracing.py wraps them
-    _Instance(re.compile(r"model:(.*)", re.DOTALL), lambda m: finite_model_pair(load_model(m.group(1))),
+    _Instance(re.compile(r"model:(.*)", re.DOTALL),
+              lambda m: finite_model_pair(load_model(m.group(1))),
               "model:<path>", "finite model loaded from a model file", ()),
 )
 
